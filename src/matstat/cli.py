@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import counting, experiments, kernels, lattices, multdep, numtheory
+from .errors import BudgetExceededError
 from .exact import IntMatrix, MonicIntPoly
 from .experiments import ExperimentSpec
 
@@ -39,6 +40,13 @@ def _parse_poly(text: str) -> MonicIntPoly:
     return MonicIntPoly(coeffs[:-1])
 
 
+def _required(args, name: str):
+    value = getattr(args, name)
+    if value is None:
+        raise ValueError(f"{args.cmd} {args.what} needs --{name}")
+    return value
+
+
 def _load_json(path: str):
     with open(path) as fh:
         return json.load(fh)
@@ -47,6 +55,11 @@ def _load_json(path: str):
 def _as_matrix(obj) -> IntMatrix:
     if isinstance(obj, dict):
         obj = obj.get("matrix", obj)
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+        raise ValueError("a matrix must be a list of rows")
+    for x in (x for row in obj for x in row):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ValueError(f"matrix entries must be integers, got {x!r}")
     return IntMatrix(obj)
 
 
@@ -60,7 +73,7 @@ def _load_tuple(path: str) -> List[IntMatrix]:
         obj = obj.get("matrices", obj)
     if not isinstance(obj, list) or not obj:
         raise SystemExit(f"error: {path} does not hold a matrix tuple")
-    return [IntMatrix(m) for m in obj]
+    return [_as_matrix(m) for m in obj]
 
 
 def _dump_tuple(mats: Sequence[IntMatrix], path: Optional[str]):
@@ -115,7 +128,7 @@ def _cmd_count(args) -> int:
     if args.what == "universe":
         _print_count(args, "universe", counting.universe_size(args.n, args.H))
     elif args.what == "charpoly":
-        f = _parse_poly(args.f)
+        f = _parse_poly(_required(args, "f"))
         if f.degree != args.n:
             raise SystemExit("error: charpoly degree must equal n")
         if args.n == 2 and args.method != "naive":
@@ -148,7 +161,7 @@ def _cmd_count(args) -> int:
         f, count = counting.max_charpoly_count(args.n, args.H, **common)
         _print_count(args, "max-charpoly-count", count, {"argmax": f})
     elif args.what == "centralizer":
-        a = _load_matrix(args.matrix)
+        a = _load_matrix(_required(args, "matrix"))
         count = counting.centralizer_count(a, args.H, node_cap=args.budget)
         _print_count(args, "centralizer-count", count)
     else:  # pragma: no cover
@@ -163,13 +176,13 @@ def _cmd_count(args) -> int:
 def _cmd_multdep(args) -> int:
     if args.what == "construct":
         if args.mode == "torsion":
-            orders = _parse_ints(args.orders)
+            orders = _parse_ints(_required(args, "orders"))
             a, m = multdep.construct_torsion_block(orders)
             _dump_tuple([a], args.out)
             print(f"dimension = {a.n}", file=sys.stderr)
             print(f"identity exponent = {m}", file=sys.stderr)
         else:
-            blocks = _load_tuple(args.blocks)
+            blocks = _load_tuple(_required(args, "blocks"))
             built = (
                 multdep.construct_even(blocks)
                 if args.mode == "even"
@@ -181,7 +194,7 @@ def _cmd_multdep(args) -> int:
         _manifest_line("multdep construct", mode=args.mode)
         return 0
 
-    mats = _load_tuple(args.tuple)
+    mats = _load_tuple(_required(args, "tuple"))
     if args.what == "check":
         if args.k is not None:
             k = _parse_ints(args.k)
@@ -220,7 +233,7 @@ def _cmd_multdep(args) -> int:
 
 def _cmd_lattice(args) -> int:
     if args.what == "dual":
-        vec = _parse_ints(args.vector)
+        vec = _parse_ints(_required(args, "vector"))
         lat = lattices.orthogonal_lattice([vec])
         basis = lattices.reduced_basis(lat, node_cap=args.budget)
         gram = lat.gram_det()
@@ -232,7 +245,7 @@ def _cmd_lattice(args) -> int:
         print(f"volume identity holds = {check}")
         _manifest_line("lattice dual", t=len(vec))
     elif args.what == "good":
-        vec = _parse_ints(args.vector)
+        vec = _parse_ints(_required(args, "vector"))
         verdict = lattices.is_k_good(vec, Fraction(args.K), node_cap=args.budget)
         print(f"verdict = {verdict.verdict}")
         print(f"minima squared = {','.join(map(str, verdict.minima_sq))}")
@@ -309,7 +322,6 @@ def _cmd_fit(args) -> int:
     spec = ExperimentSpec(
         kind=args.kind, n=args.n, grid=grid, params=params,
         parts=args.parts, threads=args.threads, budget=args.budget,
-        seed=args.seed,
     )
     t0 = time.perf_counter()
     records = experiments.run_grid(spec)
@@ -432,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--tol", type=float, default=0.5)
     pf.add_argument("--mode", choices=("upper", "two-sided"), default="upper")
     pf.add_argument("--out", type=str, default=None)
-    pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--timing", action="store_true")
     _add_common(pf, parts=8)
     pf.set_defaults(fn=_cmd_fit)
@@ -449,7 +460,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.format = "human"
     try:
         return args.fn(args)
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -109,6 +109,13 @@ def _check_budget(cost: int, budget: int, what: str):
         raise BudgetExceededError(cost, budget, what)
 
 
+def _det_infeasible(n: int, hf: int, d: int) -> bool:
+    """True when Hadamard's bound |det A| <= (sqrt(n) H)^n excludes d."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return d * d > n**n * hf ** (2 * n)
+
+
 # ---------------------------------------------------------------------------
 # determinant counts
 
@@ -126,8 +133,10 @@ def count_with_det(
     hf = _floor_h(h)
     if method not in ("auto", "fast", "naive"):
         raise ValueError("method must be auto|fast|naive")
+    if _det_infeasible(n, hf, d):
+        return 0
     if n == 1:
-        return 1 if abs(d) <= hf else 0
+        return 1
     if n == 2:
         if method in ("auto", "fast"):
             return kernels.det2_count(hf, d)
@@ -302,14 +311,14 @@ def count_det_trace(
     hf = _floor_h(h)
     if method not in ("auto", "fast", "naive"):
         raise ValueError("method must be auto|fast|naive")
-    if abs(t) > n * hf:
+    if _det_infeasible(n, hf, d) or abs(t) > n * hf:
         return 0
     if n == 1:
-        return 1 if (d == t and abs(d) <= hf) else 0
+        return 1 if d == t else 0
     if n == 2:
         # det+trace pins the charpoly, so this is the 2x2 charpoly count
         if method in ("auto", "fast"):
-            return kernels.charpoly2_count(hf, t, d) if abs(d) <= 2 * hf * hf else 0
+            return kernels.charpoly2_count(hf, t, d)
         pieces = _run_parts(
             lambda lo, hi: kernels.n2_count(hf, d, t, True, lo, hi),
             2 * hf + 1, parts, threads,
@@ -353,8 +362,11 @@ def count_det_trace2(
     hf = _floor_h(h)
     if method not in ("auto", "fast", "naive"):
         raise ValueError("method must be auto|fast|naive")
+    # |tr A^2| = |sum a_ij a_ji| <= n^2 H^2
+    if _det_infeasible(n, hf, d) or abs(t1) > n * hf or abs(t2) > n * n * hf * hf:
+        return 0
     if n == 1:
-        return 1 if (d == t1 and t2 == t1 * t1 and abs(d) <= hf) else 0
+        return 1 if (d == t1 and t2 == t1 * t1) else 0
     if n == 2:
         # Cayley-Hamilton forces tr A^2 = t1^2 - 2d
         if t2 != t1 * t1 - 2 * d:

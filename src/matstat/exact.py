@@ -2,7 +2,8 @@
 
 Everything here is arbitrary-precision and division-free where it can be:
 determinants use Bareiss elimination, characteristic polynomials use the
-Berkowitz algorithm, and inverses are computed over ``fractions.Fraction``.
+Berkowitz algorithm, and inverses, ranks and linear solves go through one
+Gauss-Jordan routine over ``fractions.Fraction`` (``_rref``).
 No floating point enters this module.
 
 Characteristic polynomials follow the convention f(X) = det(X*I - A), so f
@@ -12,7 +13,7 @@ is monic of degree n and the constant term is (-1)^n det(A).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import NegativePowerOfSingularError, SingularMatrixError
 
@@ -304,27 +305,45 @@ def mat_pow(a: IntMatrix, k: int) -> RationalMatrix:
     return result
 
 
-def inverse_rational(a: IntMatrix) -> RationalMatrix:
-    """Exact inverse over Q by Gauss-Jordan elimination on Fractions."""
-    n = a.n
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a.rows)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                piv = i
-                break
+def _rref(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
+    """Reduced row echelon form over Q by Gauss-Jordan elimination.
+
+    The one exact elimination routine of the package.  Returns
+    (reduced, pivots): the nonzero rows of the reduced matrix, row i with
+    a leading 1 in column pivots[i] and 0 in every other pivot column, and
+    the pivot columns in increasing order.  So len(pivots) is the rank,
+    and a column is a pivot exactly when it is independent of the columns
+    before it.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: List[int] = []
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
         if piv is None:
-            raise SingularMatrixError("matrix is singular over Q")
-        m[col], m[piv] = m[piv], m[col]
-        inv_p = 1 / m[col][col]
-        m[col] = [x * inv_p for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return RationalMatrix([row[n:] for row in m])
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][col]
+        prow = m[r] = [x * inv for x in m[r]]
+        for i, row in enumerate(m):
+            f = row[col]
+            if i != r and f != 0:
+                m[i] = [x - f * y for x, y in zip(row, prow)]
+        pivots.append(col)
+    return m[: len(pivots)], pivots
+
+
+def inverse_rational(a: IntMatrix) -> RationalMatrix:
+    """Exact inverse over Q: Gauss-Jordan elimination of [A | I]."""
+    n = a.n
+    reduced, pivots = _rref(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a.rows)]
+    )
+    if pivots != list(range(n)):
+        raise SingularMatrixError("matrix is singular over Q")
+    return RationalMatrix([row[n:] for row in reduced])
 
 
 def charpoly(a: IntMatrix) -> MonicIntPoly:

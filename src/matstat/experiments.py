@@ -58,7 +58,6 @@ class ExperimentSpec:
     parts: int = 8
     threads: int = 1
     budget: int = counting.DEFAULT_BUDGET
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -77,7 +76,6 @@ class ExperimentSpec:
             "parts": self.parts,
             "threads": self.threads,
             "budget": self.budget,
-            "seed": self.seed,
         }
 
 

@@ -3,8 +3,10 @@
 All verdicts are exact: Gram determinants are computed by integer
 elimination, basis reduction runs LLL over Fractions (delta = 0.99), and
 for rank <= 6 the reported lengths are refined to the true successive
-minima by Fincke-Pohst enumeration.  Square roots are never compared in
-floating point; every comparison happens on squared lengths.
+minima by Fincke-Pohst enumeration.  Independence checks, coordinates in
+a basis and the choice of independent shortest vectors all go through the
+one rational elimination routine, ``exact._rref``.  Square roots are never
+compared in floating point; every comparison happens on squared lengths.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import product as iter_product
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError
-from .exact import IntMatrix, det
+from .exact import IntMatrix, _rref, det
 
 __all__ = [
     "Lattice",
@@ -82,7 +84,7 @@ class Lattice:
             raise ValueError("basis vector has wrong length")
         if len(basis) > ambient_dim:
             raise ValueError("more basis vectors than ambient dimension")
-        if basis and _rational_rank(basis) != len(basis):
+        if len(_rref(basis)[1]) != len(basis):
             raise ValueError("basis vectors must be linearly independent")
         self.ambient_dim = ambient_dim
         self.basis = basis
@@ -107,19 +109,13 @@ class Lattice:
         v = tuple(int(x) for x in v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector has wrong length")
-        if self.rank == 0:
-            return () if all(x == 0 for x in v) else None
-        # solve G c = B v via Cramer-free Fraction elimination
-        g = [[Fraction(dot(b, w)) for w in self.basis] for b in self.basis]
-        rhs = [Fraction(dot(b, v)) for b in self.basis]
-        coeffs = _solve_fraction_system(g, rhs)
-        if coeffs is None:
+        # solve B^T c = v; v lies off the span exactly when its column pivots
+        reduced, pivots = _rref(
+            [[b[k] for b in self.basis] + [v[k]] for k in range(self.ambient_dim)]
+        )
+        if self.rank in pivots:
             return None
-        # confirm v really equals sum c_i b_i (v may lie off the span)
-        for k in range(self.ambient_dim):
-            if sum(c * b[k] for c, b in zip(coeffs, self.basis)) != v[k]:
-                return None
-        return tuple(coeffs)
+        return tuple(row[-1] for row in reduced)
 
     def contains(self, v: Sequence[int]) -> bool:
         coords = self.coordinates_of(v)
@@ -127,44 +123,6 @@ class Lattice:
 
     def __repr__(self) -> str:
         return f"Lattice(dim={self.ambient_dim}, basis={[list(v) for v in self.basis]})"
-
-
-def _solve_fraction_system(g: List[List[Fraction]], rhs: List[Fraction]):
-    n = len(g)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(g)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return [m[i][n] for i in range(n)]
-
-
-def _rational_rank(vectors: Sequence[Sequence[int]]) -> int:
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 def hnf_with_transform(rows: Sequence[Sequence[int]]):
@@ -372,29 +330,13 @@ def successive_minima(lat: Lattice, node_cap: int = DEFAULT_NODE_CAP):
         _enumerate_ball(red, Fraction(bound), budget),
         key=lambda item: (item[2], item[1]),
     )
-    chosen: List[IntVector] = []
-    minima: List[int] = []
-    echelon: List[List[Fraction]] = []
-    for _, vec, nsq in candidates:
-        if _extends_rank(echelon, vec):
-            chosen.append(vec)
-            minima.append(nsq)
-            if len(chosen) == lat.rank:
-                break
-    return tuple(minima), tuple(chosen)
-
-
-def _extends_rank(echelon: List[List[Fraction]], vec: Sequence[int]) -> bool:
-    row = [Fraction(x) for x in vec]
-    for er in echelon:
-        piv = next(i for i, x in enumerate(er) if x != 0)
-        if row[piv] != 0:
-            f = row[piv] / er[piv]
-            row = [x - f * y for x, y in zip(row, er)]
-    if all(x == 0 for x in row):
-        return False
-    echelon.append(row)
-    return True
+    # The pivot columns of the matrix whose columns are the candidates,
+    # shortest first, are the greedy choice of independent vectors.  Their
+    # coefficient vectors in the basis `red` stand in for them: the same
+    # independence, and only rank rows, so elimination stops at rank pivots.
+    _, pivots = _rref(list(zip(*(coeffs for coeffs, _, _ in candidates))))
+    chosen = [candidates[j] for j in pivots]
+    return tuple(nsq for _, _, nsq in chosen), tuple(vec for _, vec, _ in chosen)
 
 
 def reduced_basis(lat: Lattice, node_cap: int = DEFAULT_NODE_CAP) -> Tuple[IntVector, ...]:
@@ -404,18 +346,19 @@ def reduced_basis(lat: Lattice, node_cap: int = DEFAULT_NODE_CAP) -> Tuple[IntVe
     vectors attaining the successive minima whenever those still generate
     the lattice (they always do for rank <= 4).
     """
+    minimal = successive_minima(lat, node_cap)[1] if lat.rank <= 6 else ()
+    return _reduced_basis(lat, minimal)
+
+
+def _reduced_basis(lat: Lattice, minimal: Sequence[IntVector]) -> Tuple[IntVector, ...]:
+    """reduced_basis given the witnesses of successive_minima (or none)."""
     if lat.rank == 0:
         return ()
-    red = sorted(_lll(lat.basis), key=lambda v: (norm_sq(v), v))
-    if lat.rank > 6:
-        return tuple(red)
-    minima, vectors = successive_minima(lat, node_cap)
-    if not vectors or len(vectors) < lat.rank:
-        return tuple(red)
-    g = [[dot(v, w) for w in vectors] for v in vectors]
-    if det(IntMatrix(g)) == lat.gram_det():
-        return tuple(vectors)
-    return tuple(red)
+    if lat.rank <= 6 and len(minimal) == lat.rank:
+        g = [[dot(v, w) for w in minimal] for v in minimal]
+        if det(IntMatrix(g)) == lat.gram_det():
+            return tuple(minimal)
+    return tuple(sorted(_lll(lat.basis), key=lambda v: (norm_sq(v), v)))
 
 
 @dataclass(frozen=True)
@@ -452,8 +395,8 @@ def is_k_good(u: Sequence[int], k_bound, node_cap: int = DEFAULT_NODE_CAP) -> Go
     if Fraction(k_bound) < 1:
         raise ValueError("K must be >= 1")
     dual = orthogonal_lattice([u])
-    minima, _ = successive_minima(dual, node_cap)
-    basis = reduced_basis(dual, node_cap)
+    minima, vectors = successive_minima(dual, node_cap)
+    basis = _reduced_basis(dual, vectors)
     ksq = _bound_sq_floor(k_bound)
     good = all(m <= ksq for m in minima)
     return GoodnessVerdict(u, float(k_bound), good, minima, basis)

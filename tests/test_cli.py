@@ -188,3 +188,20 @@ def test_error_exit_code(capsys):
         capsys, "count", "centralizer", "--matrix", "/nonexistent.json", "--H", "1"
     )
     assert rc == 1 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "det", "--n", "4", "--H", "3"],  # over the scan budget
+        ["lattice", "census", "--U", "20000"],  # beyond the census kernel
+        ["multdep", "check"],  # no --tuple
+        ["count", "centralizer", "--matrix", "FLOAT_ENTRY"],
+    ],
+)
+def test_refused_input_is_one_error_line(capsys, tmp_path, argv):
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps({"matrix": [[1, 0.5], [0, 1]]}))
+    rc, out, err = run(capsys, *(str(path) if a == "FLOAT_ENTRY" else a for a in argv))
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err

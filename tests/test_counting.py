@@ -1,6 +1,8 @@
 """Counters against enumeration oracles, partition identities, budgets."""
 
 import random
+import time
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -155,6 +157,32 @@ def test_det_trace_methods_agree_h2():
         assert count_det_trace(3, 2, d, t) == count_det_trace(
             3, 2, d, t, method="naive"
         ), (d, t)
+
+
+def test_hadamard_bound_short_circuits():
+    # far beyond |det A| <= (sqrt(n) H)^n: answered without any scan
+    for call in (
+        lambda: count_det_trace(3, 5, 10**30, 0),
+        lambda: count_with_det(3, 2, 10**6),
+        lambda: count_det_trace2(3, 5, 10**30, 0, 0),
+    ):
+        start = time.perf_counter()
+        assert call() == 0
+        assert time.perf_counter() - start < 0.05
+    # n = 3, H = 1: the bound admits |d| <= 5 (d^2 <= 27) and |tr A^2| <= 9,
+    # while the largest determinant that occurs is 4
+    dets = Counter(det(m) for m in all_matrices(3, 1))
+    assert dets[4] > 0 and dets[5] == 0
+    for d in (-6, -5, -4, 4, 5, 6):
+        assert count_with_det(3, 1, d) == dets[d], d
+        for t in (-1, 0, 1):
+            assert count_det_trace(3, 1, d, t) == count_det_trace(
+                3, 1, d, t, method="naive"
+            ), (d, t)
+        for t2 in (2, 9, 10):
+            assert count_det_trace2(3, 1, d, 0, t2) == count_det_trace2(
+                3, 1, d, 0, t2, method="naive"
+            ), (d, t2)
 
 
 def test_det_trace2_gate_n2():

@@ -4,11 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import charpoly_oracle, det_oracle, random_matrix, random_unimodular
 from matstat.errors import NegativePowerOfSingularError, SingularMatrixError
 from matstat.exact import (
     IntMatrix,
+    _rref,
     MonicIntPoly,
     RationalMatrix,
     block_diag,
@@ -158,6 +162,50 @@ def test_inverse_rational():
     assert inv.rows[0][0] == Fraction(-2)
     with pytest.raises(SingularMatrixError):
         inverse_rational(IntMatrix([[1, 1], [1, 1]]))
+
+
+def _int_rows(max_rows, max_cols, min_rows=1, min_cols=1):
+    return st.integers(min_rows, max_rows).flatmap(
+        lambda r: st.integers(min_cols, max_cols).flatmap(
+            lambda c: st.lists(
+                st.lists(st.integers(-3, 3), min_size=c, max_size=c),
+                min_size=r,
+                max_size=r,
+            )
+        )
+    )
+
+
+def _to_fraction(x) -> Fraction:
+    x = sympy.Rational(x)
+    return Fraction(int(x.p), int(x.q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_rows(5, 6))
+def test_rref_matches_sympy(rows):
+    reduced, pivots = _rref(rows)
+    ref, ref_pivots = sympy.Matrix(rows).rref()
+    assert len(pivots) == sympy.Matrix(rows).rank()
+    assert tuple(pivots) == ref_pivots
+    assert reduced == [
+        [_to_fraction(ref[i, j]) for j in range(ref.cols)] for i in range(len(pivots))
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: _int_rows(n, n, n, n)))
+def test_inverse_rational_matches_sympy(rows):
+    ref = sympy.Matrix(rows)
+    if ref.det() == 0:
+        with pytest.raises(SingularMatrixError):
+            inverse_rational(IntMatrix(rows))
+        return
+    inv = ref.inv()
+    n = len(rows)
+    assert inverse_rational(IntMatrix(rows)).rows == tuple(
+        tuple(_to_fraction(inv[i, j]) for j in range(n)) for i in range(n)
+    )
 
 
 def test_rational_matrix_integrality():

@@ -6,6 +6,9 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import minima_oracle
 from matstat.errors import BudgetExceededError
@@ -132,6 +135,74 @@ def test_dual_volume_identity_random():
         t = rng.randint(2, 6)
         v = _random_primitive(rng, t)
         assert dual_volume_check(v)
+
+
+_small_vectors = st.integers(1, 4).flatmap(
+    lambda t: st.integers(0, t).flatmap(
+        lambda r: st.tuples(
+            st.lists(
+                st.lists(st.integers(-4, 4), min_size=t, max_size=t),
+                min_size=r,
+                max_size=r,
+            ),
+            st.lists(st.integers(-4, 4), min_size=t, max_size=t),
+            st.integers(1, 3),
+        )
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_vectors)
+def test_coordinates_and_contains_on_and_off_span(case):
+    rows, w, q = case
+    t = len(w)
+    assume(sympy.Matrix(rows or [[0] * t]).rank() == len(rows))
+    # the first basis vector scaled by q: sum k_i b_i then has first
+    # coordinate k_0 / q, a lattice point exactly when q divides k_0
+    basis = [[q * x for x in rows[0]]] + rows[1:] if rows else []
+    lat = Lattice(t, basis)
+    ks = w[: len(rows)]
+    v = tuple(sum(k * b[i] for k, b in zip(ks, rows)) for i in range(t))
+    expect = tuple(Fraction(k, q if j == 0 else 1) for j, k in enumerate(ks))
+    assert lat.coordinates_of(v) == expect
+    assert lat.contains(v) == (not ks or ks[0] % q == 0)
+    # w lies in the span exactly when appending it keeps the rank
+    in_span = sympy.Matrix(rows + [w]).rank() == len(rows)
+    coords = lat.coordinates_of(w)
+    assert (coords is not None) == in_span
+    if coords is not None:
+        assert tuple(sum(c * b[i] for c, b in zip(coords, basis)) for i in range(t)) == tuple(w)
+    else:
+        assert not lat.contains(w)
+
+
+def _greedy_minima(u, bound_sq):
+    """Brute force: all nonzero w with w.u = 0 and |w|^2 <= bound_sq, sorted
+    by (|w|^2, w), then the greedy independent choice by sympy rank."""
+    r = math.isqrt(bound_sq)
+    cands = sorted(
+        (norm_sq(w), w)
+        for w in product(range(-r, r + 1), repeat=len(u))
+        if any(w) and sum(x * y for x, y in zip(w, u)) == 0 and norm_sq(w) <= bound_sq
+    )
+    chosen = []
+    for nsq, w in cands:
+        if sympy.Matrix(chosen + [w]).rank() == len(chosen) + 1:
+            chosen.append(w)
+        if len(chosen) == len(u) - 1:
+            break
+    return tuple(norm_sq(w) for w in chosen), tuple(chosen)
+
+
+def test_successive_minima_picks_greedy_vectors():
+    rng = random.Random(0x5EED)
+    for _ in range(40):
+        t = rng.randint(2, 4)
+        u = _random_primitive(rng, t, 4)
+        minima, vecs = successive_minima(orthogonal_lattice([u]))
+        # the last minimum bounds every vector a correct greedy scan picks
+        assert (minima, vecs) == _greedy_minima(u, minima[-1])
 
 
 def test_successive_minima_against_oracle():

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -262,34 +262,32 @@ def max_charpoly_count(
     if n == 3:
         size = universe_size(3, hf)
         _check_budget(size, budget, "3x3 charpoly tally")
-        tally: Dict[int, int] = {}
         km = 12 * hf * hf + 1
         kd = 12 * hf**3 + 1
         off_t, off_m, off_d = 3 * hf, 6 * hf * hf, 6 * hf**3
+        # keys are dense in (6h+1) * km * kd, which stays below |M_3(Z; h)|
+        nkeys = (6 * hf + 1) * km * kd
 
         def work(lo, hi):
-            local: Dict[int, int] = {}
+            local = np.zeros(nkeys, dtype=np.int64)
             for start in range(lo, hi, _CHUNK):
                 stop = min(start + _CHUNK, hi)
                 tr, mid, dt = kernels.n3_stats(hf, start, stop)
                 keys = ((tr + off_t) * km + (mid + off_m)) * kd + (dt + off_d)
-                uniq, cnt = np.unique(keys, return_counts=True)
-                for k, c in zip(uniq.tolist(), cnt.tolist()):
-                    local[k] = local.get(k, 0) + c
-            return local
+                local += np.bincount(keys, minlength=nkeys)
+            seen = np.flatnonzero(local)
+            return seen, local[seen]
 
-        for local in _run_parts(work, size, parts, threads):
-            for k, c in local.items():
-                tally[k] = tally.get(k, 0) + c
-        if sum(tally.values()) != size:
+        tally = np.zeros(nkeys, dtype=np.int64)
+        for seen, cnt in _run_parts(work, size, parts, threads):
+            tally[seen] += cnt
+        if int(tally.sum()) != size:
             raise AssertionError("charpoly tally failed the partition check")
-        best_key = min(
-            tally, key=lambda k: (-tally[k], k)
-        )
+        best_key = int(np.argmax(tally))  # first maximum: the smallest key
         rest, dv = divmod(best_key, kd)
         tv, mv = divmod(rest, km)
         f = MonicIntPoly((-(dv - off_d), mv - off_m, -(tv - off_t)))
-        return f, tally[best_key]
+        return f, int(tally[best_key])
     raise ValueError("max charpoly scan implemented for n in {2, 3}")
 
 

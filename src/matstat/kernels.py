@@ -6,9 +6,17 @@ switch at runtime with use_backend()/set_backend().  Both backends compute
 identical integer results; float accumulations (census norm sums) are
 deterministic per backend.
 
-All kernels work on int64.  Callers are responsible for keeping inputs in
-the documented ranges (H <= 2048 for the pair tables, U <= 10^4 for the
-census) so intermediates stay far from overflow.
+All kernels work on int64, and each checks at entry that its inputs lie in
+the range where its intermediates provably fit and its scratch stays
+bounded, raising ValueError otherwise: h <= 2048 for the pair tables,
+h <= 63 for n3_stats (ranks below (2h+1)^9 < 2^63), h <= 20 for
+det_trace3/det_trace3_t2 (a line table of (2h^2+1)^2 entries, 26 MB at
+h = 20), k <= 127 for bordered3 (one rank's border vectors fit a batch) and
+U <= 10^4 for census3 (norms in the rank-2 reduction stay below 2^55).
+Shard ranges must lie inside the kernel's rank range.
+
+The numpy twins share the numba twins' algorithms and complexity; they
+vectorise over bounded batches of ranks instead of looping per rank.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ try:
     from numba import njit
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
+except ImportError:  # numba is the optional `numba` extra
     HAVE_NUMBA = False
 
     def njit(*args, **kwargs):
@@ -112,6 +120,30 @@ def full_pair_count_array(h: int, halo: int) -> np.ndarray:
     return out
 
 
+_BATCH = 1 << 15  # items per vectorised step of the numpy twins
+
+
+def _check_range(name: str, value: int, top: int) -> None:
+    if not 0 <= value <= top:
+        raise ValueError(f"{name} must be in [0, {top}], got {value}")
+
+
+def _check_span(lo: int, hi: int, size: int) -> None:
+    if not 0 <= lo <= hi <= size:
+        raise ValueError(f"rank range [{lo}, {hi}) is not inside [0, {size})")
+
+
+def _decode_block(lo: int, hi: int, h: int, ndigits: int) -> list:
+    """Digit arrays of the ranks [lo, hi) in base 2h+1, shifted to [-h, h],
+    least significant digit first (the odometer order of every counter)."""
+    rem = np.arange(lo, hi, dtype=np.int64)
+    digits = []
+    for _ in range(ndigits):
+        rem, dig = np.divmod(rem, 2 * h + 1)
+        digits.append(dig - h)
+    return digits
+
+
 # ---------------------------------------------------------------------------
 # numba device helpers
 
@@ -192,6 +224,19 @@ def _count_line(alpha, beta, g, h):
     if hi < lo:
         return 0
     return hi - lo + 1
+
+
+@njit(cache=True, nogil=True)
+def _decode2(rank, h):
+    """(r11, r12, r21, r22) of a 2x2 block rank, r11 least significant."""
+    b = 2 * h + 1
+    r11 = rank % b - h
+    rank //= b
+    r12 = rank % b - h
+    rank //= b
+    r21 = rank % b - h
+    rank //= b
+    return r11, r12, r21, rank % b - h
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +326,23 @@ def _charpoly2_scan_numpy(h, full_counts, halo, lo_t, hi_t):
     best_t = 0
     best_d = 0
     hh2 = 2 * h * h
-    d_vals = np.arange(-hh2, hh2 + 1, dtype=np.int64)
+    width = 2 * hh2 + 1
+    # cnt[j] (d = j - hh2) sums full_counts[p + hh2 + halo - j] over the
+    # products p = a*(t - a): one forward slice of the reversed table per a
+    rev = full_counts[::-1].copy()
+    top = full_counts.size - 1 - hh2 - halo
+    cnt = np.empty(width, dtype=np.int64)
     for tv in range(lo_t, hi_t):
-        a = np.arange(max(-h, tv - h), min(h, tv + h) + 1, dtype=np.int64)
-        prods = a * (tv - a)
-        idx = prods[:, None] - d_vals[None, :] + halo
-        cnt = full_counts[idx].sum(axis=0)
+        cnt[:] = 0
+        for a in range(max(-h, tv - h), min(h, tv + h) + 1):
+            s = top - a * (tv - a)
+            cnt += rev[s : s + width]
         total += int(cnt.sum())
         j = int(np.argmax(cnt))
         if int(cnt[j]) > best_c:
             best_c = int(cnt[j])
             best_t = tv
-            best_d = int(d_vals[j])
+            best_d = j - hh2
     return total, best_t, best_d, best_c
 
 
@@ -347,95 +397,132 @@ def det2_count(h: int, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# n = 3 naive decode of matrix stats from enumeration ranks
-
-
-@njit(cache=True, nogil=True)
-def _n3_stats_numba(h, lo, hi, tr, mid, dt):
-    b = 2 * h + 1
-    for r in range(lo, hi):
-        rem = r
-        a22 = rem % b - h
-        rem //= b
-        a21 = rem % b - h
-        rem //= b
-        a20 = rem % b - h
-        rem //= b
-        a12 = rem % b - h
-        rem //= b
-        a11 = rem % b - h
-        rem //= b
-        a10 = rem % b - h
-        rem //= b
-        a02 = rem % b - h
-        rem //= b
-        a01 = rem % b - h
-        rem //= b
-        a00 = rem % b - h
-        i = r - lo
-        tr[i] = a00 + a11 + a22
-        mid[i] = (
-            a00 * a11 - a01 * a10 + a00 * a22 - a02 * a20 + a11 * a22 - a12 * a21
-        )
-        dt[i] = (
-            a00 * (a11 * a22 - a12 * a21)
-            - a01 * (a10 * a22 - a12 * a20)
-            + a02 * (a10 * a21 - a11 * a20)
-        )
-
-
-def _n3_stats_numpy(h, lo, hi, tr, mid, dt):
-    b = 2 * h + 1
-    r = np.arange(lo, hi, dtype=np.int64)
-    digits = []
-    rem = r
-    for _ in range(9):
-        digits.append(rem % b - h)
-        rem = rem // b
-    a22, a21, a20, a12, a11, a10, a02, a01, a00 = digits
-    tr[:] = a00 + a11 + a22
-    mid[:] = a00 * a11 - a01 * a10 + a00 * a22 - a02 * a20 + a11 * a22 - a12 * a21
-    dt[:] = (
-        a00 * (a11 * a22 - a12 * a21)
-        - a01 * (a10 * a22 - a12 * a20)
-        + a02 * (a10 * a21 - a11 * a20)
-    )
+# n = 3 matrix stats from enumeration ranks
 
 
 def n3_stats(h: int, lo: int, hi: int):
     """(trace, second-coefficient, det) arrays for enumeration ranks
     [lo, hi) of M_3(Z; h) in row-major odometer order (a11 most
-    significant).  charpoly = X^3 - trace*X^2 + mid*X - det."""
+    significant).  charpoly = X^3 - trace*X^2 + mid*X - det.
+
+    A rank is (first two rows) * (2h+1)^3 + (last row).  For fixed first
+    two rows each stat is a constant plus the last row dotted with a vector,
+    so every run of whole row pairs is one int64 matmul against all
+    (2h+1)^3 last rows; partial row pairs at the ends use a slice of them.
+    """
+    _check_range("h", h, 63)  # ranks stay below (2h+1)^9 < 2^63
+    _check_span(lo, hi, (2 * h + 1) ** 9)
     n = hi - lo
     tr = np.empty(n, dtype=np.int64)
     mid = np.empty(n, dtype=np.int64)
     dt = np.empty(n, dtype=np.int64)
-    if n == 0:
-        return tr, mid, dt
-    if _backend == "numba":
-        _n3_stats_numba(h, lo, hi, tr, mid, dt)
-    else:
-        _n3_stats_numpy(h, lo, hi, tr, mid, dt)
+    rows = (2 * h + 1) ** 3
+    pos = lo
+    while pos < hi:
+        pair, s = divmod(pos, rows)
+        if s == 0 and hi - pos >= rows:
+            k, e = (hi - pos) // rows, rows
+        else:
+            k, e = 1, min(rows, s + hi - pos)
+        a12, a11, a10, a02, a01, a00 = _decode_block(pair, pair + k, h, 6)
+        a22, a21, a20 = _decode_block(s, e, h, 3)
+        last = np.stack([a20, a21, a22])
+        out = slice(pos - lo, pos - lo + k * (e - s))
+        shape = (k, e - s)
+        minor = a00 * a11 - a01 * a10
+        cof = np.stack([a01 * a12 - a02 * a11, a02 * a10 - a00 * a12, minor], axis=1)
+        np.matmul(cof, last, out=dt[out].reshape(shape))
+        lin = np.stack([-a02, -a12, a00 + a11], axis=1)
+        mid_block = mid[out].reshape(shape)
+        np.matmul(lin, last, out=mid_block)
+        mid_block += minor[:, None]
+        np.add((a00 + a11)[:, None], a22, out=tr[out].reshape(shape))
+        pos += k * (e - s)
     return tr, mid, dt
 
 
 # ---------------------------------------------------------------------------
 # n = 3 det/trace optimized counters (bordered decomposition)
+#
+# A = [[R, a], [b^T, c]] with R the top-left 2x2 block.  For fixed R and
+# c, det A = c*det R - b^T adj(R) a is linear in a for fixed b, so each
+# border vector b leaves a line count over a in [-h, h]^2.  Every such count
+# is even in b (negate a as well), so the numpy twins visit b up to sign.
+
+_LINE_H_MAX = 20  # the line table has (2h^2+1)^2 entries: 26 MB at h = 20
+_BORDER_K_MAX = 127  # one rank's (2k+1)^2 border vectors fit a batch
+
+
+def _half_border(h):
+    """Border vectors b in [-h, h]^2 up to sign, and their multiplicity."""
+    rng = np.arange(-h, h + 1, dtype=np.int64)
+    b1 = np.repeat(rng, 2 * h + 1)
+    b2 = np.tile(rng, 2 * h + 1)
+    keep = (b1 > 0) | ((b1 == 0) & (b2 >= 0))
+    b1, b2 = b1[keep], b2[keep]
+    return b1, b2, np.where((b1 == 0) & (b2 == 0), 1, 2)
+
+
+def _rank_batches(lo, hi, h, per_rank):
+    """2x2 block digits (r11, r12, r21, r22) of [lo, hi) in batches of at
+    most _BATCH // per_rank ranks."""
+    step = max(1, _BATCH // per_rank)
+    for start in range(lo, hi, step):
+        yield _decode_block(start, min(start + step, hi), h, 4)
+
+
+def _line_table(h):
+    """Extended gcd of every (A, B) in [0, 2h^2]^2, keyed A*(2h^2+1) + B:
+    (g, x, y, A/g, B/g) with A*x + B*y = g, computed once per kernel call."""
+    width = 2 * h * h + 1
+    a = np.repeat(np.arange(width, dtype=np.int64), width)
+    b = np.tile(np.arange(width, dtype=np.int64), width)
+    parts = [_xgcd_vec(a[i : i + _BATCH], b[i : i + _BATCH])
+             for i in range(0, a.size, _BATCH)]
+    g, x, y = (np.concatenate(p) for p in zip(*parts))
+    gs = g + (g == 0)
+    return g, x, y, a // gs, b // gs, width
+
+
+def _line_counts(alpha, beta, g0, h, table):
+    """#{(x, y) in [-h, h]^2 : alpha*x + beta*y = g0}, elementwise: the
+    closed form of _count_line.  The box is symmetric in each coordinate,
+    so the count depends on |alpha|, |beta| only."""
+    g_t, x_t, y_t, sa_t, sb_t, width = table
+    key = np.abs(alpha) * width + np.abs(beta)
+    g = g_t[key]
+    zero = g == 0
+    q, r = np.divmod(g0, g + zero)
+    # solutions (x q + m sb, y q - m sa) for integer m
+    xq = x_t[key] * q
+    yq = y_t[key] * q
+    sa = sa_t[key]
+    sb = sb_t[key]
+    free = (sa == 0) | (sb == 0)  # one coordinate does not move with m
+    sa = sa + (sa == 0)
+    sb = sb + (sb == 0)
+    lo = np.maximum(-((h + xq) // sb), -((h - yq) // sa))
+    hi = np.minimum((h - xq) // sb, (h + yq) // sa)
+    side = 2 * h + 1
+    cnt = np.where(
+        free,
+        np.where(zero, side * side * (q == 0), side * (np.abs(q) <= h)),
+        np.maximum(hi - lo + 1, 0),
+    )
+    return cnt * (r == 0)
+
+
+def _check_det_trace_args(h, d, t):
+    _check_range("h", h, _LINE_H_MAX)
+    if abs(d) > 6 * h**3 or abs(t) > 3 * h:
+        raise ValueError(f"(d, t) = ({d}, {t}) outside |d| <= 6h^3, |t| <= 3h")
 
 
 @njit(cache=True, nogil=True)
 def _det_trace3_numba(h, d, t, lo, hi):
-    b = 2 * h + 1
     total = 0
     for rank in range(lo, hi):
-        rem = rank
-        r11 = rem % b - h
-        rem //= b
-        r12 = rem % b - h
-        rem //= b
-        r21 = rem % b - h
-        rem //= b
-        r22 = rem % b - h
+        r11, r12, r21, r22 = _decode2(rank, h)
         c = t - (r11 + r22)
         if c < -h or c > h:
             continue
@@ -450,31 +537,18 @@ def _det_trace3_numba(h, d, t, lo, hi):
 
 
 def _det_trace3_numpy(h, d, t, lo, hi):
-    b = 2 * h + 1
-    rng = np.arange(-h, h + 1, dtype=np.int64)
-    b1g = np.repeat(rng, b)
-    b2g = np.tile(rng, b)
-    a1g = np.repeat(rng, b)
-    a2g = np.tile(rng, b)
+    b1, b2, w = _half_border(h)
+    table = _line_table(h)
     total = 0
-    for rank in range(lo, hi):
-        rem = rank
-        r11 = rem % b - h
-        rem //= b
-        r12 = rem % b - h
-        rem //= b
-        r21 = rem % b - h
-        rem //= b
-        r22 = rem % b - h
+    for r11, r12, r21, r22 in _rank_batches(lo, hi, h, b1.size):
         c = t - (r11 + r22)
-        if c < -h or c > h:
-            continue
-        det_r = r11 * r22 - r12 * r21
-        g0 = d - c * det_r
-        alpha = r21 * b2g - r22 * b1g
-        beta = r12 * b1g - r11 * b2g
-        lhs = alpha[:, None] * a1g[None, :] + beta[:, None] * a2g[None, :]
-        total += int(np.count_nonzero(lhs == g0))
+        keep = np.abs(c) <= h
+        r11, r12, r21, r22, c = r11[keep], r12[keep], r21[keep], r22[keep], c[keep]
+        g0 = d - c * (r11 * r22 - r12 * r21)
+        alpha = r21[:, None] * b2 - r22[:, None] * b1
+        beta = r12[:, None] * b1 - r11[:, None] * b2
+        cnt = _line_counts(alpha, beta, g0[:, None], h, table)
+        total += int(cnt.sum(axis=0) @ w)
     return total
 
 
@@ -487,6 +561,8 @@ def det_trace3(h: int, d: int, t: int, lo: int = 0, hi: int | None = None) -> in
     """
     if hi is None:
         hi = (2 * h + 1) ** 4
+    _check_det_trace_args(h, d, t)
+    _check_span(lo, hi, (2 * h + 1) ** 4)
     if _backend == "numba":
         return int(_det_trace3_numba(h, d, t, lo, hi))
     return int(_det_trace3_numpy(h, d, t, lo, hi))
@@ -494,17 +570,9 @@ def det_trace3(h: int, d: int, t: int, lo: int = 0, hi: int | None = None) -> in
 
 @njit(cache=True, nogil=True)
 def _det_trace3_t2_numba(h, d, t1, t2, lo, hi):
-    b = 2 * h + 1
     total = 0
     for rank in range(lo, hi):
-        rem = rank
-        r11 = rem % b - h
-        rem //= b
-        r12 = rem % b - h
-        rem //= b
-        r21 = rem % b - h
-        rem //= b
-        r22 = rem % b - h
+        r11, r12, r21, r22 = _decode2(rank, h)
         c = t1 - (r11 + r22)
         if c < -h or c > h:
             continue
@@ -541,36 +609,35 @@ def _det_trace3_t2_numba(h, d, t1, t2, lo, hi):
 
 
 def _det_trace3_t2_numpy(h, d, t1, t2, lo, hi):
-    b = 2 * h + 1
-    rng = np.arange(-h, h + 1, dtype=np.int64)
-    b1g = np.repeat(rng, b)
-    b2g = np.tile(rng, b)
-    a1g = np.repeat(rng, b)
-    a2g = np.tile(rng, b)
+    b1, b2, w = _half_border(h)
+    table = _line_table(h)
     total = 0
-    for rank in range(lo, hi):
-        rem = rank
-        r11 = rem % b - h
-        rem //= b
-        r12 = rem % b - h
-        rem //= b
-        r21 = rem % b - h
-        rem //= b
-        r22 = rem % b - h
+    for r11, r12, r21, r22 in _rank_batches(lo, hi, h, b1.size):
         c = t1 - (r11 + r22)
-        if c < -h or c > h:
-            continue
-        det_r = r11 * r22 - r12 * r21
-        g0 = d - c * det_r
         h2 = t2 - (r11 * r11 + 2 * r12 * r21 + r22 * r22) - c * c
-        if h2 % 2 != 0:
-            continue
-        hdot = h2 // 2
-        alpha = r21 * b2g - r22 * b1g
-        beta = r12 * b1g - r11 * b2g
-        lhs1 = alpha[:, None] * a1g[None, :] + beta[:, None] * a2g[None, :]
-        lhs2 = b1g[:, None] * a1g[None, :] + b2g[:, None] * a2g[None, :]
-        total += int(np.count_nonzero((lhs1 == g0) & (lhs2 == hdot)))
+        keep = (np.abs(c) <= h) & (h2 % 2 == 0)
+        r11, r12, r21, r22, c = r11[keep], r12[keep], r21[keep], r22[keep], c[keep]
+        g0 = (d - c * (r11 * r22 - r12 * r21))[:, None]
+        hdot = (h2[keep] // 2)[:, None]
+        alpha = r21[:, None] * b2 - r22[:, None] * b1
+        beta = r12[:, None] * b1 - r11[:, None] * b2
+        # a solves alpha.a = g0 and b.a = hdot: one point when det2 != 0
+        det2 = alpha * b2 - beta * b1
+        flat = det2 == 0
+        q1, m1 = np.divmod(g0 * b2 - beta * hdot, det2 + flat)
+        q2, m2 = np.divmod(alpha * hdot - g0 * b1, det2 + flat)
+        one = ~flat & (m1 == 0) & (m2 == 0) & (np.abs(q1) <= h) & (np.abs(q2) <= h)
+        total += int(np.count_nonzero(one, axis=0) @ w)
+        # det2 == 0: the two equations share one line, or are inconsistent
+        ri, bi = np.nonzero(flat)
+        al, be, p1, p2 = alpha[ri, bi], beta[ri, bi], b1[bi], b2[bi]
+        g, hd = g0[ri, 0], hdot[ri, 0]
+        same = (al * hd == g * p1) & (be * hd == g * p2)
+        # alpha = beta = 0 leaves b.a = hdot, with g = 0 forced unless b = 0
+        use_b = (al == 0) & (be == 0)
+        cnt = _line_counts(np.where(use_b, p1, al), np.where(use_b, p2, be),
+                           np.where(use_b, np.abs(g) + np.abs(hd), g), h, table)
+        total += int((cnt * same) @ w[bi])
     return total
 
 
@@ -579,6 +646,10 @@ def det_trace3_t2(h: int, d: int, t1: int, t2: int,
     """#{A in M_3(Z; h) : det A = d, tr A = t1, tr A^2 = t2}."""
     if hi is None:
         hi = (2 * h + 1) ** 4
+    _check_det_trace_args(h, d, t1)
+    if abs(t2) > 9 * h * h:
+        raise ValueError(f"t2 = {t2} outside |t2| <= 9h^2")
+    _check_span(lo, hi, (2 * h + 1) ** 4)
     if _backend == "numba":
         return int(_det_trace3_t2_numba(h, d, t1, t2, lo, hi))
     return int(_det_trace3_t2_numpy(h, d, t1, t2, lo, hi))
@@ -590,18 +661,10 @@ def det_trace3_t2(h: int, d: int, t1: int, t2: int,
 
 @njit(cache=True, nogil=True)
 def _bordered3_numba(k, lo, hi):
-    b = 2 * k + 1
     u_total = 0
     v_total = 0
     for rank in range(lo, hi):
-        rem = rank
-        r11 = rem % b - k
-        rem //= b
-        r12 = rem % b - k
-        rem //= b
-        r21 = rem % b - k
-        rem //= b
-        r22 = rem % b - k
+        r11, r12, r21, r22 = _decode2(rank, k)
         for b1 in range(-k, k + 1):
             for b2 in range(-k, k + 1):
                 alpha = r21 * b2 - r22 * b1
@@ -618,32 +681,28 @@ def _bordered3_numba(k, lo, hi):
     return u_total, v_total
 
 
+def _nonzero_on_line(p, q, k):
+    """#{a != 0 in [-k, k]^2 : p*a1 + q*a2 = 0}, elementwise.  For (p, q) != 0
+    the solutions are m*(q, -p)/g with |m| <= k*g/max(|p|, |q|)."""
+    p = np.abs(p)
+    q = np.abs(q)
+    top = np.maximum(p, q)
+    return np.where(top == 0, (2 * k + 1) ** 2 - 1,
+                    2 * ((k * np.gcd(p, q)) // (top + (top == 0))))
+
+
 def _bordered3_numpy(k, lo, hi):
-    b = 2 * k + 1
-    rng = np.arange(-k, k + 1, dtype=np.int64)
-    b1g = np.repeat(rng, b)
-    b2g = np.tile(rng, b)
-    a1g = np.repeat(rng, b)
-    a2g = np.tile(rng, b)
+    b1, b2, w = _half_border(k)
+    # V needs b.a = 0 too: with det2 = 0 that line is alpha.a = 0's line
+    # when both are nonzero, and all of it when alpha = beta = 0
+    v_weight = w * _nonzero_on_line(b1, b2, k)
     u_total = 0
     v_total = 0
-    for rank in range(lo, hi):
-        rem = rank
-        r11 = rem % b - k
-        rem //= b
-        r12 = rem % b - k
-        rem //= b
-        r21 = rem % b - k
-        rem //= b
-        r22 = rem % b - k
-        alpha = r21 * b2g - r22 * b1g
-        beta = r12 * b1g - r11 * b2g
-        nonzero_a = (a1g != 0) | (a2g != 0)
-        lhs1 = alpha[:, None] * a1g[None, :] + beta[:, None] * a2g[None, :]
-        sol = (lhs1 == 0) & nonzero_a[None, :]
-        u_total += int(np.count_nonzero(sol))
-        lhs2 = b1g[:, None] * a1g[None, :] + b2g[:, None] * a2g[None, :]
-        v_total += int(np.count_nonzero(sol & (lhs2 == 0)))
+    for r11, r12, r21, r22 in _rank_batches(lo, hi, k, b1.size):
+        alpha = r21[:, None] * b2 - r22[:, None] * b1
+        beta = r12[:, None] * b1 - r11[:, None] * b2
+        u_total += int(_nonzero_on_line(alpha, beta, k).sum(axis=0) @ w)
+        v_total += int(np.count_nonzero(alpha * b2 == beta * b1, axis=0) @ v_weight)
     return u_total, v_total
 
 
@@ -652,6 +711,8 @@ def bordered3(k: int, lo: int = 0, hi: int | None = None):
     nonzero last column block; V additionally has b.a = 0."""
     if hi is None:
         hi = (2 * k + 1) ** 4
+    _check_range("k", k, _BORDER_K_MAX)
+    _check_span(lo, hi, (2 * k + 1) ** 4)
     if _backend == "numba":
         u, v = _bordered3_numba(k, lo, hi)
     else:
@@ -792,6 +853,8 @@ def census3(uf: int, usq: int, ksq: int, lo: int = 0, hi: int | None = None):
     """
     if hi is None:
         hi = 2 * uf + 1
+    _check_range("U", uf, 10_000)
+    _check_span(lo, hi, 2 * uf + 1)
     if _backend == "numba":
         count, inv_sum = _census3_numba(uf, usq, ksq, lo, hi)
     else:

@@ -555,8 +555,6 @@ def kbad_census(
     usq = math.floor(Fraction(u_bound) ** 2)
     ksq = _bound_sq_floor(k_bound)
     if use_kernel:
-        if uf > 10_000:
-            raise BudgetExceededError((2 * uf + 1) ** 3, node_cap, "census kernel")
         from . import kernels
 
         pieces = kernels.run_parts(

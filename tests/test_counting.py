@@ -308,6 +308,9 @@ def test_parts_threads_never_change_counts():
     f, c = max_charpoly_count(2, 5)
     for parts, threads in ((4, 2), (9, 3)):
         assert max_charpoly_count(2, 5, parts=parts, threads=threads) == (f, c)
+    f, c = max_charpoly_count(3, 1)
+    for parts, threads in ((5, 2), (8, 1)):
+        assert max_charpoly_count(3, 1, parts=parts, threads=threads) == (f, c)
 
 
 def test_counts_identical_across_backends():

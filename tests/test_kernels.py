@@ -237,3 +237,115 @@ def test_run_parts_boundaries():
 
     out = kernels.run_parts(slow_first, 10, 3, 3)
     assert out == [(0, 3), (3, 6), (6, 10)]
+
+
+def _interpreted(fn):
+    """The Python body of a numba twin: without numba, njit is the identity."""
+    return getattr(fn, "py_func", fn)
+
+
+def _random_shards(rng, size, parts):
+    cuts = sorted(rng.randrange(size + 1) for _ in range(parts - 1))
+    return list(zip([0] + cuts, cuts + [size]))
+
+
+def test_n3_stats_every_rank_of_random_ranges():
+    from matstat.counting import _decode
+    from matstat.exact import det, trace
+
+    rng = random.Random(0x4445)
+    for h in (1, 2):
+        size = (2 * h + 1) ** 9
+        for _ in range(20):
+            lo = rng.randrange(size)
+            hi = min(size, lo + rng.randrange(1, 700))
+            tr, mid, dt = kernels.n3_stats(h, lo, hi)
+            for i, r in enumerate(range(lo, hi)):
+                m = _decode(3, h, r)
+                a = m.rows
+                minors = sum(a[p][p] * a[q][q] - a[p][q] * a[q][p]
+                             for p, q in ((0, 1), (0, 2), (1, 2)))
+                assert (tr[i], mid[i], dt[i]) == (trace(m), minors, det(m)), r
+
+
+def test_numba_twins_interpreted_match_numpy():
+    import numpy as np
+
+    rng = random.Random(0x7117)
+    for h in (1, 2):
+        stats = kernels.n3_stats(h, 0, (2 * h + 1) ** 9)
+        tr, mid, dt = stats
+        size4 = (2 * h + 1) ** 4
+        for d, t in ((0, 0), (1, 2), (-2, -1)):
+            total = 0
+            for lo, hi in _random_shards(rng, size4, 4):
+                got = _interpreted(kernels._det_trace3_numba)(h, d, t, lo, hi)
+                assert got == kernels._det_trace3_numpy(h, d, t, lo, hi), (h, d, t, lo, hi)
+                total += got
+            assert total == int(np.count_nonzero((tr == t) & (dt == d)))
+        for d, t, t2 in ((0, 0, 2), (1, 1, 3), (0, 1, 1)):
+            total = 0
+            for lo, hi in _random_shards(rng, size4, 4):
+                got = _interpreted(kernels._det_trace3_t2_numba)(h, d, t, t2, lo, hi)
+                assert got == kernels._det_trace3_t2_numpy(h, d, t, t2, lo, hi)
+                total += got
+            want = (tr == t) & (dt == d) & (tr * tr - 2 * mid == t2)
+            assert total == int(np.count_nonzero(want))
+        u = v = 0
+        for lo, hi in _random_shards(rng, size4, 4):
+            got = _interpreted(kernels._bordered3_numba)(h, lo, hi)
+            assert got == kernels._bordered3_numpy(h, lo, hi)
+            u, v = u + got[0], v + got[1]
+        if h == 1:
+            from matstat.counting import count_singular_bordered
+
+            assert (u, v) == count_singular_bordered(3, h, method="naive")
+        halo = 3 * h * h + 1
+        full = kernels.full_pair_count_array(h, halo)
+        for lo, hi in _random_shards(rng, 4 * h + 1, 3):
+            lo_t, hi_t = lo - 2 * h, hi - 2 * h
+            assert (_interpreted(kernels._charpoly2_scan_numba)(h, full, halo, lo_t, hi_t)
+                    == kernels._charpoly2_scan_numpy(h, full, halo, lo_t, hi_t))
+        for d, t, use_trace in ((0, 0, False), (2, 1, True), (-3, 0, False)):
+            for lo, hi in _random_shards(rng, 2 * h + 1, 2):
+                args = (h, d, t, use_trace, lo, hi)
+                assert (_interpreted(kernels._n2_count_numba)(*args)
+                        == kernels._n2_count_numpy(*args))
+    for uf, usq, ksq in ((6, 36, 4), (5, 27, 2)):
+        for lo, hi in _random_shards(rng, 2 * uf + 1, 3):
+            c1, s1 = _interpreted(kernels._census3_numba)(uf, usq, ksq, lo, hi)
+            c2, s2 = kernels._census3_numpy(uf, usq, ksq, lo, hi)
+            assert c1 == c2 and math.isclose(s1, s2, rel_tol=1e-12, abs_tol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: kernels.det_trace3(21, 0, 0, 0, 0),  # line table bound
+        lambda: kernels.det_trace3(2, 49, 0),  # |d| > 6h^3
+        lambda: kernels.det_trace3(2, 0, 7),  # |t| > 3h
+        lambda: kernels.det_trace3(2, 0, 0, 0, 626),  # past (2h+1)^4
+        lambda: kernels.det_trace3_t2(21, 0, 0, 0, 0, 0),
+        lambda: kernels.det_trace3_t2(2, 0, 0, 37),  # |t2| > 9h^2
+        lambda: kernels.det_trace3_t2(2, 0, 0, 0, -1, 5),
+        lambda: kernels.bordered3(128, 0, 0),  # border vectors overflow a batch
+        lambda: kernels.bordered3(2, 5, 4),
+        lambda: kernels.n3_stats(64, 0, 1),  # ranks overflow int64
+        lambda: kernels.n3_stats(1, 0, 3**9 + 1),
+        lambda: kernels.census3(10_001, 10_001**2, 4, 0, 0),  # reduction overflows
+        lambda: kernels.census3(6, 36, 4, 0, 14),
+    ],
+    ids=["dt3-h", "dt3-d", "dt3-t", "dt3-hi", "dt3t2-h", "dt3t2-t2", "dt3t2-lo",
+         "b3-k", "b3-span", "n3-h", "n3-hi", "census-U", "census-hi"],
+)
+def test_kernel_range_guards(call):
+    # empty shards where the guard is on h alone, so a missing guard fails fast
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_kernel_range_edges_accepted():
+    assert kernels.det_trace3(2, 48, 6) == 0
+    assert kernels.det_trace3_t2(1, 6, 3, 9, 80, 81) == 0
+    assert kernels.bordered3(1, 81, 81) == (0, 0)
+    assert [len(x) for x in kernels.n3_stats(1, 3**9 - 2, 3**9)] == [2, 2, 2]

@@ -355,6 +355,8 @@ def test_census_validation():
         kbad_census(3, 5, 0.5)
     with pytest.raises(BudgetExceededError):
         kbad_census(3, 50, 3, method="generic", node_cap=100)
+    with pytest.raises(ValueError):
+        kbad_census(3, 20_000, 3)  # past the census kernel's int64 range
 
 
 def test_census_t4_generic():

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from . import counting, experiments, kernels, lattices, multdep, numtheory
+from . import counting, experiments, lattices, multdep, numtheory
 from .errors import BudgetExceededError
 from .exact import IntMatrix, MonicIntPoly
 from .experiments import ExperimentSpec
@@ -31,13 +30,11 @@ def _parse_ints(text: str) -> Tuple[int, ...]:
         raise SystemExit(f"error: expected comma-separated integers, got {text!r}") from exc
 
 
-def _parse_poly(text: str) -> MonicIntPoly:
-    coeffs = _parse_ints(text)
-    if len(coeffs) < 2:
-        raise SystemExit("error: polynomial needs degree >= 1 (c0,...,1)")
-    if coeffs[-1] != 1:
-        raise SystemExit("error: polynomial must be monic (last coefficient 1)")
-    return MonicIntPoly(coeffs[:-1])
+def _parse_poly(text: str, n: int) -> MonicIntPoly:
+    try:
+        return experiments.charpoly_target(n, _parse_ints(text))
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from exc
 
 
 def _required(args, name: str):
@@ -88,23 +85,28 @@ def _dump_tuple(mats: Sequence[IntMatrix], path: Optional[str]):
         print(payload)
 
 
-def _manifest_line(command: str, **fields):
-    info = {
-        "command": command,
-        "backend": kernels.current_backend(),
-        "versions": {
-            "matstat": _pkg_version(),
-            "python": sys.version.split()[0],
-        },
-    }
-    info.update(fields)
-    print(json.dumps({"manifest": info}, sort_keys=True), file=sys.stderr)
+def _manifest_line(command: str, spec, records=None, elapsed_ms=None):
+    manifest = experiments.build_manifest(spec, records, elapsed_ms)
+    manifest["command"] = command
+    print(json.dumps({"manifest": manifest}, sort_keys=True), file=sys.stderr)
 
 
-def _pkg_version() -> str:
-    from . import __version__
-
-    return __version__
+def _spec(args, kind: str, grid) -> ExperimentSpec:
+    """The spec `count` and `fit` run: the kind's params from its options."""
+    params = {}
+    for name in experiments.COUNTERS[kind].params:
+        value = getattr(args, name, None)
+        if value is None:
+            continue
+        if name == "f":
+            value = list(_parse_poly(value, args.n).all_coeffs())
+        elif name == "matrix":
+            value = [list(r) for r in _load_matrix(value).rows]
+        params[name] = value
+    return ExperimentSpec(
+        kind=kind, n=args.n, grid=grid, params=params,
+        parts=args.parts, threads=args.threads, budget=args.budget,
+    )
 
 
 def _print_count(args, label: str, count: int, extra: Optional[dict] = None):
@@ -123,53 +125,31 @@ def _print_count(args, label: str, count: int, extra: Optional[dict] = None):
 # subcommand handlers
 
 
+# count <what>: (experiment kind, option holding H, output label, record
+# pairs printed under their output names)
+_COUNTS = {
+    "charpoly": ("charpoly", "H", "charpoly-count", {"f": "f"}),
+    "det": ("det", "H", "det-count", {}),
+    "dettrace": ("det-trace", "H", "det-trace-count", {}),
+    "bordered": ("singular-bordered", "K", "bordered-u", {"v": "bordered-v"}),
+    "maxcharpoly": ("charpoly-max", "H", "max-charpoly-count", {"argmax": "argmax"}),
+    "centralizer": ("centralizer", "H", "centralizer-count", {}),
+}
+
+
 def _cmd_count(args) -> int:
-    common = dict(parts=args.parts, threads=args.threads, budget=args.budget)
     if args.what == "universe":
         _print_count(args, "universe", counting.universe_size(args.n, args.H))
-    elif args.what == "charpoly":
-        f = _parse_poly(_required(args, "f"))
-        if f.degree != args.n:
-            raise SystemExit("error: charpoly degree must equal n")
-        if args.n == 2 and args.method != "naive":
-            count = counting.count_charpoly_fast2(args.H, f)
-        else:
-            count = counting.count_charpoly(args.n, args.H, f, **common)
-        _print_count(args, "charpoly-count", count, {"f": f})
-    elif args.what == "det":
-        count = counting.count_with_det(
-            args.n, args.H, args.d, method=args.method, **common
-        )
-        _print_count(args, "det-count", count)
-    elif args.what == "dettrace":
-        if args.t2 is None:
-            count = counting.count_det_trace(
-                args.n, args.H, args.d, args.t, method=args.method, **common
-            )
-        else:
-            count = counting.count_det_trace2(
-                args.n, args.H, args.d, args.t, args.t2, method=args.method,
-                **common,
-            )
-        _print_count(args, "det-trace-count", count)
-    elif args.what == "bordered":
-        u, v = counting.count_singular_bordered(
-            args.n, args.K, method=args.method, **common
-        )
-        _print_count(args, "bordered-u", u, {"bordered-v": v})
-    elif args.what == "maxcharpoly":
-        f, count = counting.max_charpoly_count(args.n, args.H, **common)
-        _print_count(args, "max-charpoly-count", count, {"argmax": f})
-    elif args.what == "centralizer":
-        a = _load_matrix(_required(args, "matrix"))
-        count = counting.centralizer_count(a, args.H, node_cap=args.budget)
-        _print_count(args, "centralizer-count", count)
-    else:  # pragma: no cover
-        raise SystemExit(f"error: unknown counter {args.what}")
-    _manifest_line(
-        "count " + args.what, n=args.n,
-        budget=args.budget, parts=args.parts, threads=args.threads,
+        _manifest_line("count universe", {"n": args.n, "H": args.H})
+        return 0
+    kind, axis, label, shown = _COUNTS[args.what]
+    spec = _spec(args, kind, (getattr(args, axis),))
+    count, pairs = experiments.COUNTERS[kind].run(
+        spec.n, spec.grid[0], spec.params, args.method,
+        spec.parts, spec.threads, spec.budget,
     )
+    _print_count(args, label, count, {shown[k]: v for k, v in pairs if k in shown})
+    _manifest_line("count " + args.what, spec)
     return 0
 
 
@@ -191,7 +171,7 @@ def _cmd_multdep(args) -> int:
             _dump_tuple(built, args.out)
             k = multdep.alternating_relation_vector(len(built))
             print(f"relation = {','.join(map(str, k))}", file=sys.stderr)
-        _manifest_line("multdep construct", mode=args.mode)
+        _manifest_line("multdep construct", {"mode": args.mode})
         return 0
 
     mats = _load_tuple(_required(args, "tuple"))
@@ -200,32 +180,32 @@ def _cmd_multdep(args) -> int:
             k = _parse_ints(args.k)
             ok = multdep.check_relation(mats, k)
             print(f"relation holds = {ok}")
-            _manifest_line("multdep check", s=len(mats))
+            _manifest_line("multdep check", {"s": len(mats)})
             return 0 if ok else 1
         k = multdep.find_dependence(mats, bound=args.bound)
         if k is None:
             print("dependent = False")
-            _manifest_line("multdep check", s=len(mats), bound=args.bound)
+            _manifest_line("multdep check", {"s": len(mats), "bound": args.bound})
             return 1
         print("dependent = True")
         print(f"witness = {','.join(map(str, k))}")
-        _manifest_line("multdep check", s=len(mats), bound=args.bound)
+        _manifest_line("multdep check", {"s": len(mats), "bound": args.bound})
     elif args.what == "rank":
         r = multdep.tuple_rank(mats, args.bound)
         print(f"rank = {r}")
         maximal = multdep.is_maximal_rank_dependent(mats, args.bound)
         print(f"maximal-rank dependent = {maximal}")
-        _manifest_line("multdep rank", s=len(mats), bound=args.bound)
+        _manifest_line("multdep rank", {"s": len(mats), "bound": args.bound})
     elif args.what == "word":
         w = multdep.find_kernel_word(mats, args.max_len, state_cap=args.budget)
         if w is None:
             print("kernel word = none")
-            _manifest_line("multdep word", s=len(mats), max_len=args.max_len)
+            _manifest_line("multdep word", {"s": len(mats), "max_len": args.max_len})
             return 1
         text = " ".join(f"A{i + 1}^{s:+d}" for i, s in w.letters)
         print(f"kernel word = {text}")
         print(f"exponent sums = {','.join(map(str, w.exponent_sums))}")
-        _manifest_line("multdep word", s=len(mats), max_len=args.max_len)
+        _manifest_line("multdep word", {"s": len(mats), "max_len": args.max_len})
     else:  # pragma: no cover
         raise SystemExit(f"error: unknown multdep action {args.what}")
     return 0
@@ -243,18 +223,15 @@ def _cmd_lattice(args) -> int:
         print(f"gram det = {gram}")
         check = lattices.dual_volume_check(vec)
         print(f"volume identity holds = {check}")
-        _manifest_line("lattice dual", t=len(vec))
+        _manifest_line("lattice dual", {"t": len(vec)})
     elif args.what == "good":
         vec = _parse_ints(_required(args, "vector"))
         verdict = lattices.is_k_good(vec, Fraction(args.K), node_cap=args.budget)
         print(f"verdict = {verdict.verdict}")
         print(f"minima squared = {','.join(map(str, verdict.minima_sq))}")
-        _manifest_line("lattice good", t=len(vec), K=args.K)
+        _manifest_line("lattice good", {"t": len(vec), "K": args.K})
     elif args.what == "census":
-        if args.K == "sqrt":
-            kb = math.ceil(math.sqrt(args.U))
-        else:
-            kb = Fraction(args.K)
+        kb = experiments.census_k(args.K, args.U)
         res = lattices.kbad_census(
             args.t, args.U, kb, method=args.method, node_cap=args.budget,
             parts=args.parts, threads=args.threads,
@@ -272,10 +249,10 @@ def _cmd_lattice(args) -> int:
             print(f"inverse norm sum = {res.inv_norm_sum!r}")
             print(f"sum error bound = {res.sum_error_bound:.3e}")
             print(f"method = {res.method}")
-        _manifest_line(
-            "lattice census", t=args.t, U=args.U, K=str(kb),
-            budget=args.budget, parts=args.parts, threads=args.threads,
-        )
+        _manifest_line("lattice census", {
+            "t": args.t, "U": args.U, "K": str(kb),
+            "budget": args.budget, "parts": args.parts, "threads": args.threads,
+        })
     else:  # pragma: no cover
         raise SystemExit(f"error: unknown lattice action {args.what}")
     return 0
@@ -288,7 +265,7 @@ def _cmd_totient(args) -> int:
     else:
         val = numtheory.max_totient_square_sum(args.n)
         print(f"w({args.n}) = {val}")
-    _manifest_line("totient " + args.what, n=args.n)
+    _manifest_line("totient " + args.what, {"n": args.n})
     return 0
 
 
@@ -296,33 +273,16 @@ def _cmd_nt(args) -> int:
     if args.what == "smoothcount":
         val = numtheory.count_smooth_wrt(args.Q, args.U)
         print(f"count = {val}")
-        _manifest_line("nt smoothcount", Q=args.Q, U=args.U)
+        _manifest_line("nt smoothcount", {"Q": args.Q, "U": args.U})
     else:
         poly = numtheory.cyclotomic(args.k)
         print(f"cyclotomic({args.k}) = {poly}")
-        _manifest_line("nt cyclotomic", k=args.k)
+        _manifest_line("nt cyclotomic", {"k": args.k})
     return 0
 
 
 def _cmd_fit(args) -> int:
-    params = {}
-    if args.d is not None:
-        params["d"] = args.d
-    if args.t is not None:
-        params["t"] = args.t
-    if args.t2 is not None:
-        params["t2"] = args.t2
-    if args.K is not None:
-        params["K"] = args.K if args.K == "sqrt" else float(args.K)
-    if args.f is not None:
-        params["f"] = list(_parse_poly(args.f).all_coeffs())
-    if args.matrix is not None:
-        params["matrix"] = [list(r) for r in _load_matrix(args.matrix).rows]
-    grid = tuple(float(g) for g in args.grid.split(","))
-    spec = ExperimentSpec(
-        kind=args.kind, n=args.n, grid=grid, params=params,
-        parts=args.parts, threads=args.threads, budget=args.budget,
-    )
+    spec = _spec(args, args.kind, tuple(float(g) for g in args.grid.split(",")))
     t0 = time.perf_counter()
     records = experiments.run_grid(spec)
     elapsed = (time.perf_counter() - t0) * 1000.0
@@ -351,10 +311,7 @@ def _cmd_fit(args) -> int:
             )
             print(f"verdict = {verdict}", file=sys.stderr)
             rc = 0 if verdict == "consistent" else 1
-    _manifest_line(
-        "fit " + args.kind, n=args.n, grid=list(grid),
-        budget=args.budget, parts=args.parts, threads=args.threads,
-    )
+    _manifest_line("fit " + args.kind, spec, records, elapsed)
     return rc
 
 
@@ -362,11 +319,11 @@ def _cmd_fit(args) -> int:
 # parser
 
 
-def _add_common(p, parts=1):
+def _add_common(p, formats, parts=1):
     p.add_argument("--parts", type=int, default=parts)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
-    p.add_argument("--format", choices=("human", "csv", "json"), default="human")
+    p.add_argument("--format", choices=formats, default=formats[0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,10 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     pc = sub.add_parser("count", help="exact matrix counts")
-    pc.add_argument("what", choices=(
-        "universe", "charpoly", "det", "dettrace", "bordered",
-        "maxcharpoly", "centralizer",
-    ))
+    pc.add_argument("what", choices=("universe",) + tuple(_COUNTS))
     pc.add_argument("--n", type=int, default=2)
     pc.add_argument("--H", type=float, default=1.0)
     pc.add_argument("--K", type=int, default=1)
@@ -391,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="monic coefficients c0,c1,...,1 (constant first)")
     pc.add_argument("--matrix", type=str, default=None, help="JSON matrix file")
     pc.add_argument("--method", choices=("auto", "fast", "naive"), default="auto")
-    _add_common(pc)
+    _add_common(pc, ("human", "json"))
     pc.set_defaults(fn=_cmd_count)
 
     pm = sub.add_parser("multdep", help="multiplicative dependence of tuples")
@@ -405,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--blocks", type=str, default=None)
     pm.add_argument("--orders", type=str, default=None)
     pm.add_argument("--out", type=str, default=None)
-    _add_common(pm)
+    pm.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
     pm.set_defaults(fn=_cmd_multdep)
 
     pl = sub.add_parser("lattice", help="orthogonal lattices and the census")
@@ -415,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--t", type=int, default=3)
     pl.add_argument("--U", type=float, default=20.0)
     pl.add_argument("--method", choices=("auto", "kernel", "generic"), default="auto")
-    _add_common(pl)
+    _add_common(pl, ("human", "json"))
     pl.set_defaults(fn=_cmd_lattice)
 
     pt = sub.add_parser("totient", help="totient extremizers")
@@ -445,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--mode", choices=("upper", "two-sided"), default="upper")
     pf.add_argument("--out", type=str, default=None)
     pf.add_argument("--timing", action="store_true")
-    _add_common(pf, parts=8)
+    _add_common(pf, ("csv", "json"), parts=8)
     pf.set_defaults(fn=_cmd_fit)
 
     return ap
@@ -453,11 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.cmd == "fit":
-        if args.format == "human":
-            args.format = "csv"  # grids always serialize as data
-    elif getattr(args, "format", "human") == "csv":
-        args.format = "human"
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError, OSError, BudgetExceededError) as exc:

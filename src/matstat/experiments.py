@@ -1,10 +1,12 @@
 """Grid experiments, exponent fits, and deterministic output files.
 
 An ExperimentSpec names a counter, a parameter grid, and budgets; run_grid
-produces one CountRecord per grid point in grid order.  Serialization is
-byte-deterministic for a fixed spec: records never embed timings unless
-asked, JSON keys are sorted, and counts are written as decimal strings so
-arbitrary precision survives the round trip.
+produces one CountRecord per grid point in grid order.  COUNTERS, the one
+table from experiment kind to counter, is what run_grid and `matstat count`
+both dispatch through.  Serialization is byte-deterministic for a fixed
+spec: records never embed timings unless asked, JSON keys are sorted, and
+counts are written as decimal strings so arbitrary precision survives the
+round trip.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ import io
 import json
 import math
 import platform
+import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import counting, kernels, lattices, multdep, numtheory
 from .counting import CountRecord
@@ -24,7 +28,10 @@ from .exact import IntMatrix, MonicIntPoly
 __all__ = [
     "ExperimentSpec",
     "FitResult",
+    "COUNTERS",
     "EXPERIMENT_KINDS",
+    "charpoly_target",
+    "census_k",
     "run_grid",
     "fit_exponent",
     "compare_to_bound",
@@ -33,18 +40,6 @@ __all__ = [
     "build_manifest",
     "write_outputs",
 ]
-
-EXPERIMENT_KINDS = (
-    "charpoly",
-    "charpoly-max",
-    "det",
-    "det-trace",
-    "singular-bordered",
-    "kbad-census",
-    "multdep-shear",
-    "totient-v",
-    "centralizer",
-)
 
 
 @dataclass(frozen=True)
@@ -60,7 +55,7 @@ class ExperimentSpec:
     budget: int = counting.DEFAULT_BUDGET
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in COUNTERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if not self.grid:
             raise ValueError("grid must be non-empty")
@@ -93,107 +88,130 @@ def _param_str(pairs: Sequence[Tuple[str, object]]) -> str:
     return ";".join(f"{k}={v}" for k, v in pairs)
 
 
-def _matrix_from_params(params) -> IntMatrix:
-    mat = params.get("matrix")
-    if mat is None:
-        raise ValueError("this experiment needs params['matrix']")
-    if isinstance(mat, IntMatrix):
-        return mat
-    return IntMatrix(mat)
+def _required(params, name: str):
+    if params.get(name) is None:
+        raise ValueError(f"this experiment needs the parameter {name!r}")
+    return params[name]
 
 
-def _record(spec, h, kind, pairs, count, elapsed) -> CountRecord:
-    return CountRecord(
-        n=spec.n,
-        h=_num(h),
-        kind=kind,
-        params=_param_str(pairs),
-        count=int(count),
-        elapsed_ms=elapsed,
-    )
+def charpoly_target(n: int, coeffs: Sequence[int]) -> MonicIntPoly:
+    """The monic degree-n polynomial with coefficients c0, c1, ..., 1
+    (constant first), or ValueError."""
+    coeffs = tuple(int(c) for c in coeffs)
+    if len(coeffs) < 2:
+        raise ValueError("polynomial needs degree >= 1 (c0,...,1)")
+    if coeffs[-1] != 1:
+        raise ValueError("polynomial must be monic (last coefficient 1)")
+    if len(coeffs) - 1 != n:
+        raise ValueError(f"charpoly degree {len(coeffs) - 1} must equal n={n}")
+    return MonicIntPoly(coeffs[:-1])
+
+
+def census_k(k, u) -> Union[int, Fraction]:
+    """The census bound K at U: ceil(sqrt(U)) for 'sqrt', otherwise K read
+    exactly as a Fraction ('5/2', '2.5', 2)."""
+    if k == "sqrt":
+        return math.ceil(math.sqrt(u))
+    return Fraction(k)
+
+
+# ---------------------------------------------------------------------------
+# the counter table: each entry maps (n, h, params, method, parts, threads,
+# budget) to (count, record pairs); method is auto|fast|naive and only the
+# counters with a fast and a naive route read it.
+
+
+def _charpoly(n, h, params, method, parts, threads, budget):
+    f = charpoly_target(n, _required(params, "f"))
+    if n == 2 and method != "naive":  # divisor route; count_charpoly scans
+        count = counting.count_charpoly_fast2(h, f)
+    else:
+        count = counting.count_charpoly(n, h, f, budget, parts, threads)
+    return count, [("f", f)]
+
+
+def _charpoly_max(n, h, params, method, parts, threads, budget):
+    f, count = counting.max_charpoly_count(n, h, budget, parts, threads)
+    return count, [("argmax", f)]
+
+
+def _det(n, h, params, method, parts, threads, budget):
+    d = int(params.get("d", 0))
+    return counting.count_with_det(n, h, d, method, budget, parts, threads), [("d", d)]
+
+
+def _det_trace(n, h, params, method, parts, threads, budget):
+    d, t, t2 = int(params.get("d", 0)), int(params.get("t", 0)), params.get("t2")
+    if t2 is None:
+        count = counting.count_det_trace(n, h, d, t, method, budget, parts, threads)
+        return count, [("d", d), ("t", t)]
+    count = counting.count_det_trace2(n, h, d, t, int(t2), method, budget, parts, threads)
+    return count, [("d", d), ("t", t), ("t2", int(t2))]
+
+
+def _singular_bordered(n, h, params, method, parts, threads, budget):
+    u, v = counting.count_singular_bordered(n, int(h), method, budget, parts, threads)
+    return u, [("v", v)]
+
+
+def _kbad_census(n, h, params, method, parts, threads, budget):
+    t = int(params.get("t", 3))
+    kb = census_k(params.get("K", "sqrt"), h)
+    res = lattices.kbad_census(t, h, kb, node_cap=budget, parts=parts, threads=threads)
+    return res.count, [("t", t), ("K", _num(kb)), ("inv_norm_sum", repr(res.inv_norm_sum))]
+
+
+def _multdep_shear(n, h, params, method, parts, threads, budget):
+    hval = int(h)
+    pair = multdep.unipotent_shear_pair(hval)
+    k = multdep.find_dependence(pair, bound=int(params.get("bound", hval)))
+    count = 0 if k is None else max(abs(x) for x in k)
+    return count, [("witness", "none" if k is None else ",".join(map(str, k)))]
+
+
+def _totient_v(n, h, params, method, parts, threads, budget):
+    return numtheory.largest_totient_below(int(h)), []
+
+
+def _centralizer(n, h, params, method, parts, threads, budget):
+    a = _required(params, "matrix")
+    a = a if isinstance(a, IntMatrix) else IntMatrix(a)
+    return counting.centralizer_count(a, h, node_cap=budget), [("matrix", _flat_matrix(a))]
+
+
+class Counter(NamedTuple):
+    """One experiment kind: its counter and the params it reads."""
+
+    run: Callable[..., Tuple[int, List[Tuple[str, object]]]]
+    params: Tuple[str, ...] = ()
+
+
+COUNTERS: Dict[str, Counter] = {
+    "charpoly": Counter(_charpoly, ("f",)),
+    "charpoly-max": Counter(_charpoly_max),
+    "det": Counter(_det, ("d",)),
+    "det-trace": Counter(_det_trace, ("d", "t", "t2")),
+    "singular-bordered": Counter(_singular_bordered),
+    "kbad-census": Counter(_kbad_census, ("t", "K")),
+    "multdep-shear": Counter(_multdep_shear, ("bound",)),
+    "totient-v": Counter(_totient_v),
+    "centralizer": Counter(_centralizer, ("matrix",)),
+}
+EXPERIMENT_KINDS = tuple(COUNTERS)
 
 
 def run_grid(spec: ExperimentSpec) -> List[CountRecord]:
     """Evaluate the experiment at every grid point, in grid order."""
+    run = COUNTERS[spec.kind].run
     out: List[CountRecord] = []
     for g in spec.grid:
         t0 = time.perf_counter()
-        pairs: List[Tuple[str, object]] = []
-        if spec.kind == "charpoly":
-            coeffs = tuple(int(c) for c in spec.params["f"])
-            f = MonicIntPoly(coeffs[:-1]) if coeffs[-1] == 1 else None
-            if f is None:
-                raise ValueError("f must be monic: last coefficient 1")
-            if spec.n == 2:
-                count = counting.count_charpoly_fast2(g, f)
-            else:
-                count = counting.count_charpoly(
-                    spec.n, g, f, parts=spec.parts, threads=spec.threads,
-                    budget=spec.budget,
-                )
-            pairs.append(("f", f))
-        elif spec.kind == "charpoly-max":
-            f, count = counting.max_charpoly_count(
-                spec.n, g, parts=spec.parts, threads=spec.threads,
-                budget=spec.budget,
-            )
-            pairs.append(("argmax", f))
-        elif spec.kind == "det":
-            count = counting.count_with_det(
-                spec.n, g, int(spec.params.get("d", 0)),
-                parts=spec.parts, threads=spec.threads, budget=spec.budget,
-            )
-            pairs.append(("d", int(spec.params.get("d", 0))))
-        elif spec.kind == "det-trace":
-            d = int(spec.params.get("d", 0))
-            t = int(spec.params.get("t", 0))
-            t2 = spec.params.get("t2")
-            if t2 is None:
-                count = counting.count_det_trace(
-                    spec.n, g, d, t, parts=spec.parts, threads=spec.threads,
-                    budget=spec.budget,
-                )
-                pairs += [("d", d), ("t", t)]
-            else:
-                count = counting.count_det_trace2(
-                    spec.n, g, d, t, int(t2), parts=spec.parts,
-                    threads=spec.threads, budget=spec.budget,
-                )
-                pairs += [("d", d), ("t", t), ("t2", int(t2))]
-        elif spec.kind == "singular-bordered":
-            u, v = counting.count_singular_bordered(
-                spec.n, int(g), parts=spec.parts, threads=spec.threads,
-                budget=spec.budget,
-            )
-            count = u
-            pairs.append(("v", v))
-        elif spec.kind == "kbad-census":
-            t = int(spec.params.get("t", 3))
-            kpol = spec.params.get("K", "sqrt")
-            kb = math.ceil(math.sqrt(g)) if kpol == "sqrt" else kpol
-            res = lattices.kbad_census(
-                t, g, kb, node_cap=spec.budget,
-                parts=spec.parts, threads=spec.threads,
-            )
-            count = res.count
-            pairs += [("t", t), ("K", _num(kb)),
-                      ("inv_norm_sum", repr(res.inv_norm_sum))]
-        elif spec.kind == "multdep-shear":
-            hval = int(g)
-            pair = multdep.unipotent_shear_pair(hval)
-            k = multdep.find_dependence(pair, bound=int(spec.params.get("bound", hval)))
-            count = 0 if k is None else max(abs(x) for x in k)
-            pairs.append(("witness", "none" if k is None else ",".join(map(str, k))))
-        elif spec.kind == "totient-v":
-            count = numtheory.largest_totient_below(int(g))
-        elif spec.kind == "centralizer":
-            a = _matrix_from_params(spec.params)
-            count = counting.centralizer_count(a, g, node_cap=spec.budget)
-            pairs.append(("matrix", _flat_matrix(a)))
-        else:  # pragma: no cover - guarded in __post_init__
-            raise ValueError(spec.kind)
+        count, pairs = run(spec.n, g, spec.params, "auto", spec.parts,
+                           spec.threads, spec.budget)
         elapsed = (time.perf_counter() - t0) * 1000.0
-        out.append(_record(spec, g, spec.kind, pairs, count, elapsed))
+        out.append(CountRecord(n=spec.n, h=_num(g), kind=spec.kind,
+                               params=_param_str(pairs), count=int(count),
+                               elapsed_ms=elapsed))
     return out
 
 
@@ -304,34 +322,37 @@ def records_to_json(
 
 
 def build_manifest(
-    spec: ExperimentSpec,
-    records: Sequence[CountRecord],
-    elapsed_ms: float,
+    spec: Union[ExperimentSpec, dict],
+    records: Optional[Sequence[CountRecord]] = None,
+    elapsed_ms: Optional[float] = None,
 ) -> dict:
-    """Reproducibility sidecar: spec echo, versions, backend, timings."""
+    """Reproducibility record: the inputs (spec.canonical() for an
+    ExperimentSpec, else the dict given), the backend, the versions and,
+    for a grid run, its timings."""
     from . import __version__
 
-    return {
-        "spec": spec.canonical(),
+    manifest = {
+        "spec": spec.canonical() if isinstance(spec, ExperimentSpec) else spec,
         "backend": kernels.current_backend(),
         "versions": {
             "matstat": __version__,
             "python": platform.python_version(),
-            "numpy": _dist_version("numpy"),
-            "numba": _dist_version("numba"),
+            "numpy": _loaded_version("numpy"),
+            "numba": _loaded_version("numba"),
         },
-        "records": len(records),
-        "elapsed_ms": elapsed_ms,
-        "per_point_ms": [round(r.elapsed_ms, 3) for r in records],
     }
+    if records is not None:
+        manifest.update(
+            records=len(records),
+            elapsed_ms=elapsed_ms,
+            per_point_ms=[round(r.elapsed_ms, 3) for r in records],
+        )
+    return manifest
 
 
-def _dist_version(name: str) -> Optional[str]:
-    try:
-        mod = __import__(name)
-        return getattr(mod, "__version__", None)
-    except ImportError:
-        return None
+def _loaded_version(name: str) -> Optional[str]:
+    """Version of a module kernels imported (None when it is absent)."""
+    return getattr(sys.modules.get(name), "__version__", None)
 
 
 def write_outputs(

@@ -798,49 +798,59 @@ def _xgcd_vec(a, b):
 
 
 def _census3_numpy(uf, usq, ksq, lo, hi):
-    rng = np.arange(-uf, uf + 1, dtype=np.int64)
-    u2g = np.repeat(rng, rng.size)
-    u3g = np.tile(rng, rng.size)
+    # each u1 plane is walked in blocks of whole u2 rows, at most _BATCH
+    # points (one row when a row alone exceeds it), so scratch stays bounded;
+    # the block body stays inline, where each block's arrays are freed while
+    # the next block's are built (as a called function it page-faulted ~10x
+    # more and ran ~8 % slower)
+    side = 2 * uf + 1
+    rows = max(1, min(side, _BATCH // side))
+    u2_block = np.repeat(np.arange(rows, dtype=np.int64), side)
+    u3_block = np.tile(np.arange(-uf, uf + 1, dtype=np.int64), rows)
     count = 0
     inv_sum = 0.0
     for i1 in range(lo, hi):
         u1 = int(i1 - uf)
-        nsq = u1 * u1 + u2g * u2g + u3g * u3g
-        prim = np.gcd(np.gcd(abs(u1), np.abs(u2g)), np.abs(u3g)) == 1
-        keep = (nsq > 0) & (nsq <= usq) & prim
-        if not np.any(keep):
-            continue
-        u2 = u2g[keep]
-        u3 = u3g[keep]
-        n = nsq[keep]
-        u1v = np.full_like(u2, u1)
-        g1 = np.gcd(np.abs(u1v), np.abs(u2))
-        deg = g1 == 0  # u = (0, 0, +-1)
-        g1s = np.where(deg, 1, g1)
-        v1 = np.stack([u2 // g1s, -u1v // g1s, np.zeros_like(u2)], axis=1)
-        _, x, y = _xgcd_vec(u1v, u2)
-        v2 = np.stack([-x * u3, -y * u3, g1s], axis=1)
-        # degenerate rows get the trivial Z^2 basis
-        v1[deg] = np.array([1, 0, 0], dtype=np.int64)
-        v2[deg] = np.array([0, 1, 0], dtype=np.int64)
-        n1 = (v1 * v1).sum(axis=1)
-        n2 = (v2 * v2).sum(axis=1)
-        for _ in range(128):
-            swap = n2 < n1
-            if np.any(swap):
-                v1[swap], v2[swap] = v2[swap].copy(), v1[swap].copy()
-                n1[swap], n2[swap] = n2[swap].copy(), n1[swap].copy()
-            d12 = (v1 * v2).sum(axis=1)
-            q = (2 * d12 + n1) // (2 * n1)
-            if not np.any(q):
-                break
-            v2 -= q[:, None] * v1
+        for r0 in range(0, side, rows):
+            size = min(rows, side - r0) * side
+            u2g = u2_block[:size] + (r0 - uf)
+            u3g = u3_block[:size]
+            nsq = u1 * u1 + u2g * u2g + u3g * u3g
+            prim = np.gcd(np.gcd(abs(u1), np.abs(u2g)), np.abs(u3g)) == 1
+            keep = (nsq > 0) & (nsq <= usq) & prim
+            if not np.any(keep):
+                continue
+            u2 = u2g[keep]
+            u3 = u3g[keep]
+            n = nsq[keep]
+            u1v = np.full_like(u2, u1)
+            g1 = np.gcd(np.abs(u1v), np.abs(u2))
+            deg = g1 == 0  # u = (0, 0, +-1)
+            g1s = np.where(deg, 1, g1)
+            v1 = np.stack([u2 // g1s, -u1v // g1s, np.zeros_like(u2)], axis=1)
+            _, x, y = _xgcd_vec(u1v, u2)
+            v2 = np.stack([-x * u3, -y * u3, g1s], axis=1)
+            # degenerate rows get the trivial Z^2 basis
+            v1[deg] = np.array([1, 0, 0], dtype=np.int64)
+            v2[deg] = np.array([0, 1, 0], dtype=np.int64)
+            n1 = (v1 * v1).sum(axis=1)
             n2 = (v2 * v2).sum(axis=1)
-        else:  # pragma: no cover - reduction always converges long before
-            raise RuntimeError("rank-2 reduction failed to converge")
-        bad = n2 > ksq
-        count += int(np.count_nonzero(bad))
-        inv_sum += float((n[bad].astype(np.float64) ** -1.5).sum())
+            for _ in range(128):
+                swap = n2 < n1
+                if np.any(swap):
+                    v1[swap], v2[swap] = v2[swap].copy(), v1[swap].copy()
+                    n1[swap], n2[swap] = n2[swap].copy(), n1[swap].copy()
+                d12 = (v1 * v2).sum(axis=1)
+                q = (2 * d12 + n1) // (2 * n1)
+                if not np.any(q):
+                    break
+                v2 -= q[:, None] * v1
+                n2 = (v2 * v2).sum(axis=1)
+            else:  # pragma: no cover - reduction always converges long before
+                raise RuntimeError("rank-2 reduction failed to converge")
+            bad = n2 > ksq
+            count += int(np.count_nonzero(bad))
+            inv_sum += float((n[bad].astype(np.float64) ** -1.5).sum())
     return count, inv_sum
 
 

@@ -168,6 +168,11 @@ def test_fit_writes_outputs(tmp_path, capsys):
     assert "verdict = consistent" in err
     header = out_file.read_text().splitlines()[0]
     assert header == "n,h,kind,params,count"
+    # the stderr manifest is the sidecar plus the command
+    line = json.loads(err.splitlines()[-1])["manifest"]
+    sidecar = json.loads((tmp_path / "fit.csv.manifest.json").read_text())
+    assert line.pop("command") == "fit det"
+    assert line == sidecar
 
 
 def test_fit_stdout_json(capsys):
@@ -205,3 +210,83 @@ def test_refused_input_is_one_error_line(capsys, tmp_path, argv):
     rc, out, err = run(capsys, *(str(path) if a == "FLOAT_ENTRY" else a for a in argv))
     assert rc == 1
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+def test_count_manifest_records_inputs(capsys):
+    rc, out, err = run(capsys, "count", "det", "--n", "2", "--H", "2", "--d", "1")
+    assert rc == 0
+    manifest = json.loads(err.splitlines()[-1])["manifest"]
+    assert manifest["command"] == "count det"
+    assert manifest["spec"]["grid"] == [2]  # H
+    assert manifest["spec"]["params"] == {"d": 1}
+    assert manifest["spec"]["n"] == 2
+    assert manifest["versions"]["numpy"]
+
+
+@pytest.mark.parametrize(
+    "count_argv, fit_argv",
+    [
+        (["det", "--n", "2", "--H", "3", "--d", "2"],
+         ["det", "--n", "2", "--grid", "3", "--d", "2"]),
+        (["dettrace", "--n", "3", "--H", "1", "--d", "0", "--t", "1"],
+         ["det-trace", "--n", "3", "--grid", "1", "--d", "0", "--t", "1"]),
+        (["dettrace", "--n", "3", "--H", "1", "--d", "0", "--t", "0", "--t2", "2"],
+         ["det-trace", "--n", "3", "--grid", "1", "--d", "0", "--t", "0", "--t2", "2"]),
+        (["charpoly", "--n", "2", "--H", "3", "--f=-2,-1,1"],
+         ["charpoly", "--n", "2", "--grid", "3", "--f=-2,-1,1"]),
+        (["maxcharpoly", "--n", "2", "--H", "3"],
+         ["charpoly-max", "--n", "2", "--grid", "3"]),
+        (["bordered", "--n", "3", "--K", "1"],
+         ["singular-bordered", "--n", "3", "--grid", "1"]),
+        (["centralizer", "--matrix", "SHEAR", "--H", "3"],
+         ["centralizer", "--n", "2", "--matrix", "SHEAR", "--grid", "3"]),
+    ],
+)
+def test_count_and_one_point_fit_agree(tmp_path, capsys, count_argv, fit_argv):
+    shear = tmp_path / "shear.json"
+    shear.write_text(json.dumps({"matrix": [[1, 1], [0, 1]]}))
+
+    def fill(argv):
+        return [str(shear) if a == "SHEAR" else a for a in argv]
+
+    rc, out, _ = run(capsys, "count", *fill(count_argv), "--format", "json")
+    assert rc == 0
+    counted = json.loads(out)["count"]
+    rc, out, _ = run(capsys, "fit", "--kind", *fill(fit_argv), "--format", "json")
+    assert rc == 0
+    (record,) = json.loads(out)["records"]
+    assert record["count"] == counted and int(counted) > 0
+
+
+def test_fraction_k_same_in_fit_and_census(capsys):
+    rc, out, _ = run(
+        capsys, "lattice", "census", "--t", "3", "--U", "6", "--K", "5/2",
+        "--format", "json",
+    )
+    assert rc == 0
+    census = json.loads(out)
+    assert census["K"] == "5/2"
+    rc, out, _ = run(
+        capsys, "fit", "--kind", "kbad-census", "--n", "3", "--grid", "6",
+        "--K", "5/2", "--format", "json",
+    )
+    assert rc == 0
+    (record,) = json.loads(out)["records"]
+    assert record["count"] == census["count"] == "408"
+    assert "K=2.5" in record["params"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "det", "--n", "2", "--format", "csv"],
+        ["fit", "--kind", "totient-v", "--grid", "10", "--format", "human"],
+        ["multdep", "check", "--tuple", "pair.json", "--parts", "3"],
+        ["multdep", "check", "--tuple", "pair.json", "--threads", "7"],
+        ["multdep", "check", "--tuple", "pair.json", "--format", "json"],
+    ],
+)
+def test_options_a_subcommand_does_not_take_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -104,6 +105,20 @@ def test_run_grid_centralizer():
         )
     )
     assert [r.count for r in recs] == [9, 25]
+
+
+def test_counter_table_param_policies():
+    assert experiments.EXPERIMENT_KINDS == tuple(experiments.COUNTERS)
+    assert experiments.census_k("sqrt", 20) == 5
+    for k in ("5/2", "2.5", 2.5, Fraction(5, 2)):
+        assert experiments.census_k(k, 6) == Fraction(5, 2)
+    for coeffs in ([1, -2, 3], [1], [0, 0, 0, 1]):  # not monic, degree 0, 3
+        with pytest.raises(ValueError):
+            run_grid(ExperimentSpec(kind="charpoly", n=2, grid=(1,), params={"f": coeffs}))
+    with pytest.raises(ValueError, match="'f'"):
+        run_grid(ExperimentSpec(kind="charpoly", n=2, grid=(1,)))
+    with pytest.raises(ValueError, match="'matrix'"):
+        run_grid(ExperimentSpec(kind="centralizer", n=2, grid=(1,)))
 
 
 def test_fit_exponent_recovers_power_law():

@@ -318,6 +318,19 @@ def test_numba_twins_interpreted_match_numpy():
             assert c1 == c2 and math.isclose(s1, s2, rel_tol=1e-12, abs_tol=1e-15)
 
 
+def test_census3_plane_wider_than_one_batch():
+    # one u1 plane has (2 * 130 + 1)^2 = 68121 points: batches of 125, 125
+    # and 11 u2 rows, so a wrong row offset cannot hide behind the census's
+    # u2 -> -u2 symmetry
+    uf = 130
+    assert (2 * uf + 1) ** 2 > 2 * kernels._BATCH
+    for lo, ksq in ((uf, 100), (uf + 37, 9), (2 * uf - 5, 100)):
+        c1, s1 = _interpreted(kernels._census3_numba)(uf, uf * uf, ksq, lo, lo + 1)
+        c2, s2 = kernels._census3_numpy(uf, uf * uf, ksq, lo, lo + 1)
+        assert c1 > 0
+        assert c1 == c2 and math.isclose(s1, s2, rel_tol=1e-12, abs_tol=1e-15)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import platform
 import sys
 import time
@@ -67,11 +68,26 @@ class ExperimentSpec:
             "kind": self.kind,
             "n": self.n,
             "grid": [_num(g) for g in self.grid],
-            "params": {k: self.params[k] for k in sorted(self.params)},
+            "params": {k: _json_param(self.params[k]) for k in sorted(self.params)},
             "parts": self.parts,
             "threads": self.threads,
             "budget": self.budget,
         }
+
+
+def _json_param(v):
+    """A param value in JSON form: a matrix as its list of rows (as the CLI
+    reads it), a polynomial as its coefficients c0, ..., 1, a Fraction as
+    its string; lists and tuples element by element."""
+    if isinstance(v, IntMatrix):
+        return [list(r) for r in v.rows]
+    if isinstance(v, MonicIntPoly):
+        return list(v.all_coeffs())
+    if isinstance(v, Fraction):
+        return str(v)
+    if isinstance(v, (list, tuple)):
+        return [_json_param(x) for x in v]
+    return v
 
 
 def _num(x):
@@ -364,18 +380,29 @@ def write_outputs(
     include_timing: bool = False,
 ) -> str:
     """Write results to out_path (csv or json) plus a manifest sidecar at
-    out_path + '.manifest.json'; returns the manifest path."""
+    out_path + '.manifest.json'; returns the manifest path.  Both files are
+    written to temporary names in the same directory and then renamed, so
+    a failure leaves neither a partial file nor one file without the other
+    changed."""
     if fmt == "csv":
         payload = records_to_csv(records, include_timing)
     elif fmt == "json":
         payload = records_to_json(records, include_timing)
     else:
         raise ValueError("fmt must be csv|json")
-    with open(out_path, "w", newline="") as fh:
-        fh.write(payload)
     manifest = build_manifest(spec, records, elapsed_ms)
     mpath = out_path + ".manifest.json"
-    with open(mpath, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    texts = ((out_path, payload), (mpath, json.dumps(manifest, sort_keys=True, indent=2) + "\n"))
+    temps = []
+    try:
+        for path, text in texts:
+            temps.append(f"{path}.{os.getpid()}.tmp")
+            with open(temps[-1], "w", newline="") as fh:
+                fh.write(text)
+        for tmp, (path, _) in zip(temps, texts):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
     return mpath

@@ -13,7 +13,10 @@ h <= 63 for n3_stats (ranks below (2h+1)^9 < 2^63), h <= 20 for
 det_trace3/det_trace3_t2 (a line table of (2h^2+1)^2 entries, 26 MB at
 h = 20), k <= 127 for bordered3 (one rank's border vectors fit a batch) and
 U <= 10^4 for census3 (norms in the rank-2 reduction stay below 2^55).
-Shard ranges must lie inside the kernel's rank range.
+Shard ranges must lie inside the kernel's rank range.  Most kernels shard
+their outermost enumeration digit; census3 scans one representative
+0 <= a <= b <= c of each signed-permutation orbit, weighted by the orbit
+size, and shards the smallest coordinate a.
 
 The numpy twins share the numba twins' algorithms and complexity; they
 vectorise over bounded batches of ranks instead of looping per rank.
@@ -21,6 +24,7 @@ vectorise over bounded batches of ranks instead of looping per rank.
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 
@@ -264,18 +268,20 @@ def _n2_count_numba(h, d, t, use_trace, lo, hi):
 
 def _n2_count_numpy(h, d, t, use_trace, lo, hi):
     rng = np.arange(-h, h + 1, dtype=np.int64)
-    prod = rng[:, None] * rng[None, :]  # b * c grid
+    b = rng[rng != 0]  # a12; a12 = 0 leaves a21 free when a11*a22 = d
+    per_a11 = b.size * (1 if use_trace else rng.size)
+    step = max(1, _BATCH // max(1, per_a11))
     count = 0
-    for i in range(lo, hi):
-        a = i - h
-        diag = a * rng - d  # over a22
+    for start in range(lo, hi, step):
+        a = np.arange(start, min(start + step, hi), dtype=np.int64) - h
         if use_trace:
             e = t - a
-            if abs(e) > h:
-                continue
-            count += int(np.count_nonzero(prod == a * e - d))
+            target = (a * e - d)[np.abs(e) <= h]
         else:
-            count += int(np.count_nonzero(diag[:, None, None] == prod[None, :, :]))
+            target = (a[:, None] * rng - d).ravel()  # over (a11, a22)
+        q, r = np.divmod(target[:, None], b)  # a21 = target / a12
+        count += int(np.count_nonzero((r == 0) & (np.abs(q) <= h)))
+        count += (2 * h + 1) * int(np.count_nonzero(target == 0))
     return count
 
 
@@ -724,50 +730,66 @@ def bordered3(k: int, lo: int = 0, hi: int | None = None):
 # census of K-bad vectors, t = 3
 
 
+def _orbit_size(a, b, c):
+    """Number of signed permutations of (a, b, c), 0 <= a <= b <= c, c > 0:
+    2^(nonzero coordinates) times 6, 3 or 1 distinct orders.  Works on ints
+    and, elementwise, on int64 arrays."""
+    ties = (a == b) * 1 + (b == c)
+    return (6 >> ties) << (1 + (a > 0) + (b > 0))
+
+
+_orbit_size_jit = njit(cache=True, nogil=True)(_orbit_size)
+
+
+def _dual_gram(u1, u2, u3, g1, x, y):
+    """Gram entries (|v1|^2, |v2|^2, v1.v2) of the basis v1 = (u2, -u1, 0)/g1,
+    v2 = (-x u3, -y u3, g1) of u^perp, where u1 x + u2 y = g1 = gcd(u1, u2)
+    != 0.  The rank-2 reduction runs on these alone: swapping v1 and v2
+    swaps the norms, and v2 -= q v1 maps (n2, d12) to
+    (n2 - q (2 d12 - q n1), d12 - q n1).  Works on ints and on arrays."""
+    return ((u1 * u1 + u2 * u2) // (g1 * g1), (x * x + y * y) * u3 * u3 + g1 * g1,
+            u3 * ((u1 * y - u2 * x) // g1))
+
+
+_dual_gram_jit = njit(cache=True, nogil=True)(_dual_gram)
+
+
 @njit(cache=True, nogil=True)
-def _census3_numba(uf, usq, ksq, lo, hi):
+def _dual_min2(u1, u2, u3):
+    """Second minimum squared of u^perp for primitive u = (u1, u2, u3), by
+    rank-2 reduction of the Gram entries of _dual_gram."""
+    g1 = _gcd2(u1, u2)
+    if g1 == 0:
+        return 1  # u = (0, 0, +-1): dual is Z^2
+    gg, x, y = _xgcd(u1, u2)
+    n1, n2, d12 = _dual_gram_jit(u1, u2, u3, g1, x, y)
+    while True:
+        if n2 < n1:
+            n1, n2 = n2, n1
+        q = (2 * d12 + n1) // (2 * n1)
+        if q == 0:
+            return n2
+        n2 -= q * (2 * d12 - q * n1)
+        d12 -= q * n1
+
+
+@njit(cache=True, nogil=True)
+def _census3_numba(usq, ksq, lo, hi):
     count = 0
     inv_sum = 0.0
-    for i1 in range(lo, hi):
-        u1 = i1 - uf
-        for u2 in range(-uf, uf + 1):
-            for u3 in range(-uf, uf + 1):
-                nsq = u1 * u1 + u2 * u2 + u3 * u3
-                if nsq == 0 or nsq > usq:
-                    continue
-                if _gcd2(_gcd2(u1, u2), u3) != 1:
-                    continue
-                g1 = _gcd2(u1, u2)
-                if g1 == 0:
-                    m2sq = 1  # u = (0, 0, +-1): dual is Z^2
-                else:
-                    v1a = u2 // g1
-                    v1b = -u1 // g1
-                    v1c = 0
-                    gg, x, y = _xgcd(u1, u2)
-                    v2a = -x * u3
-                    v2b = -y * u3
-                    v2c = g1
-                    n1 = v1a * v1a + v1b * v1b
-                    n2 = v2a * v2a + v2b * v2b + v2c * v2c
-                    while True:
-                        if n2 < n1:
-                            v1a, v2a = v2a, v1a
-                            v1b, v2b = v2b, v1b
-                            v1c, v2c = v2c, v1c
-                            n1, n2 = n2, n1
-                        d12 = v1a * v2a + v1b * v2b + v1c * v2c
-                        q = (2 * d12 + n1) // (2 * n1)
-                        if q == 0:
-                            break
-                        v2a -= q * v1a
-                        v2b -= q * v1b
-                        v2c -= q * v1c
-                        n2 = v2a * v2a + v2b * v2b + v2c * v2c
-                    m2sq = n2
-                if m2sq > ksq:
-                    count += 1
-                    inv_sum += float(nsq) ** -1.5
+    for u1 in range(lo, hi):
+        u2 = u1
+        while u1 * u1 + 2 * u2 * u2 <= usq:
+            u3 = u2
+            nsq = u1 * u1 + u2 * u2 + u3 * u3
+            while nsq <= usq:
+                if _gcd2(_gcd2(u1, u2), u3) == 1 and _dual_min2(u1, u2, u3) > ksq:
+                    w = _orbit_size_jit(u1, u2, u3)
+                    count += w
+                    inv_sum += w * float(nsq) ** -1.5
+                nsq += 2 * u3 + 1
+                u3 += 1
+            u2 += 1
     return count, inv_sum
 
 
@@ -797,76 +819,96 @@ def _xgcd_vec(a, b):
     return g, x, y
 
 
-def _census3_numpy(uf, usq, ksq, lo, hi):
-    # each u1 plane is walked in blocks of whole u2 rows, at most _BATCH
-    # points (one row when a row alone exceeds it), so scratch stays bounded;
-    # the block body stays inline, where each block's arrays are freed while
-    # the next block's are built (as a called function it page-faulted ~10x
-    # more and ran ~8 % slower)
-    side = 2 * uf + 1
-    rows = max(1, min(side, _BATCH // side))
-    u2_block = np.repeat(np.arange(rows, dtype=np.int64), side)
-    u3_block = np.tile(np.arange(-uf, uf + 1, dtype=np.int64), rows)
+def _isqrt_vec(x):
+    """floor(sqrt(x)) of an int64 array with 0 <= x < 2^52."""
+    r = np.sqrt(x.astype(np.float64)).astype(np.int64)
+    r -= r * r > x
+    return r + ((r + 1) * (r + 1) <= x)
+
+
+def _domain_blocks(usq, lo, hi):
+    """Points (a, b, c) with 0 <= a <= b <= c, a^2 + b^2 + c^2 <= usq and a in
+    [lo, hi), in (a, b, c) order: whole (a, b) rows, packed across planes
+    into blocks of at most _BATCH points (a row has at most isqrt(usq) + 1)."""
+
+    def points(ra, rb, rn):
+        first = np.repeat(np.cumsum(rn) - rn, rn)
+        b = np.repeat(rb, rn)
+        return np.repeat(ra, rn), b, b + (np.arange(first.size) - first)
+
+    ra = rb = rn = np.empty(0, dtype=np.int64)
+    for a in range(lo, hi):
+        rest = usq - a * a
+        b = np.arange(a, math.isqrt(rest // 2) + 1, dtype=np.int64)
+        ra = np.concatenate([ra, np.full_like(b, a)])
+        rb = np.concatenate([rb, b])
+        rn = np.concatenate([rn, _isqrt_vec(rest - b * b) - b + 1])
+        cum = np.cumsum(rn)
+        start, base = 0, 0
+        while cum[-1] - base >= _BATCH:
+            end = max(start + 1, int(np.searchsorted(cum, base + _BATCH, side="right")))
+            yield points(ra[start:end], rb[start:end], rn[start:end])
+            start, base = end, cum[end - 1]
+        ra, rb, rn = ra[start:], rb[start:], rn[start:]
+    if rn.size:
+        yield points(ra, rb, rn)
+
+
+def _census3_numpy(usq, ksq, lo, hi):
     count = 0
     inv_sum = 0.0
-    for i1 in range(lo, hi):
-        u1 = int(i1 - uf)
-        for r0 in range(0, side, rows):
-            size = min(rows, side - r0) * side
-            u2g = u2_block[:size] + (r0 - uf)
-            u3g = u3_block[:size]
-            nsq = u1 * u1 + u2g * u2g + u3g * u3g
-            prim = np.gcd(np.gcd(abs(u1), np.abs(u2g)), np.abs(u3g)) == 1
-            keep = (nsq > 0) & (nsq <= usq) & prim
-            if not np.any(keep):
-                continue
-            u2 = u2g[keep]
-            u3 = u3g[keep]
-            n = nsq[keep]
-            u1v = np.full_like(u2, u1)
-            g1 = np.gcd(np.abs(u1v), np.abs(u2))
-            deg = g1 == 0  # u = (0, 0, +-1)
-            g1s = np.where(deg, 1, g1)
-            v1 = np.stack([u2 // g1s, -u1v // g1s, np.zeros_like(u2)], axis=1)
-            _, x, y = _xgcd_vec(u1v, u2)
-            v2 = np.stack([-x * u3, -y * u3, g1s], axis=1)
-            # degenerate rows get the trivial Z^2 basis
-            v1[deg] = np.array([1, 0, 0], dtype=np.int64)
-            v2[deg] = np.array([0, 1, 0], dtype=np.int64)
-            n1 = (v1 * v1).sum(axis=1)
-            n2 = (v2 * v2).sum(axis=1)
-            for _ in range(128):
-                swap = n2 < n1
-                if np.any(swap):
-                    v1[swap], v2[swap] = v2[swap].copy(), v1[swap].copy()
-                    n1[swap], n2[swap] = n2[swap].copy(), n1[swap].copy()
-                d12 = (v1 * v2).sum(axis=1)
-                q = (2 * d12 + n1) // (2 * n1)
-                if not np.any(q):
-                    break
-                v2 -= q[:, None] * v1
-                n2 = (v2 * v2).sum(axis=1)
-            else:  # pragma: no cover - reduction always converges long before
-                raise RuntimeError("rank-2 reduction failed to converge")
-            bad = n2 > ksq
-            count += int(np.count_nonzero(bad))
-            inv_sum += float((n[bad].astype(np.float64) ** -1.5).sum())
+    for u1, u2, u3 in _domain_blocks(usq, lo, hi):
+        keep = np.gcd(np.gcd(u1, u2), u3) == 1
+        u1, u2, u3 = u1[keep], u2[keep], u3[keep]
+        if not u1.size:
+            continue
+        n = u1 * u1 + u2 * u2 + u3 * u3
+        g1, x, y = _xgcd_vec(u1, u2)
+        deg = g1 == 0  # u = (0, 0, 1): dual is Z^2, Gram (1, 1, 0)
+        n1, n2, d12 = _dual_gram(u1, u2, u3, g1 + deg, x, y)
+        n1[deg] = n2[deg] = 1
+        d12[deg] = 0
+        for _ in range(128):
+            n1, n2 = np.minimum(n1, n2), np.maximum(n1, n2)
+            q = (2 * d12 + n1) // (2 * n1)
+            if not np.any(q):
+                break
+            n2 -= q * (2 * d12 - q * n1)
+            d12 -= q * n1
+        else:  # pragma: no cover - reduction always converges long before
+            raise RuntimeError("rank-2 reduction failed to converge")
+        bad = n2 > ksq
+        w = _orbit_size(u1[bad], u2[bad], u3[bad])
+        count += int(w.sum())
+        inv_sum += float((w * n[bad].astype(np.float64) ** -1.5).sum())
     return count, inv_sum
+
+
+def census_planes(usq: int) -> int:
+    """Length of census3's shard axis: the smallest coordinate a of a point
+    0 <= a <= b <= c with a^2 + b^2 + c^2 <= usq is at most isqrt(usq // 3)."""
+    return math.isqrt(usq // 3) + 1
 
 
 def census3(uf: int, usq: int, ksq: int, lo: int = 0, hi: int | None = None):
     """Count primitive u in Z^3 with |u|^2 <= usq whose dual second minimum
     squared exceeds ksq; also the sum of |u|^-3 over them.
 
-    uf = floor(U) bounds the coordinate box; [lo, hi) shards the u1 axis
-    (full range is [0, 2*uf + 1)).
+    Signed census: u and -u both count.  |u|, primitivity and the minima of
+    u^perp are invariant under the 48 signed permutations of coordinates,
+    so only the representatives 0 <= a <= b <= c are reduced, and each
+    K-bad one adds its orbit size (see _orbit_size) to the count and that
+    weight times |u|^-3 to the sum.  uf = floor(U) with usq < (uf + 1)^2;
+    [lo, hi) shards the smallest coordinate a (full range is
+    [0, census_planes(usq))).
     """
     if hi is None:
-        hi = 2 * uf + 1
+        hi = census_planes(usq)
     _check_range("U", uf, 10_000)
-    _check_span(lo, hi, 2 * uf + 1)
+    _check_range("usq", usq, (uf + 1) ** 2 - 1)
+    _check_span(lo, hi, census_planes(usq))
     if _backend == "numba":
-        count, inv_sum = _census3_numba(uf, usq, ksq, lo, hi)
+        count, inv_sum = _census3_numba(usq, ksq, lo, hi)
     else:
-        count, inv_sum = _census3_numpy(uf, usq, ksq, lo, hi)
+        count, inv_sum = _census3_numpy(usq, ksq, lo, hi)
     return int(count), float(inv_sum)

@@ -536,10 +536,13 @@ def kbad_census(
 ) -> CensusResult:
     """Count primitive vectors u in Z^t, |u| <= U, that are K-bad.
 
-    For t = 3 a specialized integer kernel (rank-2 dual reduction) is used;
-    other t run the generic exact path.  Both count each signed vector, so
-    u and -u contribute separately.  parts/threads shard the kernel path;
-    the float norm sum is merged in fixed part order.
+    For t = 3 a specialized integer kernel (rank-2 dual reduction) is used:
+    it reduces one representative 0 <= a <= b <= c per orbit of the 48
+    signed coordinate permutations and weights it by the orbit size.  Other
+    t run the generic exact path over the whole box.  Both count each
+    signed vector, so u and -u contribute separately.  parts/threads shard
+    the kernel path over the smallest coordinate a; the float norm sum is
+    merged in fixed part order.
     """
     if t < 3:
         raise ValueError("t must be >= 3")
@@ -559,7 +562,7 @@ def kbad_census(
 
         pieces = kernels.run_parts(
             lambda lo, hi: kernels.census3(uf, usq, ksq, lo, hi),
-            2 * uf + 1,
+            kernels.census_planes(usq),
             parts,
             threads,
         )

@@ -8,6 +8,7 @@ import pytest
 
 from matstat import counting, experiments
 from matstat.counting import CountRecord
+from matstat.exact import IntMatrix
 from matstat.experiments import (
     ExperimentSpec,
     compare_to_bound,
@@ -182,6 +183,30 @@ def test_write_outputs_and_manifest(tmp_path):
     assert manifest["records"] == 2
     assert manifest["backend"] in ("numba", "numpy")
     assert manifest["versions"]["matstat"]
+
+
+def test_write_outputs_with_matrix_param(tmp_path):
+    spec = ExperimentSpec(kind="centralizer", n=2, grid=(1, 2),
+                          params={"matrix": IntMatrix([[1, 1], [0, 1]])})
+    out = tmp_path / "centralizer.csv"
+    mpath = write_outputs(spec, run_grid(spec), str(out))
+    assert out.read_text().splitlines()[1:] == [
+        '2,1,centralizer,"matrix=[[1,1],[0,1]]",9',
+        '2,2,centralizer,"matrix=[[1,1],[0,1]]",25',
+    ]
+    manifest = json.loads(open(mpath).read())
+    assert manifest["spec"]["params"] == {"matrix": [[1, 1], [0, 1]]}
+    assert manifest["records"] == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "centralizer.csv", "centralizer.csv.manifest.json"]
+
+
+def test_write_outputs_failure_leaves_no_files(tmp_path):
+    spec = ExperimentSpec(kind="det", n=2, grid=(1,), params={"d": object()})
+    out = tmp_path / "results.csv"
+    with pytest.raises(TypeError):
+        write_outputs(spec, [_rec(1, 9)], str(out))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_outputs_byte_identical_across_threads(tmp_path):

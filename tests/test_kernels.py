@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -311,24 +311,79 @@ def test_numba_twins_interpreted_match_numpy():
                 args = (h, d, t, use_trace, lo, hi)
                 assert (_interpreted(kernels._n2_count_numba)(*args)
                         == kernels._n2_count_numpy(*args))
-    for uf, usq, ksq in ((6, 36, 4), (5, 27, 2)):
-        for lo, hi in _random_shards(rng, 2 * uf + 1, 3):
-            c1, s1 = _interpreted(kernels._census3_numba)(uf, usq, ksq, lo, hi)
-            c2, s2 = kernels._census3_numpy(uf, usq, ksq, lo, hi)
+    for usq, ksq in ((36, 4), (27, 2), (400, 25)):
+        for lo, hi in _random_shards(rng, kernels.census_planes(usq), 3):
+            c1, s1 = _interpreted(kernels._census3_numba)(usq, ksq, lo, hi)
+            c2, s2 = kernels._census3_numpy(usq, ksq, lo, hi)
             assert c1 == c2 and math.isclose(s1, s2, rel_tol=1e-12, abs_tol=1e-15)
 
 
+def _domain_triangle(usq, a):
+    """#{(b, c) : a <= b <= c, a^2 + b^2 + c^2 <= usq}, by plain loops."""
+    return sum(1 for b in range(a, math.isqrt(usq) + 1)
+               for c in range(b, math.isqrt(usq) + 1) if a * a + b * b + c * c <= usq)
+
+
 def test_census3_plane_wider_than_one_batch():
-    # one u1 plane has (2 * 130 + 1)^2 = 68121 points: batches of 125, 125
-    # and 11 u2 rows, so a wrong row offset cannot hide behind the census's
-    # u2 -> -u2 symmetry
-    uf = 130
-    assert (2 * uf + 1) ** 2 > 2 * kernels._BATCH
-    for lo, ksq in ((uf, 100), (uf + 37, 9), (2 * uf - 5, 100)):
-        c1, s1 = _interpreted(kernels._census3_numba)(uf, uf * uf, ksq, lo, lo + 1)
-        c2, s2 = kernels._census3_numpy(uf, uf * uf, ksq, lo, lo + 1)
+    # the a = 0 triangle at U = 410 has 66356 points: three blocks, cut
+    # inside the plane, so a wrong block offset shows in the count; the
+    # other shards cut inside a smaller plane and pack three planes into
+    # one block
+    uf = 410
+    assert _domain_triangle(uf * uf, 0) > 2 * kernels._BATCH
+    for lo, hi, ksq in ((0, 1, 400), (37, 38, 9), (150, 153, 400)):
+        c1, s1 = _interpreted(kernels._census3_numba)(uf * uf, ksq, lo, hi)
+        c2, s2 = kernels._census3_numpy(uf * uf, ksq, lo, hi)
         assert c1 > 0
         assert c1 == c2 and math.isclose(s1, s2, rel_tol=1e-12, abs_tol=1e-15)
+
+
+def test_census3_blocks_tile_the_domain(monkeypatch):
+    # with a 50-point batch, blocks are cut inside planes and across them
+    monkeypatch.setattr(kernels, "_BATCH", 50)
+    for usq in (1, 2, 3, 56, 400):
+        planes = kernels.census_planes(usq)
+        assert _domain_triangle(usq, planes - 1) > 0 == _domain_triangle(usq, planes)
+        for lo, hi in ((0, planes), (1, planes), (0, 1)):
+            blocks = list(kernels._domain_blocks(usq, lo, hi))
+            assert all(0 < a.size <= 50 for a, _, _ in blocks)
+            got = [p for a, b, c in blocks for p in zip(a.tolist(), b.tolist(), c.tolist())]
+            want = [(a, b, c) for a in range(lo, hi)
+                    for b in range(a, math.isqrt(usq) + 1)
+                    for c in range(b, math.isqrt(usq) + 1) if a * a + b * b + c * c <= usq]
+            assert got == want, (usq, lo, hi)
+
+
+def _signed_orbit(u):
+    return {tuple(s * x for s, x in zip(signs, p))
+            for p in permutations(u) for signs in product((1, -1), repeat=3)}
+
+
+def test_orbit_size():
+    import numpy as np
+
+    points = [(0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 2), (1, 2, 2), (0, 1, 2),
+              (0, 0, 7), (2, 3, 5), (3, 3, 4), (0, 5, 5)]
+    want = [len(_signed_orbit(u)) for u in points]
+    assert want[:6] == [6, 12, 8, 24, 24, 24]
+    assert [kernels._orbit_size(*u) for u in points] == want
+    a, b, c = (np.array(x, dtype=np.int64) for x in zip(*points))
+    assert kernels._orbit_size(a, b, c).tolist() == want
+
+
+@pytest.mark.parametrize("uf, usq", [(1, 1), (1, 3), (4, 16), (7, 56), (10, 106), (13, 169)])
+def test_census3_with_ksq_zero_counts_every_primitive_point(uf, usq):
+    # lambda_2^2 >= 1 > 0, so every primitive u in the ball is K-bad
+    import numpy as np
+
+    axis = np.arange(-uf, uf + 1, dtype=np.int64)
+    a, b, c = np.meshgrid(axis, axis, axis, indexing="ij")
+    nsq = a * a + b * b + c * c
+    prim = (np.gcd(np.gcd(a, b), c) == 1) & (nsq <= usq)
+    count, inv = kernels.census3(uf, usq, 0)
+    assert count == int(np.count_nonzero(prim))
+    assert math.isclose(inv, math.fsum(float(n) ** -1.5 for n in nsq[prim].tolist()),
+                        rel_tol=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -346,10 +401,11 @@ def test_census3_plane_wider_than_one_batch():
         lambda: kernels.n3_stats(64, 0, 1),  # ranks overflow int64
         lambda: kernels.n3_stats(1, 0, 3**9 + 1),
         lambda: kernels.census3(10_001, 10_001**2, 4, 0, 0),  # reduction overflows
-        lambda: kernels.census3(6, 36, 4, 0, 14),
+        lambda: kernels.census3(6, 36, 4, 0, 5),  # past isqrt(36 // 3) + 1 planes
+        lambda: kernels.census3(6, 49, 4, 0, 0),  # usq past the U = 6 box
     ],
     ids=["dt3-h", "dt3-d", "dt3-t", "dt3-hi", "dt3t2-h", "dt3t2-t2", "dt3t2-lo",
-         "b3-k", "b3-span", "n3-h", "n3-hi", "census-U", "census-hi"],
+         "b3-k", "b3-span", "n3-h", "n3-hi", "census-U", "census-hi", "census-usq"],
 )
 def test_kernel_range_guards(call):
     # empty shards where the guard is on h alone, so a missing guard fails fast
@@ -362,3 +418,4 @@ def test_kernel_range_edges_accepted():
     assert kernels.det_trace3_t2(1, 6, 3, 9, 80, 81) == 0
     assert kernels.bordered3(1, 81, 81) == (0, 0)
     assert [len(x) for x in kernels.n3_stats(1, 3**9 - 2, 3**9)] == [2, 2, 2]
+    assert kernels.census3(6, 48, 4, 4, 5) == (0, 0.0)  # only (4, 4, 4) there

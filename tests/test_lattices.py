@@ -308,6 +308,35 @@ def test_census_generic_vs_kernel():
     assert ker.method.startswith("kernel-")
 
 
+def test_census_kernel_vs_generic_random_fractional_k():
+    rng = random.Random(0x3C3)
+    for _ in range(5):
+        u = Fraction(rng.randint(6, 11), 2)
+        den = rng.randint(2, 3)
+        k = Fraction(rng.randint(den + 1, int(u) * den), den)
+        gen = kbad_census(3, u, k, method="generic")
+        ker = kbad_census(3, u, k, method="kernel")
+        assert gen.count == ker.count, (u, k)
+        assert abs(gen.inv_norm_sum - ker.inv_norm_sum) <= (
+            gen.sum_error_bound + ker.sum_error_bound), (u, k)
+
+
+def test_census_norm_sum_matches_full_signed_box():
+    # at K = 1 every primitive u is K-bad except the unit vectors, whose
+    # dual Z^2 has lambda_2 = 1
+    import numpy as np
+
+    uf = 40
+    axis = np.arange(-uf, uf + 1, dtype=np.int64)
+    a, b, c = np.meshgrid(axis, axis, axis, indexing="ij")
+    nsq = a * a + b * b + c * c
+    bad = (np.gcd(np.gcd(a, b), c) == 1) & (nsq > 1) & (nsq <= uf * uf)
+    r = kbad_census(3, uf, 1)
+    assert r.count == int(np.count_nonzero(bad))
+    want = math.fsum(float(n) ** -1.5 for n in nsq[bad].tolist())
+    assert abs(r.inv_norm_sum - want) <= r.sum_error_bound
+
+
 def test_census_both_backends_agree():
     from matstat import kernels
 

@@ -761,7 +761,7 @@ def _dual_min2(u1, u2, u3):
     g1 = _gcd2(u1, u2)
     if g1 == 0:
         return 1  # u = (0, 0, +-1): dual is Z^2
-    gg, x, y = _xgcd(u1, u2)
+    _, x, y = _xgcd(u1, u2)
     n1, n2, d12 = _dual_gram_jit(u1, u2, u3, g1, x, y)
     while True:
         if n2 < n1:
@@ -854,33 +854,40 @@ def _domain_blocks(usq, lo, hi):
         yield points(ra, rb, rn)
 
 
+def _census3_block(u1, u2, u3, ksq):
+    """(weighted K-bad count, weighted sum of |u|^-3) over one block of
+    domain points; as a function, so one block's scratch is freed before
+    the next block is built."""
+    keep = np.gcd(np.gcd(u1, u2), u3) == 1
+    u1, u2, u3 = u1[keep], u2[keep], u3[keep]
+    g1, x, y = _xgcd_vec(u1, u2)
+    deg = g1 == 0  # u = (0, 0, 1): dual is Z^2, Gram (1, 1, 0)
+    n1, n2, d12 = _dual_gram(u1, u2, u3, g1 + deg, x, y)
+    n1[deg] = n2[deg] = 1
+    d12[deg] = 0
+    for _ in range(128):
+        n1, n2 = np.minimum(n1, n2), np.maximum(n1, n2)
+        q = (2 * d12 + n1) // (2 * n1)
+        if not np.any(q):
+            break
+        n2 -= q * (2 * d12 - q * n1)
+        d12 -= q * n1
+    else:  # pragma: no cover - reduction always converges long before
+        raise RuntimeError("rank-2 reduction failed to converge")
+    bad = n2 > ksq
+    u1, u2, u3 = u1[bad], u2[bad], u3[bad]
+    w = _orbit_size(u1, u2, u3)
+    nsq = (u1 * u1 + u2 * u2 + u3 * u3).astype(np.float64)
+    return int(w.sum()), float((w * nsq**-1.5).sum())
+
+
 def _census3_numpy(usq, ksq, lo, hi):
     count = 0
     inv_sum = 0.0
-    for u1, u2, u3 in _domain_blocks(usq, lo, hi):
-        keep = np.gcd(np.gcd(u1, u2), u3) == 1
-        u1, u2, u3 = u1[keep], u2[keep], u3[keep]
-        if not u1.size:
-            continue
-        n = u1 * u1 + u2 * u2 + u3 * u3
-        g1, x, y = _xgcd_vec(u1, u2)
-        deg = g1 == 0  # u = (0, 0, 1): dual is Z^2, Gram (1, 1, 0)
-        n1, n2, d12 = _dual_gram(u1, u2, u3, g1 + deg, x, y)
-        n1[deg] = n2[deg] = 1
-        d12[deg] = 0
-        for _ in range(128):
-            n1, n2 = np.minimum(n1, n2), np.maximum(n1, n2)
-            q = (2 * d12 + n1) // (2 * n1)
-            if not np.any(q):
-                break
-            n2 -= q * (2 * d12 - q * n1)
-            d12 -= q * n1
-        else:  # pragma: no cover - reduction always converges long before
-            raise RuntimeError("rank-2 reduction failed to converge")
-        bad = n2 > ksq
-        w = _orbit_size(u1[bad], u2[bad], u3[bad])
-        count += int(w.sum())
-        inv_sum += float((w * n[bad].astype(np.float64) ** -1.5).sum())
+    for block in _domain_blocks(usq, lo, hi):
+        c, s = _census3_block(*block, ksq)
+        count += c
+        inv_sum += s
     return count, inv_sum
 
 

@@ -371,6 +371,27 @@ def test_orbit_size():
     assert kernels._orbit_size(a, b, c).tolist() == want
 
 
+def test_dual_second_minimum_matches_lattice_minima():
+    # both twins' rank-2 reduction against the exact Fincke-Pohst minima,
+    # with gcd(a, b) > 1 among the points so the Gram's g1 terms matter
+    import numpy as np
+
+    from matstat.lattices import is_primitive, orthogonal_lattice, successive_minima
+
+    rng = random.Random(0xD2)
+    points = [(0, 0, 1), (0, 1, 1), (1, 1, 1), (0, 2, 3), (2, 4, 5), (3, 6, 7), (4, 6, 9)]
+    while len(points) < 60:
+        u = tuple(sorted(rng.randint(0, 40) for _ in range(3)))
+        if any(u) and is_primitive(u):
+            points.append(u)
+    for u in points:
+        m2 = successive_minima(orthogonal_lattice([u]))[0][1]
+        assert _interpreted(kernels._dual_min2)(*u) == m2, u
+        block = [np.array([x], dtype=np.int64) for x in u]
+        assert kernels._census3_block(*block, m2 - 1)[0] == kernels._orbit_size(*u), u
+        assert kernels._census3_block(*block, m2)[0] == 0, u
+
+
 @pytest.mark.parametrize("uf, usq", [(1, 1), (1, 3), (4, 16), (7, 56), (10, 106), (13, 169)])
 def test_census3_with_ksq_zero_counts_every_primitive_point(uf, usq):
     # lambda_2^2 >= 1 > 0, so every primitive u in the ball is K-bad
@@ -382,6 +403,8 @@ def test_census3_with_ksq_zero_counts_every_primitive_point(uf, usq):
     prim = (np.gcd(np.gcd(a, b), c) == 1) & (nsq <= usq)
     count, inv = kernels.census3(uf, usq, 0)
     assert count == int(np.count_nonzero(prim))
+    planes = kernels.census_planes(usq)
+    assert _interpreted(kernels._census3_numba)(usq, 0, 0, planes)[0] == count
     assert math.isclose(inv, math.fsum(float(n) ** -1.5 for n in nsq[prim].tolist()),
                         rel_tol=1e-13)
 

@@ -326,9 +326,8 @@ def _domain_triangle(usq, a):
 
 def test_census3_plane_wider_than_one_batch():
     # the a = 0 triangle at U = 410 has 66356 points: three blocks, cut
-    # inside the plane, so a wrong block offset shows in the count; the
-    # other shards cut inside a smaller plane and pack three planes into
-    # one block
+    # inside the plane, so a wrong block offset shows in the count; a = 37
+    # is cut once, and a = 150..152 share one block before a cut in 152
     uf = 410
     assert _domain_triangle(uf * uf, 0) > 2 * kernels._BATCH
     for lo, hi, ksq in ((0, 1, 400), (37, 38, 9), (150, 153, 400)):

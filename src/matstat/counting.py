@@ -5,6 +5,12 @@ value at most floor(H).  Every counter here is exact; the production paths
 (divisor tables, bordered decomposition) are cross-checked against plain
 enumeration in the test suite at overlapping scales.
 
+For n <= 3 the characteristic polynomial is fixed by det A, tr A and
+tr A^2, so count_charpoly is a det/trace/trace^2 count: the divisor pair
+table at n = 2 and the bordered O(H^6) kernel at n = 3.  method="naive"
+selects the reference scans (the n2_count divisor walk, the n3_stats scan
+of all (2H+1)^9 matrices, plain enumeration for n >= 4).
+
 Counters accept `parts`/`threads` for deterministic sharding: the work
 range splits into `parts` fixed pieces merged in order, so results do not
 depend on the thread count.
@@ -13,8 +19,7 @@ depend on the thread count.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -109,6 +114,27 @@ def _check_budget(cost: int, budget: int, what: str):
         raise BudgetExceededError(cost, budget, what)
 
 
+def _check_method(method: str):
+    if method not in ("auto", "fast", "naive"):
+        raise ValueError("method must be auto|fast|naive")
+
+
+def _scan_count(n: int, hf: int, keep, budget: int) -> int:
+    """#{A in M_n(Z; H) : keep(A)} by plain enumeration within budget."""
+    return sum(1 for a in enumerate_matrices(n, hf, budget=budget) if keep(a))
+
+
+def _n2_scan(hf: int, d: int, t: int, use_trace: bool,
+             budget: int, parts: int, threads: int) -> int:
+    """The n2_count reference scan of M_2(Z; H), sharded over a11."""
+    _check_budget(universe_size(2, hf), budget, "2x2 scan")
+    pieces = _run_parts(
+        lambda lo, hi: kernels.n2_count(hf, d, t, use_trace, lo, hi),
+        2 * hf + 1, parts, threads,
+    )
+    return sum(pieces)
+
+
 def _det_infeasible(n: int, hf: int, d: int) -> bool:
     """True when Hadamard's bound |det A| <= (sqrt(n) H)^n excludes d."""
     if n < 1:
@@ -131,8 +157,7 @@ def count_with_det(
 ) -> int:
     """#{A in M_n(Z; H) : det A = d}, exact."""
     hf = _floor_h(h)
-    if method not in ("auto", "fast", "naive"):
-        raise ValueError("method must be auto|fast|naive")
+    _check_method(method)
     if _det_infeasible(n, hf, d):
         return 0
     if n == 1:
@@ -140,22 +165,17 @@ def count_with_det(
     if n == 2:
         if method in ("auto", "fast"):
             return kernels.det2_count(hf, d)
-        pieces = _run_parts(
-            lambda lo, hi: kernels.n2_count(hf, d, 0, False, lo, hi),
-            2 * hf + 1, parts, threads,
-        )
-        return sum(pieces)
+        return _n2_scan(hf, d, 0, False, budget, parts, threads)
     if n == 3:
-        size = universe_size(3, hf)
-        _check_budget(size, budget, "3x3 determinant scan")
-        return _n3_scan_count(hf, lambda tr, mid, dt: dt == d, parts, threads)
-    size = universe_size(n, hf)
-    _check_budget(size, budget, "naive determinant scan")
-    return sum(1 for a in enumerate_matrices(n, hf, budget=budget) if det(a) == d)
+        return _n3_scan_count(hf, lambda tr, mid, dt: dt == d, budget, parts, threads)
+    return _scan_count(n, hf, lambda a: det(a) == d, budget)
 
 
-def _n3_scan_count(hf: int, predicate, parts: int, threads: int) -> int:
+def _n3_scan_count(hf: int, predicate, budget: int, parts: int, threads: int) -> int:
+    """#{A in M_3(Z; H) : predicate(tr, middle coefficient, det)} by the
+    n3_stats scan of all (2H+1)^9 matrices, sharded over ranks."""
     size = universe_size(3, hf)
+    _check_budget(size, budget, "3x3 scan")
 
     def work(lo, hi):
         cnt = 0
@@ -172,65 +192,41 @@ def _n3_scan_count(hf: int, predicate, parts: int, threads: int) -> int:
 # characteristic polynomial counts
 
 
-def _validate_charpoly_target(n: int, f: MonicIntPoly):
-    if f.degree != n:
-        raise ValueError(f"polynomial degree {f.degree} does not match n={n}")
-
-
 def count_charpoly(
     n: int,
     h,
     f: MonicIntPoly,
+    method: str = "naive",
     budget: int = DEFAULT_BUDGET,
     parts: int = 1,
     threads: int = 1,
 ) -> int:
     """R_n(H; f): matrices in M_n(Z; H) with charpoly det(XI - A) = f.
 
-    Enumeration-based (the reference route): every matrix in the universe
-    is visited and its invariants compared against f.
+    For n <= 3, f is fixed by d = det A, t1 = tr A and t2 = tr A^2
+    (Newton: t2 = c_{n-1}^2 - 2 c_{n-2}), so this is count_det_trace2 with
+    the same method: "auto"/"fast" take the divisor pair table (n = 2) or
+    the bordered O(H^6) kernel (n = 3).  The default "naive" is the
+    reference scan every fast route is checked against.  For n >= 4 every
+    matrix is enumerated and its charpoly compared with f.
     """
     hf = _floor_h(h)
-    _validate_charpoly_target(n, f)
-    if n == 1:
-        a = -f.coeffs[0]
-        return 1 if abs(a) <= hf else 0
-    if n == 2:
-        d, c1 = f.coeffs
-        t = -c1
-        if abs(t) > 2 * hf or abs(d) > 2 * hf * hf:
-            return 0
-        _check_budget(universe_size(2, hf), budget, "2x2 charpoly scan")
-        pieces = _run_parts(
-            lambda lo, hi: kernels.n2_count(hf, d, t, True, lo, hi),
-            2 * hf + 1, parts, threads,
-        )
-        return sum(pieces)
-    if n == 3:
-        c0, c1, c2 = f.coeffs
-        t, m, dv = -c2, c1, -c0
-        size = universe_size(3, hf)
-        _check_budget(size, budget, "3x3 charpoly scan")
-        return _n3_scan_count(
-            hf, lambda tr, mid, dt: (tr == t) & (mid == m) & (dt == dv),
-            parts, threads,
-        )
-    size = universe_size(n, hf)
-    _check_budget(size, budget, "naive charpoly scan")
-    return sum(1 for a in enumerate_matrices(n, hf, budget=budget) if charpoly(a) == f)
+    _check_method(method)
+    if f.degree != n:
+        raise ValueError(f"polynomial degree {f.degree} does not match n={n}")
+    if n <= 3:
+        c = (0,) + f.coeffs  # c_{-1} = 0 makes t2 = t1^2 at n = 1
+        t1 = -c[-1]
+        return count_det_trace2(n, hf, (-1) ** n * c[1], t1, t1 * t1 - 2 * c[-2],
+                                method, budget, parts, threads)
+    return _scan_count(n, hf, lambda a: charpoly(a) == f, budget)
 
 
 def count_charpoly_fast2(h, f: MonicIntPoly) -> int:
     """R_2(H; f) by the divisor route: for each diagonal, count off-diagonal
     pairs with the forced product.  O(H) table lookups after an O(H^2)
     shared table build."""
-    hf = _floor_h(h)
-    _validate_charpoly_target(2, f)
-    d, c1 = f.coeffs
-    t = -c1
-    if abs(t) > 2 * hf or abs(d) > 2 * hf * hf:
-        return 0
-    return kernels.charpoly2_count(hf, t, d)
+    return count_charpoly(2, h, f, method="fast")
 
 
 def max_charpoly_count(
@@ -307,8 +303,7 @@ def count_det_trace(
 ) -> int:
     """S_n(H; d, t) = #{A in M_n(Z; H) : det A = d, tr A = t}."""
     hf = _floor_h(h)
-    if method not in ("auto", "fast", "naive"):
-        raise ValueError("method must be auto|fast|naive")
+    _check_method(method)
     if _det_infeasible(n, hf, d) or abs(t) > n * hf:
         return 0
     if n == 1:
@@ -317,17 +312,11 @@ def count_det_trace(
         # det+trace pins the charpoly, so this is the 2x2 charpoly count
         if method in ("auto", "fast"):
             return kernels.charpoly2_count(hf, t, d)
-        pieces = _run_parts(
-            lambda lo, hi: kernels.n2_count(hf, d, t, True, lo, hi),
-            2 * hf + 1, parts, threads,
-        )
-        return sum(pieces)
+        return _n2_scan(hf, d, t, True, budget, parts, threads)
     if n == 3:
         if method == "naive":
-            size = universe_size(3, hf)
-            _check_budget(size, budget, "3x3 det/trace scan")
             return _n3_scan_count(
-                hf, lambda tr, mid, dt: (tr == t) & (dt == d), parts, threads
+                hf, lambda tr, mid, dt: (tr == t) & (dt == d), budget, parts, threads
             )
         cost = (2 * hf + 1) ** 6
         _check_budget(cost, budget, "bordered det/trace count")
@@ -336,13 +325,7 @@ def count_det_trace(
             (2 * hf + 1) ** 4, parts, threads,
         )
         return sum(pieces)
-    size = universe_size(n, hf)
-    _check_budget(size, budget, "naive det/trace scan")
-    return sum(
-        1
-        for a in enumerate_matrices(n, hf, budget=budget)
-        if trace(a) == t and det(a) == d
-    )
+    return _scan_count(n, hf, lambda a: trace(a) == t and det(a) == d, budget)
 
 
 def count_det_trace2(
@@ -358,8 +341,7 @@ def count_det_trace2(
 ) -> int:
     """S_n(H; d, t1, t2): additionally fixes tr A^2 = t2."""
     hf = _floor_h(h)
-    if method not in ("auto", "fast", "naive"):
-        raise ValueError("method must be auto|fast|naive")
+    _check_method(method)
     # |tr A^2| = |sum a_ij a_ji| <= n^2 H^2
     if _det_infeasible(n, hf, d) or abs(t1) > n * hf or abs(t2) > n * n * hf * hf:
         return 0
@@ -372,13 +354,11 @@ def count_det_trace2(
         return count_det_trace(2, hf, d, t1, method, budget, parts, threads)
     if n == 3:
         if method == "naive":
-            size = universe_size(3, hf)
-            _check_budget(size, budget, "3x3 det/trace/trace2 scan")
             # tr A^2 = tr^2 - 2*mid for the 3x3 charpoly coefficients
             return _n3_scan_count(
                 hf,
                 lambda tr, mid, dt: (tr == t1) & (dt == d) & (tr * tr - 2 * mid == t2),
-                parts, threads,
+                budget, parts, threads,
             )
         cost = (2 * hf + 1) ** 6
         _check_budget(cost, budget, "bordered det/trace/trace2 count")
@@ -387,15 +367,9 @@ def count_det_trace2(
             (2 * hf + 1) ** 4, parts, threads,
         )
         return sum(pieces)
-    size = universe_size(n, hf)
-    _check_budget(size, budget, "naive det/trace/trace2 scan")
-    cnt = 0
-    for a in enumerate_matrices(n, hf, budget=budget):
-        if trace(a) == t1 and det(a) == d:
-            sq = a @ a
-            if trace(sq) == t2:
-                cnt += 1
-    return cnt
+    return _scan_count(
+        n, hf, lambda a: trace(a) == t1 and det(a) == d and trace(a @ a) == t2, budget
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +394,7 @@ def count_singular_bordered(
         raise ValueError("bordered sets need n >= 2")
     if k < 1:
         raise ValueError("K must be >= 1")
-    if method not in ("auto", "fast", "naive"):
-        raise ValueError("method must be auto|fast|naive")
+    _check_method(method)
     if n == 2:
         # det = -a*b with a != 0 forces b = 0; r is free
         u = (2 * k + 1) * (2 * k)

@@ -139,11 +139,7 @@ def census_k(k, u) -> Union[int, Fraction]:
 
 def _charpoly(n, h, params, method, parts, threads, budget):
     f = charpoly_target(n, _required(params, "f"))
-    if n == 2 and method != "naive":  # divisor route; count_charpoly scans
-        count = counting.count_charpoly_fast2(h, f)
-    else:
-        count = counting.count_charpoly(n, h, f, budget, parts, threads)
-    return count, [("f", f)]
+    return counting.count_charpoly(n, h, f, method, budget, parts, threads), [("f", f)]
 
 
 def _charpoly_max(n, h, params, method, parts, threads, budget):

@@ -288,7 +288,7 @@ def _enumerate_ball(basis, bound_sq: Fraction, budget: _NodeBudget):
     mu, bsq, _ = _gram_schmidt(basis)
     coeffs = [0] * s
 
-    def rec(i: int, remaining: Fraction, centers_cache):
+    def rec(i: int, remaining: Fraction):
         if i < 0:
             if any(coeffs):
                 vec = tuple(
@@ -309,10 +309,10 @@ def _enumerate_ball(basis, bound_sq: Fraction, budget: _NodeBudget):
             if used > remaining:
                 continue
             coeffs[i] = x
-            yield from rec(i - 1, remaining - used, None)
+            yield from rec(i - 1, remaining - used)
         coeffs[i] = 0
 
-    yield from rec(s - 1, Fraction(bound_sq), None)
+    yield from rec(s - 1, Fraction(bound_sq))
 
 
 def successive_minima(lat: Lattice, node_cap: int = DEFAULT_NODE_CAP):
@@ -462,6 +462,8 @@ def lattice_points_in_box(
     lat: Lattice, box_bound, node_cap: int = DEFAULT_NODE_CAP
 ) -> List[IntVector]:
     """All lattice points with |v|_inf <= box_bound, origin included."""
+    if Fraction(box_bound) < 0:
+        raise ValueError("box bound must be >= 0")
     if lat.rank == 0:
         return [tuple([0] * lat.ambient_dim)]
     hf = math.floor(Fraction(box_bound))

@@ -9,7 +9,6 @@ such k to an explicit relation lattice, which drives the search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -18,10 +17,8 @@ from .exact import (
     IntMatrix,
     RationalMatrix,
     block_diag,
-    charpoly,
     companion,
     det,
-    integer_roots,
     inverse_rational,
     mat_pow,
 )
@@ -123,29 +120,6 @@ class _PowerCache:
         return base
 
 
-def _eigenvalue_filter(roots: List[Optional[list]], k: Sequence[int]) -> bool:
-    """Cheap necessary test on rational eigenvalues; True = keep candidate.
-
-    Only sound for s <= 2 (single powers / a two-sided power identity);
-    larger tuples skip the filter because eigenvalues of non-commuting
-    products obey no such relation.
-    """
-    s = len(k)
-    if s == 1:
-        r = roots[0]
-        if r is None:
-            return True
-        return all(Fraction(x) ** k[0] == 1 for x in r)
-    if s == 2:
-        ra, rb = roots
-        if ra is None or rb is None:
-            return True
-        left = sorted(Fraction(x) ** k[0] for x in ra)
-        right = sorted(Fraction(x) ** (-k[1]) for x in rb)
-        return left == right
-    return True
-
-
 def find_dependence(
     mats: Sequence[IntMatrix],
     bound: Optional[int] = None,
@@ -156,11 +130,10 @@ def find_dependence(
 
     Candidates are the relation-lattice points in the box, ordered by
     (|k|_inf, |k|_2^2, lexicographic); each candidate is verified by exact
-    rational evaluation, so the determinant and eigenvalue pruning can only
-    speed things up, never change the answer.
+    rational evaluation, so the determinant pruning can only speed things
+    up, never change the answer.
     """
     _validate_tuple(mats)
-    s = len(mats)
     if bound is None:
         bound = max(64, 2 * max(m.max_abs_entry() for m in mats))
     if bound < 1:
@@ -172,11 +145,8 @@ def find_dependence(
         k for k in lattice_points_in_box(lat, bound, node_cap) if any(k)
     ]
     candidates.sort(key=lambda k: (linf(k), norm_sq(k), k))
-    roots = [integer_roots(charpoly(m)) for m in mats] if s <= 2 else [None] * s
     caches = [_PowerCache(m) for m in mats]
     for k in candidates:
-        if not _eigenvalue_filter(roots, k):
-            continue
         prod = RationalMatrix.identity(mats[0].n)
         for cache, e in zip(caches, k):
             if e:

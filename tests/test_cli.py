@@ -28,6 +28,13 @@ def test_count_charpoly(capsys):
     assert "charpoly-count = 5" in out
 
 
+def test_count_charpoly_n3_methods_agree(capsys):
+    argv = ("count", "charpoly", "--n", "3", "--H", "2", "--f", "0,-1,0,1")
+    outs = [run(capsys, *argv, *extra) for extra in ((), ("--method", "naive"))]
+    assert outs[0][:2] == outs[1][:2]
+    assert outs[0][0] == 0 and "charpoly-count = " in outs[0][1]
+
+
 def test_count_charpoly_rejects_nonmonic(capsys):
     with pytest.raises(SystemExit):
         run(capsys, "count", "charpoly", "--n", "2", "--H", "1", "--f", "1,-2,3")

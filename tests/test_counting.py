@@ -117,6 +117,33 @@ def test_charpoly_partition_identity():
         assert total == universe_size(2, h)
 
 
+def test_count_charpoly_auto_equals_naive():
+    # the det/trace/trace^2 route against the reference scan for n <= 3,
+    # with targets of both t2 parities and past the trace, tr A^2 and
+    # Hadamard bounds
+    rng = random.Random(0xC4A7)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        h = rng.randint(1, 2)
+        reach = [rng.randint(0, 2 * h), (n * h) ** n + 2, 2 * (n * h) ** 2][rng.randint(0, 2)]
+        f = MonicIntPoly(tuple(rng.randint(-reach, reach) for _ in range(n)))
+        assert count_charpoly(n, h, f, method="auto") == count_charpoly(
+            n, h, f, method="naive"
+        ), (n, h, f.coeffs)
+    f = MonicIntPoly((0, -1, 0))  # X^3 - X: t2 = 2, even
+    g = MonicIntPoly((0, 1, -1))  # X^3 - X^2 + X: t2 = -1, odd
+    for p in (f, g):
+        assert count_charpoly(3, 2, p, method="auto") == count_charpoly(3, 2, p) > 0
+    with pytest.raises(ValueError):
+        count_charpoly(3, 1, f, method="sideways")
+
+
+def test_count_charpoly_infeasible_n3_short_circuits():
+    start = time.perf_counter()
+    assert count_charpoly(3, 3, MonicIntPoly((0, 0, -100)), method="auto") == 0
+    assert time.perf_counter() - start < 0.05
+
+
 def test_count_charpoly_n3():
     f = charpoly(IntMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
     got = count_charpoly(3, 1, f)
@@ -332,6 +359,8 @@ def test_counts_identical_across_backends():
 def test_budget_exceeded():
     with pytest.raises(BudgetExceededError):
         count_charpoly(3, 2, MonicIntPoly((0, 0, 0)), budget=1000)
+    with pytest.raises(BudgetExceededError):
+        count_with_det(2, 3, 1, method="naive", budget=10)
     with pytest.raises(BudgetExceededError):
         count_det_trace(3, 3, 0, 0, method="naive", budget=10)
 

@@ -255,6 +255,14 @@ def test_points_in_box_frozen():
     assert points_in_box(Lattice(2, ()), 5) == 1  # rank 0: origin only
 
 
+def test_negative_box_bound_is_refused():
+    # no point has sup norm <= -1, not even the origin
+    for lat in (Lattice(2, ((1, 0), (0, 1))), Lattice(3, ())):
+        for count in (points_in_box, lattice_points_in_box):
+            with pytest.raises(ValueError, match="box bound must be >= 0"):
+                count(lat, -1)
+
+
 def test_points_in_box_fractional_bound():
     lat = Lattice(1, ((2,),))
     assert points_in_box(lat, 5) == 5  # -4,-2,0,2,4

@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--f", type=str, default=None,
                     help="monic coefficients c0,c1,...,1 (constant first)")
     pc.add_argument("--matrix", type=str, default=None, help="JSON matrix file")
-    pc.add_argument("--method", choices=("auto", "fast", "naive"), default="auto")
+    pc.add_argument("--method", choices=("auto", "naive"), default="auto")
     _add_common(pc, ("human", "json"))
     pc.set_defaults(fn=_cmd_count)
 
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--K", type=str, default="sqrt")
     pl.add_argument("--t", type=int, default=3)
     pl.add_argument("--U", type=float, default=20.0)
-    pl.add_argument("--method", choices=("auto", "kernel", "generic"), default="auto")
+    pl.add_argument("--method", choices=("auto", "generic"), default="auto")
     _add_common(pl, ("human", "json"))
     pl.set_defaults(fn=_cmd_lattice)
 

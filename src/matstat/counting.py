@@ -5,11 +5,16 @@ value at most floor(H).  Every counter here is exact; the production paths
 (divisor tables, bordered decomposition) are cross-checked against plain
 enumeration in the test suite at overlapping scales.
 
-For n <= 3 the characteristic polynomial is fixed by det A, tr A and
-tr A^2, so count_charpoly is a det/trace/trace^2 count: the divisor pair
-table at n = 2 and the bordered O(H^6) kernel at n = 3.  method="naive"
-selects the reference scans (the n2_count divisor walk, the n3_stats scan
-of all (2H+1)^9 matrices, plain enumeration for n >= 4).
+Every counter takes method="auto" (the default), which runs a kernel where
+one exists, or method="naive", the reference scan it is checked against:
+the n2_count divisor walk at n = 2, the n3_stats scan of all (2H+1)^9
+matrices at n = 3 and plain enumeration for n >= 4.  At n = 3 the auto
+routes border the top-left 2x2 block in O(H^6) per target: det and trace
+by det_trace3, det alone as the sum of those counts over |t| <= 3H.  For
+n <= 3 the characteristic polynomial is fixed by det A, tr A and tr A^2,
+so count_charpoly is a det/trace/trace^2 count.
+
+Targets (d, t, t2, K) are integers; numpy integers are accepted.
 
 Counters accept `parts`/`threads` for deterministic sharding: the work
 range splits into `parts` fixed pieces merged in order, so results do not
@@ -19,6 +24,7 @@ depend on the thread count.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
@@ -115,8 +121,16 @@ def _check_budget(cost: int, budget: int, what: str):
 
 
 def _check_method(method: str):
-    if method not in ("auto", "fast", "naive"):
-        raise ValueError("method must be auto|fast|naive")
+    if method not in ("auto", "naive"):
+        raise ValueError("method must be auto|naive")
+
+
+def _int_arg(name: str, value) -> int:
+    """value as a Python int (numpy integers included), else ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _scan_count(n: int, hf: int, keep, budget: int) -> int:
@@ -155,20 +169,39 @@ def count_with_det(
     parts: int = 1,
     threads: int = 1,
 ) -> int:
-    """#{A in M_n(Z; H) : det A = d}, exact."""
+    """#{A in M_n(Z; H) : det A = d}, exact.
+
+    "auto" runs the divisor kernel det2_count at n = 2 and, at n = 3, sums
+    count_det_trace(3, H, d, t) over |t| <= 3H: 6H+1 bordered O(H^6)
+    kernel calls, budgeted as (2H+1)^7 in all.  "naive" and n >= 4 scan.
+    """
     hf = _floor_h(h)
     _check_method(method)
+    d = _int_arg("d", d)
     if _det_infeasible(n, hf, d):
         return 0
     if n == 1:
         return 1
     if n == 2:
-        if method in ("auto", "fast"):
+        if method == "auto":
             return kernels.det2_count(hf, d)
         return _n2_scan(hf, d, 0, False, budget, parts, threads)
     if n == 3:
-        return _n3_scan_count(hf, lambda tr, mid, dt: dt == d, budget, parts, threads)
+        if method == "naive":
+            return _n3_scan_count(hf, lambda tr, mid, dt: dt == d, budget, parts, threads)
+        _check_budget((2 * hf + 1) ** 7, budget, "bordered det count")
+        return sum(
+            count_det_trace(3, hf, d, t, method, budget, parts, threads)
+            for t in range(-3 * hf, 3 * hf + 1)
+        )
     return _scan_count(n, hf, lambda a: det(a) == d, budget)
+
+
+def _n3_chunks(hf: int, lo: int, hi: int):
+    """kernels.n3_stats (tr, middle coefficient, det) arrays for the
+    M_3(Z; H) ranks [lo, hi), _CHUNK ranks at a time."""
+    for start in range(lo, hi, _CHUNK):
+        yield kernels.n3_stats(hf, start, min(start + _CHUNK, hi))
 
 
 def _n3_scan_count(hf: int, predicate, budget: int, parts: int, threads: int) -> int:
@@ -178,12 +211,7 @@ def _n3_scan_count(hf: int, predicate, budget: int, parts: int, threads: int) ->
     _check_budget(size, budget, "3x3 scan")
 
     def work(lo, hi):
-        cnt = 0
-        for start in range(lo, hi, _CHUNK):
-            stop = min(start + _CHUNK, hi)
-            tr, mid, dt = kernels.n3_stats(hf, start, stop)
-            cnt += int(np.count_nonzero(predicate(tr, mid, dt)))
-        return cnt
+        return sum(int(np.count_nonzero(predicate(*c))) for c in _n3_chunks(hf, lo, hi))
 
     return sum(_run_parts(work, size, parts, threads))
 
@@ -196,7 +224,7 @@ def count_charpoly(
     n: int,
     h,
     f: MonicIntPoly,
-    method: str = "naive",
+    method: str = "auto",
     budget: int = DEFAULT_BUDGET,
     parts: int = 1,
     threads: int = 1,
@@ -205,10 +233,10 @@ def count_charpoly(
 
     For n <= 3, f is fixed by d = det A, t1 = tr A and t2 = tr A^2
     (Newton: t2 = c_{n-1}^2 - 2 c_{n-2}), so this is count_det_trace2 with
-    the same method: "auto"/"fast" take the divisor pair table (n = 2) or
-    the bordered O(H^6) kernel (n = 3).  The default "naive" is the
-    reference scan every fast route is checked against.  For n >= 4 every
-    matrix is enumerated and its charpoly compared with f.
+    the same method: "auto" takes the divisor pair table (n = 2) or the
+    bordered O(H^6) kernel (n = 3), and "naive" the reference scan it is
+    checked against.  For n >= 4 every matrix is enumerated and its
+    charpoly compared with f.
     """
     hf = _floor_h(h)
     _check_method(method)
@@ -226,7 +254,7 @@ def count_charpoly_fast2(h, f: MonicIntPoly) -> int:
     """R_2(H; f) by the divisor route: for each diagonal, count off-diagonal
     pairs with the forced product.  O(H) table lookups after an O(H^2)
     shared table build."""
-    return count_charpoly(2, h, f, method="fast")
+    return count_charpoly(2, h, f)
 
 
 def max_charpoly_count(
@@ -266,9 +294,7 @@ def max_charpoly_count(
 
         def work(lo, hi):
             local = np.zeros(nkeys, dtype=np.int64)
-            for start in range(lo, hi, _CHUNK):
-                stop = min(start + _CHUNK, hi)
-                tr, mid, dt = kernels.n3_stats(hf, start, stop)
+            for tr, mid, dt in _n3_chunks(hf, lo, hi):
                 keys = ((tr + off_t) * km + (mid + off_m)) * kd + (dt + off_d)
                 local += np.bincount(keys, minlength=nkeys)
             seen = np.flatnonzero(local)
@@ -304,13 +330,14 @@ def count_det_trace(
     """S_n(H; d, t) = #{A in M_n(Z; H) : det A = d, tr A = t}."""
     hf = _floor_h(h)
     _check_method(method)
+    d, t = _int_arg("d", d), _int_arg("t", t)
     if _det_infeasible(n, hf, d) or abs(t) > n * hf:
         return 0
     if n == 1:
         return 1 if d == t else 0
     if n == 2:
         # det+trace pins the charpoly, so this is the 2x2 charpoly count
-        if method in ("auto", "fast"):
+        if method == "auto":
             return kernels.charpoly2_count(hf, t, d)
         return _n2_scan(hf, d, t, True, budget, parts, threads)
     if n == 3:
@@ -342,6 +369,7 @@ def count_det_trace2(
     """S_n(H; d, t1, t2): additionally fixes tr A^2 = t2."""
     hf = _floor_h(h)
     _check_method(method)
+    d, t1, t2 = _int_arg("d", d), _int_arg("t1", t1), _int_arg("t2", t2)
     # |tr A^2| = |sum a_ij a_ji| <= n^2 H^2
     if _det_infeasible(n, hf, d) or abs(t1) > n * hf or abs(t2) > n * n * hf * hf:
         return 0
@@ -392,6 +420,7 @@ def count_singular_bordered(
     """
     if n < 2:
         raise ValueError("bordered sets need n >= 2")
+    k = _int_arg("K", k)
     if k < 1:
         raise ValueError("K must be >= 1")
     _check_method(method)
@@ -399,7 +428,7 @@ def count_singular_bordered(
         # det = -a*b with a != 0 forces b = 0; r is free
         u = (2 * k + 1) * (2 * k)
         return u, u
-    if n == 3 and method in ("auto", "fast"):
+    if n == 3 and method == "auto":
         cost = (2 * k + 1) ** 6
         _check_budget(cost, budget, "bordered singular count")
         pieces = _run_parts(

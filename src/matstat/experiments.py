@@ -133,8 +133,8 @@ def census_k(k, u) -> Union[int, Fraction]:
 
 # ---------------------------------------------------------------------------
 # the counter table: each entry maps (n, h, params, method, parts, threads,
-# budget) to (count, record pairs); method is auto|fast|naive and only the
-# counters with a fast and a naive route read it.
+# budget) to (count, record pairs); method is auto|naive and only the
+# counters with a kernel and a naive route read it.
 
 
 def _charpoly(n, h, params, method, parts, threads, budget):

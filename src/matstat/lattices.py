@@ -538,13 +538,14 @@ def kbad_census(
 ) -> CensusResult:
     """Count primitive vectors u in Z^t, |u| <= U, that are K-bad.
 
-    For t = 3 a specialized integer kernel (rank-2 dual reduction) is used:
-    it reduces one representative 0 <= a <= b <= c per orbit of the 48
-    signed coordinate permutations and weights it by the orbit size.  Other
-    t run the generic exact path over the whole box.  Both count each
-    signed vector, so u and -u contribute separately.  parts/threads shard
-    the kernel path over the smallest coordinate a; the float norm sum is
-    merged in fixed part order.
+    method="auto" with t = 3 runs a specialized integer kernel (rank-2
+    dual reduction): it reduces one representative 0 <= a <= b <= c per
+    orbit of the 48 signed coordinate permutations and weights it by the
+    orbit size.  method="generic", other t and collect=True run the generic
+    exact path (LLL and Fincke-Pohst) over the whole box; result.method
+    names the path taken.  Both count each signed vector, so u and -u
+    contribute separately.  parts/threads shard the kernel path over the
+    smallest coordinate a; the float norm sum is merged in fixed part order.
     """
     if t < 3:
         raise ValueError("t must be >= 3")
@@ -553,9 +554,9 @@ def kbad_census(
     if Fraction(u_bound) < 1:
         raise ValueError("U must be >= 1")
     start = time.perf_counter()
-    if method not in ("auto", "kernel", "generic"):
-        raise ValueError("method must be auto|kernel|generic")
-    use_kernel = t == 3 and method in ("auto", "kernel") and not collect
+    if method not in ("auto", "generic"):
+        raise ValueError("method must be auto|generic")
+    use_kernel = t == 3 and method == "auto" and not collect
     uf = math.floor(Fraction(u_bound))
     usq = math.floor(Fraction(u_bound) ** 2)
     ksq = _bound_sq_floor(k_bound)

@@ -35,6 +35,23 @@ def test_count_charpoly_n3_methods_agree(capsys):
     assert outs[0][0] == 0 and "charpoly-count = " in outs[0][1]
 
 
+def test_count_det_n3_methods_agree(capsys):
+    argv = ("count", "det", "--n", "3", "--H", "2", "--d", "3")
+    outs = [run(capsys, *argv, *extra) for extra in ((), ("--method", "naive"))]
+    assert outs[0][:2] == outs[1][:2]
+    assert outs[0][0] == 0 and "det-count = " in outs[0][1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "det", "--method", "fast"),
+    ("lattice", "census", "--t", "3", "--U", "6", "--K", "2", "--method", "kernel"),
+])
+def test_method_aliases_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *argv)
+    assert exc.value.code != 0
+
+
 def test_count_charpoly_rejects_nonmonic(capsys):
     with pytest.raises(SystemExit):
         run(capsys, "count", "charpoly", "--n", "2", "--H", "1", "--f", "1,-2,3")

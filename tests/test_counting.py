@@ -5,6 +5,7 @@ import time
 from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 
 from helpers import all_matrices, random_matrix
@@ -70,10 +71,73 @@ def test_count_with_det_methods_agree():
     for _ in range(20):
         h = rng.randint(1, 3)
         d = rng.randint(-2 * h * h, 2 * h * h)
-        fast = count_with_det(2, h, d, method="fast")
+        fast = count_with_det(2, h, d, method="auto")
         naive = count_with_det(2, h, d, method="naive")
         assert fast == naive
     assert count_with_det(3, 1, 0, method="naive") == count_with_det(3, 1, 0)
+
+
+def test_count_with_det_n3_sum_over_traces_equals_scan():
+    # the sum of det_trace3 counts over |t| <= 3H against the n3_stats scan;
+    # d = +-1 at H = 1 includes I and -I, at the two ends of the trace range
+    for d in range(-6, 7):
+        assert count_with_det(3, 1, d) == count_with_det(3, 1, d, method="naive"), d
+    # at H = 2 the largest attained |det| is 32
+    rng = random.Random(0xDE73)
+    for d in [rng.randint(-32, 32) for _ in range(8)]:
+        assert count_with_det(3, 2, d) == count_with_det(3, 2, d, method="naive"), d
+
+
+def test_count_with_det_n3_sharding_invariant():
+    ref = count_with_det(3, 2, 3)
+    assert ref > 0
+    for parts, threads in product((1, 3, 8), (1, 2)):
+        got = count_with_det(3, 2, 3, parts=parts, threads=threads)
+        assert got == ref, (parts, threads)
+
+
+def test_count_with_det_n3_budget_is_seven_rows():
+    for h in (1, 2):
+        cost = (2 * h + 1) ** 7
+        with pytest.raises(BudgetExceededError):
+            count_with_det(3, h, 0, budget=cost - 1)
+        assert count_with_det(3, h, 0, budget=cost) == count_with_det(3, h, 0)
+
+
+def test_count_with_det_n3_infeasible_runs_no_kernel(monkeypatch):
+    def boom(*args):
+        raise AssertionError("kernel ran for an infeasible target")
+
+    monkeypatch.setattr(kernels, "det_trace3", boom)
+    monkeypatch.setattr(kernels, "n3_stats", boom)
+    for method in ("auto", "naive"):
+        # Hadamard: |det A| <= (sqrt(3) H)^3 < 42 at H = 2
+        assert count_with_det(3, 2, 42, method=method) == 0
+        assert count_with_det(3, 2, -42, method=method) == 0
+
+
+def test_method_aliases_are_refused():
+    with pytest.raises(ValueError):
+        count_with_det(2, 1, 0, method="fast")
+    with pytest.raises(ValueError):
+        count_charpoly(2, 1, MonicIntPoly((0, 0)), method="fast")
+
+
+def test_targets_must_be_integers():
+    with pytest.raises(ValueError):
+        count_with_det(2, 2, 1.5)
+    with pytest.raises(ValueError):
+        count_det_trace(3, 1, 0, 0.5)
+    with pytest.raises(ValueError):
+        count_det_trace2(3, 1, 0, 0, "2")
+    with pytest.raises(ValueError):
+        count_singular_bordered(3, 2.5)
+    # numpy integers are integers
+    assert count_with_det(2, 2, np.int64(1)) == count_with_det(2, 2, 1)
+    assert count_det_trace(3, 1, np.int32(1), np.int64(1)) == count_det_trace(
+        3, 1, 1, 1)
+    assert count_det_trace2(3, 1, 0, 0, np.int16(2)) == count_det_trace2(3, 1, 0, 0, 2)
+    assert count_singular_bordered(3, np.int64(1)) == count_singular_bordered(3, 1)
 
 
 def test_det_partition_identity():
@@ -99,7 +163,8 @@ def test_fast2_equals_naive_random():
         t = rng.randint(-2 * h, 2 * h)
         d = rng.randint(-2 * h * h, 2 * h * h)
         f = MonicIntPoly((d, -t))
-        assert count_charpoly_fast2(h, f) == count_charpoly(2, h, f), (h, t, d)
+        assert count_charpoly_fast2(h, f) == count_charpoly(
+            2, h, f, method="naive"), (h, t, d)
 
 
 def test_fast2_out_of_range_is_zero():
@@ -133,7 +198,8 @@ def test_count_charpoly_auto_equals_naive():
     f = MonicIntPoly((0, -1, 0))  # X^3 - X: t2 = 2, even
     g = MonicIntPoly((0, 1, -1))  # X^3 - X^2 + X: t2 = -1, odd
     for p in (f, g):
-        assert count_charpoly(3, 2, p, method="auto") == count_charpoly(3, 2, p) > 0
+        assert count_charpoly(3, 2, p, method="auto") == count_charpoly(
+            3, 2, p, method="naive") > 0
     with pytest.raises(ValueError):
         count_charpoly(3, 1, f, method="sideways")
 
@@ -146,9 +212,9 @@ def test_count_charpoly_infeasible_n3_short_circuits():
 
 def test_count_charpoly_n3():
     f = charpoly(IntMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
-    got = count_charpoly(3, 1, f)
     truth = sum(1 for m in all_matrices(3, 1) if charpoly(m) == f)
-    assert got == truth
+    for method in ("auto", "naive"):
+        assert count_charpoly(3, 1, f, method=method) == truth, method
 
 
 def test_det_trace_is_charpoly_for_n2():

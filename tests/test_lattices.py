@@ -309,11 +309,16 @@ def test_slab_frozen_and_scan():
 
 def test_census_generic_vs_kernel():
     gen = kbad_census(3, 6, 2, method="generic")
-    ker = kbad_census(3, 6, 2, method="kernel")
+    ker = kbad_census(3, 6, 2, method="auto")
     assert gen.count == ker.count == 720
     assert abs(gen.inv_norm_sum - ker.inv_norm_sum) < 1e-9
     assert gen.method == "generic"
     assert ker.method.startswith("kernel-")
+
+
+def test_census_kernel_alias_is_refused():
+    with pytest.raises(ValueError):
+        kbad_census(3, 6, 2, method="kernel")
 
 
 def test_census_kernel_vs_generic_random_fractional_k():
@@ -323,7 +328,7 @@ def test_census_kernel_vs_generic_random_fractional_k():
         den = rng.randint(2, 3)
         k = Fraction(rng.randint(den + 1, int(u) * den), den)
         gen = kbad_census(3, u, k, method="generic")
-        ker = kbad_census(3, u, k, method="kernel")
+        ker = kbad_census(3, u, k, method="auto")
         assert gen.count == ker.count, (u, k)
         assert abs(gen.inv_norm_sum - ker.inv_norm_sum) <= (
             gen.sum_error_bound + ker.sum_error_bound), (u, k)

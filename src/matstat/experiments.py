@@ -148,17 +148,20 @@ def _charpoly_max(n, h, params, method, parts, threads, budget):
 
 
 def _det(n, h, params, method, parts, threads, budget):
-    d = int(params.get("d", 0))
+    d = counting._int_arg("d", params.get("d", 0))
     return counting.count_with_det(n, h, d, method, budget, parts, threads), [("d", d)]
 
 
 def _det_trace(n, h, params, method, parts, threads, budget):
-    d, t, t2 = int(params.get("d", 0)), int(params.get("t", 0)), params.get("t2")
+    d = counting._int_arg("d", params.get("d", 0))
+    t = counting._int_arg("t", params.get("t", 0))
+    t2 = params.get("t2")
     if t2 is None:
         count = counting.count_det_trace(n, h, d, t, method, budget, parts, threads)
         return count, [("d", d), ("t", t)]
-    count = counting.count_det_trace2(n, h, d, t, int(t2), method, budget, parts, threads)
-    return count, [("d", d), ("t", t), ("t2", int(t2))]
+    t2 = counting._int_arg("t2", t2)
+    count = counting.count_det_trace2(n, h, d, t, t2, method, budget, parts, threads)
+    return count, [("d", d), ("t", t), ("t2", t2)]
 
 
 def _singular_bordered(n, h, params, method, parts, threads, budget):
@@ -167,7 +170,7 @@ def _singular_bordered(n, h, params, method, parts, threads, budget):
 
 
 def _kbad_census(n, h, params, method, parts, threads, budget):
-    t = int(params.get("t", 3))
+    t = counting._int_arg("t", params.get("t", 3))
     kb = census_k(params.get("K", "sqrt"), h)
     res = lattices.kbad_census(t, h, kb, node_cap=budget, parts=parts, threads=threads)
     return res.count, [("t", t), ("K", _num(kb)), ("inv_norm_sum", repr(res.inv_norm_sum))]
@@ -176,7 +179,8 @@ def _kbad_census(n, h, params, method, parts, threads, budget):
 def _multdep_shear(n, h, params, method, parts, threads, budget):
     hval = int(h)
     pair = multdep.unipotent_shear_pair(hval)
-    k = multdep.find_dependence(pair, bound=int(params.get("bound", hval)))
+    bound = counting._int_arg("bound", params.get("bound", hval))
+    k = multdep.find_dependence(pair, bound=bound)
     count = 0 if k is None else max(abs(x) for x in k)
     return count, [("witness", "none" if k is None else ",".join(map(str, k)))]
 

@@ -1,21 +1,25 @@
 """Integer lattices: duals, reduced bases, box counts, bad-vector census.
 
 All verdicts are exact: Gram determinants are computed by integer
-elimination, basis reduction runs LLL over Fractions (delta = 0.99), and
-for rank <= 6 the reported lengths are refined to the true successive
-minima by Fincke-Pohst enumeration.  Independence checks, coordinates in
-a basis and the choice of independent shortest vectors all go through the
-one rational elimination routine, ``exact._rref``.  Square roots are never
-compared in floating point; every comparison happens on squared lengths.
+elimination, basis reduction is integral LLL (delta = 99/100) on the
+integer Gram-Schmidt data d_i and lambda_ij, and for rank <= 6 the
+reported lengths are refined to the true successive minima by Fincke-Pohst
+enumeration on the same data, scaled to integers.  Independence checks,
+coordinates in a basis and the choice of independent shortest vectors all
+go through the one rational elimination routine, ``exact._rref``.  Square
+roots are never compared in floating point; every comparison happens on
+squared lengths, and LLL and the enumeration run on integers only.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations_with_replacement, permutations
 from itertools import product as iter_product
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -217,51 +221,63 @@ def dual_volume_check(v: Sequence[int]) -> bool:
 # reduction and enumeration
 
 
-def _gram_schmidt(basis: Sequence[Sequence[int]]):
-    s = len(basis)
-    t = len(basis[0])
-    bstar: List[List[Fraction]] = []
-    mu = [[Fraction(0)] * s for _ in range(s)]
-    bsq: List[Fraction] = []
-    for i in range(s):
-        v = [Fraction(x) for x in basis[i]]
-        for j in range(i):
-            mu_ij = sum(Fraction(basis[i][k]) * bstar[j][k] for k in range(t)) / bsq[j]
-            mu[i][j] = mu_ij
-            v = [x - mu_ij * y for x, y in zip(v, bstar[j])]
-        bstar.append(v)
-        bsq.append(sum(x * x for x in v))
-    return mu, bsq, bstar
+def _round_half_even(num: int, den: int) -> int:
+    """round(num / den) for den > 0, ties to even as round() on a Fraction."""
+    q, r = divmod(2 * num + den, 2 * den)
+    if r == 0 and q & 1:
+        q -= 1
+    return q
 
 
-def _lll(basis: Sequence[Sequence[int]], delta: Fraction = Fraction(99, 100)):
-    """Exact LLL over Fractions; returns a reduced basis (list of tuples)."""
+def _lll(basis: Sequence[Sequence[int]]):
+    """Integral LLL with delta = 99/100 (Cohen, Alg. 2.6.7).
+
+    Returns (b, d, lam): the reduced basis as a list of tuples and its
+    integer Gram-Schmidt data, d[0] = 1, d[i + 1] = d[i] * |b*_i|^2 and
+    lam[i][j] = d[j + 1] * mu_ij for j < i.  The data are updated in place
+    by each size-reduction step and each swap, never recomputed; every
+    division in the updates is exact.
+    """
     b = [list(map(int, v)) for v in basis]
     s = len(b)
-    if s <= 1:
-        return [tuple(v) for v in b]
-    mu, bsq, _ = _gram_schmidt(b)
+    d = [1] * (s + 1)
+    lam = [[0] * s for _ in range(s)]
+    for k in range(s):
+        for j in range(k + 1):
+            g = dot(b[k], b[j])
+            for i in range(j):
+                g = (d[i + 1] * g - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = g
+            else:
+                d[k + 1] = g
+        if d[k + 1] == 0:
+            raise ValueError("basis vectors must be linearly independent")
     k = 1
     while k < s:
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q = _round_half_even(lam[k][j], d[j + 1])
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                mu, bsq, _ = _gram_schmidt(b)
-        if bsq[k] >= (delta - mu[k][k - 1] ** 2) * bsq[k - 1]:
+                lam[k][j] -= q * d[j + 1]
+                for i in range(j):
+                    lam[k][i] -= q * lam[j][i]
+        lk = lam[k][k - 1]
+        # Lovasz: |b*_k|^2 >= (99/100 - mu^2) |b*_(k-1)|^2, times 100 d_k d_(k-1)
+        if 100 * d[k + 1] * d[k - 1] >= 99 * d[k] * d[k] - 100 * lk * lk:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            mu, bsq, _ = _gram_schmidt(b)
-            k = max(k - 1, 1)
-    return [tuple(v) for v in b]
-
-
-def _floor_sqrt_frac(fr: Fraction) -> int:
-    """floor(sqrt(p/q)) for a non-negative Fraction, exactly."""
-    if fr < 0:
-        raise ValueError("negative radicand")
-    return math.isqrt(fr.numerator * fr.denominator) // fr.denominator
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        dk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, s):
+            g = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * g) // d[k]
+            lam[i][k - 1] = (dk * g + lk * lam[i][k]) // d[k + 1]
+        d[k] = dk
+        k = max(k - 1, 1)
+    return [tuple(v) for v in b], d, lam
 
 
 class _NodeBudget:
@@ -271,48 +287,63 @@ class _NodeBudget:
         self.cap = cap
         self.left = cap
 
-    def spend(self, k: int = 1):
+    def spend(self, k: int):
         self.left -= k
         if self.left < 0:
             raise BudgetExceededError(self.cap - self.left, self.cap, "lattice enumeration")
 
 
-def _enumerate_ball(basis, bound_sq: Fraction, budget: _NodeBudget):
+def _enumerate_ball(basis, d, lam, bound_sq: int, budget: _NodeBudget):
     """All nonzero lattice vectors v with |v|^2 <= bound_sq, exactly.
 
-    Fincke-Pohst on the exact rational Gram-Schmidt data; yields
-    (coeffs, vector, normsq) for every solution including sign pairs.
+    Fincke-Pohst on the integral Gram-Schmidt data (d, lam) of ``basis``
+    from _lll, scaled to integers.  At level i, with D = d[i + 1] and
+    C = -sum_{j > i} x_j lam[j][i], the level adds (x D - C)^2 / (d[i] D)
+    to |v|^2; times m = lcm_i d[i] d[i + 1] that is (x D - C)^2 w_i with
+    w_i = m / (d[i] D), against the integer remainder.  One isqrt gives the
+    exact interval of x, so every node visited fits and is charged once to
+    the budget.  Yields (coeffs, vector, normsq) for every solution, sign
+    pairs included, x ascending at each level from the last basis vector.
     """
     s = len(basis)
-    t = len(basis[0])
-    mu, bsq, _ = _gram_schmidt(basis)
+    m = reduce(math.lcm, (d[i] * d[i + 1] for i in range(s)), 1)
+    w = [m // (d[i] * d[i + 1]) for i in range(s)]
     coeffs = [0] * s
-
-    def rec(i: int, remaining: Fraction):
-        if i < 0:
+    top = [0] * s
+    centre = [0] * s
+    rem = [0] * s + [bound_sq * m]
+    partial = [()] * s + [(0,) * len(basis[0])]
+    i = s - 1
+    descend = True
+    while True:
+        if descend:
+            c = -sum(coeffs[j] * lam[j][i] for j in range(i + 1, s))
+            r = math.isqrt(rem[i + 1] // w[i])
+            lo = (c - r + d[i + 1] - 1) // d[i + 1]
+            top[i] = (c + r) // d[i + 1]
+            centre[i] = c
+            if top[i] >= lo:
+                budget.spend(top[i] - lo + 1)
+            coeffs[i] = lo - 1
+        x = coeffs[i] + 1
+        if x > top[i]:
+            coeffs[i] = 0
+            i += 1
+            if i == s:
+                return
+            descend = False
+            continue
+        coeffs[i] = x
+        rem[i] = rem[i + 1] - (x * d[i + 1] - centre[i]) ** 2 * w[i]
+        vec = [a + x * y for a, y in zip(partial[i + 1], basis[i])]
+        if i:
+            partial[i] = vec
+            i -= 1
+            descend = True
+        else:
+            descend = False
             if any(coeffs):
-                vec = tuple(
-                    sum(coeffs[j] * basis[j][k] for j in range(s)) for k in range(t)
-                )
-                yield tuple(coeffs), vec, norm_sq(vec)
-            return
-        center = -sum(coeffs[j] * mu[j][i] for j in range(i + 1, s))
-        if bsq[i] == 0:
-            raise ValueError("degenerate basis in enumeration")
-        radius_sq = remaining / bsq[i]
-        r_floor = _floor_sqrt_frac(radius_sq)
-        lo = math.ceil(center) - r_floor - 1
-        hi = math.floor(center) + r_floor + 1
-        for x in range(lo, hi + 1):
-            budget.spend()
-            used = (x - center) ** 2 * bsq[i]
-            if used > remaining:
-                continue
-            coeffs[i] = x
-            yield from rec(i - 1, remaining - used)
-        coeffs[i] = 0
-
-    yield from rec(s - 1, Fraction(bound_sq))
+                yield tuple(coeffs), tuple(vec), bound_sq - rem[0] // m
 
 
 def successive_minima(lat: Lattice, node_cap: int = DEFAULT_NODE_CAP):
@@ -323,11 +354,10 @@ def successive_minima(lat: Lattice, node_cap: int = DEFAULT_NODE_CAP):
     """
     if lat.rank == 0:
         return (), ()
-    red = _lll(lat.basis)
+    red, d, lam = _lll(lat.basis)
     bound = max(norm_sq(v) for v in red)
-    budget = _NodeBudget(node_cap)
     candidates = sorted(
-        _enumerate_ball(red, Fraction(bound), budget),
+        _enumerate_ball(red, d, lam, bound, _NodeBudget(node_cap)),
         key=lambda item: (item[2], item[1]),
     )
     # The pivot columns of the matrix whose columns are the candidates,
@@ -358,7 +388,7 @@ def _reduced_basis(lat: Lattice, minimal: Sequence[IntVector]) -> Tuple[IntVecto
         g = [[dot(v, w) for w in minimal] for v in minimal]
         if det(IntMatrix(g)) == lat.gram_det():
             return tuple(minimal)
-    return tuple(sorted(_lll(lat.basis), key=lambda v: (norm_sq(v), v)))
+    return tuple(sorted(_lll(lat.basis)[0], key=lambda v: (norm_sq(v), v)))
 
 
 @dataclass(frozen=True)
@@ -444,14 +474,13 @@ def points_in_box(lat: Lattice, box_bound, node_cap: int = DEFAULT_NODE_CAP) -> 
     hf = math.floor(Fraction(box_bound))
     total = 1
     budget = _NodeBudget(node_cap)
-    for coords, vecs in _support_components(_lll(lat.basis)):
+    for coords, vecs in _support_components(_lll(lat.basis)[0]):
         if len(vecs) == 1:
             reach = linf(vecs[0])
             total *= 2 * (hf // reach) + 1
             continue
-        bound_sq = Fraction(len(coords)) * hf * hf
         cnt = 1  # origin
-        for _, vec, _ in _enumerate_ball(vecs, bound_sq, budget):
+        for _, vec, _ in _enumerate_ball(*_lll(vecs), len(coords) * hf * hf, budget):
             if linf(vec) <= hf:
                 cnt += 1
         total *= cnt
@@ -467,11 +496,9 @@ def lattice_points_in_box(
     if lat.rank == 0:
         return [tuple([0] * lat.ambient_dim)]
     hf = math.floor(Fraction(box_bound))
-    red = _lll(lat.basis)
-    budget = _NodeBudget(node_cap)
-    bound_sq = Fraction(lat.ambient_dim) * hf * hf
+    bound_sq = lat.ambient_dim * hf * hf
     out = [tuple([0] * lat.ambient_dim)]
-    for _, vec, _ in _enumerate_ball(red, bound_sq, budget):
+    for _, vec, _ in _enumerate_ball(*_lll(lat.basis), bound_sq, _NodeBudget(node_cap)):
         if linf(vec) <= hf:
             out.append(vec)
     return out
@@ -526,6 +553,35 @@ class CensusResult:
     elapsed_ms: float
 
 
+def _orbit_size(u: Sequence[int]) -> int:
+    """Number of signed coordinate permutations of u: 2^(nonzero entries)
+    times t! over the factorials of the multiplicities of the |u_i|."""
+    size = math.factorial(len(u)) << sum(1 for x in u if x)
+    for mult in Counter(abs(x) for x in u).values():
+        size //= math.factorial(mult)
+    return size
+
+
+def _signed_orbit(u: Sequence[int]) -> set:
+    """The signed coordinate permutations of u, each once."""
+    return {v for p in set(permutations(u)) for v in iter_product(*((x, -x) for x in p))}
+
+
+def _census_bad(u: IntVector, ksq: int, node_cap: int) -> bool:
+    """Is u K-bad, i.e. some successive minimum of u^perp has square > ksq?
+
+    Decided without the full minima: when every vector of the LLL basis
+    has |b|^2 <= ksq the minima are all <= ksq and u is good; otherwise u
+    is bad exactly when the lattice vectors with |v|^2 <= ksq span less
+    than the full rank t - 1.
+    """
+    red, d, lam = _lll(integer_kernel([u], len(u)))
+    if all(norm_sq(v) <= ksq for v in red):
+        return False
+    short = [c for c, _, _ in _enumerate_ball(red, d, lam, ksq, _NodeBudget(node_cap))]
+    return len(_rref(list(zip(*short)))[1]) < len(red)
+
+
 def kbad_census(
     t: int,
     u_bound,
@@ -542,10 +598,12 @@ def kbad_census(
     dual reduction): it reduces one representative 0 <= a <= b <= c per
     orbit of the 48 signed coordinate permutations and weights it by the
     orbit size.  method="generic", other t and collect=True run the generic
-    exact path (LLL and Fincke-Pohst) over the whole box; result.method
-    names the path taken.  Both count each signed vector, so u and -u
-    contribute separately.  parts/threads shard the kernel path over the
-    smallest coordinate a; the float norm sum is merged in fixed part order.
+    exact path over the same representatives 0 <= u_1 <= ... <= u_t (see
+    _census_bad), with bad_vectors, when collected, expanded from the bad
+    orbits and listed in lexicographic order; result.method names the path
+    taken.  Both count each signed vector, so u and -u contribute
+    separately.  parts/threads shard the kernel path over the smallest
+    coordinate a; the float norm sum is merged in fixed part order.
     """
     if t < 3:
         raise ValueError("t must be >= 3")
@@ -580,20 +638,17 @@ def kbad_census(
         count = 0
         terms = []
         bad_list = []
-        for u in iter_product(range(-uf, uf + 1), repeat=t):
-            if not is_primitive(u):
-                continue
+        for u in combinations_with_replacement(range(uf + 1), t):
             nsq = norm_sq(u)
-            if nsq > usq:
+            if nsq > usq or not is_primitive(u) or not _census_bad(u, ksq, node_cap):
                 continue
-            minima, _ = successive_minima(orthogonal_lattice([u]), node_cap)
-            if any(m > ksq for m in minima):
-                count += 1
-                terms.append(nsq ** (-t / 2.0))
-                if collect:
-                    bad_list.append(u)
+            weight = _orbit_size(u)
+            count += weight
+            terms.append(weight * nsq ** (-t / 2.0))
+            if collect:
+                bad_list += _signed_orbit(u)
         inv_sum = math.fsum(terms)
-        bad = tuple(bad_list) if collect else None
+        bad = tuple(sorted(bad_list)) if collect else None
         method_used = "generic"
     err = abs(inv_sum) * 2.3e-16 * max(count, 1)
     elapsed = (time.perf_counter() - start) * 1000.0

@@ -96,6 +96,24 @@ def test_run_grid_bordered_census_shear_totient():
     assert [r.count for r in tv] == [4, 100]
 
 
+@pytest.mark.parametrize(
+    "kind,n,params",
+    [
+        ("det", 2, {"d": 1.5}),
+        ("det-trace", 2, {"d": 1.5, "t": 0}),
+        ("det-trace", 2, {"d": 1, "t": 0.5}),
+        ("det-trace", 3, {"d": 0, "t": 0, "t2": 2.5}),
+        ("kbad-census", 3, {"t": 3.5, "K": 2}),
+        ("multdep-shear", 2, {"bound": 2.5}),
+    ],
+)
+def test_run_grid_refuses_non_integer_targets(kind, n, params):
+    # read with int(...) these would silently count d = 1, t = 3, bound = 2, ...
+    name = next(k for k, v in params.items() if not float(v).is_integer())
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        run_grid(ExperimentSpec(kind=kind, n=n, grid=(2,), params=params))
+
+
 def test_run_grid_centralizer():
     recs = run_grid(
         ExperimentSpec(

@@ -14,6 +14,7 @@ from helpers import minima_oracle
 from matstat.errors import BudgetExceededError
 from matstat.lattices import (
     Lattice,
+    _lll,
     classify_perfect_mediocre,
     dual_volume_check,
     hnf_with_transform,
@@ -193,6 +194,84 @@ def _greedy_minima(u, bound_sq):
         if len(chosen) == len(u) - 1:
             break
     return tuple(norm_sq(w) for w in chosen), tuple(chosen)
+
+
+def _fraction_gram_schmidt(basis):
+    """Test oracle: mu and |b*_i|^2 by textbook Gram-Schmidt over Fractions."""
+    bstar, mu, bsq = [], {}, []
+    for i, b in enumerate(basis):
+        v = [Fraction(x) for x in b]
+        for j in range(i):
+            mu[i, j] = sum(Fraction(x) * y for x, y in zip(b, bstar[j])) / bsq[j]
+            v = [x - mu[i, j] * y for x, y in zip(v, bstar[j])]
+        bstar.append(v)
+        bsq.append(sum(x * x for x in v))
+    return mu, bsq
+
+
+def _random_basis(rng, t, r, kind):
+    """r independent vectors in Z^t: small entries, a skewed chain (each
+    vector plus a large multiple of the previous one) or a common factor."""
+    rows = []
+    while len(rows) < r:
+        cand = [rng.randint(-6, 6) for _ in range(t)]
+        if kind == "skewed" and rows:
+            cand = [x + rng.randint(-60, 60) * y for x, y in zip(cand, rows[-1])]
+        if kind == "non-primitive":
+            cand = [rng.choice((2, 3, 6)) * x for x in cand]
+        try:
+            Lattice(t, rows + [cand])
+        except ValueError:
+            continue
+        rows.append(cand)
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["small", "skewed", "non-primitive"])
+def test_lll_output_is_reduced_and_spans_the_same_lattice(kind):
+    rng = random.Random(f"lll-{kind}")
+    for _ in range(40):
+        r = rng.randint(1, 6)
+        t = rng.randint(r, 6)
+        rows = _random_basis(rng, t, r, kind)
+        out, d, lam = _lll(rows)
+        mu, bsq = _fraction_gram_schmidt(out)
+        for i in range(r):
+            for j in range(i):
+                assert abs(mu[i, j]) <= Fraction(1, 2)  # size-reduced
+        for k in range(1, r):
+            assert bsq[k] >= (Fraction(99, 100) - mu[k, k - 1] ** 2) * bsq[k - 1]
+        # the integral data it returns: d[i+1] = prod |b*_k|^2, lam = d[j+1] mu
+        assert d[0] == 1
+        for i in range(r):
+            assert d[i + 1] == d[i] * bsq[i]
+            for j in range(i):
+                assert lam[i][j] == d[j + 1] * mu[i, j]
+        reduced = Lattice(t, out)
+        assert reduced.gram_det() == Lattice(t, rows).gram_det()
+        assert all(reduced.contains(v) for v in rows)
+
+
+def test_lll_rounds_ties_to_even():
+    # mu = 5/2 rounds to 2, as round() on a Fraction does (half up gives 3
+    # and the basis ((-1, 1), (1, 1)))
+    assert _lll([(2, 0), (5, 1)])[0] == [(1, 1), (1, -1)]
+
+
+def test_enumeration_budget_on_rank_three():
+    lat = orthogonal_lattice([(1, 2, 3, 4)])
+    # every node of the integer Fincke-Pohst interval fits the bound, so the
+    # caps below are exact node counts: 15 for the minima (29 when the
+    # intervals had a +-1 slack) and 6551 for the box (7075 before)
+    for count, nodes in ((lambda cap: successive_minima(lat, cap), 15),
+                         (lambda cap: points_in_box(lat, 10, cap), 6551)):
+        for cap in (10, nodes - 1):
+            with pytest.raises(BudgetExceededError) as err:
+                count(cap)
+            assert err.value.budget == cap and err.value.needed > cap
+        count(nodes)
+    assert successive_minima(lat, 15) == successive_minima(lat)
+    assert points_in_box(lat, 10, 6551) == points_in_box(lat, 10)
 
 
 def test_successive_minima_picks_greedy_vectors():
@@ -408,6 +487,41 @@ def test_census_t4_generic():
     rc = kbad_census(4, 3, 1, collect=True)
     for u in rc.bad_vectors:
         assert not is_k_good(u, 1).good
+
+
+def _census_by_scan(t, u, k):
+    """Brute force: every primitive u in the signed box with |u|^2 <= U^2,
+    in box (lexicographic) order, judged by is_k_good."""
+    uf, usq = math.floor(Fraction(u)), math.floor(Fraction(u) ** 2)
+    bad = [
+        v for v in product(range(-uf, uf + 1), repeat=t)
+        if any(v) and is_primitive(v) and norm_sq(v) <= usq and not is_k_good(v, k).good
+    ]
+    return bad, math.fsum(norm_sq(v) ** (-t / 2.0) for v in bad)
+
+
+@pytest.mark.parametrize(
+    "t,u,k", [(4, 3, 2), (4, 3, Fraction(3, 2)), (4, Fraction(7, 2), Fraction(9, 4)),
+              (5, Fraction(5, 2), 2), (5, Fraction(5, 2), Fraction(3, 2))])
+def test_census_orbits_match_signed_box_scan(t, u, k):
+    bad, inv_sum = _census_by_scan(t, u, k)
+    assert 0 < len(bad) < kbad_census(t, u, 1).count  # some u good, some bad
+    r = kbad_census(t, u, k)
+    assert r.method == "generic"
+    assert r.count == len(bad)
+    assert abs(r.inv_norm_sum - inv_sum) <= r.sum_error_bound
+    rc = kbad_census(t, u, k, collect=True)
+    assert rc.bad_vectors == tuple(bad)
+    assert rc.count == r.count and rc.inv_norm_sum == r.inv_norm_sum
+
+
+def test_census_box_precheck_is_unchanged():
+    # the generic path still refuses a signed box larger than node_cap
+    # before reducing any orbit, though it now visits far fewer points
+    with pytest.raises(BudgetExceededError) as err:
+        kbad_census(4, 3, 2, node_cap=7**4 - 1)
+    assert err.value.needed == 7**4
+    assert kbad_census(4, 3, 2, node_cap=7**4).count == kbad_census(4, 3, 2).count
 
 
 def test_classify_frozen():

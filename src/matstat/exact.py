@@ -284,25 +284,22 @@ def mat_pow(a: IntMatrix, k: int) -> RationalMatrix:
     """A^k as an exact rational matrix; A^0 = I by convention.
 
     Negative powers require det(A) != 0 and raise
-    NegativePowerOfSingularError otherwise.
+    NegativePowerOfSingularError otherwise.  They are computed as
+    adj(A)^|k| / det(A)^|k|: the integer adjugate det(A) A^-1 is raised in
+    integers, and each entry is divided once.
     """
     if k >= 0:
         return RationalMatrix.from_int(_int_pow_nonneg(a, k))
-    if det(a) == 0:
+    d = det(a)
+    if d == 0:
         raise NegativePowerOfSingularError(
             f"negative power {k} of a singular matrix"
         )
-    inv = inverse_rational(a)
-    result = RationalMatrix.identity(a.n)
-    base = inv
-    k = -k
-    while k:
-        if k & 1:
-            result = result @ base
-        k >>= 1
-        if k:
-            base = base @ base
-    return result
+    adj = IntMatrix([[int(x * d) for x in row] for row in inverse_rational(a).rows])
+    dk = d ** -k
+    return RationalMatrix(
+        [[Fraction(x, dk) for x in row] for row in _int_pow_nonneg(adj, -k).rows]
+    )
 
 
 def _rref(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:

@@ -164,8 +164,16 @@ def _det_trace(n, h, params, method, parts, threads, budget):
     return count, [("d", d), ("t", t), ("t2", t2)]
 
 
+def _grid_int(h) -> int:
+    """A grid point that must be an integer, as an int.  Integral floats
+    pass, since `matstat fit --grid` parses every point with float()."""
+    if isinstance(h, float) and h.is_integer():
+        return int(h)
+    return counting._int_arg("grid point", h)
+
+
 def _singular_bordered(n, h, params, method, parts, threads, budget):
-    u, v = counting.count_singular_bordered(n, int(h), method, budget, parts, threads)
+    u, v = counting.count_singular_bordered(n, _grid_int(h), method, budget, parts, threads)
     return u, [("v", v)]
 
 
@@ -177,7 +185,7 @@ def _kbad_census(n, h, params, method, parts, threads, budget):
 
 
 def _multdep_shear(n, h, params, method, parts, threads, budget):
-    hval = int(h)
+    hval = _grid_int(h)
     pair = multdep.unipotent_shear_pair(hval)
     bound = counting._int_arg("bound", params.get("bound", hval))
     k = multdep.find_dependence(pair, bound=bound)
@@ -186,7 +194,7 @@ def _multdep_shear(n, h, params, method, parts, threads, budget):
 
 
 def _totient_v(n, h, params, method, parts, threads, budget):
-    return numtheory.largest_totient_below(int(h)), []
+    return numtheory.largest_totient_below(_grid_int(h)), []
 
 
 def _centralizer(n, h, params, method, parts, threads, budget):

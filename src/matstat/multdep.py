@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import BudgetExceededError, SingularMatrixError
 from .exact import (
     IntMatrix,
@@ -41,6 +43,12 @@ __all__ = [
 ]
 
 DEFAULT_WORD_STATE_CAP = 2_000_000
+
+# Fingerprint primes for find_dependence, tried in order.  The first three
+# are the largest primes below 2^28 and keep n (p-1)^2 < 2^63 up to n = 128;
+# the last two serve larger n (up to 32768 and 8388672).
+_FINGERPRINT_PRIMES = (268435399, 268435367, 268435361, 16777213, 1048573)
+_BLOCK_ENTRIES = 1 << 18  # int64 entries per batched product block (2 MB)
 
 
 def _validate_tuple(mats: Sequence[IntMatrix], require_nonsingular: bool = True):
@@ -128,12 +136,22 @@ def find_dependence(
     """Smallest witness k != 0 with A_1^{k_1}...A_s^{k_s} = I and
     |k|_inf <= bound, or None when no such witness exists.
 
-    Candidates are the relation-lattice points in the box, ordered by
-    (|k|_inf, |k|_2^2, lexicographic); each candidate is verified by exact
-    rational evaluation, so the determinant pruning can only speed things
-    up, never change the answer.
+    Candidates are the relation-lattice points in the box (the determinant
+    condition is necessary).  A fingerprint filters them: each candidate's
+    ordered product is evaluated mod a prime p in int64, in numpy batches
+    over power tables A_j^e mod p.  p is the first of _FINGERPRINT_PRIMES
+    that divides no det A_i and keeps n (p-1)^2 < 2^63, so no int64 product
+    overflows; without one the filter keeps every candidate.  The
+    survivors, ordered by (|k|_inf, |k|_2^2, lexicographic), are verified
+    by exact rational evaluation (check_relation), and the first that
+    passes is returned.
+
+    The answer is exact: a true relation is the identity mod p whenever p
+    divides no det A_i, so the filter never drops one, and a false
+    survivor fails the exact check.  Hence the result equals a plain
+    exact scan of the candidates in that order.
     """
-    _validate_tuple(mats)
+    dets = _validate_tuple(mats)
     if bound is None:
         bound = max(64, 2 * max(m.max_abs_entry() for m in mats))
     if bound < 1:
@@ -144,17 +162,72 @@ def find_dependence(
     candidates = [
         k for k in lattice_points_in_box(lat, bound, node_cap) if any(k)
     ]
-    candidates.sort(key=lambda k: (linf(k), norm_sq(k), k))
-    caches = [_PowerCache(m) for m in mats]
-    for k in candidates:
-        prod = RationalMatrix.identity(mats[0].n)
-        for cache, e in zip(caches, k):
-            if e:
-                prod = prod @ cache.power(int(e))
-        if prod.is_identity():
-            assert check_relation(mats, k)
+    survivors = _fingerprint_survivors(mats, dets, candidates)
+    survivors.sort(key=lambda k: (linf(k), norm_sq(k), k))
+    for k in survivors:
+        if check_relation(mats, k):
             return tuple(int(x) for x in k)
     return None
+
+
+def _fingerprint_prime(n: int, dets: Sequence[int]) -> Optional[int]:
+    """The first listed prime dividing no det A_i whose n x n int64
+    products mod p cannot overflow (n (p-1)^2 < 2^63), or None."""
+    for p in _FINGERPRINT_PRIMES:
+        if n * (p - 1) ** 2 < 2 ** 63 and all(d % p for d in dets):
+            return p
+    return None
+
+
+def _power_table_mod(a: IntMatrix, m: int, p: int) -> np.ndarray:
+    """A^e mod p for e = -m..m as an int64 array; entry e sits at index m + e.
+
+    A^-1 mod p is the exact inverse's numerators times its denominators'
+    inverses mod p; the denominators divide det A, which p does not.
+    """
+    fwd = np.array([[x % p for x in row] for row in a.rows], dtype=np.int64)
+    inv = np.array(
+        [[x.numerator * pow(x.denominator, -1, p) % p for x in row]
+         for row in inverse_rational(a).rows],
+        dtype=np.int64,
+    )
+    table = np.empty((2 * m + 1, a.n, a.n), dtype=np.int64)
+    table[m] = np.eye(a.n, dtype=np.int64)
+    for e in range(1, m + 1):
+        table[m + e] = table[m + e - 1] @ fwd % p
+        table[m - e] = table[m - e + 1] @ inv % p
+    return table
+
+
+def _fingerprint_survivors(
+    mats: Sequence[IntMatrix], dets: Sequence[int], candidates: List[tuple]
+) -> List[tuple]:
+    """The candidates k with A_1^{k_1}...A_s^{k_s} = I mod p.
+
+    Every true relation survives, because reduction mod a prime p dividing
+    no det A_i maps the product over Q to the product over Z/p.  Products
+    run in blocks of at most _BLOCK_ENTRIES int64 entries, one batched
+    matmul per matrix, every entry reduced below p before the next one.
+    Without a usable prime the filter keeps every candidate.
+    """
+    n = mats[0].n
+    p = _fingerprint_prime(n, dets)
+    if p is None or not candidates:
+        return list(candidates)
+    ks = np.array(candidates, dtype=np.int64)
+    ms = [int(m) for m in np.abs(ks).max(axis=0)]
+    tables = [_power_table_mod(a, m, p) for a, m in zip(mats, ms)]
+    eye = np.eye(n, dtype=np.int64)
+    step = max(1, _BLOCK_ENTRIES // (n * n))
+    keep = np.empty(len(ks), dtype=bool)
+    for lo in range(0, len(ks), step):
+        block = ks[lo : lo + step]
+        prod = tables[0][block[:, 0] + ms[0]]
+        for j in range(1, len(mats)):
+            prod = prod @ tables[j][block[:, j] + ms[j]]
+            prod %= p
+        keep[lo : lo + step] = (prod == eye).all(axis=(1, 2))
+    return [k for k, ok in zip(candidates, keep) if ok]
 
 
 def tuple_rank(mats: Sequence[IntMatrix], bound: int) -> int:

@@ -209,6 +209,18 @@ def test_fit_stdout_json(capsys):
     assert [r["count"] for r in data["records"]] == ["10", "100"]
 
 
+def test_fit_multdep_shear_integral_grid(capsys):
+    rc, out, err = run(
+        capsys, "fit", "--kind", "multdep-shear", "--grid", "6,12", "--format", "json",
+    )
+    assert rc == 0
+    records = json.loads(out[: out.rindex("}") + 1])["records"]
+    assert [r["count"] for r in records] == ["6", "12"]
+    assert [r["params"] for r in records] == ["witness=-6,5", "witness=-12,11"]
+    rc, out, err = run(capsys, "fit", "--kind", "multdep-shear", "--grid", "6,12.5")
+    assert rc == 1 and err.startswith("error:") and "must be an integer" in err
+
+
 def test_error_exit_code(capsys):
     rc, out, err = run(capsys, "count", "det", "--n", "0", "--H", "1")
     assert rc == 1

@@ -8,7 +8,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import charpoly_oracle, det_oracle, random_matrix, random_unimodular
+from helpers import (
+    charpoly_oracle,
+    det_oracle,
+    random_matrix,
+    random_nonsingular,
+    random_unimodular,
+)
 from matstat.errors import NegativePowerOfSingularError, SingularMatrixError
 from matstat.exact import (
     IntMatrix,
@@ -153,6 +159,24 @@ def test_mat_pow_singular_negative_raises():
     with pytest.raises(NegativePowerOfSingularError):
         mat_pow(s, -1)
     assert mat_pow(s, 0).is_identity()  # nonnegative powers still fine
+
+
+def test_mat_pow_matches_sympy():
+    # negative powers go through the integer adjugate; sympy inverts
+    rng = random.Random(0x90E)
+    for n in range(2, 6):
+        for _ in range(3):
+            a = random_nonsingular(rng, n, 3)
+            ref = sympy.Matrix([list(r) for r in a.rows])
+            for k in range(-4, 5):
+                want = ref.inv() ** -k if k < 0 else ref ** k
+                got = mat_pow(a, k)
+                assert got.rows == tuple(
+                    tuple(Fraction(int(x.p), int(x.q)) for x in want.row(i))
+                    for i in range(n)
+                ), (a.rows, k)
+    with pytest.raises(NegativePowerOfSingularError):
+        mat_pow(IntMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]]), -2)
 
 
 def test_inverse_rational():

@@ -96,22 +96,38 @@ def test_run_grid_bordered_census_shear_totient():
     assert [r.count for r in tv] == [4, 100]
 
 
+NON_INTEGER_TARGETS = [
+    ("det", 2, {"d": 1.5}, 2),
+    ("det-trace", 2, {"d": 1.5, "t": 0}, 2),
+    ("det-trace", 2, {"d": 1, "t": 0.5}, 2),
+    ("det-trace", 3, {"d": 0, "t": 0, "t2": 2.5}, 2),
+    ("kbad-census", 3, {"t": 3.5, "K": 2}, 2),
+    ("multdep-shear", 2, {"bound": 2.5}, 2),
+    ("multdep-shear", 2, {}, 5.5),
+    ("totient-v", 1, {}, 5.5),
+    ("singular-bordered", 3, {}, 1.5),
+]
+
+
 @pytest.mark.parametrize(
-    "kind,n,params",
-    [
-        ("det", 2, {"d": 1.5}),
-        ("det-trace", 2, {"d": 1.5, "t": 0}),
-        ("det-trace", 2, {"d": 1, "t": 0.5}),
-        ("det-trace", 3, {"d": 0, "t": 0, "t2": 2.5}),
-        ("kbad-census", 3, {"t": 3.5, "K": 2}),
-        ("multdep-shear", 2, {"bound": 2.5}),
-    ],
+    "kind,n,params,grid",
+    NON_INTEGER_TARGETS,
+    ids=[f"{kind}-{n}-params{i}" for i, (kind, n, _, _) in enumerate(NON_INTEGER_TARGETS)],
 )
-def test_run_grid_refuses_non_integer_targets(kind, n, params):
-    # read with int(...) these would silently count d = 1, t = 3, bound = 2, ...
-    name = next(k for k, v in params.items() if not float(v).is_integer())
+def test_run_grid_refuses_non_integer_targets(kind, n, params, grid):
+    # read with int(...) these would silently count d = 1, t = 3, bound = 2,
+    # the H = 5 shear pair, v(5), ...
+    name = next((k for k, v in params.items() if not float(v).is_integer()), "grid point")
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
-        run_grid(ExperimentSpec(kind=kind, n=n, grid=(2,), params=params))
+        run_grid(ExperimentSpec(kind=kind, n=n, grid=(grid,), params=params))
+
+
+def test_run_grid_accepts_integral_float_grid_points():
+    # `matstat fit --grid` parses every point with float()
+    sh = run_grid(ExperimentSpec(kind="multdep-shear", n=2, grid=(6.0,)))
+    assert [(r.h, r.count) for r in sh] == [(6, 6)]
+    tv = run_grid(ExperimentSpec(kind="totient-v", n=1, grid=(5.0,)))
+    assert [r.count for r in tv] == [4]
 
 
 def test_run_grid_centralizer():

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from helpers import random_nonsingular, random_unimodular
+from matstat import multdep
 from matstat.errors import BudgetExceededError, SingularMatrixError
 from matstat.exact import (
     IntMatrix,
@@ -280,3 +281,73 @@ def test_find_dependence_three_matrices():
         k = find_dependence(triple, 3)
         assert k is not None
         assert check_relation(triple, k)
+
+
+def _tiny_prime_pairs():
+    # the shear family and the random pairs of the brute-force test
+    pairs = [(unipotent_shear_pair(h), h) for h in range(2, 13)]
+    rng = random.Random(0x1E57)
+    pairs += [([random_nonsingular(rng, 2, 3) for _ in range(2)], 4) for _ in range(60)]
+    return pairs
+
+
+def test_fingerprint_false_positives_do_not_change_answers(monkeypatch):
+    # mod 5 or 7 many non-relations look like the identity; the exact
+    # check must reject every one of them.  Blocks of 7 candidates make
+    # every listing span several blocks.
+    monkeypatch.setattr(multdep, "_FINGERPRINT_PRIMES", (5, 7))
+    monkeypatch.setattr(multdep, "_BLOCK_ENTRIES", 7 * 4)
+    false_survivors = 0
+    for mats, bound in _tiny_prime_pairs():
+        cands = [k for k in product(range(-bound, bound + 1), repeat=2) if any(k)]
+        dets = [det(m) for m in mats]
+        survivors = multdep._fingerprint_survivors(mats, dets, cands)
+        false_survivors += sum(1 for k in survivors if not check_relation(mats, k))
+        assert find_dependence(mats, bound) == brute_force_dependence(mats, bound)
+    assert false_survivors > 100
+
+
+def test_fingerprint_prime_skips_primes_dividing_a_det(monkeypatch):
+    first, second = multdep._FINGERPRINT_PRIMES[:2]
+    a = IntMatrix([[first, 1], [0, 1]])
+    assert multdep._fingerprint_prime(2, [det(a), 1]) == second
+    assert find_dependence([a, a], 3) == (-1, 1)
+    monkeypatch.setattr(multdep, "_FINGERPRINT_PRIMES", (5, 7))
+    b = IntMatrix([[5, 2], [1, 3]])  # det 13
+    c = IntMatrix([[5, 0], [0, 2]])  # det 10: 5 is out, 7 is next
+    assert multdep._fingerprint_prime(2, [det(b), det(c)]) == 7
+    for mats in ([c, c], [b, c], [c, IntMatrix([[2, 0], [0, 5]])]):
+        assert find_dependence(mats, 3) == brute_force_dependence(mats, 3)
+
+
+def test_fingerprint_without_a_prime_keeps_every_candidate(monkeypatch):
+    # det divisible by every listed prime: the filter rejects nothing
+    big = 1
+    for p in multdep._FINGERPRINT_PRIMES:
+        big *= p
+    a = IntMatrix([[big, 1], [0, 1]])
+    assert multdep._fingerprint_prime(2, [det(a)]) is None
+    assert find_dependence([a, a], 2) == (-1, 1)
+    monkeypatch.setattr(multdep, "_FINGERPRINT_PRIMES", (5, 7))
+    b = IntMatrix([[5, 1], [0, 7]])
+    c = IntMatrix([[7, 0], [0, 5]])
+    for mats in ([b, b], [b, c], [c, b, b]):
+        dets = [det(m) for m in mats]
+        assert multdep._fingerprint_prime(2, dets) is None
+        cands = [k for k in product(range(-2, 3), repeat=len(mats)) if any(k)]
+        assert multdep._fingerprint_survivors(mats, dets, cands) == cands
+        assert find_dependence(mats, 2) == brute_force_dependence(mats, 2)
+
+
+def test_find_dependence_checks_few_candidates_exactly(monkeypatch):
+    # the fingerprint leaves the exact Fraction products to the survivors
+    calls = []
+    matmul = RationalMatrix.__matmul__
+
+    def counted(self, other):
+        calls.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", counted)
+    assert find_dependence(unipotent_shear_pair(24), 24) == (-24, 23)
+    assert len(calls) <= 200

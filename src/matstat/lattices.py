@@ -46,7 +46,6 @@ __all__ = [
     "slab_contains",
     "slab_count_in_box",
     "kbad_census",
-    "kbad_inverse_norm_sum",
     "classify_perfect_mediocre",
 ]
 
@@ -655,12 +654,6 @@ def kbad_census(
     return CensusResult(
         t, float(u_bound), float(k_bound), count, inv_sum, err, bad, method_used, elapsed
     )
-
-
-def kbad_inverse_norm_sum(t: int, u_bound, k_bound, **kw) -> float:
-    """Sum of |u|^-t over the K-bad census (float64 with recorded error
-    bound on the CensusResult; the counts themselves are exact)."""
-    return kbad_census(t, u_bound, k_bound, **kw).inv_norm_sum
 
 
 # ---------------------------------------------------------------------------

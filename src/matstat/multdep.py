@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,27 +105,6 @@ def check_relation(mats: Sequence[IntMatrix], k: Sequence[int]) -> bool:
             continue
         prod = prod @ mat_pow(a, int(e))
     return prod.is_identity()
-
-
-class _PowerCache:
-    """Memoized exact powers A^e (e any integer) as RationalMatrix."""
-
-    def __init__(self, a: IntMatrix):
-        self.a = a
-        self.inv = None
-        self.cache: Dict[int, RationalMatrix] = {0: RationalMatrix.identity(a.n)}
-
-    def power(self, e: int) -> RationalMatrix:
-        if e in self.cache:
-            return self.cache[e]
-        if e > 0:
-            base = self.power(e - 1) @ RationalMatrix.from_int(self.a)
-        else:
-            if self.inv is None:
-                self.inv = inverse_rational(self.a)
-            base = self.power(e + 1) @ self.inv
-        self.cache[e] = base
-        return base
 
 
 def find_dependence(
@@ -297,8 +276,11 @@ def find_kernel_word(
         raise ValueError("word length must be >= 1")
     if det_relation_lattice(mats).rank == 0:
         return None  # determinant obstruction kills every kernel word
-    caches = [_PowerCache(m) for m in mats]
-    letters = [(i, sgn) for i in range(s) for sgn in (1, -1)]
+    letters = [
+        (i, sgn, step)
+        for i, m in enumerate(mats)
+        for sgn, step in ((1, RationalMatrix.from_int(m)), (-1, inverse_rational(m)))
+    ]
     start = RationalMatrix.identity(mats[0].n)
     frontier: List[Tuple[RationalMatrix, Tuple[int, ...], tuple]] = [
         (start, tuple([0] * s), ())
@@ -308,10 +290,10 @@ def find_kernel_word(
     for _ in range(max_len):
         nxt = []
         for matx, sums, word in frontier:
-            for i, sgn in letters:
+            for i, sgn, step in letters:
                 if word and word[-1] == (i, -sgn):
                     continue  # not reduced
-                new_mat = matx @ caches[i].power(sgn)
+                new_mat = matx @ step
                 new_sums = tuple(
                     x + (sgn if j == i else 0) for j, x in enumerate(sums)
                 )

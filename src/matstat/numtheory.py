@@ -4,6 +4,14 @@ Factoring is exact for arbitrary Python ints: trial division over a sieved
 prime table below 10^6, then Brent-cycle Pollard rho with Miller-Rabin.
 Primality is deterministic below the 13-witness threshold and uses a fixed
 documented witness set above it (error heuristically < 2^-80).
+
+Totient tables come from a strided numpy sieve (`_phi_sieve`): each prime
+p <= sqrt(N) scales phi by (1 - 1/p) on the slice phi[p::p] and is divided
+out of a cofactor array along the slices of its powers p, p^2, ...; what
+is left of each cofactor is 1 or a single prime q > sqrt(N), applied in one
+gathered pass.  Both arrays are int32, exact because phi(k) <= k <= N, so
+a sieve bound N >= 2^31 is refused with ValueError before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -46,14 +54,20 @@ _MR_BASES_LARGE = (
 )
 
 
+def _prime_mask(limit: int) -> np.ndarray:
+    """Boolean array over 0..limit, True exactly at the primes."""
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return is_prime
+
+
 @lru_cache(maxsize=1)
 def _small_primes() -> tuple:
-    sieve = bytearray([1]) * _TRIAL_LIMIT
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(_TRIAL_LIMIT) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i in range(_TRIAL_LIMIT) if sieve[i])
+    """The primes below _TRIAL_LIMIT as Python ints."""
+    return tuple(np.flatnonzero(_prime_mask(_TRIAL_LIMIT - 1)).tolist())
 
 
 def is_probable_prime(n: int) -> bool:
@@ -195,11 +209,29 @@ def tau(k: int) -> int:
 
 
 def _phi_sieve(limit: int) -> np.ndarray:
-    """phi(k) for 0 <= k <= limit as int64 (limit must fit comfortably)."""
-    phi = np.arange(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime: untouched so far
-            phi[p::p] -= phi[p::p] // p
+    """phi(k) for 0 <= k <= limit as int32 (phi(0) = 0).
+
+    For each prime p <= sqrt(limit): phi[p::p] -= phi[p::p] // p, and p is
+    divided out of rest[k] = k along the slices rest[q::q] for q = p, p^2,
+    ... <= limit.  A k <= limit has at most one prime factor above
+    sqrt(limit), so every rest[k] > 1 left over is that prime q, and one
+    gathered pass applies phi -= phi // q.  Each step divides exactly.
+    Raises ValueError for limit >= 2^31, before allocating.
+    """
+    if limit >= 2**31:
+        raise ValueError(
+            f"totient sieve bound {limit} is beyond the int32 range (< 2^31)"
+        )
+    phi = np.arange(limit + 1, dtype=np.int32)
+    rest = phi.copy()
+    for p in np.flatnonzero(_prime_mask(math.isqrt(limit))).tolist():
+        phi[p::p] -= phi[p::p] // p
+        q = p
+        while q <= limit:
+            rest[q::q] //= p
+            q *= p
+    big = np.flatnonzero(rest > 1)
+    phi[big] -= phi[big] // rest[big]
     return phi
 
 
@@ -249,10 +281,10 @@ def totients_up_to(limit: int) -> TotientTable:
     if limit < 1:
         raise ValueError("limit must be >= 1")
     bound = _totient_witness_bound(limit)
-    phi = _phi_sieve(bound)
-    vals = np.unique(phi[1:])
-    vals = vals[vals <= limit]
-    return TotientTable(limit, tuple(int(v) for v in vals), bound)
+    phi = _phi_sieve(bound)[1:]
+    seen = np.zeros(limit + 1, dtype=bool)
+    seen[phi[phi <= limit]] = True
+    return TotientTable(limit, tuple(np.flatnonzero(seen).tolist()), bound)
 
 
 def largest_totient_below(n: int) -> int:

@@ -248,6 +248,14 @@ def test_refused_input_is_one_error_line(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
+def test_totient_beyond_int32_sieve_is_one_error_line(capsys):
+    # v(10^9) needs a witness bound of 2^33, refused before any allocation
+    rc, out, err = run(capsys, "totient", "v", "--n", "1000000000")
+    assert rc != 0 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "int32" in err
+
+
 def test_count_manifest_records_inputs(capsys):
     rc, out, err = run(capsys, "count", "det", "--n", "2", "--H", "2", "--d", "1")
     assert rc == 0

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 import sympy
 
@@ -10,6 +11,8 @@ from matstat.errors import ZeroArgumentError
 from matstat.exact import MonicIntPoly
 from matstat.numtheory import (
     FactoredInt,
+    _phi_sieve,
+    _small_primes,
     count_smooth_wrt,
     cyclotomic,
     euler_phi,
@@ -200,3 +203,91 @@ def test_cyclotomic_105_has_coefficient_minus_two():
     # first index where a coefficient outside {-1,0,1} appears
     f = cyclotomic(105)
     assert f.all_coeffs()[7] == -2
+
+
+# --- the strided totient sieve and the trial-division table ---------------
+
+V_TABLE_BOUND = 8388608  # witness bound of totients_up_to(2^20), v(10^6)'s table
+
+
+@pytest.fixture(scope="module")
+def phi_at_v_table_bound():
+    return _phi_sieve(V_TABLE_BOUND)
+
+
+def test_phi_sieve_matches_sympy_up_to_5000():
+    phi = _phi_sieve(5000)
+    assert phi.dtype == np.int32 and phi[0] == 0
+    assert [int(x) for x in phi[1:]] == [int(sympy.totient(k)) for k in range(1, 5001)]
+
+
+def test_phi_sieve_random_k_at_v_table_bound(phi_at_v_table_bound):
+    phi = phi_at_v_table_bound
+    assert phi.shape == (V_TABLE_BOUND + 1,)
+    rng = random.Random(0x5157)
+    for _ in range(2000):
+        k = rng.randint(1, V_TABLE_BOUND)
+        assert int(phi[k]) == euler_phi(k), k
+
+
+def test_phi_sieve_single_large_cofactor(phi_at_v_table_bound):
+    # k = p*q with q prime > sqrt(bound): q is the cofactor left after the
+    # small primes, applied by the gathered pass (two primes above sqrt(bound)
+    # multiply past the bound, so p <= sqrt(bound) or p = 1)
+    phi = phi_at_v_table_bound
+    root = math.isqrt(V_TABLE_BOUND)
+    qs = list(sympy.primerange(root + 1, root + 2000))
+    qs += list(sympy.primerange(V_TABLE_BOUND - 400, V_TABLE_BOUND + 1))
+    ps = [1, 2, 3, 4, 30, 97, 1009] + list(sympy.primerange(root - 100, root + 1))
+    checked = 0
+    for q in qs:
+        for p in ps:
+            if p * q <= V_TABLE_BOUND:
+                assert int(phi[p * q]) == euler_phi(p * q), (p, q)
+                checked += 1
+    assert checked > 1000
+    # the pair straddling sqrt(bound): 2887 * 2897
+    k = sympy.prevprime(root + 1) * sympy.nextprime(root)
+    assert k <= V_TABLE_BOUND and int(phi[k]) == euler_phi(k)
+
+
+def test_phi_sieve_prime_powers_near_bound(phi_at_v_table_bound):
+    phi = phi_at_v_table_bound
+    for p in sympy.primerange(2, math.isqrt(V_TABLE_BOUND) + 1):
+        e = 1
+        while p ** (e + 1) <= V_TABLE_BOUND:
+            e += 1
+        assert int(phi[p**e]) == p ** (e - 1) * (p - 1), (p, e)
+
+
+def test_phi_sieve_prime_square_at_its_own_bound():
+    # a sieve of bound p^2 must divide out p itself; it is sqrt(bound) exactly
+    for p in sympy.primerange(2, 200):
+        phi = _phi_sieve(p * p)
+        assert int(phi[p * p]) == p * (p - 1)
+        assert int(phi[p]) == p - 1
+
+
+def test_phi_sieve_refuses_int32_overflow():
+    with pytest.raises(ValueError, match="int32"):
+        _phi_sieve(2**31)
+    with pytest.raises(ValueError, match="int32"):
+        totients_up_to(2**30)  # witness bound 2^33
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 64, 1024])
+def test_totient_table_equals_brute_set(limit):
+    table = totients_up_to(limit)
+    brute = set()
+    for k in range(1, table.witness_bound + 1):
+        v = int(sympy.totient(k))
+        if v <= limit:
+            brute.add(v)
+    assert table.values == tuple(sorted(brute))
+    assert all(type(v) is int for v in table.values)
+
+
+def test_small_primes_match_sympy():
+    primes = _small_primes()
+    assert primes == tuple(sympy.primerange(2, 10**6))
+    assert all(type(p) is int for p in primes)

@@ -1,9 +1,11 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything here is arbitrary-precision and division-free where it can be:
-determinants use Bareiss elimination, characteristic polynomials use the
-Berkowitz algorithm, and inverses, ranks and linear solves go through one
-Gauss-Jordan routine over ``fractions.Fraction`` (``_rref``).
+Everything here is arbitrary-precision and fraction-free: determinants,
+ranks, pivots, adjugates, inverses and linear solves all go through one
+Bareiss elimination routine in integers (``_echelon``), and characteristic
+polynomials use the Berkowitz algorithm.  Fractions are built only where a
+rational result leaves the module: the reduced rows of ``_rref``, inverses
+and negative powers (adj(A) / det(A)), and ``RationalMatrix``.
 No floating point enters this module.
 
 Characteristic polynomials follow the convention f(X) = det(X*I - A), so f
@@ -228,33 +230,9 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def det(a: IntMatrix) -> int:
-    """Determinant by fraction-free Bareiss elimination (exact integer)."""
-    n = a.n
-    if n == 1:
-        return a.rows[0][0]
-    m = [list(row) for row in a.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                # Bareiss update: every division here is exact
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    """Determinant: the signed last pivot of forward Bareiss elimination."""
+    _, pivots, last, sign = _echelon(a.rows, full=False)
+    return sign * last if len(pivots) == a.n else 0
 
 
 def trace(a: IntMatrix) -> int:
@@ -280,67 +258,125 @@ def trace_power(a: IntMatrix, j: int) -> int:
     return trace(_int_pow_nonneg(a, j))
 
 
+def _int_pow(a: IntMatrix, k: int) -> Tuple[IntMatrix, int]:
+    """(N, q) with A^k = N / q, both in integers.
+
+    For k < 0, A^k = adj(A)^|k| / det(A)^|k|, because adj(A) = det(A) A^-1
+    and scalars commute; a singular A raises NegativePowerOfSingularError.
+    """
+    if k >= 0:
+        return _int_pow_nonneg(a, k), 1
+    adj, d = _adjugate(a)
+    if adj is None:
+        raise NegativePowerOfSingularError(
+            f"negative power {k} of a singular matrix"
+        )
+    return _int_pow_nonneg(adj, -k), d ** -k
+
+
 def mat_pow(a: IntMatrix, k: int) -> RationalMatrix:
     """A^k as an exact rational matrix; A^0 = I by convention.
 
     Negative powers require det(A) != 0 and raise
     NegativePowerOfSingularError otherwise.  They are computed as
-    adj(A)^|k| / det(A)^|k|: the integer adjugate det(A) A^-1 is raised in
-    integers, and each entry is divided once.
+    adj(A)^|k| / det(A)^|k|: the integer adjugate, from the fraction-free
+    elimination of [A | I], is raised in integers, and each entry is
+    divided once.
     """
-    if k >= 0:
-        return RationalMatrix.from_int(_int_pow_nonneg(a, k))
-    d = det(a)
-    if d == 0:
-        raise NegativePowerOfSingularError(
-            f"negative power {k} of a singular matrix"
-        )
-    adj = IntMatrix([[int(x * d) for x in row] for row in inverse_rational(a).rows])
-    dk = d ** -k
-    return RationalMatrix(
-        [[Fraction(x, dk) for x in row] for row in _int_pow_nonneg(adj, -k).rows]
-    )
+    num, den = _int_pow(a, k)
+    return RationalMatrix([[Fraction(x, den) for x in row] for row in num.rows])
 
 
-def _rref(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form over Q by Gauss-Jordan elimination.
+def _echelon(
+    rows: Sequence[Sequence[int]], full: bool
+) -> Tuple[List[List[int]], List[int], int, int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix.
 
     The one exact elimination routine of the package.  Returns
-    (reduced, pivots): the nonzero rows of the reduced matrix, row i with
-    a leading 1 in column pivots[i] and 0 in every other pivot column, and
-    the pivot columns in increasing order.  So len(pivots) is the rank,
-    and a column is a pivot exactly when it is independent of the columns
-    before it.
+    (reduced, pivots, denom, sign): the nonzero rows of the eliminated
+    matrix, the pivot columns in increasing order, the last pivot and the
+    sign of the row permutation.  So len(pivots) is the rank, and a column
+    is a pivot exactly when it is independent of the columns before it.
+
+    Each step replaces row_i by (p row_i - f prow) // prev, with p the new
+    pivot, f = row_i[col] and prev the pivot before it; every entry stays a
+    minor of the input, so each division is exact.  full=False clears only
+    the rows below each pivot (the forward pass; a square matrix of full
+    rank has det = sign * denom).  full=True clears the rows above too, so
+    row i holds denom in column pivots[i], 0 in every other pivot column,
+    and reduced / denom is the reduced row echelon form.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [list(row) for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
     pivots: List[int] = []
-    for col in range(len(m[0]) if m else 0):
+    prev = sign = 1
+    for col in range(ncols):
         r = len(pivots)
-        if r == len(m):
+        if r == nrows:
             break
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        prow = m[r] = [x * inv for x in m[r]]
-        for i, row in enumerate(m):
+        if not m[r][col]:
+            for piv in range(r + 1, nrows):
+                if m[piv][col]:
+                    break
+            else:
+                continue
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        prow = m[r]
+        p = prow[col]
+        right = range(col + 1, ncols)
+        for row in m[r + 1 :]:  # zero before col
             f = row[col]
-            if i != r and f != 0:
-                m[i] = [x - f * y for x, y in zip(row, prow)]
+            for j in right:
+                row[j] = (p * row[j] - f * prow[j]) // prev
+            row[col] = 0
+        if full:
+            for i in range(r):  # row i is zero before pivots[i]
+                row = m[i]
+                f = row[col]
+                for j in range(pivots[i], ncols):
+                    row[j] = (p * row[j] - f * prow[j]) // prev
+        prev = p
         pivots.append(col)
-    return m[: len(pivots)], pivots
+    return m[: len(pivots)], pivots, prev, sign
+
+
+def _rref(rows: Sequence[Sequence[int]]) -> Tuple[List[List[Fraction]], List[int]]:
+    """Reduced row echelon form over Q: (reduced, pivots).
+
+    The nonzero rows of the reduced matrix, row i with a leading 1 in
+    column pivots[i] and 0 in every other pivot column, and the pivot
+    columns in increasing order.  Eliminated fraction-free by _echelon;
+    the Fractions are built once, from its integer rows.
+    """
+    reduced, pivots, denom, _ = _echelon(rows, full=True)
+    return [[Fraction(x, denom) for x in row] for row in reduced], pivots
+
+
+def _adjugate(a: IntMatrix) -> Tuple[Optional[IntMatrix], int]:
+    """(adj A, det A) from the fraction-free elimination of [A | I].
+
+    For nonsingular A the eliminated rows are [d I | d A^-1] with d the
+    last pivot, and det A = sign * d, so adj A = det(A) A^-1 is sign times
+    the right block.  A singular A gives (None, 0).
+    """
+    n = a.n
+    reduced, pivots, d, sign = _echelon(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a.rows)],
+        full=True,
+    )
+    if pivots[n - 1] != n - 1:
+        return None, 0
+    return IntMatrix([[sign * x for x in row[n:]] for row in reduced]), sign * d
 
 
 def inverse_rational(a: IntMatrix) -> RationalMatrix:
-    """Exact inverse over Q: Gauss-Jordan elimination of [A | I]."""
-    n = a.n
-    reduced, pivots = _rref(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a.rows)]
-    )
-    if pivots != list(range(n)):
+    """Exact inverse over Q: adj(A) / det(A)."""
+    adj, d = _adjugate(a)
+    if adj is None:
         raise SingularMatrixError("matrix is singular over Q")
-    return RationalMatrix([row[n:] for row in reduced])
+    return RationalMatrix([[Fraction(x, d) for x in row] for row in adj.rows])
 
 
 def charpoly(a: IntMatrix) -> MonicIntPoly:

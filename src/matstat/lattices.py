@@ -6,7 +6,8 @@ integer Gram-Schmidt data d_i and lambda_ij, and for rank <= 6 the
 reported lengths are refined to the true successive minima by Fincke-Pohst
 enumeration on the same data, scaled to integers.  Independence checks,
 coordinates in a basis and the choice of independent shortest vectors all
-go through the one rational elimination routine, ``exact._rref``.  Square
+go through the one fraction-free elimination routine, ``exact._echelon``;
+only coordinates come back as Fractions (through ``exact._rref``).  Square
 roots are never compared in floating point; every comparison happens on
 squared lengths, and LLL and the enumeration run on integers only.
 """
@@ -24,7 +25,7 @@ from itertools import product as iter_product
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError
-from .exact import IntMatrix, _rref, det
+from .exact import IntMatrix, _echelon, _rref, det
 
 __all__ = [
     "Lattice",
@@ -87,7 +88,7 @@ class Lattice:
             raise ValueError("basis vector has wrong length")
         if len(basis) > ambient_dim:
             raise ValueError("more basis vectors than ambient dimension")
-        if len(_rref(basis)[1]) != len(basis):
+        if len(_echelon(basis, full=False)[1]) != len(basis):
             raise ValueError("basis vectors must be linearly independent")
         self.ambient_dim = ambient_dim
         self.basis = basis
@@ -363,7 +364,8 @@ def successive_minima(lat: Lattice, node_cap: int = DEFAULT_NODE_CAP):
     # shortest first, are the greedy choice of independent vectors.  Their
     # coefficient vectors in the basis `red` stand in for them: the same
     # independence, and only rank rows, so elimination stops at rank pivots.
-    _, pivots = _rref(list(zip(*(coeffs for coeffs, _, _ in candidates))))
+    coeff_rows = list(zip(*(coeffs for coeffs, _, _ in candidates)))
+    pivots = _echelon(coeff_rows, full=False)[1]
     chosen = [candidates[j] for j in pivots]
     return tuple(nsq for _, _, nsq in chosen), tuple(vec for _, vec, _ in chosen)
 
@@ -578,7 +580,7 @@ def _census_bad(u: IntVector, ksq: int, node_cap: int) -> bool:
     if all(norm_sq(v) <= ksq for v in red):
         return False
     short = [c for c, _, _ in _enumerate_ball(red, d, lam, ksq, _NodeBudget(node_cap))]
-    return len(_rref(list(zip(*short)))[1]) < len(red)
+    return len(_echelon(list(zip(*short)), full=False)[1]) < len(red)
 
 
 def kbad_census(

@@ -18,11 +18,12 @@ from .errors import BudgetExceededError, SingularMatrixError
 from .exact import (
     IntMatrix,
     RationalMatrix,
+    _adjugate,
+    _int_pow,
     block_diag,
     companion,
     det,
     inverse_rational,
-    mat_pow,
 )
 from .lattices import Lattice, integer_kernel, lattice_points_in_box, linf, norm_sq
 from .numtheory import cyclotomic, factorize
@@ -94,17 +95,28 @@ def det_relation_lattice(mats: Sequence[IntMatrix]) -> Lattice:
 def check_relation(mats: Sequence[IntMatrix], k: Sequence[int]) -> bool:
     """Exact test of A_1^{k_1} ... A_s^{k_s} = I (ordered product over Q).
 
-    Negative exponents require the corresponding matrix to be nonsingular.
+    Computed in integers: each A_i^{k_i} is N_i / q_i with q_i = 1 for
+    k_i >= 0 and N_i = adj(A_i)^|k_i|, q_i = det(A_i)^|k_i| for k_i < 0.
+    Scalars commute, so the product is I exactly when N_1 ... N_s equals
+    (q_1 ... q_s) I.  Negative exponents require the corresponding matrix
+    to be nonsingular (NegativePowerOfSingularError otherwise).
     """
     if len(k) != len(mats):
         raise ValueError("exponent vector length mismatch")
     _validate_tuple(mats, require_nonsingular=False)
-    prod = RationalMatrix.identity(mats[0].n)
+    prod = IntMatrix.identity(mats[0].n)
+    scale = 1
     for a, e in zip(mats, k):
         if e == 0:
             continue
-        prod = prod @ mat_pow(a, int(e))
-    return prod.is_identity()
+        num, den = _int_pow(a, int(e))
+        prod = prod @ num
+        scale *= den
+    return all(
+        x == (scale if i == j else 0)
+        for i, row in enumerate(prod.rows)
+        for j, x in enumerate(row)
+    )
 
 
 def find_dependence(
@@ -122,7 +134,7 @@ def find_dependence(
     that divides no det A_i and keeps n (p-1)^2 < 2^63, so no int64 product
     overflows; without one the filter keeps every candidate.  The
     survivors, ordered by (|k|_inf, |k|_2^2, lexicographic), are verified
-    by exact rational evaluation (check_relation), and the first that
+    by exact integer evaluation (check_relation), and the first that
     passes is returned.
 
     The answer is exact: a true relation is the identity mod p whenever p
@@ -161,14 +173,14 @@ def _fingerprint_prime(n: int, dets: Sequence[int]) -> Optional[int]:
 def _power_table_mod(a: IntMatrix, m: int, p: int) -> np.ndarray:
     """A^e mod p for e = -m..m as an int64 array; entry e sits at index m + e.
 
-    A^-1 mod p is the exact inverse's numerators times its denominators'
-    inverses mod p; the denominators divide det A, which p does not.
+    A^-1 mod p is adj(A) mod p times det(A)^-1 mod p, both from the
+    integer adjugate; p divides no det A, so det(A) is invertible mod p.
     """
     fwd = np.array([[x % p for x in row] for row in a.rows], dtype=np.int64)
+    adj, d = _adjugate(a)
+    d_inv = pow(d, -1, p)
     inv = np.array(
-        [[x.numerator * pow(x.denominator, -1, p) % p for x in row]
-         for row in inverse_rational(a).rows],
-        dtype=np.int64,
+        [[x * d_inv % p for x in row] for row in adj.rows], dtype=np.int64
     )
     table = np.empty((2 * m + 1, a.n, a.n), dtype=np.int64)
     table[m] = np.eye(a.n, dtype=np.int64)

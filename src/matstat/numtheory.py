@@ -9,9 +9,10 @@ Totient tables come from a strided numpy sieve (`_phi_sieve`): each prime
 p <= sqrt(N) scales phi by (1 - 1/p) on the slice phi[p::p] and is divided
 out of a cofactor array along the slices of its powers p, p^2, ...; what
 is left of each cofactor is 1 or a single prime q > sqrt(N), applied in one
-gathered pass.  Both arrays are int32, exact because phi(k) <= k <= N, so
-a sieve bound N >= 2^31 is refused with ValueError before anything is
-allocated.
+gathered pass.  Both arrays are int32, exact because phi(k) <= k <= N.
+A sieve bound N > 2^28 (about 2 GiB of int32 scratch) is refused with
+ValueError before anything is allocated; that ceiling also keeps N inside
+the int32 range.
 """
 
 from __future__ import annotations
@@ -216,11 +217,11 @@ def _phi_sieve(limit: int) -> np.ndarray:
     ... <= limit.  A k <= limit has at most one prime factor above
     sqrt(limit), so every rest[k] > 1 left over is that prime q, and one
     gathered pass applies phi -= phi // q.  Each step divides exactly.
-    Raises ValueError for limit >= 2^31, before allocating.
+    Raises ValueError for limit > 2^28, before allocating.
     """
-    if limit >= 2**31:
+    if limit > 2**28:
         raise ValueError(
-            f"totient sieve bound {limit} is beyond the int32 range (< 2^31)"
+            f"totient sieve bound {limit} is beyond the int32 sieve ceiling 2^28"
         )
     phi = np.arange(limit + 1, dtype=np.int32)
     rest = phi.copy()

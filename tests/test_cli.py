@@ -256,6 +256,14 @@ def test_totient_beyond_int32_sieve_is_one_error_line(capsys):
     assert "int32" in err
 
 
+def test_totient_beyond_sieve_ceiling_is_one_error_line(capsys):
+    # v(2^27) needs a witness bound of 2^30, past the 2^28 sieve ceiling
+    rc, out, err = run(capsys, "totient", "v", "--n", "134217728")
+    assert rc != 0 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "ceiling 2^28" in err
+
+
 def test_count_manifest_records_inputs(capsys):
     rc, out, err = run(capsys, "count", "det", "--n", "2", "--H", "2", "--d", "1")
     assert rc == 0

@@ -16,8 +16,11 @@ from helpers import (
     random_unimodular,
 )
 from matstat.errors import NegativePowerOfSingularError, SingularMatrixError
+from matstat.lattices import Lattice
 from matstat.exact import (
     IntMatrix,
+    _adjugate,
+    _echelon,
     _rref,
     MonicIntPoly,
     RationalMatrix,
@@ -230,6 +233,81 @@ def test_inverse_rational_matches_sympy(rows):
     assert inverse_rational(IntMatrix(rows)).rows == tuple(
         tuple(_to_fraction(inv[i, j]) for j in range(n)) for i in range(n)
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_rows(6, 8), st.integers(-2, 2))
+def test_echelon_matches_sympy(rows, c):
+    if len(rows) > 1:
+        # a rank-deficient variant: the last row joins the span of the others
+        rows = rows[:-1] + [[c * x + y for x, y in zip(rows[0], rows[-2])]]
+    ref, ref_pivots = sympy.Matrix(rows).rref()
+    want = [[_to_fraction(ref[i, j]) for j in range(ref.cols)] for i in range(len(ref_pivots))]
+    reduced, pivots, denom, _ = _echelon(rows, full=True)
+    assert tuple(pivots) == ref_pivots
+    assert all(type(x) is int for row in reduced for x in row) and type(denom) is int
+    assert [[Fraction(x, denom) for x in row] for row in reduced] == want
+    # the forward pass: same pivots, echelon rows spanning the same row space
+    forward, fwd_pivots, _, _ = _echelon(rows, full=False)
+    assert fwd_pivots == pivots and len(forward) == len(pivots)
+    assert all(not any(row[: p]) and row[p] for row, p in zip(forward, pivots))
+    fwd_ref = sympy.Matrix(forward).rref()[0] if forward else sympy.zeros(0, ref.cols)
+    assert [[_to_fraction(fwd_ref[i, j]) for j in range(ref.cols)]
+            for i in range(len(pivots))] == want
+
+
+@st.composite
+def _square_cases(draw):
+    """n x n integer matrices, n <= 6: random ones, permuted triangular ones
+    (nonsingular, and elimination must swap rows unless the permutation
+    fixes the first pivot) and ones with a row a multiple of another."""
+    n = draw(st.integers(1, 6))
+    rows = draw(_int_rows(n, n, n, n))
+    shape = draw(st.sampled_from(("random", "swapped", "singular")))
+    if shape == "swapped":
+        diag = draw(st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=n, max_size=n))
+        tri = [[diag[i] if j == i else x * (j > i) for j, x in enumerate(row)]
+               for i, row in enumerate(rows)]
+        rows = [tri[i] for i in draw(st.permutations(range(n)))]
+    elif shape == "singular":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i] = [draw(st.integers(-2, 2)) * x for x in rows[j]] if i != j else [0] * n
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(_square_cases())
+def test_det_and_adjugate_match_sympy(rows):
+    ref = sympy.Matrix(rows)
+    want = int(ref.det())
+    a = IntMatrix(rows)
+    assert det(a) == want
+    adj, d = _adjugate(a)
+    assert d == want
+    if want == 0:
+        assert adj is None
+    else:
+        n = len(rows)
+        assert adj.rows == tuple(
+            tuple(int(x) for x in ref.adjugate().row(i)) for i in range(n)
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_rows(4, 5), st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+def test_lattice_refuses_dependent_bases(rows, coeffs):
+    t = len(rows[0])
+    if len(rows) > t:
+        rows = rows[:t]
+    if sympy.Matrix(rows).rank() < len(rows):
+        with pytest.raises(ValueError, match="independent"):
+            Lattice(t, rows)
+        return
+    assert Lattice(t, rows).rank == len(rows)
+    if len(rows) < t:
+        combo = [sum(c * row[k] for c, row in zip(coeffs, rows)) for k in range(t)]
+        with pytest.raises(ValueError, match="independent"):
+            Lattice(t, rows + [combo])
 
 
 def test_rational_matrix_integrality():

@@ -3,7 +3,8 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from functools import reduce
+from itertools import combinations, product
 
 import pytest
 import sympy
@@ -115,6 +116,56 @@ def test_integer_kernel_properties():
             if all(sum(r[i] * cand[i] for i in range(t)) == 0 for r in rows):
                 if any(cand):
                     assert lat is not None and lat.contains(cand)
+
+
+def _int_matrix(max_rows, max_cols, bound):
+    return st.integers(1, max_rows).flatmap(
+        lambda r: st.integers(1, max_cols).flatmap(
+            lambda c: st.lists(
+                st.lists(st.integers(-bound, bound), min_size=c, max_size=c),
+                min_size=r,
+                max_size=r,
+            )
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_matrix(4, 5, 6))
+def test_hnf_with_transform_against_sympy(rows):
+    h, u = hnf_with_transform(rows)
+    a = sympy.Matrix(rows)
+    assert abs(sympy.Matrix(u).det()) == 1
+    assert sympy.Matrix(u) * a == sympy.Matrix(h)
+    # echelon shape: rank nonzero rows on strictly increasing pivots, then zeros
+    rank = a.rank()
+    lead = [next((j for j, x in enumerate(row) if x), None) for row in h]
+    assert all(c is None for c in lead[rank:])
+    pivots = lead[:rank]
+    assert None not in pivots and pivots == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        assert h[i][c] > 0
+        assert all(0 <= h[k][c] < h[i][c] for k in range(i))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_matrix(3, 5, 5))
+def test_integer_kernel_against_sympy(rows):
+    t = len(rows[0])
+    a = sympy.Matrix(rows)
+    basis = integer_kernel(rows, t)
+    r = len(basis)
+    assert r == t - a.rank()
+    if not r:
+        return
+    k = sympy.Matrix(basis)
+    assert a * k.T == sympy.zeros(len(rows), r)
+    assert k.rank() == r
+    # the same span over Q as sympy's nullspace
+    assert sympy.Matrix.hstack(k.T, *a.nullspace()).rank() == r
+    # saturated: the maximal minors of the basis have gcd 1
+    minors = (k.extract(list(range(r)), list(cols)).det() for cols in combinations(range(t), r))
+    assert reduce(math.gcd, (abs(int(m)) for m in minors)) == 1
 
 
 def test_orthogonal_lattice_and_volume():

@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 import sympy
 
+from matstat import numtheory
 from matstat.errors import ZeroArgumentError
 from matstat.exact import MonicIntPoly
 from matstat.numtheory import (
     FactoredInt,
     _phi_sieve,
     _small_primes,
+    _table_size,
+    _totient_witness_bound,
     count_smooth_wrt,
     cyclotomic,
     euler_phi,
@@ -273,6 +276,28 @@ def test_phi_sieve_refuses_int32_overflow():
         _phi_sieve(2**31)
     with pytest.raises(ValueError, match="int32"):
         totients_up_to(2**30)  # witness bound 2^33
+
+
+def test_phi_sieve_ceiling_is_two_to_28(monkeypatch):
+    # 2^28 passes the guard and reaches the first allocation, which is
+    # stopped here; one more is refused before it
+    class Allocating(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Allocating
+
+    monkeypatch.setattr(numtheory.np, "arange", refuse)
+    with pytest.raises(Allocating):
+        _phi_sieve(2**28)
+    with pytest.raises(ValueError, match="ceiling 2\\^28"):
+        _phi_sieve(2**28 + 1)
+
+
+def test_totient_v_answers_up_to_two_to_25():
+    # largest n whose table fits under the ceiling; checked on bounds only
+    assert _totient_witness_bound(_table_size(2**25)) == 2**28
+    assert _totient_witness_bound(_table_size(2**25 + 1)) > 2**28
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 64, 1024])

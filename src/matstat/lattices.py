@@ -10,6 +10,13 @@ go through the one fraction-free elimination routine, ``exact._echelon``;
 only coordinates come back as Fractions (through ``exact._rref``).  Square
 roots are never compared in floating point; every comparison happens on
 squared lengths, and LLL and the enumeration run on integers only.
+
+Box counts and listings (|v|_inf <= B) come from Hermite-normal-form
+layers in numpy (``_box_blocks``): each coefficient gets its exact interval
+from the pivot column it alone still changes, in int64 when a range guard
+allows and in Python ints otherwise.  The order of a listing is
+unspecified.  Fincke-Pohst serves only the ball searches
+(``successive_minima`` and the census).
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ from functools import reduce
 from itertools import combinations_with_replacement, permutations
 from itertools import product as iter_product
 from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import BudgetExceededError
 from .exact import IntMatrix, _echelon, _rref, det
@@ -51,6 +60,7 @@ __all__ = [
 ]
 
 DEFAULT_NODE_CAP = 20_000_000
+_BOX_BLOCK_ROWS = 1 << 16  # rows per block of a box listing (_box_blocks)
 
 IntVector = Tuple[int, ...]
 
@@ -460,49 +470,117 @@ def _support_components(basis: Sequence[IntVector]):
     return out
 
 
+def _box_blocks(basis: Sequence[IntVector], hf: int, budget: _NodeBudget):
+    """The lattice points v with |v|_inf <= hf, origin included, yielded
+    as blocks of rows of a 2-D array, in no specified order.
+
+    The basis goes to row Hermite normal form H: row i has a positive
+    pivot h_i in column p_i and zeros before it, so coordinate p_i of
+    v = sum_j x_j H_j depends on x_1..x_i alone.  Layer i gives each
+    partial vector V, with s = V[p_i], the exact interval
+    -((hf + s) // h_i) <= x_i <= (hf - s) // h_i, and drops the rows whose
+    fully determined columns (before p_(i+1), or all after the last layer)
+    leave the box.  Each layer's row count is charged to the budget before
+    the layer is built.  Layers expand depth-first in blocks of at most
+    _BOX_BLOCK_ROWS rows, so a caller that counts holds O(rank) blocks.
+
+    The arithmetic is int64 when conservative bounds on every |x_i|, every
+    partial coordinate and every block's row count stay below 2^62, and
+    Python ints (dtype=object) otherwise, through the same code.
+    """
+    hnf = [row for row in hnf_with_transform(basis)[0] if any(row)]
+    t = len(hnf[0])
+    pivots = [next(c for c, x in enumerate(row) if x) for row in hnf]
+    block = _BOX_BLOCK_ROWS
+    # |s| at p_i is at most sum_(j<i) X_j |H_j[p_i]|, so |x_i| <= X_i below
+    xbound: List[int] = []
+    for row, p in zip(hnf, pivots):
+        reach = sum(x * abs(r[p]) for x, r in zip(xbound, hnf))
+        xbound.append((hf + reach) // row[p])
+    reach = max(sum(x * abs(r[c]) for x, r in zip(xbound, hnf)) for c in range(t))
+    fits = max(hf + reach, (2 * max(xbound) + 1) * block) < 1 << 62
+    dtype = np.int64 if fits else object
+    harr = np.array(hnf, dtype=dtype)
+    last = pivots[1:] + [t]
+
+    def expand(i: int, v: np.ndarray):
+        p, h = pivots[i], hnf[i][pivots[i]]
+        s = v[:, p]
+        lo = -((hf + s) // h)
+        cnt = np.maximum((hf - s) // h - lo + 1, 0)
+        stop = np.cumsum(cnt)
+        total = int(stop[-1])
+        budget.spend(total)
+        stop = stop.astype(np.int64, copy=False)
+        cnt = cnt.astype(np.int64, copy=False)
+        off = lo - (stop - cnt)  # the k-th point of the layer, from row r, has x_i = off[r] + k
+        for a in range(0, total, block):
+            b = min(a + block, total)
+            rows, part = slice(None), cnt
+            if total > block:  # the rows r0..r1-1 own the points a..b-1
+                r0 = int(np.searchsorted(stop, a, side="right"))
+                r1 = int(np.searchsorted(stop, b - 1, side="right")) + 1
+                rows = slice(r0, r1)
+                part = np.minimum(stop[rows], b) - np.maximum(stop[rows] - cnt[rows], a)
+            w = np.repeat(v[rows], part, axis=0)
+            x = np.repeat(off[rows], part) + np.arange(a, b)
+            w[:, p:] += x[:, None] * harr[i, p:]
+            if last[i] > p + 1:
+                w = w[(np.abs(w[:, p + 1 : last[i]]) <= hf).all(axis=1)]
+            if i + 1 == len(hnf):
+                yield w
+            elif len(w):
+                yield from expand(i + 1, w)
+
+    yield from expand(0, np.zeros((1, t), dtype=dtype))
+
+
+def _box_floor(box_bound) -> int:
+    """floor(box_bound), refusing negative bounds."""
+    if Fraction(box_bound) < 0:
+        raise ValueError("box bound must be >= 0")
+    return math.floor(Fraction(box_bound))
+
+
 def points_in_box(lat: Lattice, box_bound, node_cap: int = DEFAULT_NODE_CAP) -> int:
     """Exact number of lattice points v with |v|_inf <= box_bound.
 
     The count includes the origin.  Basis vectors with disjoint coordinate
     support are counted independently and the per-component counts
-    multiplied; components of rank >= 2 are enumerated exactly inside the
-    covering L2 ball.
+    multiplied; rank-1 components have a closed form and the others are
+    listed exactly by Hermite-normal-form layers (_box_blocks), one block
+    at a time.
     """
-    if Fraction(box_bound) < 0:
-        raise ValueError("box bound must be >= 0")
-    if lat.rank == 0:
-        return 1
-    hf = math.floor(Fraction(box_bound))
+    hf = _box_floor(box_bound)
     total = 1
     budget = _NodeBudget(node_cap)
-    for coords, vecs in _support_components(_lll(lat.basis)[0]):
+    for _, vecs in _support_components(_lll(lat.basis)[0]):
         if len(vecs) == 1:
-            reach = linf(vecs[0])
-            total *= 2 * (hf // reach) + 1
-            continue
-        cnt = 1  # origin
-        for _, vec, _ in _enumerate_ball(*_lll(vecs), len(coords) * hf * hf, budget):
-            if linf(vec) <= hf:
-                cnt += 1
-        total *= cnt
+            total *= 2 * (hf // linf(vecs[0])) + 1
+        else:
+            total *= sum(len(w) for w in _box_blocks(vecs, hf, budget))
     return total
+
+
+def _box_rows(lat: Lattice, box_bound, node_cap: int) -> np.ndarray:
+    """The lattice points with |v|_inf <= box_bound, origin included, as
+    the rows of one array (int64, or object past the int64 guard of
+    _box_blocks), in no specified order."""
+    hf = _box_floor(box_bound)
+    if lat.rank == 0:
+        return np.zeros((1, lat.ambient_dim), dtype=np.int64)
+    return np.concatenate(list(_box_blocks(lat.basis, hf, _NodeBudget(node_cap))))
 
 
 def lattice_points_in_box(
     lat: Lattice, box_bound, node_cap: int = DEFAULT_NODE_CAP
 ) -> List[IntVector]:
-    """All lattice points with |v|_inf <= box_bound, origin included."""
-    if Fraction(box_bound) < 0:
-        raise ValueError("box bound must be >= 0")
-    if lat.rank == 0:
-        return [tuple([0] * lat.ambient_dim)]
-    hf = math.floor(Fraction(box_bound))
-    bound_sq = lat.ambient_dim * hf * hf
-    out = [tuple([0] * lat.ambient_dim)]
-    for _, vec, _ in _enumerate_ball(*_lll(lat.basis), bound_sq, _NodeBudget(node_cap)):
-        if linf(vec) <= hf:
-            out.append(vec)
-    return out
+    """All lattice points with |v|_inf <= box_bound, origin included.
+
+    Listed by Hermite-normal-form layers (see _box_blocks); the order of
+    the list is unspecified.
+    """
+    return [tuple(v) for v in _box_rows(lat, box_bound, node_cap).tolist()]
 
 
 def slab_contains(v: Sequence[int], w: Sequence[int]) -> bool:

@@ -25,7 +25,7 @@ from .exact import (
     det,
     inverse_rational,
 )
-from .lattices import Lattice, integer_kernel, lattice_points_in_box, linf, norm_sq
+from .lattices import Lattice, _box_rows, integer_kernel, linf, norm_sq
 from .numtheory import cyclotomic, factorize
 
 __all__ = [
@@ -128,7 +128,8 @@ def find_dependence(
     |k|_inf <= bound, or None when no such witness exists.
 
     Candidates are the relation-lattice points in the box (the determinant
-    condition is necessary).  A fingerprint filters them: each candidate's
+    condition is necessary), listed as one array in no specified order.
+    A fingerprint filters them: each candidate's
     ordered product is evaluated mod a prime p in int64, in numpy batches
     over power tables A_j^e mod p.  p is the first of _FINGERPRINT_PRIMES
     that divides no det A_i and keeps n (p-1)^2 < 2^63, so no int64 product
@@ -150,10 +151,8 @@ def find_dependence(
     lat = det_relation_lattice(mats)
     if lat.rank == 0:
         return None
-    candidates = [
-        k for k in lattice_points_in_box(lat, bound, node_cap) if any(k)
-    ]
-    survivors = _fingerprint_survivors(mats, dets, candidates)
+    ks = _box_rows(lat, bound, node_cap)
+    survivors = _fingerprint_survivors(mats, dets, ks[ks.any(axis=1)])
     survivors.sort(key=lambda k: (linf(k), norm_sq(k), k))
     for k in survivors:
         if check_relation(mats, k):
@@ -191,21 +190,22 @@ def _power_table_mod(a: IntMatrix, m: int, p: int) -> np.ndarray:
 
 
 def _fingerprint_survivors(
-    mats: Sequence[IntMatrix], dets: Sequence[int], candidates: List[tuple]
+    mats: Sequence[IntMatrix], dets: Sequence[int], candidates
 ) -> List[tuple]:
-    """The candidates k with A_1^{k_1}...A_s^{k_s} = I mod p.
+    """The candidates k with A_1^{k_1}...A_s^{k_s} = I mod p, as tuples.
 
+    candidates is a list of exponent tuples or an array with one per row.
     Every true relation survives, because reduction mod a prime p dividing
     no det A_i maps the product over Q to the product over Z/p.  Products
     run in blocks of at most _BLOCK_ENTRIES int64 entries, one batched
     matmul per matrix, every entry reduced below p before the next one.
     Without a usable prime the filter keeps every candidate.
     """
+    ks = np.asarray(candidates, dtype=np.int64).reshape(-1, len(mats))
     n = mats[0].n
     p = _fingerprint_prime(n, dets)
-    if p is None or not candidates:
-        return list(candidates)
-    ks = np.array(candidates, dtype=np.int64)
+    if p is None or not len(ks):
+        return [tuple(k) for k in ks.tolist()]
     ms = [int(m) for m in np.abs(ks).max(axis=0)]
     tables = [_power_table_mod(a, m, p) for a, m in zip(mats, ms)]
     eye = np.eye(n, dtype=np.int64)
@@ -218,7 +218,7 @@ def _fingerprint_survivors(
             prod = prod @ tables[j][block[:, j] + ms[j]]
             prod %= p
         keep[lo : lo + step] = (prod == eye).all(axis=(1, 2))
-    return [k for k, ok in zip(candidates, keep) if ok]
+    return [tuple(k) for k in ks[keep].tolist()]
 
 
 def tuple_rank(mats: Sequence[IntMatrix], bound: int) -> int:

@@ -12,10 +12,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import minima_oracle
+from matstat import lattices
 from matstat.errors import BudgetExceededError
 from matstat.lattices import (
+    DEFAULT_NODE_CAP,
     Lattice,
+    _enumerate_ball,
     _lll,
+    _NodeBudget,
     classify_perfect_mediocre,
     dual_volume_check,
     hnf_with_transform,
@@ -313,16 +317,18 @@ def test_enumeration_budget_on_rank_three():
     lat = orthogonal_lattice([(1, 2, 3, 4)])
     # every node of the integer Fincke-Pohst interval fits the bound, so the
     # caps below are exact node counts: 15 for the minima (29 when the
-    # intervals had a +-1 slack) and 6551 for the box (7075 before)
+    # intervals had a +-1 slack).  The box count charges every row of each
+    # Hermite-normal-form layer: 2783 (Fincke-Pohst over the covering ball
+    # charged 6551)
     for count, nodes in ((lambda cap: successive_minima(lat, cap), 15),
-                         (lambda cap: points_in_box(lat, 10, cap), 6551)):
+                         (lambda cap: points_in_box(lat, 10, cap), 2783)):
         for cap in (10, nodes - 1):
             with pytest.raises(BudgetExceededError) as err:
                 count(cap)
             assert err.value.budget == cap and err.value.needed > cap
         count(nodes)
     assert successive_minima(lat, 15) == successive_minima(lat)
-    assert points_in_box(lat, 10, 6551) == points_in_box(lat, 10)
+    assert points_in_box(lat, 10, 2783) == points_in_box(lat, 10)
 
 
 def test_successive_minima_picks_greedy_vectors():
@@ -397,6 +403,117 @@ def test_points_in_box_fractional_bound():
     lat = Lattice(1, ((2,),))
     assert points_in_box(lat, 5) == 5  # -4,-2,0,2,4
     assert points_in_box(lat, 3.9) == 3
+
+
+def _grid_reference(lat, hf):
+    """Box points by the naive scan of every integer point of the box."""
+    return {w for w in product(range(-hf, hf + 1), repeat=lat.ambient_dim) if lat.contains(w)}
+
+
+def _ball_reference(lat, hf):
+    """Box points by the route successive_minima keeps: Fincke-Pohst over
+    the covering ball of squared radius t hf^2, filtered on the sup norm."""
+    out = {(0,) * lat.ambient_dim}
+    if lat.rank:
+        ball = _enumerate_ball(
+            *_lll(lat.basis), lat.ambient_dim * hf * hf, _NodeBudget(DEFAULT_NODE_CAP)
+        )
+        out |= {v for _, v, _ in ball if max(map(abs, v)) <= hf}
+    return out
+
+
+def _box_cases(seed, count):
+    """Seeded lattices in Z^1..Z^5 of every rank, with small, skewed and
+    non-primitive bases, and box bounds from 0 up, some fractional."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        t = rng.randint(1, 5)
+        r = rng.randint(1, t)
+        lat = Lattice(t, _random_basis(rng, t, r, rng.choice(("small", "skewed", "non-primitive"))))
+        yield lat, rng.choice((0, 1, 2, Fraction(5, 2), 3.75, 4, 6))
+
+
+def test_box_listing_matches_grid_scan_and_ball():
+    for lat, bound in _box_cases("box-listing", 120):
+        hf = math.floor(bound)
+        listed = lattice_points_in_box(lat, bound)
+        assert len(set(listed)) == len(listed) == points_in_box(lat, bound)
+        assert set(listed) == _ball_reference(lat, hf)
+        if (2 * hf + 1) ** lat.ambient_dim <= 800:
+            assert set(listed) == _grid_reference(lat, hf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _int_matrix(4, 4, 9),
+    st.integers(-30, 30),
+    st.one_of(st.integers(0, 5), st.fractions(0, 5, max_denominator=4)),
+)
+def test_box_listing_against_ball_property(rows, skew, bound):
+    # skew the basis by adding a multiple of the last row to the first
+    t = len(rows[0])
+    assume(len(rows) <= t and sympy.Matrix(rows).rank() == len(rows))
+    if len(rows) > 1:
+        rows = [[x + skew * y for x, y in zip(rows[0], rows[-1])]] + rows[1:]
+    lat = Lattice(t, rows)
+    listed = lattice_points_in_box(lat, bound)
+    assert len(listed) == points_in_box(lat, bound)
+    assert set(listed) == _ball_reference(lat, math.floor(bound))
+
+
+def test_box_listing_in_tiny_blocks_is_unchanged(monkeypatch):
+    # blocks of 8 rows split every layer, and even one row's interval,
+    # across blocks; counts, point sets and node counts must not move
+    cases = list(_box_cases("box-blocks", 60))
+    cases.append((orthogonal_lattice([(1, 2, 3, 4)]), 10))
+
+    def run():
+        out = []
+        for lat, bound in cases:
+            budget = _NodeBudget(DEFAULT_NODE_CAP)
+            hf = math.floor(bound)
+            rows = [tuple(w) for blk in lattices._box_blocks(lat.basis, hf, budget)
+                    for w in blk.tolist()]
+            out.append((points_in_box(lat, bound), set(lattice_points_in_box(lat, bound)),
+                        sorted(rows), budget.cap - budget.left))
+        return out
+
+    wide = run()
+    monkeypatch.setattr(lattices, "_BOX_BLOCK_ROWS", 8)
+    assert run() == wide
+    assert any(spent > 8 for *_, spent in wide)
+
+
+def test_box_listing_int64_guard():
+    # answers of the Fincke-Pohst route, pinned; the 2**61 entries would
+    # overflow int64 arithmetic, so the layers run on Python ints there
+    huge = Lattice(2, ((1, 1), (0, 2)))
+    for count in (points_in_box, lattice_points_in_box):
+        with pytest.raises(BudgetExceededError):
+            count(huge, 10**30)
+    wide = Lattice(2, ((1, 2**62), (0, 3)))
+    assert points_in_box(wide, 5) == len(lattice_points_in_box(wide, 5)) == 41
+    assert set(lattice_points_in_box(wide, 5)) == _grid_reference(wide, 5)
+    skew = Lattice(3, ((1, 2**61, 3), (0, 5, 2**61)))
+    assert points_in_box(skew, 4) == 1
+    assert lattice_points_in_box(skew, 4) == [(0, 0, 0)]
+    # a bound past 2**62: x_i in {-2..2}, then {-1, 0, 1}, per coordinate
+    coarse = Lattice(2, ((2**61, 0), (0, 2**61)))
+    assert points_in_box(coarse, 2**62) == len(lattice_points_in_box(coarse, 2**62)) == 25
+    assert points_in_box(coarse, 2**62 - 1) == 9
+    # points (-x, x, x): the third coordinate is (x_0 + x_1) 2^70 + x_1
+    tilted = Lattice(3, ((1, 0, 2**70), (0, 1, 2**70 + 1)))
+    assert set(lattice_points_in_box(tilted, 3)) == {(-x, x, x) for x in range(-3, 4)}
+    assert points_in_box(tilted, 3) == 7
+
+
+def test_box_counts_do_not_enumerate_the_ball(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("box listing went through the L2 ball")
+
+    monkeypatch.setattr(lattices, "_enumerate_ball", refuse)
+    lat = orthogonal_lattice([(1, 2, 3, 4)])
+    assert points_in_box(lat, 10) == len(lattice_points_in_box(lat, 10)) == 2193
 
 
 def test_is_k_good_frozen():

@@ -3,6 +3,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from helpers import random_nonsingular, random_unimodular
@@ -302,6 +303,8 @@ def test_fingerprint_false_positives_do_not_change_answers(monkeypatch):
         cands = [k for k in product(range(-bound, bound + 1), repeat=2) if any(k)]
         dets = [det(m) for m in mats]
         survivors = multdep._fingerprint_survivors(mats, dets, cands)
+        # find_dependence passes the box listing as an int64 array
+        assert multdep._fingerprint_survivors(mats, dets, np.array(cands)) == survivors
         false_survivors += sum(1 for k in survivors if not check_relation(mats, k))
         assert find_dependence(mats, bound) == brute_force_dependence(mats, bound)
     assert false_survivors > 100

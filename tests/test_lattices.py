@@ -318,8 +318,7 @@ def test_enumeration_budget_on_rank_three():
     # every node of the integer Fincke-Pohst interval fits the bound, so the
     # caps below are exact node counts: 15 for the minima (29 when the
     # intervals had a +-1 slack).  The box count charges every row of each
-    # Hermite-normal-form layer: 2783 (Fincke-Pohst over the covering ball
-    # charged 6551)
+    # Hermite-normal-form layer: 2783
     for count, nodes in ((lambda cap: successive_minima(lat, cap), 15),
                          (lambda cap: points_in_box(lat, 10, cap), 2783)):
         for cap in (10, nodes - 1):

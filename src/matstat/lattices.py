@@ -11,12 +11,12 @@ only coordinates come back as Fractions (through ``exact._rref``).  Square
 roots are never compared in floating point; every comparison happens on
 squared lengths, and LLL and the enumeration run on integers only.
 
-Box counts and listings (|v|_inf <= B) come from Hermite-normal-form
-layers in numpy (``_box_blocks``): each coefficient gets its exact interval
-from the pivot column it alone still changes, in int64 when a range guard
-allows and in Python ints otherwise.  The order of a listing is
-unspecified.  Fincke-Pohst serves only the ball searches
-(``successive_minima`` and the census).
+Box counts and listings (|v|_inf <= B) come from the same Fincke-Pohst
+layers run vectorised in numpy (``_box_blocks``), each coefficient's exact
+interval cut by the box as well as by the covering ball, in int64 when a
+range guard allows and in Python ints otherwise.  The order of a listing
+is unspecified.  The scalar ``_enumerate_ball`` serves only the ball
+searches (``successive_minima`` and the census).
 """
 
 from __future__ import annotations
@@ -470,69 +470,108 @@ def _support_components(basis: Sequence[IntVector]):
     return out
 
 
+def _isqrt(q: np.ndarray) -> np.ndarray:
+    """Elementwise floor(sqrt(q)) for q >= 0, math.isqrt on Python ints.
+    On int64 (q < 2^62) the correctly rounded float sqrt of q is never
+    below isqrt(q) and at most one above it, so one step down corrects it."""
+    if q.dtype == object:
+        return np.array([math.isqrt(v) for v in q], dtype=object)
+    r = np.sqrt(q.astype(np.float64)).astype(np.int64)
+    r -= r * r > q
+    return r
+
+
 def _box_blocks(basis: Sequence[IntVector], hf: int, budget: _NodeBudget):
     """The lattice points v with |v|_inf <= hf, origin included, yielded
     as blocks of rows of a 2-D array, in no specified order.
 
-    The basis goes to row Hermite normal form H: row i has a positive
-    pivot h_i in column p_i and zeros before it, so coordinate p_i of
-    v = sum_j x_j H_j depends on x_1..x_i alone.  Layer i gives each
-    partial vector V, with s = V[p_i], the exact interval
-    -((hf + s) // h_i) <= x_i <= (hf - s) // h_i, and drops the rows whose
-    fully determined columns (before p_(i+1), or all after the last layer)
-    leave the box.  Each layer's row count is charged to the budget before
+    Fincke-Pohst layers over the coefficients of v = sum_j x_j b_j in the
+    LLL basis, last first, vectorised in numpy, with the box cutting each
+    interval as well as the covering ball |v|^2 <= t hf^2.  Layer i fixes
+    x_i for every partial vector V = sum_(j>i) x_j b_j.  With the integral
+    Gram-Schmidt data (d, lam) of _lll, z_i = d[i] b*_i is an integer
+    vector orthogonal to b_0..b_(i-1) with <v, z_i> = d[i + 1] x_i + s,
+    s = <V, z_i>.  The box bounds that by W_i = hf |z_i|_1 and the ball,
+    as in _enumerate_ball, by R = isqrt(rem // w_i) from the row's
+    remaining squared radius, so x_i runs over
+    -((min(W_i, R) + s) // d[i + 1]) .. (min(W_i, R) - s) // d[i + 1],
+    cut further by every coordinate c that x_i is the last to change
+    (b_i[c] != 0 = b_j[c] for j < i): |V[c] + x_i b_i[c]| <= hf.  Every
+    coordinate is cut so at the last layer, whose rows are then exactly
+    the box points.  Every interval lies inside the one Fincke-Pohst
+    gives the same prefix, so no listing charges more nodes than the ball
+    search would.  Each layer's row count is charged to the budget before
     the layer is built.  Layers expand depth-first in blocks of at most
     _BOX_BLOCK_ROWS rows, so a caller that counts holds O(rank) blocks.
 
     The arithmetic is int64 when conservative bounds on every |x_i|, every
-    partial coordinate and every block's row count stay below 2^62, and
-    Python ints (dtype=object) otherwise, through the same code.
+    partial sum, every coordinate and every block's row count stay below
+    2^62, and Python ints (dtype=object) otherwise, through the same code.
     """
-    hnf = [row for row in hnf_with_transform(basis)[0] if any(row)]
-    t = len(hnf[0])
-    pivots = [next(c for c, x in enumerate(row) if x) for row in hnf]
+    b, d, lam = _lll(basis)
+    r, t = len(b), len(b[0])
+    # z_i = d[i] b*_i: u = d[j] (b_i - sum_(l<j) mu_il b*_l) is integral,
+    # and u <- (d[j + 1] u - lam[i][j] z_j) / d[j] takes j to j + 1 exactly
+    z: List[List[int]] = []
+    for i in range(r):
+        u = list(b[i])
+        for j in range(i):
+            u = [(d[j + 1] * x - lam[i][j] * y) // d[j] for x, y in zip(u, z[j])]
+        z.append(u)
+    width = [hf * sum(map(abs, zi)) for zi in z]
+    m = reduce(math.lcm, (d[i] * d[i + 1] for i in range(r)), 1)
+    wts = [m // (d[i] * d[i + 1]) for i in range(r)]
+    # |s| <= reach_i = sum_(j>i) X_j |lam[j][i]|, so |x_i| <= X_i below
+    xbound = [0] * r
+    reach = [0] * r
+    for i in range(r - 1, -1, -1):
+        reach[i] = sum(xbound[j] * abs(lam[j][i]) for j in range(i + 1, r))
+        xbound[i] = (width[i] + reach[i]) // d[i + 1]
+    coord = [hf + sum(x * abs(v[c]) for x, v in zip(xbound, b)) for c in range(t)]
+    top = max(max(sum(map(abs, zi)) for zi in z) * max(coord), max(t * hf * hf, 1) * m,
+              (2 * max(xbound) + 1) * _BOX_BLOCK_ROWS)
+    dtype = np.int64 if top < 1 << 62 else object
+    barr = np.array(b, dtype=dtype)
+    zarr = np.array(z, dtype=dtype)
+    # (c, |b_i[c]|, sign) for the coordinates that b_i is the last to change
+    cuts = [[(c, abs(b[i][c]), 1 if b[i][c] > 0 else -1) for c in range(t)
+             if b[i][c] and not any(b[j][c] for j in range(i))] for i in range(r)]
     block = _BOX_BLOCK_ROWS
-    # |s| at p_i is at most sum_(j<i) X_j |H_j[p_i]|, so |x_i| <= X_i below
-    xbound: List[int] = []
-    for row, p in zip(hnf, pivots):
-        reach = sum(x * abs(r[p]) for x, r in zip(xbound, hnf))
-        xbound.append((hf + reach) // row[p])
-    reach = max(sum(x * abs(r[c]) for x, r in zip(xbound, hnf)) for c in range(t))
-    fits = max(hf + reach, (2 * max(xbound) + 1) * block) < 1 << 62
-    dtype = np.int64 if fits else object
-    harr = np.array(hnf, dtype=dtype)
-    last = pivots[1:] + [t]
 
-    def expand(i: int, v: np.ndarray):
-        p, h = pivots[i], hnf[i][pivots[i]]
-        s = v[:, p]
-        lo = -((hf + s) // h)
-        cnt = np.maximum((hf - s) // h - lo + 1, 0)
+    def expand(i: int, v: np.ndarray, rem: np.ndarray):
+        dd = d[i + 1]
+        s = v @ zarr[i]
+        wd = np.minimum(_isqrt(rem // wts[i]), width[i])
+        lo = -((wd + s) // dd)
+        hi = (wd - s) // dd
+        for c, h, sign in cuts[i]:
+            vc = v[:, c] * sign
+            lo = np.maximum(lo, -((hf + vc) // h))
+            hi = np.minimum(hi, (hf - vc) // h)
+        cnt = np.maximum(hi - lo + 1, 0)
         stop = np.cumsum(cnt)
         total = int(stop[-1])
         budget.spend(total)
         stop = stop.astype(np.int64, copy=False)
         cnt = cnt.astype(np.int64, copy=False)
-        off = lo - (stop - cnt)  # the k-th point of the layer, from row r, has x_i = off[r] + k
+        off = lo - (stop - cnt)  # the k-th point of the layer, from row q, has x_i = off[q] + k
         for a in range(0, total, block):
-            b = min(a + block, total)
-            rows, part = slice(None), cnt
-            if total > block:  # the rows r0..r1-1 own the points a..b-1
-                r0 = int(np.searchsorted(stop, a, side="right"))
-                r1 = int(np.searchsorted(stop, b - 1, side="right")) + 1
-                rows = slice(r0, r1)
-                part = np.minimum(stop[rows], b) - np.maximum(stop[rows] - cnt[rows], a)
+            e = min(a + block, total)
+            # the rows q0..q1-1 own the points a..e-1
+            q0 = int(np.searchsorted(stop, a, side="right"))
+            q1 = int(np.searchsorted(stop, e - 1, side="right")) + 1
+            rows = slice(q0, q1)
+            part = np.minimum(stop[rows], e) - np.maximum(stop[rows] - cnt[rows], a)
+            x = np.repeat(off[rows], part) + np.arange(a, e)
             w = np.repeat(v[rows], part, axis=0)
-            x = np.repeat(off[rows], part) + np.arange(a, b)
-            w[:, p:] += x[:, None] * harr[i, p:]
-            if last[i] > p + 1:
-                w = w[(np.abs(w[:, p + 1 : last[i]]) <= hf).all(axis=1)]
-            if i + 1 == len(hnf):
+            w += x[:, None] * barr[i]
+            if i == 0:
                 yield w
-            elif len(w):
-                yield from expand(i + 1, w)
+            else:
+                g = x * dd + np.repeat(s[rows], part)
+                yield from expand(i - 1, w, np.repeat(rem[rows], part) - g * g * wts[i])
 
-    yield from expand(0, np.zeros((1, t), dtype=dtype))
+    yield from expand(r - 1, np.zeros((1, t), dtype=dtype), np.array([t * hf * hf * m], dtype=dtype))
 
 
 def _box_floor(box_bound) -> int:
@@ -548,8 +587,7 @@ def points_in_box(lat: Lattice, box_bound, node_cap: int = DEFAULT_NODE_CAP) -> 
     The count includes the origin.  Basis vectors with disjoint coordinate
     support are counted independently and the per-component counts
     multiplied; rank-1 components have a closed form and the others are
-    listed exactly by Hermite-normal-form layers (_box_blocks), one block
-    at a time.
+    listed exactly by _box_blocks, one block at a time.
     """
     hf = _box_floor(box_bound)
     total = 1
@@ -577,7 +615,7 @@ def lattice_points_in_box(
 ) -> List[IntVector]:
     """All lattice points with |v|_inf <= box_bound, origin included.
 
-    Listed by Hermite-normal-form layers (see _box_blocks); the order of
+    Listed by box-cut Fincke-Pohst layers (see _box_blocks); the order of
     the list is unspecified.
     """
     return [tuple(v) for v in _box_rows(lat, box_bound, node_cap).tolist()]

@@ -354,6 +354,13 @@ def test_centralizer_frozen():
         assert centralizer_count(IntMatrix([[1, 1], [0, 1]]), h) == (2 * h + 1) ** 2
 
 
+def test_centralizer_of_a_skewed_matrix():
+    # the commutant is {(x + y, y, 1000 y, x)}: |y| <= 3, |x| and |x + y|
+    # <= 3000, counted under the default node cap
+    a = IntMatrix([[1, 1], [1000, 0]])
+    assert centralizer_count(a, 3000) == 6001 + 2 * sum(6001 - y for y in (1, 2, 3)) == 41995
+
+
 def test_centralizer_matches_scan():
     rng = random.Random(0x7272)
     for _ in range(15):

@@ -6,6 +6,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import assume, given, settings
@@ -266,10 +267,13 @@ def _fraction_gram_schmidt(basis):
 
 def _random_basis(rng, t, r, kind):
     """r independent vectors in Z^t: small entries, a skewed chain (each
-    vector plus a large multiple of the previous one) or a common factor."""
+    vector plus a large multiple of the previous one), a common factor, or
+    entries scaled by 1, 7 or 50 each (sparse lattices, often full rank)."""
     rows = []
     while len(rows) < r:
         cand = [rng.randint(-6, 6) for _ in range(t)]
+        if kind == "scaled":
+            cand = [rng.choice((1, 1, 7, 50)) * x for x in cand]
         if kind == "skewed" and rows:
             cand = [x + rng.randint(-60, 60) * y for x, y in zip(cand, rows[-1])]
         if kind == "non-primitive":
@@ -318,16 +322,17 @@ def test_enumeration_budget_on_rank_three():
     # every node of the integer Fincke-Pohst interval fits the bound, so the
     # caps below are exact node counts: 15 for the minima (29 when the
     # intervals had a +-1 slack).  The box count charges every row of each
-    # Hermite-normal-form layer: 2783
+    # layer: 2549 with the box cutting the intervals (6551 when only the
+    # covering ball of squared radius 4 * 10^2 did)
     for count, nodes in ((lambda cap: successive_minima(lat, cap), 15),
-                         (lambda cap: points_in_box(lat, 10, cap), 2783)):
+                         (lambda cap: points_in_box(lat, 10, cap), 2549)):
         for cap in (10, nodes - 1):
             with pytest.raises(BudgetExceededError) as err:
                 count(cap)
             assert err.value.budget == cap and err.value.needed > cap
         count(nodes)
     assert successive_minima(lat, 15) == successive_minima(lat)
-    assert points_in_box(lat, 10, 2783) == points_in_box(lat, 10)
+    assert points_in_box(lat, 10, 2549) == points_in_box(lat, 10)
 
 
 def test_successive_minima_picks_greedy_vectors():
@@ -428,7 +433,8 @@ def _box_cases(seed, count):
     for _ in range(count):
         t = rng.randint(1, 5)
         r = rng.randint(1, t)
-        lat = Lattice(t, _random_basis(rng, t, r, rng.choice(("small", "skewed", "non-primitive"))))
+        kind = rng.choice(("small", "skewed", "non-primitive", "scaled"))
+        lat = Lattice(t, _random_basis(rng, t, r, kind))
         yield lat, rng.choice((0, 1, 2, Fraction(5, 2), 3.75, 4, 6))
 
 
@@ -458,6 +464,42 @@ def test_box_listing_against_ball_property(rows, skew, bound):
     listed = lattice_points_in_box(lat, bound)
     assert len(listed) == points_in_box(lat, bound)
     assert set(listed) == _ball_reference(lat, math.floor(bound))
+
+
+def test_box_listing_charges_no_more_nodes_than_the_ball():
+    # every interval of a layer lies inside the one Fincke-Pohst gives the
+    # same prefix, so the box listing never needs a larger node cap
+    rng = random.Random("box-nodes")
+    cases = list(_box_cases("box-nodes", 80))
+    cases += [(Lattice(t, _random_basis(rng, t, t, "scaled")), 12) for t in (3, 4, 5) for _ in range(4)]
+    for lat, bound in cases:
+        hf = math.floor(bound)
+        box, ball = _NodeBudget(DEFAULT_NODE_CAP), _NodeBudget(DEFAULT_NODE_CAP)
+        listed = {tuple(w) for blk in lattices._box_blocks(lat.basis, hf, box) for w in blk.tolist()}
+        inside = {v for _, v, _ in _enumerate_ball(*_lll(lat.basis), lat.ambient_dim * hf * hf, ball)
+                  if max(map(abs, v)) <= hf}
+        assert listed == inside | {(0,) * lat.ambient_dim}
+        assert box.cap - box.left <= ball.cap - ball.left
+
+
+def test_box_count_of_a_sparse_full_rank_lattice():
+    # determinant ~1.6e16 in Z^5: the covering ball search needs 2227 nodes
+    # at box 60, a listing by coordinate prefixes (x_0 in [-60, 60], then
+    # x_1, ...) more than 2e7
+    sparse = Lattice(5, [[2, 50, -2, -14, 100], [-7, 1, 100, 50, -1], [1, 0, 50, 0, 2],
+                         [-50, 1, 1, -50, 7], [2, -2, -2, 100, 0]])
+    assert points_in_box(sparse, 30, 87) == 5
+    assert points_in_box(sparse, 60, 2227) == 213
+    assert set(lattice_points_in_box(sparse, 60)) == _ball_reference(sparse, 60)
+
+
+def test_isqrt_on_both_dtypes():
+    # near squares up to 2^62, where float sqrt rounds across an integer
+    vals = list(range(20)) + [k * k + e for k in (2**20 + 7, 3 * 2**29 + 1, 2**31 - 1)
+                              for e in (-1, 0, 1, 2 * k)]
+    assert lattices._isqrt(np.array(vals, dtype=np.int64)).tolist() == list(map(math.isqrt, vals))
+    big = [10**40 - 1, 10**40, 3**90]
+    assert lattices._isqrt(np.array(big, dtype=object)).tolist() == list(map(math.isqrt, big))
 
 
 def test_box_listing_in_tiny_blocks_is_unchanged(monkeypatch):

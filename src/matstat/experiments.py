@@ -16,11 +16,12 @@ import json
 import math
 import os
 import platform
-import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from . import counting, kernels, lattices, multdep, numtheory
 from .counting import CountRecord
@@ -361,8 +362,7 @@ def build_manifest(
         "versions": {
             "matstat": __version__,
             "python": platform.python_version(),
-            "numpy": _loaded_version("numpy"),
-            "numba": _loaded_version("numba"),
+            "numpy": np.__version__,
         },
     }
     if records is not None:
@@ -372,11 +372,6 @@ def build_manifest(
             per_point_ms=[round(r.elapsed_ms, 3) for r in records],
         )
     return manifest
-
-
-def _loaded_version(name: str) -> Optional[str]:
-    """Version of a module kernels imported (None when it is absent)."""
-    return getattr(sys.modules.get(name), "__version__", None)
 
 
 def write_outputs(

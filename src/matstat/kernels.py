@@ -1,10 +1,4 @@
-"""Hot counting loops: numba-jitted kernels with a pure-numpy fallback.
-
-Backend selection: the environment variable MATSTAT_BACKEND ("numba" or
-"numpy") picks the implementation at import time; tests and benchmarks can
-switch at runtime with use_backend()/set_backend().  Both backends compute
-identical integer results; float accumulations (census norm sums) are
-deterministic per backend.
+"""Hot counting loops in numpy, vectorised over bounded batches of ranks.
 
 All kernels work on int64, and each checks at entry that its inputs lie in
 the range where its intermediates provably fit and its scratch stays
@@ -17,62 +11,18 @@ Shard ranges must lie inside the kernel's rank range.  Most kernels shard
 their outermost enumeration digit; census3 scans one representative
 0 <= a <= b <= c of each signed-permutation orbit, weighted by the orbit
 size, and shards the smallest coordinate a.
-
-The numpy twins share the numba twins' algorithms and complexity; they
-vectorise over bounded batches of ranks instead of looping per rank.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # numba is the optional `numba` extra
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-_VALID = ("numba", "numpy")
-_backend = os.environ.get("MATSTAT_BACKEND", "numba" if HAVE_NUMBA else "numpy")
-if _backend not in _VALID:
-    raise ValueError(f"MATSTAT_BACKEND must be one of {_VALID}")
-if _backend == "numba" and not HAVE_NUMBA:
-    _backend = "numpy"
-
 
 def current_backend() -> str:
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    global _backend
-    if name not in _VALID:
-        raise ValueError(f"backend must be one of {_VALID}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    _backend = name
-
-
-@contextmanager
-def use_backend(name: str):
-    old = _backend
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(old)
+    """The kernel implementation, recorded in manifests and census methods."""
+    return "numpy"
 
 
 def run_parts(fn, total_range: int, parts: int, threads: int) -> list:
@@ -95,7 +45,7 @@ def run_parts(fn, total_range: int, parts: int, threads: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# shared small helpers (pure numpy, cheap enough not to need a backend)
+# shared small helpers
 
 
 def pair_count_table(h: int) -> np.ndarray:
@@ -124,7 +74,7 @@ def full_pair_count_array(h: int, halo: int) -> np.ndarray:
     return out
 
 
-_BATCH = 1 << 15  # items per vectorised step of the numpy twins
+_BATCH = 1 << 15  # items per vectorised step
 
 
 def _check_range(name: str, value: int, top: int) -> None:
@@ -149,124 +99,19 @@ def _decode_block(lo: int, hi: int, h: int, ndigits: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# numba device helpers
-
-
-@njit(cache=True, nogil=True)
-def _gcd2(a, b):
-    a = abs(a)
-    b = abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
-@njit(cache=True, nogil=True)
-def _xgcd(a, b):
-    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-@njit(cache=True, nogil=True)
-def _interval(x0, step, h):
-    """Integer m-range with |x0 + m*step| <= h, step != 0."""
-    flip = step < 0
-    if flip:
-        step = -step
-    lo = -((h + x0) // step)
-    hi = (h - x0) // step
-    if flip:
-        return -hi, -lo
-    return lo, hi
-
-
-@njit(cache=True, nogil=True)
-def _count_line(alpha, beta, g, h):
-    """#{(x, y) in [-h,h]^2 : alpha*x + beta*y = g}."""
-    if alpha == 0 and beta == 0:
-        if g == 0:
-            return (2 * h + 1) * (2 * h + 1)
-        return 0
-    gg, x, y = _xgcd(alpha, beta)
-    if g % gg != 0:
-        return 0
-    cc = g // gg
-    x0 = x * cc
-    y0 = y * cc
-    bstep = beta // gg
-    astep = alpha // gg
-    lo = -(1 << 62)
-    hi = 1 << 62
-    if bstep == 0:
-        if abs(x0) > h:
-            return 0
-    else:
-        l1, h1 = _interval(x0, bstep, h)
-        if l1 > lo:
-            lo = l1
-        if h1 < hi:
-            hi = h1
-    if astep == 0:
-        if abs(y0) > h:
-            return 0
-    else:
-        l2, h2 = _interval(y0, -astep, h)
-        if l2 > lo:
-            lo = l2
-        if h2 < hi:
-            hi = h2
-    if hi < lo:
-        return 0
-    return hi - lo + 1
-
-
-@njit(cache=True, nogil=True)
-def _decode2(rank, h):
-    """(r11, r12, r21, r22) of a 2x2 block rank, r11 least significant."""
-    b = 2 * h + 1
-    r11 = rank % b - h
-    rank //= b
-    r12 = rank % b - h
-    rank //= b
-    r21 = rank % b - h
-    rank //= b
-    return r11, r12, r21, rank % b - h
-
-
-# ---------------------------------------------------------------------------
 # n = 2 naive enumeration count (det, optionally trace)
 
 
-@njit(cache=True, nogil=True)
-def _n2_count_numba(h, d, t, use_trace, lo, hi):
-    count = 0
-    for i in range(lo, hi):
-        a = i - h
-        for e in range(-h, h + 1):
-            if use_trace and a + e != t:
-                continue
-            target = a * e - d
-            for b in range(-h, h + 1):
-                if b == 0:
-                    if target == 0:
-                        count += 2 * h + 1
-                    continue
-                if target % b == 0 and abs(target // b) <= h:
-                    count += 1
-    return count
+def n2_count(h: int, d: int, t: int = 0, use_trace: bool = False,
+             lo: int = 0, hi: int | None = None) -> int:
+    """Enumeration count of 2x2 matrices with det = d (and trace = t).
 
-
-def _n2_count_numpy(h, d, t, use_trace, lo, hi):
+    The outer index runs over a11 in [-h, h]; lo/hi give a subrange for
+    sharding.  Counts a12*a21 pairs by divisor walk, which keeps this route
+    independent of the pair-table route in charpoly2_*.
+    """
+    if hi is None:
+        hi = 2 * h + 1
     rng = np.arange(-h, h + 1, dtype=np.int64)
     b = rng[rng != 0]  # a12; a12 = 0 leaves a21 free when a11*a22 = d
     per_a11 = b.size * (1 if use_trace else rng.size)
@@ -285,48 +130,26 @@ def _n2_count_numpy(h, d, t, use_trace, lo, hi):
     return count
 
 
-def n2_count(h: int, d: int, t: int = 0, use_trace: bool = False,
-             lo: int = 0, hi: int | None = None) -> int:
-    """Enumeration count of 2x2 matrices with det = d (and trace = t).
-
-    The outer index runs over a11 in [-h, h]; lo/hi give a subrange for
-    sharding.  Counts a12*a21 pairs by divisor walk, which keeps this route
-    independent of the pair-table route in charpoly2_*.
-    """
-    if hi is None:
-        hi = 2 * h + 1
-    if _backend == "numba":
-        return int(_n2_count_numba(h, d, t, use_trace, lo, hi))
-    return int(_n2_count_numpy(h, d, t, use_trace, lo, hi))
-
-
 # ---------------------------------------------------------------------------
 # n = 2 charpoly aggregation over the pair table
 
 
-@njit(cache=True, nogil=True)
-def _charpoly2_scan_numba(h, full_counts, halo, lo_t, hi_t):
-    total = 0
-    best_c = -1
-    best_t = 0
-    best_d = 0
-    hh2 = 2 * h * h
-    for tv in range(lo_t, hi_t):
-        a_lo = max(-h, tv - h)
-        a_hi = min(h, tv + h)
-        for dv in range(-hh2, hh2 + 1):
-            cnt = 0
-            for a in range(a_lo, a_hi + 1):
-                cnt += full_counts[a * (tv - a) - dv + halo]
-            total += cnt
-            if cnt > best_c:
-                best_c = cnt
-                best_t = tv
-                best_d = dv
-    return total, best_t, best_d, best_c
+def charpoly2_scan(h: int, lo_t: int | None = None, hi_t: int | None = None):
+    """Aggregate the fast 2x2 charpoly counter over every feasible (t, d).
 
-
-def _charpoly2_scan_numpy(h, full_counts, halo, lo_t, hi_t):
+    Returns (total, best_t, best_d, best_count) on the t-range
+    [lo_t, hi_t) (defaults to [-2h, 2h]).  The total over the full range is
+    (2h+1)^4; ties for the max resolve to the smallest (t, d) in scan
+    order.
+    """
+    if h > 2048:
+        raise ValueError("pair table limited to h <= 2048")
+    if lo_t is None:
+        lo_t = -2 * h
+    if hi_t is None:
+        hi_t = 2 * h + 1
+    halo = 3 * h * h + 1
+    full_counts = full_pair_count_array(h, halo)
     total = 0
     best_c = -1
     best_t = 0
@@ -350,29 +173,6 @@ def _charpoly2_scan_numpy(h, full_counts, halo, lo_t, hi_t):
             best_t = tv
             best_d = j - hh2
     return total, best_t, best_d, best_c
-
-
-def charpoly2_scan(h: int, lo_t: int | None = None, hi_t: int | None = None):
-    """Aggregate the fast 2x2 charpoly counter over every feasible (t, d).
-
-    Returns (total, best_t, best_d, best_count) on the t-range
-    [lo_t, hi_t) (defaults to [-2h, 2h]).  The total over the full range is
-    (2h+1)^4; ties for the max resolve to the smallest (t, d) in scan
-    order, identically in both backends.
-    """
-    if h > 2048:
-        raise ValueError("pair table limited to h <= 2048")
-    if lo_t is None:
-        lo_t = -2 * h
-    if hi_t is None:
-        hi_t = 2 * h + 1
-    halo = 3 * h * h + 1
-    full_counts = full_pair_count_array(h, halo)
-    if _backend == "numba":
-        total, bt, bd, bc = _charpoly2_scan_numba(h, full_counts, halo, lo_t, hi_t)
-    else:
-        total, bt, bd, bc = _charpoly2_scan_numpy(h, full_counts, halo, lo_t, hi_t)
-    return int(total), int(bt), int(bd), int(bc)
 
 
 def charpoly2_count(h: int, t: int, d: int) -> int:
@@ -453,7 +253,7 @@ def n3_stats(h: int, lo: int, hi: int):
 # A = [[R, a], [b^T, c]] with R the top-left 2x2 block.  For fixed R and
 # c, det A = c*det R - b^T adj(R) a is linear in a for fixed b, so each
 # border vector b leaves a line count over a in [-h, h]^2.  Every such count
-# is even in b (negate a as well), so the numpy twins visit b up to sign.
+# is even in b (negate a as well), so the kernels visit b up to sign.
 
 _LINE_H_MAX = 20  # the line table has (2h^2+1)^2 entries: 26 MB at h = 20
 _BORDER_K_MAX = 127  # one rank's (2k+1)^2 border vectors fit a batch
@@ -491,9 +291,10 @@ def _line_table(h):
 
 
 def _line_counts(alpha, beta, g0, h, table):
-    """#{(x, y) in [-h, h]^2 : alpha*x + beta*y = g0}, elementwise: the
-    closed form of _count_line.  The box is symmetric in each coordinate,
-    so the count depends on |alpha|, |beta| only."""
+    """#{(x, y) in [-h, h]^2 : alpha*x + beta*y = g0}, elementwise, in
+    closed form from the extended gcd in `table` (see _line_table).  The
+    box is symmetric in each coordinate, so the count depends on |alpha|,
+    |beta| only."""
     g_t, x_t, y_t, sa_t, sb_t, width = table
     key = np.abs(alpha) * width + np.abs(beta)
     g = g_t[key]
@@ -524,25 +325,17 @@ def _check_det_trace_args(h, d, t):
         raise ValueError(f"(d, t) = ({d}, {t}) outside |d| <= 6h^3, |t| <= 3h")
 
 
-@njit(cache=True, nogil=True)
-def _det_trace3_numba(h, d, t, lo, hi):
-    total = 0
-    for rank in range(lo, hi):
-        r11, r12, r21, r22 = _decode2(rank, h)
-        c = t - (r11 + r22)
-        if c < -h or c > h:
-            continue
-        det_r = r11 * r22 - r12 * r21
-        g0 = d - c * det_r
-        for b1 in range(-h, h + 1):
-            for b2 in range(-h, h + 1):
-                alpha = r21 * b2 - r22 * b1
-                beta = r12 * b1 - r11 * b2
-                total += _count_line(alpha, beta, g0, h)
-    return total
+def det_trace3(h: int, d: int, t: int, lo: int = 0, hi: int | None = None) -> int:
+    """#{A in M_3(Z; h) : det A = d, tr A = t}.
 
-
-def _det_trace3_numpy(h, d, t, lo, hi):
+    Iterates the top-left 2x2 block (outer rank range [lo, hi) over
+    (2h+1)^4 for sharding), forces a33 from the trace, and counts the
+    remaining off-diagonal pair by exact line counts.
+    """
+    if hi is None:
+        hi = (2 * h + 1) ** 4
+    _check_det_trace_args(h, d, t)
+    _check_span(lo, hi, (2 * h + 1) ** 4)
     b1, b2, w = _half_border(h)
     table = _line_table(h)
     total = 0
@@ -558,63 +351,15 @@ def _det_trace3_numpy(h, d, t, lo, hi):
     return total
 
 
-def det_trace3(h: int, d: int, t: int, lo: int = 0, hi: int | None = None) -> int:
-    """#{A in M_3(Z; h) : det A = d, tr A = t}.
-
-    Iterates the top-left 2x2 block (outer rank range [lo, hi) over
-    (2h+1)^4 for sharding), forces a33 from the trace, and counts the
-    remaining off-diagonal pair by exact line counts.
-    """
+def det_trace3_t2(h: int, d: int, t1: int, t2: int,
+                  lo: int = 0, hi: int | None = None) -> int:
+    """#{A in M_3(Z; h) : det A = d, tr A = t1, tr A^2 = t2}."""
     if hi is None:
         hi = (2 * h + 1) ** 4
-    _check_det_trace_args(h, d, t)
+    _check_det_trace_args(h, d, t1)
+    if abs(t2) > 9 * h * h:
+        raise ValueError(f"t2 = {t2} outside |t2| <= 9h^2")
     _check_span(lo, hi, (2 * h + 1) ** 4)
-    if _backend == "numba":
-        return int(_det_trace3_numba(h, d, t, lo, hi))
-    return int(_det_trace3_numpy(h, d, t, lo, hi))
-
-
-@njit(cache=True, nogil=True)
-def _det_trace3_t2_numba(h, d, t1, t2, lo, hi):
-    total = 0
-    for rank in range(lo, hi):
-        r11, r12, r21, r22 = _decode2(rank, h)
-        c = t1 - (r11 + r22)
-        if c < -h or c > h:
-            continue
-        det_r = r11 * r22 - r12 * r21
-        g0 = d - c * det_r
-        tr_r2 = r11 * r11 + 2 * r12 * r21 + r22 * r22
-        h2 = t2 - tr_r2 - c * c
-        if h2 % 2 != 0:
-            continue
-        hdot = h2 // 2
-        for b1 in range(-h, h + 1):
-            for b2 in range(-h, h + 1):
-                alpha = r21 * b2 - r22 * b1
-                beta = r12 * b1 - r11 * b2
-                det2 = alpha * b2 - beta * b1
-                if det2 != 0:
-                    n1 = g0 * b2 - beta * hdot
-                    n2 = alpha * hdot - g0 * b1
-                    if n1 % det2 == 0 and n2 % det2 == 0:
-                        a1 = n1 // det2
-                        a2 = n2 // det2
-                        if abs(a1) <= h and abs(a2) <= h:
-                            total += 1
-                else:
-                    if alpha * hdot - g0 * b1 != 0 or beta * hdot - g0 * b2 != 0:
-                        continue
-                    if alpha != 0 or beta != 0:
-                        total += _count_line(alpha, beta, g0, h)
-                    elif b1 != 0 or b2 != 0:
-                        total += _count_line(b1, b2, hdot, h)
-                    elif g0 == 0 and hdot == 0:
-                        total += (2 * h + 1) * (2 * h + 1)
-    return total
-
-
-def _det_trace3_t2_numpy(h, d, t1, t2, lo, hi):
     b1, b2, w = _half_border(h)
     table = _line_table(h)
     total = 0
@@ -647,44 +392,8 @@ def _det_trace3_t2_numpy(h, d, t1, t2, lo, hi):
     return total
 
 
-def det_trace3_t2(h: int, d: int, t1: int, t2: int,
-                  lo: int = 0, hi: int | None = None) -> int:
-    """#{A in M_3(Z; h) : det A = d, tr A = t1, tr A^2 = t2}."""
-    if hi is None:
-        hi = (2 * h + 1) ** 4
-    _check_det_trace_args(h, d, t1)
-    if abs(t2) > 9 * h * h:
-        raise ValueError(f"t2 = {t2} outside |t2| <= 9h^2")
-    _check_span(lo, hi, (2 * h + 1) ** 4)
-    if _backend == "numba":
-        return int(_det_trace3_t2_numba(h, d, t1, t2, lo, hi))
-    return int(_det_trace3_t2_numpy(h, d, t1, t2, lo, hi))
-
-
 # ---------------------------------------------------------------------------
 # n = 3 singular bordered sets
-
-
-@njit(cache=True, nogil=True)
-def _bordered3_numba(k, lo, hi):
-    u_total = 0
-    v_total = 0
-    for rank in range(lo, hi):
-        r11, r12, r21, r22 = _decode2(rank, k)
-        for b1 in range(-k, k + 1):
-            for b2 in range(-k, k + 1):
-                alpha = r21 * b2 - r22 * b1
-                beta = r12 * b1 - r11 * b2
-                u_total += _count_line(alpha, beta, 0, k) - 1
-                det2 = alpha * b2 - beta * b1
-                if det2 == 0:
-                    if alpha != 0 or beta != 0:
-                        v_total += _count_line(alpha, beta, 0, k) - 1
-                    elif b1 != 0 or b2 != 0:
-                        v_total += _count_line(b1, b2, 0, k) - 1
-                    else:
-                        v_total += (2 * k + 1) * (2 * k + 1) - 1
-    return u_total, v_total
 
 
 def _nonzero_on_line(p, q, k):
@@ -697,7 +406,13 @@ def _nonzero_on_line(p, q, k):
                     2 * ((k * np.gcd(p, q)) // (top + (top == 0))))
 
 
-def _bordered3_numpy(k, lo, hi):
+def bordered3(k: int, lo: int = 0, hi: int | None = None):
+    """(#U_3(k), #V_3(k)): singular bordered matrices with a33 = 0 and
+    nonzero last column block; V additionally has b.a = 0."""
+    if hi is None:
+        hi = (2 * k + 1) ** 4
+    _check_range("k", k, _BORDER_K_MAX)
+    _check_span(lo, hi, (2 * k + 1) ** 4)
     b1, b2, w = _half_border(k)
     # V needs b.a = 0 too: with det2 = 0 that line is alpha.a = 0's line
     # when both are nonzero, and all of it when alpha = beta = 0
@@ -712,20 +427,6 @@ def _bordered3_numpy(k, lo, hi):
     return u_total, v_total
 
 
-def bordered3(k: int, lo: int = 0, hi: int | None = None):
-    """(#U_3(k), #V_3(k)): singular bordered matrices with a33 = 0 and
-    nonzero last column block; V additionally has b.a = 0."""
-    if hi is None:
-        hi = (2 * k + 1) ** 4
-    _check_range("k", k, _BORDER_K_MAX)
-    _check_span(lo, hi, (2 * k + 1) ** 4)
-    if _backend == "numba":
-        u, v = _bordered3_numba(k, lo, hi)
-    else:
-        u, v = _bordered3_numpy(k, lo, hi)
-    return int(u), int(v)
-
-
 # ---------------------------------------------------------------------------
 # census of K-bad vectors, t = 3
 
@@ -738,9 +439,6 @@ def _orbit_size(a, b, c):
     return (6 >> ties) << (1 + (a > 0) + (b > 0))
 
 
-_orbit_size_jit = njit(cache=True, nogil=True)(_orbit_size)
-
-
 def _dual_gram(u1, u2, u3, g1, x, y):
     """Gram entries (|v1|^2, |v2|^2, v1.v2) of the basis v1 = (u2, -u1, 0)/g1,
     v2 = (-x u3, -y u3, g1) of u^perp, where u1 x + u2 y = g1 = gcd(u1, u2)
@@ -751,49 +449,8 @@ def _dual_gram(u1, u2, u3, g1, x, y):
             u3 * ((u1 * y - u2 * x) // g1))
 
 
-_dual_gram_jit = njit(cache=True, nogil=True)(_dual_gram)
-
-
-@njit(cache=True, nogil=True)
-def _dual_min2(u1, u2, u3):
-    """Second minimum squared of u^perp for primitive u = (u1, u2, u3), by
-    rank-2 reduction of the Gram entries of _dual_gram."""
-    g1 = _gcd2(u1, u2)
-    if g1 == 0:
-        return 1  # u = (0, 0, +-1): dual is Z^2
-    _, x, y = _xgcd(u1, u2)
-    n1, n2, d12 = _dual_gram_jit(u1, u2, u3, g1, x, y)
-    while True:
-        if n2 < n1:
-            n1, n2 = n2, n1
-        q = (2 * d12 + n1) // (2 * n1)
-        if q == 0:
-            return n2
-        n2 -= q * (2 * d12 - q * n1)
-        d12 -= q * n1
-
-
-@njit(cache=True, nogil=True)
-def _census3_numba(usq, ksq, lo, hi):
-    count = 0
-    inv_sum = 0.0
-    for u1 in range(lo, hi):
-        u2 = u1
-        while u1 * u1 + 2 * u2 * u2 <= usq:
-            u3 = u2
-            nsq = u1 * u1 + u2 * u2 + u3 * u3
-            while nsq <= usq:
-                if _gcd2(_gcd2(u1, u2), u3) == 1 and _dual_min2(u1, u2, u3) > ksq:
-                    w = _orbit_size_jit(u1, u2, u3)
-                    count += w
-                    inv_sum += w * float(nsq) ** -1.5
-                nsq += 2 * u3 + 1
-                u3 += 1
-            u2 += 1
-    return count, inv_sum
-
-
 def _xgcd_vec(a, b):
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0, elementwise."""
     old_r = a.astype(np.int64).copy()
     r = b.astype(np.int64).copy()
     old_s = np.ones_like(old_r)
@@ -881,16 +538,6 @@ def _census3_block(u1, u2, u3, ksq):
     return int(w.sum()), float((w * nsq**-1.5).sum())
 
 
-def _census3_numpy(usq, ksq, lo, hi):
-    count = 0
-    inv_sum = 0.0
-    for block in _domain_blocks(usq, lo, hi):
-        c, s = _census3_block(*block, ksq)
-        count += c
-        inv_sum += s
-    return count, inv_sum
-
-
 def census_planes(usq: int) -> int:
     """Length of census3's shard axis: the smallest coordinate a of a point
     0 <= a <= b <= c with a^2 + b^2 + c^2 <= usq is at most isqrt(usq // 3)."""
@@ -914,8 +561,10 @@ def census3(uf: int, usq: int, ksq: int, lo: int = 0, hi: int | None = None):
     _check_range("U", uf, 10_000)
     _check_range("usq", usq, (uf + 1) ** 2 - 1)
     _check_span(lo, hi, census_planes(usq))
-    if _backend == "numba":
-        count, inv_sum = _census3_numba(usq, ksq, lo, hi)
-    else:
-        count, inv_sum = _census3_numpy(usq, ksq, lo, hi)
-    return int(count), float(inv_sum)
+    count = 0
+    inv_sum = 0.0
+    for block in _domain_blocks(usq, lo, hi):
+        c, s = _census3_block(*block, ksq)
+        count += c
+        inv_sum += s
+    return count, inv_sum

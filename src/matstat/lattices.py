@@ -638,7 +638,7 @@ def slab_count_in_box(v: Sequence[int], box_bound, node_cap: int = DEFAULT_NODE_
     v = tuple(int(x) for x in v)
     if all(x == 0 for x in v):
         raise ValueError("v must be nonzero")
-    tf = math.floor(Fraction(box_bound))
+    tf = _box_floor(box_bound)
     t = len(v)
     size = (2 * tf + 1) ** t
     if size > node_cap:

@@ -413,22 +413,6 @@ def test_parts_threads_never_change_counts():
         assert max_charpoly_count(3, 1, parts=parts, threads=threads) == (f, c)
 
 
-def test_counts_identical_across_backends():
-    jobs = [
-        lambda: count_with_det(2, 3, 2),
-        lambda: count_det_trace(3, 1, 0, 0),
-        lambda: count_singular_bordered(3, 1),
-        lambda: max_charpoly_count(2, 3),
-    ]
-    for b in ("numpy",) + (("numba",) if kernels.HAVE_NUMBA else ()):
-        with kernels.use_backend(b):
-            got = [j() for j in jobs]
-        if b == "numpy":
-            ref = got
-        else:
-            assert got == ref
-
-
 def test_budget_exceeded():
     with pytest.raises(BudgetExceededError):
         count_charpoly(3, 2, MonicIntPoly((0, 0, 0)), budget=1000)

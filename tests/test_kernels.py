@@ -1,24 +1,14 @@
-"""Backend parity: every jitted kernel against numpy and plain python."""
+"""Kernels and their closed forms against plain scans, brute force and
+independent counting routes."""
 
 import math
 import random
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from matstat import kernels
-
-
-BACKENDS = ("numpy",) + (("numba",) if kernels.HAVE_NUMBA else ())
-
-
-def test_backend_switching():
-    old = kernels.current_backend()
-    with kernels.use_backend("numpy"):
-        assert kernels.current_backend() == "numpy"
-    assert kernels.current_backend() == old
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
 
 
 def test_pair_count_table():
@@ -50,29 +40,55 @@ def test_full_pair_count_array():
 
 
 def test_count_line_against_scan():
-    rng = random.Random(0x5EED)
-    for _ in range(400):
-        h = rng.randint(1, 9)
-        alpha = rng.randint(-6, 6)
-        beta = rng.randint(-6, 6)
-        g = rng.randint(-30, 30)
-        truth = sum(
-            1
-            for x in range(-h, h + 1)
-            for y in range(-h, h + 1)
-            if alpha * x + beta * y == g
-        )
-        assert kernels._count_line(alpha, beta, g, h) == truth, (alpha, beta, g, h)
+    # _line_counts on seeded arrays, coefficients over the whole table
+    # [-2h^2, 2h^2] with zeros and small values drawn more often
+    rng = np.random.default_rng(0x5EED)
+    for h in (1, 2, 3, 5):
+        table = kernels._line_table(h)
+        top = 2 * h * h
+        coef = np.concatenate([rng.integers(-top, top + 1, 200), rng.integers(-2, 3, 200)])
+        alpha, beta = rng.permutation(coef), rng.permutation(coef)
+        g0 = rng.integers(-3 * h, 3 * h + 1, coef.size)
+        g0[::7] = 0
+        got = kernels._line_counts(alpha, beta, g0, h, table)
+        x, y = np.meshgrid(np.arange(-h, h + 1), np.arange(-h, h + 1))
+        want = [int(np.count_nonzero(a * x + b * y == g))
+                for a, b, g in zip(alpha.tolist(), beta.tolist(), g0.tolist())]
+        assert got.tolist() == want, h
+
+
+def test_line_table_is_an_extended_gcd():
+    for h in (1, 3):
+        g, x, y, sa, sb, width = kernels._line_table(h)
+        a, b = np.divmod(np.arange(width * width), width)
+        assert g.tolist() == [math.gcd(p, q) for p, q in zip(a.tolist(), b.tolist())]
+        assert np.array_equal(a * x + b * y, g)
+        nz = g > 0
+        assert np.array_equal(sa[nz] * g[nz], a[nz]) and np.array_equal(sb[nz] * g[nz], b[nz])
+
+
+def test_nonzero_on_line_against_scan():
+    rng = np.random.default_rng(0x0DD)
+    for k in (1, 2, 4):
+        p = np.concatenate([rng.integers(-4 * k * k, 4 * k * k + 1, 150), rng.integers(-2, 3, 50)])
+        q = rng.permutation(p)
+        got = kernels._nonzero_on_line(p, q, k)
+        x, y = np.meshgrid(np.arange(-k, k + 1), np.arange(-k, k + 1))
+        nonzero = (x != 0) | (y != 0)
+        want = [int(np.count_nonzero(nonzero & (a * x + b * y == 0)))
+                for a, b in zip(p.tolist(), q.tolist())]
+        assert got.tolist() == want, k
 
 
 def test_xgcd_properties():
-    rng = random.Random(0x9EED)
-    for _ in range(300):
-        a = rng.randint(-50, 50)
-        b = rng.randint(-50, 50)
-        g, x, y = kernels._xgcd(a, b)
-        assert g == math.gcd(a, b)
-        assert a * x + b * y == g
+    # _xgcd_vec elementwise against math.gcd, signs and zeros included
+    rng = np.random.default_rng(0x9EED)
+    a = np.concatenate([rng.integers(-50, 51, 300), rng.integers(-2**40, 2**40, 100), [0, 0, 7]])
+    b = np.concatenate([rng.integers(-50, 51, 300), rng.integers(-2**20, 2**20, 100), [0, -5, 0]])
+    g, x, y = kernels._xgcd_vec(a, b)
+    assert g.tolist() == [math.gcd(p, q) for p, q in zip(a.tolist(), b.tolist())]
+    lhs = [p * s + q * t for p, q, s, t in zip(*(v.tolist() for v in (a, b, x, y)))]
+    assert lhs == g.tolist()
 
 
 def _brute_n2(h, d, t, use_trace):
@@ -94,21 +110,12 @@ def test_n2_count_both_backends():
         t = rng.randint(-2 * h, 2 * h)
         for use_trace in (False, True):
             truth = _brute_n2(h, d, t, use_trace)
-            for b in BACKENDS:
-                with kernels.use_backend(b):
-                    got = kernels.n2_count(h, d, t, use_trace)
-                assert got == truth, (h, d, t, use_trace, b)
+            assert kernels.n2_count(h, d, t, use_trace) == truth, (h, d, t, use_trace)
 
 
 def test_charpoly2_scan_partition_and_backends():
     for h in (1, 2, 3):
-        outs = []
-        for b in BACKENDS:
-            with kernels.use_backend(b):
-                total, bt, bd, bc = kernels.charpoly2_scan(h)
-            outs.append((total, bt, bd, bc))
-        assert len(set(outs)) == 1
-        total, bt, bd, bc = outs[0]
+        total, bt, bd, bc = kernels.charpoly2_scan(h)
         assert total == (2 * h + 1) ** 4
         assert bc == kernels.charpoly2_count(h, bt, bd)
 
@@ -119,10 +126,7 @@ def test_charpoly2_count_matches_brute():
         h = rng.randint(1, 4)
         t = rng.randint(-2 * h, 2 * h)
         d = rng.randint(-2 * h * h, 2 * h * h)
-        truth = _brute_n2(h, d, t, True)
-        for b in BACKENDS:
-            with kernels.use_backend(b):
-                assert kernels.charpoly2_count(h, t, d) == truth
+        assert kernels.charpoly2_count(h, t, d) == _brute_n2(h, d, t, True)
 
 
 def test_det2_count_matches_brute():
@@ -139,73 +143,68 @@ def test_n3_stats_decode_order():
     from matstat.exact import charpoly, det, trace
 
     rng = random.Random(0x4444)
-    for b in BACKENDS:
-        with kernels.use_backend(b):
-            for h in (1, 2):
-                size = (2 * h + 1) ** 9
-                ranks = sorted(rng.randrange(size) for _ in range(40))
-                lo, hi = ranks[0], ranks[-1] + 1
-                if hi - lo > 200000:
-                    hi = lo + 200000
-                tr, mid, dt = kernels.n3_stats(h, lo, hi)
-                for r in (lo, hi - 1, (lo + hi) // 2):
-                    a = _decode(3, h, r)
-                    f = charpoly(a)
-                    i = r - lo
-                    assert tr[i] == trace(a)
-                    assert dt[i] == det(a)
-                    assert mid[i] == f.coeffs[1]  # X-coefficient = 2x2 minors
+    for h in (1, 2):
+        size = (2 * h + 1) ** 9
+        ranks = sorted(rng.randrange(size) for _ in range(40))
+        lo, hi = ranks[0], ranks[-1] + 1
+        if hi - lo > 200000:
+            hi = lo + 200000
+        tr, mid, dt = kernels.n3_stats(h, lo, hi)
+        for r in (lo, hi - 1, (lo + hi) // 2):
+            a = _decode(3, h, r)
+            f = charpoly(a)
+            i = r - lo
+            assert tr[i] == trace(a)
+            assert dt[i] == det(a)
+            assert mid[i] == f.coeffs[1]  # X-coefficient = 2x2 minors
 
 
 def test_det_trace3_both_backends_match_scan():
-    import numpy as np
-
     for h in (1, 2):
         size4 = (2 * h + 1) ** 4
+        # oracle via the full 9-entry scan
+        tr, mid, dt = kernels.n3_stats(h, 0, (2 * h + 1) ** 9)
         for d, t in ((0, 0), (1, 2), (-2, -1)):
-            outs = []
-            for b in BACKENDS:
-                with kernels.use_backend(b):
-                    outs.append(kernels.det_trace3(h, d, t, 0, size4))
-            assert len(set(outs)) == 1
-            # oracle via the full 9-entry scan
-            tr, mid, dt = kernels.n3_stats(h, 0, (2 * h + 1) ** 9)
             truth = int(np.count_nonzero((tr == t) & (dt == d)))
-            assert outs[0] == truth
+            assert kernels.det_trace3(h, d, t, 0, size4) == truth
 
 
 def test_det_trace3_t2_matches_scan():
-    import numpy as np
-
     h = 1
     size4 = (2 * h + 1) ** 4
     tr, mid, dt = kernels.n3_stats(h, 0, (2 * h + 1) ** 9)
     t2arr = tr * tr - 2 * mid
     for d, t, t2 in ((0, 0, 0), (0, 0, 2), (1, 1, 1), (0, 1, 3)):
         truth = int(np.count_nonzero((tr == t) & (dt == d) & (t2arr == t2)))
-        for b in BACKENDS:
-            with kernels.use_backend(b):
-                got = kernels.det_trace3_t2(h, d, t, t2, 0, size4)
-            assert got == truth, (d, t, t2, b)
+        assert kernels.det_trace3_t2(h, d, t, t2, 0, size4) == truth, (d, t, t2)
+
+
+def _brute_bordered(k):
+    """(#U_3(k), #V_3(k)) by a numpy scan over every matrix with a33 = 0."""
+    a11, a12, a13, a21, a22, a23, a31, a32 = kernels._decode_block(0, (2 * k + 1) ** 8, k, 8)
+    det = (a11 * (-a23 * a32) - a12 * (-a23 * a31) + a13 * (a21 * a32 - a22 * a31))
+    u = (det == 0) & ((a13 != 0) | (a23 != 0))
+    v = u & (a31 * a13 + a32 * a23 == 0)
+    return int(np.count_nonzero(u)), int(np.count_nonzero(v))
 
 
 def test_bordered3_backends_agree():
+    # the kernel against a scan of all (2k+1)^8 bordered matrices
     for k in (1, 2):
-        outs = []
-        for b in BACKENDS:
-            with kernels.use_backend(b):
-                outs.append(kernels.bordered3(k, 0, (2 * k + 1) ** 4))
-        assert len(set(outs)) == 1
+        assert kernels.bordered3(k) == _brute_bordered(k)
 
 
 def test_census3_backends_agree():
-    for uf, usq, ksq in ((6, 36, 4), (9, 81, 9), (5, 27, 2)):
-        outs = []
-        for b in BACKENDS:
-            with kernels.use_backend(b):
-                c, s = kernels.census3(uf, usq, ksq)
-            outs.append((c, round(s, 9)))
-        assert len(set(outs)) == 1
+    # the kernel against the exact Fincke-Pohst census on its orbits
+    from fractions import Fraction
+
+    from matstat.lattices import kbad_census
+
+    for u, k in ((6, 2), (9, 3), (Fraction(26, 5), Fraction(3, 2))):
+        usq, ksq = math.floor(u * u), math.floor(k * k)  # (36, 4), (81, 9), (27, 2)
+        c, s = kernels.census3(math.floor(u), usq, ksq)
+        r = kbad_census(3, u, k, method="generic")
+        assert c == r.count and math.isclose(s, r.inv_norm_sum, rel_tol=1e-12)
 
 
 def test_shard_merging_is_partition():
@@ -239,11 +238,6 @@ def test_run_parts_boundaries():
     assert out == [(0, 3), (3, 6), (6, 10)]
 
 
-def _interpreted(fn):
-    """The Python body of a numba twin: without numba, njit is the identity."""
-    return getattr(fn, "py_func", fn)
-
-
 def _random_shards(rng, size, parts):
     cuts = sorted(rng.randrange(size + 1) for _ in range(parts - 1))
     return list(zip([0] + cuts, cuts + [size]))
@@ -268,54 +262,48 @@ def test_n3_stats_every_rank_of_random_ranges():
                 assert (tr[i], mid[i], dt[i]) == (trace(m), minors, det(m)), r
 
 
-def test_numba_twins_interpreted_match_numpy():
-    import numpy as np
+def test_kernel_shards_sum_to_independent_routes():
+    from matstat.counting import count_singular_bordered
 
     rng = random.Random(0x7117)
     for h in (1, 2):
-        stats = kernels.n3_stats(h, 0, (2 * h + 1) ** 9)
-        tr, mid, dt = stats
+        tr, mid, dt = kernels.n3_stats(h, 0, (2 * h + 1) ** 9)
         size4 = (2 * h + 1) ** 4
         for d, t in ((0, 0), (1, 2), (-2, -1)):
-            total = 0
-            for lo, hi in _random_shards(rng, size4, 4):
-                got = _interpreted(kernels._det_trace3_numba)(h, d, t, lo, hi)
-                assert got == kernels._det_trace3_numpy(h, d, t, lo, hi), (h, d, t, lo, hi)
-                total += got
-            assert total == int(np.count_nonzero((tr == t) & (dt == d)))
+            total = sum(kernels.det_trace3(h, d, t, lo, hi)
+                        for lo, hi in _random_shards(rng, size4, 4))
+            assert total == int(np.count_nonzero((tr == t) & (dt == d))), (h, d, t)
         for d, t, t2 in ((0, 0, 2), (1, 1, 3), (0, 1, 1)):
-            total = 0
-            for lo, hi in _random_shards(rng, size4, 4):
-                got = _interpreted(kernels._det_trace3_t2_numba)(h, d, t, t2, lo, hi)
-                assert got == kernels._det_trace3_t2_numpy(h, d, t, t2, lo, hi)
-                total += got
+            total = sum(kernels.det_trace3_t2(h, d, t, t2, lo, hi)
+                        for lo, hi in _random_shards(rng, size4, 4))
             want = (tr == t) & (dt == d) & (tr * tr - 2 * mid == t2)
-            assert total == int(np.count_nonzero(want))
-        u = v = 0
-        for lo, hi in _random_shards(rng, size4, 4):
-            got = _interpreted(kernels._bordered3_numba)(h, lo, hi)
-            assert got == kernels._bordered3_numpy(h, lo, hi)
-            u, v = u + got[0], v + got[1]
+            assert total == int(np.count_nonzero(want)), (h, d, t, t2)
+        shards = [kernels.bordered3(h, lo, hi) for lo, hi in _random_shards(rng, size4, 4)]
+        uv = tuple(map(sum, zip(*shards)))
         if h == 1:
-            from matstat.counting import count_singular_bordered
-
-            assert (u, v) == count_singular_bordered(3, h, method="naive")
-        halo = 3 * h * h + 1
-        full = kernels.full_pair_count_array(h, halo)
+            assert uv == count_singular_bordered(3, h, method="naive")
+        else:
+            assert uv == _brute_bordered(h)
+        full = kernels.charpoly2_scan(h)
+        best = (-1,)
+        total = 0
         for lo, hi in _random_shards(rng, 4 * h + 1, 3):
-            lo_t, hi_t = lo - 2 * h, hi - 2 * h
-            assert (_interpreted(kernels._charpoly2_scan_numba)(h, full, halo, lo_t, hi_t)
-                    == kernels._charpoly2_scan_numpy(h, full, halo, lo_t, hi_t))
+            part, bt, bd, bc = kernels.charpoly2_scan(h, lo - 2 * h, hi - 2 * h)
+            total += part
+            if bc > best[0]:  # shards come in scan order: first maximum wins
+                best = (bc, bt, bd)
+        assert (total, best[1], best[2], best[0]) == full
         for d, t, use_trace in ((0, 0, False), (2, 1, True), (-3, 0, False)):
-            for lo, hi in _random_shards(rng, 2 * h + 1, 2):
-                args = (h, d, t, use_trace, lo, hi)
-                assert (_interpreted(kernels._n2_count_numba)(*args)
-                        == kernels._n2_count_numpy(*args))
+            total = sum(kernels.n2_count(h, d, t, use_trace, lo, hi)
+                        for lo, hi in _random_shards(rng, 2 * h + 1, 2))
+            assert total == _brute_n2(h, d, t, use_trace), (h, d, t, use_trace)
     for usq, ksq in ((36, 4), (27, 2), (400, 25)):
-        for lo, hi in _random_shards(rng, kernels.census_planes(usq), 3):
-            c1, s1 = _interpreted(kernels._census3_numba)(usq, ksq, lo, hi)
-            c2, s2 = kernels._census3_numpy(usq, ksq, lo, hi)
-            assert c1 == c2 and math.isclose(s1, s2, rel_tol=1e-12, abs_tol=1e-15)
+        uf = math.isqrt(usq)
+        whole, whole_sum = kernels.census3(uf, usq, ksq)
+        parts = [kernels.census3(uf, usq, ksq, lo, hi)
+                 for lo, hi in _random_shards(rng, kernels.census_planes(usq), 3)]
+        assert sum(c for c, _ in parts) == whole
+        assert math.isclose(sum(s for _, s in parts), whole_sum, rel_tol=1e-12)
 
 
 def _domain_triangle(usq, a):
@@ -324,15 +312,24 @@ def _domain_triangle(usq, a):
                for c in range(b, math.isqrt(usq) + 1) if a * a + b * b + c * c <= usq)
 
 
-def test_census3_plane_wider_than_one_batch():
+def test_census3_plane_wider_than_one_batch(monkeypatch):
     # the a = 0 triangle at U = 410 has 66356 points: three blocks, cut
     # inside the plane, so a wrong block offset shows in the count; a = 37
-    # is cut once, and a = 150..152 share one block before a cut in 152
+    # is cut once, and a = 150..152 share one block before a cut in 152.
+    # Each shard is checked against the same kernel with _BATCH raised so
+    # that the shard is one block.
     uf = 410
-    assert _domain_triangle(uf * uf, 0) > 2 * kernels._BATCH
-    for lo, hi, ksq in ((0, 1, 400), (37, 38, 9), (150, 153, 400)):
-        c1, s1 = _interpreted(kernels._census3_numba)(uf * uf, ksq, lo, hi)
-        c2, s2 = kernels._census3_numpy(uf * uf, ksq, lo, hi)
+    usq = uf * uf
+    assert _domain_triangle(usq, 0) > 2 * kernels._BATCH
+    shards = ((0, 1, 400), (37, 38, 9), (150, 153, 400))
+    got = []
+    for lo, hi, ksq in shards:
+        assert len(list(kernels._domain_blocks(usq, lo, hi))) > 1
+        got.append(kernels.census3(uf, usq, ksq, lo, hi))
+    monkeypatch.setattr(kernels, "_BATCH", 1 << 17)
+    for (lo, hi, ksq), (c1, s1) in zip(shards, got):
+        assert len(list(kernels._domain_blocks(usq, lo, hi))) == 1
+        c2, s2 = kernels.census3(uf, usq, ksq, lo, hi)
         assert c1 > 0
         assert c1 == c2 and math.isclose(s1, s2, rel_tol=1e-12, abs_tol=1e-15)
 
@@ -359,8 +356,6 @@ def _signed_orbit(u):
 
 
 def test_orbit_size():
-    import numpy as np
-
     points = [(0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 2), (1, 2, 2), (0, 1, 2),
               (0, 0, 7), (2, 3, 5), (3, 3, 4), (0, 5, 5)]
     want = [len(_signed_orbit(u)) for u in points]
@@ -371,10 +366,8 @@ def test_orbit_size():
 
 
 def test_dual_second_minimum_matches_lattice_minima():
-    # both twins' rank-2 reduction against the exact Fincke-Pohst minima,
+    # the rank-2 reduction against the exact Fincke-Pohst minima,
     # with gcd(a, b) > 1 among the points so the Gram's g1 terms matter
-    import numpy as np
-
     from matstat.lattices import is_primitive, orthogonal_lattice, successive_minima
 
     rng = random.Random(0xD2)
@@ -385,7 +378,6 @@ def test_dual_second_minimum_matches_lattice_minima():
             points.append(u)
     for u in points:
         m2 = successive_minima(orthogonal_lattice([u]))[0][1]
-        assert _interpreted(kernels._dual_min2)(*u) == m2, u
         block = [np.array([x], dtype=np.int64) for x in u]
         assert kernels._census3_block(*block, m2 - 1)[0] == kernels._orbit_size(*u), u
         assert kernels._census3_block(*block, m2)[0] == 0, u
@@ -394,16 +386,12 @@ def test_dual_second_minimum_matches_lattice_minima():
 @pytest.mark.parametrize("uf, usq", [(1, 1), (1, 3), (4, 16), (7, 56), (10, 106), (13, 169)])
 def test_census3_with_ksq_zero_counts_every_primitive_point(uf, usq):
     # lambda_2^2 >= 1 > 0, so every primitive u in the ball is K-bad
-    import numpy as np
-
     axis = np.arange(-uf, uf + 1, dtype=np.int64)
     a, b, c = np.meshgrid(axis, axis, axis, indexing="ij")
     nsq = a * a + b * b + c * c
     prim = (np.gcd(np.gcd(a, b), c) == 1) & (nsq <= usq)
     count, inv = kernels.census3(uf, usq, 0)
     assert count == int(np.count_nonzero(prim))
-    planes = kernels.census_planes(usq)
-    assert _interpreted(kernels._census3_numba)(usq, 0, 0, planes)[0] == count
     assert math.isclose(inv, math.fsum(float(n) ** -1.5 for n in nsq[prim].tolist()),
                         rel_tol=1e-13)
 

@@ -197,13 +197,6 @@ def count_with_det(
     return _scan_count(n, hf, lambda a: det(a) == d, budget)
 
 
-def _n3_chunks(hf: int, lo: int, hi: int):
-    """kernels.n3_stats (tr, middle coefficient, det) arrays for the
-    M_3(Z; H) ranks [lo, hi), _CHUNK ranks at a time."""
-    for start in range(lo, hi, _CHUNK):
-        yield kernels.n3_stats(hf, start, min(start + _CHUNK, hi))
-
-
 def _n3_scan_count(hf: int, predicate, budget: int, parts: int, threads: int) -> int:
     """#{A in M_3(Z; H) : predicate(tr, middle coefficient, det)} by the
     n3_stats scan of all (2H+1)^9 matrices, sharded over ranks."""
@@ -211,7 +204,8 @@ def _n3_scan_count(hf: int, predicate, budget: int, parts: int, threads: int) ->
     _check_budget(size, budget, "3x3 scan")
 
     def work(lo, hi):
-        return sum(int(np.count_nonzero(predicate(*c))) for c in _n3_chunks(hf, lo, hi))
+        stats = (kernels.n3_stats(hf, s, min(s + _CHUNK, hi)) for s in range(lo, hi, _CHUNK))
+        return sum(int(np.count_nonzero(predicate(*c))) for c in stats)
 
     return sum(_run_parts(work, size, parts, threads))
 
@@ -268,14 +262,17 @@ def max_charpoly_count(
 
     Ties resolve to the smallest coefficient vector in (trace, middle,
     det) scan order, so the result is deterministic.  n = 2 aggregates the
-    divisor-table counter; n = 3 tallies a full enumeration within budget.
+    divisor-table counter over the traces t <= 0 (count(t, d) =
+    count(-t, d)), sharded over those 2H+1 traces.  n = 3 tallies every
+    matrix within budget by kernels.charpoly3_tally (H <= 4), one key
+    matmul per block of top row pairs, sharded over the (2H+1)^6 row pairs.
     """
     hf = _floor_h(h)
     if n == 2:
         _check_budget((4 * hf + 1) * (4 * hf * hf + 1), budget, "charpoly aggregation")
-        pieces = _run_parts(
+        pieces = _run_parts(  # over the traces t <= 0 (see charpoly2_scan)
             lambda lo, hi: kernels.charpoly2_scan(hf, lo - 2 * hf, hi - 2 * hf),
-            4 * hf + 1, parts, threads,
+            2 * hf + 1, parts, threads,
         )
         total = sum(p[0] for p in pieces)
         best = max(pieces, key=lambda p: (p[3], -p[1], -p[2]))
@@ -286,30 +283,21 @@ def max_charpoly_count(
     if n == 3:
         size = universe_size(3, hf)
         _check_budget(size, budget, "3x3 charpoly tally")
-        km = 12 * hf * hf + 1
-        kd = 12 * hf**3 + 1
-        off_t, off_m, off_d = 3 * hf, 6 * hf * hf, 6 * hf**3
-        # keys are dense in (6h+1) * km * kd, which stays below |M_3(Z; h)|
-        nkeys = (6 * hf + 1) * km * kd
 
         def work(lo, hi):
-            local = np.zeros(nkeys, dtype=np.int64)
-            for tr, mid, dt in _n3_chunks(hf, lo, hi):
-                keys = ((tr + off_t) * km + (mid + off_m)) * kd + (dt + off_d)
-                local += np.bincount(keys, minlength=nkeys)
+            local = kernels.charpoly3_tally(hf, lo, hi)
             seen = np.flatnonzero(local)
-            return seen, local[seen]
+            return local.shape, seen, local.ravel()[seen]
 
-        tally = np.zeros(nkeys, dtype=np.int64)
-        for seen, cnt in _run_parts(work, size, parts, threads):
-            tally[seen] += cnt
+        pieces = _run_parts(work, (2 * hf + 1) ** 6, parts, threads)
+        tally = np.zeros(pieces[0][0], dtype=np.int64)
+        for _, seen, cnt in pieces:
+            tally.ravel()[seen] += cnt
         if int(tally.sum()) != size:
             raise AssertionError("charpoly tally failed the partition check")
-        best_key = int(np.argmax(tally))  # first maximum: the smallest key
-        rest, dv = divmod(best_key, kd)
-        tv, mv = divmod(rest, km)
-        f = MonicIntPoly((-(dv - off_d), mv - off_m, -(tv - off_t)))
-        return f, int(tally[best_key])
+        best = np.unravel_index(np.argmax(tally), tally.shape)  # the smallest key
+        tv, mv, dv = (int(i) - s // 2 for i, s in zip(best, tally.shape))
+        return MonicIntPoly((-dv, mv, -tv)), int(tally[best])
     raise ValueError("max charpoly scan implemented for n in {2, 3}")
 
 

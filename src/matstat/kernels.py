@@ -3,12 +3,15 @@
 All kernels work on int64, and each checks at entry that its inputs lie in
 the range where its intermediates provably fit and its scratch stays
 bounded, raising ValueError otherwise: h <= 2048 for the pair tables,
-h <= 63 for n3_stats (ranks below (2h+1)^9 < 2^63), h <= 20 for
-det_trace3/det_trace3_t2 (a line table of (2h^2+1)^2 entries, 26 MB at
-h = 20), k <= 127 for bordered3 (one rank's border vectors fit a batch) and
-U <= 10^4 for census3 (norms in the rank-2 reduction stay below 2^55).
-Shard ranges must lie inside the kernel's rank range.  Most kernels shard
-their outermost enumeration digit; census3 scans one representative
+h <= 63 for n3_stats (ranks below (2h+1)^9 < 2^63), h <= 4 for
+charpoly3_tally (a dense tally of (6h+1)(12h^2+1)(12h^3+1) keys, 30 MB at
+h = 4), h <= 20 for det_trace3/det_trace3_t2 (a line table of (2h^2+1)^2
+entries, 26 MB at h = 20), k <= 127 for bordered3 (one rank's border
+vectors fit a batch) and U <= 10^4 for census3 (norms in the rank-2
+reduction stay below 2^55).  Infeasible targets count 0.  Shard ranges
+must lie inside the kernel's rank range.  Most kernels shard their
+outermost enumeration digit; charpoly2_scan shards the traces t <= 0
+(A -> -A gives the rest); census3 scans one representative
 0 <= a <= b <= c of each signed-permutation orbit, weighted by the orbit
 size, and shards the smallest coordinate a.
 """
@@ -52,11 +55,8 @@ def pair_count_table(h: int) -> np.ndarray:
     """table[p] = #{1 <= x, y <= h : x*y = p} for 0 <= p <= h*h."""
     if h < 0:
         raise ValueError("h must be >= 0")
-    table = np.zeros(h * h + 1, dtype=np.int64)
-    for x in range(1, h + 1):
-        prods = np.arange(x, x * h + 1, x, dtype=np.int64)
-        np.add.at(table, prods, 1)
-    return table
+    r = np.arange(1, h + 1, dtype=np.int64)
+    return np.bincount(np.multiply.outer(r, r).ravel(), minlength=h * h + 1)
 
 
 def full_pair_count_array(h: int, halo: int) -> np.ndarray:
@@ -137,17 +137,20 @@ def n2_count(h: int, d: int, t: int = 0, use_trace: bool = False,
 def charpoly2_scan(h: int, lo_t: int | None = None, hi_t: int | None = None):
     """Aggregate the fast 2x2 charpoly counter over every feasible (t, d).
 
-    Returns (total, best_t, best_d, best_count) on the t-range
-    [lo_t, hi_t) (defaults to [-2h, 2h]).  The total over the full range is
+    A -> -A keeps det and negates the trace, so count(t, d) = count(-t, d):
+    only t <= 0 is scanned, and each t < 0 counts twice in the total.
+    Returns (total, best_t, best_d, best_count) on the t-range [lo_t, hi_t)
+    inside [-2h, 0] (the default).  The total over the full range is
     (2h+1)^4; ties for the max resolve to the smallest (t, d) in scan
-    order.
+    order, which is also the smallest over all t, since -t comes before t.
     """
     if h > 2048:
         raise ValueError("pair table limited to h <= 2048")
     if lo_t is None:
         lo_t = -2 * h
     if hi_t is None:
-        hi_t = 2 * h + 1
+        hi_t = 1
+    _check_span(lo_t + 2 * h, hi_t + 2 * h, 2 * h + 1)
     halo = 3 * h * h + 1
     full_counts = full_pair_count_array(h, halo)
     total = 0
@@ -157,16 +160,20 @@ def charpoly2_scan(h: int, lo_t: int | None = None, hi_t: int | None = None):
     hh2 = 2 * h * h
     width = 2 * hh2 + 1
     # cnt[j] (d = j - hh2) sums full_counts[p + hh2 + halo - j] over the
-    # products p = a*(t - a): one forward slice of the reversed table per a
+    # products p = a*(t - a), a in [-h, t + h]: a and t - a give one p, so
+    # one forward slice of the reversed table per a <= t/2, doubled
     rev = full_counts[::-1].copy()
     top = full_counts.size - 1 - hh2 - halo
     cnt = np.empty(width, dtype=np.int64)
     for tv in range(lo_t, hi_t):
         cnt[:] = 0
-        for a in range(max(-h, tv - h), min(h, tv + h) + 1):
+        for a in range(-h, tv // 2 + 1):
             s = top - a * (tv - a)
             cnt += rev[s : s + width]
-        total += int(cnt.sum())
+        cnt *= 2
+        if tv % 2 == 0:  # the last a, t/2, is its own partner
+            cnt -= rev[s : s + width]
+        total += (1 if tv == 0 else 2) * int(cnt.sum())
         j = int(np.argmax(cnt))
         if int(cnt[j]) > best_c:
             best_c = int(cnt[j])
@@ -176,15 +183,15 @@ def charpoly2_scan(h: int, lo_t: int | None = None, hi_t: int | None = None):
 
 
 def charpoly2_count(h: int, t: int, d: int) -> int:
-    """Fast exact R_2(h; X^2 - tX + d) via the divisor pair table."""
+    """Fast exact R_2(h; X^2 - tX + d) via the divisor pair table; 0 for
+    an infeasible (t, d)."""
     if h > 2048:
         raise ValueError("pair table limited to h <= 2048")
-    halo = 3 * h * h + 1
-    full_counts = full_pair_count_array(h, halo)
+    hh = h * h
+    full = full_pair_count_array(h, hh)  # indexed by p + hh, p in [-hh, hh]
     a = np.arange(max(-h, t - h), min(h, t + h) + 1, dtype=np.int64)
-    if a.size == 0:
-        return 0
-    return int(full_counts[a * (t - a) - d + halo].sum())
+    q = a * (t - a) - d  # the forced product a12*a21
+    return int(full[q[np.abs(q) <= hh] + hh].sum())
 
 
 def det2_count(h: int, d: int) -> int:
@@ -195,15 +202,32 @@ def det2_count(h: int, d: int) -> int:
     if abs(d) > 2 * hh:
         return 0
     full = full_pair_count_array(h, hh)  # indexed by p + hh, p in [-hh, hh]
-    # det = p - q with p = a11*a22, q = a12*a21: sum_p full(p) * full(p - d)
-    p = np.arange(-hh, hh + 1, dtype=np.int64)
-    q = p - d
-    ok = (q >= -hh) & (q <= hh)
-    return int((full[p[ok] + hh] * full[q[ok] + hh]).sum())
+    # det = p - q with p = a11*a22, q = a12*a21: sum_p full(p) * full(p - d),
+    # which is even in d
+    d = abs(d)
+    return int(np.dot(full[d:], full[: full.size - d]))
 
 
 # ---------------------------------------------------------------------------
 # n = 3 matrix stats from enumeration ranks
+
+
+def _row_pair_forms(h: int, lo: int, hi: int):
+    """(trace, mid, det) of the row pairs [lo, hi) of (2h+1)^6 (the top two
+    rows, a11 most significant) as affine forms of the last row: (k, 4)
+    arrays to multiply by the column (a31, a32, a33, 1)."""
+    a12, a11, a10, a02, a01, a00 = _decode_block(lo, hi, h, 6)
+    minor = a00 * a11 - a01 * a10
+    zero = np.zeros_like(minor)
+    return (np.stack([zero, zero, zero + 1, a00 + a11], axis=1),
+            np.stack([-a02, -a12, a00 + a11, minor], axis=1),
+            np.stack([a01 * a12 - a02 * a11, a02 * a10 - a00 * a12, minor, zero], axis=1))
+
+
+def _last_rows(h: int, lo: int, hi: int):
+    """The last rows [lo, hi) of (2h+1)^3 as columns (a31, a32, a33, 1)."""
+    a22, a21, a20 = _decode_block(lo, hi, h, 3)
+    return np.stack([a20, a21, a22, np.ones_like(a20)])
 
 
 def n3_stats(h: int, lo: int, hi: int):
@@ -212,39 +236,49 @@ def n3_stats(h: int, lo: int, hi: int):
     significant).  charpoly = X^3 - trace*X^2 + mid*X - det.
 
     A rank is (first two rows) * (2h+1)^3 + (last row).  For fixed first
-    two rows each stat is a constant plus the last row dotted with a vector,
-    so every run of whole row pairs is one int64 matmul against all
-    (2h+1)^3 last rows; partial row pairs at the ends use a slice of them.
+    two rows each stat is an affine form of the last row (see
+    _row_pair_forms), so the row pairs that [lo, hi) meets make one int64
+    matmul per stat against all (2h+1)^3 last rows, cut to [lo, hi).
     """
     _check_range("h", h, 63)  # ranks stay below (2h+1)^9 < 2^63
     _check_span(lo, hi, (2 * h + 1) ** 9)
-    n = hi - lo
-    tr = np.empty(n, dtype=np.int64)
-    mid = np.empty(n, dtype=np.int64)
-    dt = np.empty(n, dtype=np.int64)
     rows = (2 * h + 1) ** 3
-    pos = lo
-    while pos < hi:
-        pair, s = divmod(pos, rows)
-        if s == 0 and hi - pos >= rows:
-            k, e = (hi - pos) // rows, rows
-        else:
-            k, e = 1, min(rows, s + hi - pos)
-        a12, a11, a10, a02, a01, a00 = _decode_block(pair, pair + k, h, 6)
-        a22, a21, a20 = _decode_block(s, e, h, 3)
-        last = np.stack([a20, a21, a22])
-        out = slice(pos - lo, pos - lo + k * (e - s))
-        shape = (k, e - s)
-        minor = a00 * a11 - a01 * a10
-        cof = np.stack([a01 * a12 - a02 * a11, a02 * a10 - a00 * a12, minor], axis=1)
-        np.matmul(cof, last, out=dt[out].reshape(shape))
-        lin = np.stack([-a02, -a12, a00 + a11], axis=1)
-        mid_block = mid[out].reshape(shape)
-        np.matmul(lin, last, out=mid_block)
-        mid_block += minor[:, None]
-        np.add((a00 + a11)[:, None], a22, out=tr[out].reshape(shape))
-        pos += k * (e - s)
-    return tr, mid, dt
+    first = lo // rows
+    last = _last_rows(h, 0, rows)
+    cut = slice(lo - first * rows, hi - first * rows)
+    forms = _row_pair_forms(h, first, -(-hi // rows))
+    return tuple((form @ last).ravel()[cut] for form in forms)
+
+
+_TALLY_H_MAX = 4  # the dense tally has (6h+1) km kd entries: 30 MB at h = 4
+_TALLY_BLOCK = 1 << 20  # matrices per key block
+
+
+def charpoly3_tally(h: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """tally[trace + 3h, mid + 6h^2, det + 6h^3] over the A in M_3(Z; h)
+    whose top two rows have rank in [lo, hi) of (2h+1)^6, the shard axis.
+
+    |trace| <= 3h, |mid| <= 6h^2 and |det| <= 6h^3, so the flat key
+    ((trace + 3h) km + mid + 6h^2) kd + det + 6h^3 (km = 12h^2 + 1,
+    kd = 12h^3 + 1) lies in [0, (6h+1) km kd), far below 2^63.  It is an
+    affine form of the last row like each stat (see _row_pair_forms), so a
+    block of row pairs is one int64 matmul against all (2h+1)^3 last rows.
+    """
+    rows = (2 * h + 1) ** 3
+    if hi is None:
+        hi = rows * rows
+    _check_range("h", h, _TALLY_H_MAX)
+    _check_span(lo, hi, rows * rows)
+    km, kd = 12 * h * h + 1, 12 * h**3 + 1
+    last = _last_rows(h, 0, rows)
+    tally = np.zeros((6 * h + 1) * km * kd, dtype=np.int64)
+    step = max(1, _TALLY_BLOCK // rows)
+    for start in range(lo, hi, step):
+        tr, mid, dt = _row_pair_forms(h, start, min(start + step, hi))
+        w = (tr * km + mid) * kd + dt
+        w[:, 3] += (3 * h * km + 6 * h * h) * kd + 6 * h**3
+        tally += np.bincount((w @ last).ravel(), minlength=tally.size)
+    return tally.reshape(6 * h + 1, km, kd)
 
 
 # ---------------------------------------------------------------------------

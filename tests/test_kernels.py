@@ -3,6 +3,8 @@ independent counting routes."""
 
 import math
 import random
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations, product
 
 import numpy as np
@@ -102,6 +104,12 @@ def _brute_n2(h, d, t, use_trace):
     return cnt
 
 
+def _brute_n2_hist(h):
+    """{(t, d): count} over all of M_2(Z; h)."""
+    entries = product(range(-h, h + 1), repeat=4)
+    return Counter((a + e, a * e - b * c) for a, b, c, e in entries)
+
+
 def test_n2_count_both_backends():
     rng = random.Random(0x1111)
     for _ in range(25):
@@ -114,19 +122,35 @@ def test_n2_count_both_backends():
 
 
 def test_charpoly2_scan_partition_and_backends():
-    for h in (1, 2, 3):
-        total, bt, bd, bc = kernels.charpoly2_scan(h)
-        assert total == (2 * h + 1) ** 4
-        assert bc == kernels.charpoly2_count(h, bt, bd)
+    # the scan and max_charpoly_count(2) against the brute (t, d) histogram:
+    # the maximum, the smallest (t, d) among ties and the total, on the full
+    # range and on every range of traces t <= 0 (weight 2 for t < 0)
+    from matstat.counting import max_charpoly_count
+    from matstat.exact import MonicIntPoly
+
+    for h in (1, 2, 3, 4):
+        hist = _brute_n2_hist(h)
+        best = max(hist.values())
+        bt, bd = min(k for k, c in hist.items() if c == best)
+        assert kernels.charpoly2_scan(h) == ((2 * h + 1) ** 4, bt, bd, best)
+        assert max_charpoly_count(2, h) == (MonicIntPoly((bd, -bt)), best)
+        for lo in range(-2 * h, 1):
+            for hi in range(lo + 1, 2):
+                cells = {k: c for k, c in hist.items() if lo <= k[0] < hi}
+                top = max(cells.values())
+                total = sum(c * (1 if t == 0 else 2) for (t, _), c in cells.items())
+                want = (total, *min(k for k, c in cells.items() if c == top), top)
+                assert kernels.charpoly2_scan(h, lo, hi) == want, (h, lo, hi)
 
 
 def test_charpoly2_count_matches_brute():
-    rng = random.Random(0x2222)
-    for _ in range(40):
-        h = rng.randint(1, 4)
-        t = rng.randint(-2 * h, 2 * h)
-        d = rng.randint(-2 * h * h, 2 * h * h)
-        assert kernels.charpoly2_count(h, t, d) == _brute_n2(h, d, t, True)
+    # every (t, d) around the feasible band |t| <= 2h, |d| <= 2h^2: the
+    # infeasible ones must count 0, not read a wrapped table index
+    for h in (1, 2, 3, 4):
+        hist = _brute_n2_hist(h)
+        for t in range(-2 * h - 2, 2 * h + 3):
+            for d in range(-2 * h * h - 4, 2 * h * h + 5):
+                assert kernels.charpoly2_count(h, t, d) == hist[t, d], (h, t, d)
 
 
 def test_det2_count_matches_brute():
@@ -210,7 +234,7 @@ def test_census3_backends_agree():
 def test_shard_merging_is_partition():
     # splitting the range must never change the total
     h = 2
-    total_axis = 4 * h + 1
+    total_axis = 2 * h + 1  # the traces t <= 0
     full = kernels.charpoly2_scan(h)[0]
     pieces = kernels.run_parts(
         lambda lo, hi: kernels.charpoly2_scan(h, lo - 2 * h, hi - 2 * h)[0],
@@ -287,7 +311,7 @@ def test_kernel_shards_sum_to_independent_routes():
         full = kernels.charpoly2_scan(h)
         best = (-1,)
         total = 0
-        for lo, hi in _random_shards(rng, 4 * h + 1, 3):
+        for lo, hi in _random_shards(rng, 2 * h + 1, 3):  # the traces t <= 0
             part, bt, bd, bc = kernels.charpoly2_scan(h, lo - 2 * h, hi - 2 * h)
             total += part
             if bc > best[0]:  # shards come in scan order: first maximum wins
@@ -304,6 +328,30 @@ def test_kernel_shards_sum_to_independent_routes():
                  for lo, hi in _random_shards(rng, kernels.census_planes(usq), 3)]
         assert sum(c for c, _ in parts) == whole
         assert math.isclose(sum(s for _, s in parts), whole_sum, rel_tol=1e-12)
+
+
+def test_charpoly3_tally_against_n3_stats(monkeypatch):
+    # the fused key tally against np.unique of the keys of the n3_stats
+    # (trace, mid, det) arrays; random shards summed on 1 and 2 threads, and
+    # blocks cut small, leave it unchanged
+    rng = random.Random(0x7A11)
+    for h in (1, 2):
+        tally = kernels.charpoly3_tally(h)
+        assert tally.shape == (6 * h + 1, 12 * h * h + 1, 12 * h**3 + 1)
+        tr, mid, dt = kernels.n3_stats(h, 0, (2 * h + 1) ** 9)
+        keys = np.ravel_multi_index((tr + 3 * h, mid + 6 * h * h, dt + 6 * h**3), tally.shape)
+        seen, counts = np.unique(keys, return_counts=True)
+        want = np.zeros(tally.size, dtype=np.int64)
+        want[seen] = counts
+        assert np.array_equal(tally.ravel(), want), h
+        for threads in (1, 2):
+            shards = _random_shards(rng, (2 * h + 1) ** 6, 5)
+            with ThreadPoolExecutor(max_workers=threads) as ex:
+                parts = list(ex.map(lambda s: kernels.charpoly3_tally(h, *s), shards))
+            assert np.array_equal(sum(parts), tally), (h, threads)
+        monkeypatch.setattr(kernels, "_TALLY_BLOCK", 5000)  # 40 row pairs at h = 2
+        assert np.array_equal(kernels.charpoly3_tally(h), tally), h
+        monkeypatch.undo()
 
 
 def _domain_triangle(usq, a):
@@ -410,12 +458,16 @@ def test_census3_with_ksq_zero_counts_every_primitive_point(uf, usq):
         lambda: kernels.bordered3(2, 5, 4),
         lambda: kernels.n3_stats(64, 0, 1),  # ranks overflow int64
         lambda: kernels.n3_stats(1, 0, 3**9 + 1),
+        lambda: kernels.charpoly3_tally(5, 0, 0),  # dense tally past 30 MB
+        lambda: kernels.charpoly3_tally(1, 0, 3**6 + 1),
+        lambda: kernels.charpoly2_scan(2, 0, 2),  # past t = 0
         lambda: kernels.census3(10_001, 10_001**2, 4, 0, 0),  # reduction overflows
         lambda: kernels.census3(6, 36, 4, 0, 5),  # past isqrt(36 // 3) + 1 planes
         lambda: kernels.census3(6, 49, 4, 0, 0),  # usq past the U = 6 box
     ],
     ids=["dt3-h", "dt3-d", "dt3-t", "dt3-hi", "dt3t2-h", "dt3t2-t2", "dt3t2-lo",
-         "b3-k", "b3-span", "n3-h", "n3-hi", "census-U", "census-hi", "census-usq"],
+         "b3-k", "b3-span", "n3-h", "n3-hi", "tally-h", "tally-hi", "cp2-t",
+         "census-U", "census-hi", "census-usq"],
 )
 def test_kernel_range_guards(call):
     # empty shards where the guard is on h alone, so a missing guard fails fast
@@ -428,4 +480,6 @@ def test_kernel_range_edges_accepted():
     assert kernels.det_trace3_t2(1, 6, 3, 9, 80, 81) == 0
     assert kernels.bordered3(1, 81, 81) == (0, 0)
     assert [len(x) for x in kernels.n3_stats(1, 3**9 - 2, 3**9)] == [2, 2, 2]
+    assert kernels.charpoly3_tally(4, 9**6, 9**6).shape == (25, 193, 769)
+    assert kernels.charpoly2_scan(2, -4, -4) == (0, 0, 0, -1)
     assert kernels.census3(6, 48, 4, 4, 5) == (0, 0.0)  # only (4, 4, 4) there

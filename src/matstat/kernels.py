@@ -224,9 +224,9 @@ def _row_pair_forms(h: int, lo: int, hi: int):
             np.stack([a01 * a12 - a02 * a11, a02 * a10 - a00 * a12, minor, zero], axis=1))
 
 
-def _last_rows(h: int, lo: int, hi: int):
-    """The last rows [lo, hi) of (2h+1)^3 as columns (a31, a32, a33, 1)."""
-    a22, a21, a20 = _decode_block(lo, hi, h, 3)
+def _last_rows(h: int):
+    """All (2h+1)^3 last rows, in rank order, as columns (a31, a32, a33, 1)."""
+    a22, a21, a20 = _decode_block(0, (2 * h + 1) ** 3, h, 3)
     return np.stack([a20, a21, a22, np.ones_like(a20)])
 
 
@@ -244,7 +244,7 @@ def n3_stats(h: int, lo: int, hi: int):
     _check_span(lo, hi, (2 * h + 1) ** 9)
     rows = (2 * h + 1) ** 3
     first = lo // rows
-    last = _last_rows(h, 0, rows)
+    last = _last_rows(h)
     cut = slice(lo - first * rows, hi - first * rows)
     forms = _row_pair_forms(h, first, -(-hi // rows))
     return tuple((form @ last).ravel()[cut] for form in forms)
@@ -270,7 +270,7 @@ def charpoly3_tally(h: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
     _check_range("h", h, _TALLY_H_MAX)
     _check_span(lo, hi, rows * rows)
     km, kd = 12 * h * h + 1, 12 * h**3 + 1
-    last = _last_rows(h, 0, rows)
+    last = _last_rows(h)
     tally = np.zeros((6 * h + 1) * km * kd, dtype=np.int64)
     step = max(1, _TALLY_BLOCK // rows)
     for start in range(lo, hi, step):

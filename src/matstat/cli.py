@@ -359,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--blocks", type=str, default=None)
     pm.add_argument("--orders", type=str, default=None)
     pm.add_argument("--out", type=str, default=None)
-    pm.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
+    pm.add_argument("--budget", type=int, default=multdep.DEFAULT_WORD_STATE_CAP,
+                    help="state cap of the word search")
     pm.set_defaults(fn=_cmd_multdep)
 
     pl = sub.add_parser("lattice", help="orthogonal lattices and the census")

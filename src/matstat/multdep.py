@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -17,13 +18,11 @@ import numpy as np
 from .errors import BudgetExceededError, SingularMatrixError
 from .exact import (
     IntMatrix,
-    RationalMatrix,
     _adjugate,
     _int_pow,
     block_diag,
     companion,
     det,
-    inverse_rational,
 )
 from .lattices import Lattice, _box_rows, integer_kernel, linf, norm_sq
 from .numtheory import cyclotomic, factorize
@@ -270,6 +269,14 @@ class Word:
         return len(self.letters)
 
 
+def _reduced(num: IntMatrix, den: int) -> Tuple[IntMatrix, int]:
+    """N / q rescaled to the unique form with q > 0, gcd(N, q) = 1."""
+    g = gcd(den, *(x for row in num.rows for x in row)) * (1 if den > 0 else -1)
+    if g == 1:
+        return num, den
+    return IntMatrix([[x // g for x in row] for row in num.rows]), den // g
+
+
 def find_kernel_word(
     mats: Sequence[IntMatrix],
     max_len: int,
@@ -278,48 +285,40 @@ def find_kernel_word(
     """Shortest word A_{i_1}^{e_1}...A_{i_L}^{e_L} = I (L <= max_len) whose
     exponent sums are not all zero, or None.
 
-    Breadth-first over reduced words with exact rational states; states are
-    deduplicated on (matrix, exponent sums), which preserves completeness
-    because extensions depend only on that pair.
+    Breadth-first over reduced words.  A state's product is N / q in
+    integers with q > 0 and gcd(entries of N, q) = 1, a unique form: each
+    step multiplies by A_i / 1 or adj(A_i) / det(A_i) and divides by the
+    gcd, and the product is I exactly when q = 1 and N = I.  States are
+    deduplicated on (N, q, exponent sums), which preserves completeness
+    because extensions depend only on that triple.
     """
     _validate_tuple(mats)
-    s = len(mats)
     if max_len < 1:
         raise ValueError("word length must be >= 1")
     if det_relation_lattice(mats).rank == 0:
         return None  # determinant obstruction kills every kernel word
-    letters = [
-        (i, sgn, step)
-        for i, m in enumerate(mats)
-        for sgn, step in ((1, RationalMatrix.from_int(m)), (-1, inverse_rational(m)))
-    ]
-    start = RationalMatrix.identity(mats[0].n)
-    frontier: List[Tuple[RationalMatrix, Tuple[int, ...], tuple]] = [
-        (start, tuple([0] * s), ())
-    ]
-    seen = {(start.rows, tuple([0] * s))}
-    states = 1
+    letters = [(i, e, *_int_pow(m, e)) for i, m in enumerate(mats) for e in (1, -1)]
+    start, zero = IntMatrix.identity(mats[0].n), (0,) * len(mats)
+    frontier = [(start, 1, zero, ())]
+    seen = {(start.rows, 1, zero)}
     for _ in range(max_len):
         nxt = []
-        for matx, sums, word in frontier:
-            for i, sgn, step in letters:
+        for num, den, sums, word in frontier:
+            for i, sgn, step, step_den in letters:
                 if word and word[-1] == (i, -sgn):
                     continue  # not reduced
-                new_mat = matx @ step
-                new_sums = tuple(
-                    x + (sgn if j == i else 0) for j, x in enumerate(sums)
-                )
+                new_num, new_den = _reduced(num @ step, den * step_den)
+                new_sums = tuple(x + sgn * (j == i) for j, x in enumerate(sums))
                 new_word = word + ((i, sgn),)
-                if new_mat.is_identity() and any(new_sums):
+                if new_den == 1 and new_num.is_identity() and any(new_sums):
                     return Word(new_word, new_sums)
-                key = (new_mat.rows, new_sums)
+                key = (new_num.rows, new_den, new_sums)
                 if key in seen:
                     continue
                 seen.add(key)
-                states += 1
-                if states > state_cap:
-                    raise BudgetExceededError(states, state_cap, "word search")
-                nxt.append((new_mat, new_sums, new_word))
+                if len(seen) > state_cap:
+                    raise BudgetExceededError(len(seen), state_cap, "word search")
+                nxt.append((new_num, new_den, new_sums, new_word))
         frontier = nxt
     return None
 

@@ -3,7 +3,9 @@
 from fractions import Fraction
 from itertools import product
 
-from matstat.exact import IntMatrix, MonicIntPoly
+from matstat.errors import BudgetExceededError
+from matstat.exact import IntMatrix, MonicIntPoly, RationalMatrix, inverse_rational
+from matstat.multdep import Word, det_relation_lattice
 
 
 def det_oracle(rows):
@@ -123,3 +125,47 @@ def minima_oracle(basis, coeff_box=6):
             if len(best) == rank:
                 break
     return best
+
+
+def kernel_word_oracle(mats, max_len, state_cap):
+    """find_kernel_word's breadth-first search over Fraction matrix states.
+
+    Same word order, deduplication on (matrix, exponent sums) and state
+    count as the integer route, so both give the same Word, None or
+    BudgetExceededError.
+    """
+    s = len(mats)
+    if det_relation_lattice(mats).rank == 0:
+        return None
+    letters = [
+        (i, sgn, step)
+        for i, m in enumerate(mats)
+        for sgn, step in ((1, RationalMatrix.from_int(m)), (-1, inverse_rational(m)))
+    ]
+    start = RationalMatrix.identity(mats[0].n)
+    frontier = [(start, (0,) * s, ())]
+    seen = {(start.rows, (0,) * s)}
+    states = 1
+    for _ in range(max_len):
+        nxt = []
+        for matx, sums, word in frontier:
+            for i, sgn, step in letters:
+                if word and word[-1] == (i, -sgn):
+                    continue
+                new_mat = matx @ step
+                new_sums = tuple(
+                    x + (sgn if j == i else 0) for j, x in enumerate(sums)
+                )
+                new_word = word + ((i, sgn),)
+                if new_mat.is_identity() and any(new_sums):
+                    return Word(new_word, new_sums)
+                key = (new_mat.rows, new_sums)
+                if key in seen:
+                    continue
+                seen.add(key)
+                states += 1
+                if states > state_cap:
+                    raise BudgetExceededError(states, state_cap, "word search")
+                nxt.append((new_mat, new_sums, new_word))
+        frontier = nxt
+    return None

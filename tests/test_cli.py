@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from matstat.cli import main
+from matstat import multdep
+from matstat.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -113,6 +114,33 @@ def test_multdep_word(tmp_path, capsys):
     rc, out, _ = run(capsys, "multdep", "word", "--tuple", str(tfile), "--max-len", "4")
     assert rc == 0
     assert "A1^+1 A1^+1 A1^+1 A1^+1" in out
+
+
+def test_multdep_word_nonunit_dets(tmp_path, capsys):
+    tfile = tmp_path / "pair.json"
+    tfile.write_text(json.dumps({"matrices": [[[-2, -1], [0, -1]], [[-1, 1], [1, 1]]]}))
+    rc, out, _ = run(capsys, "multdep", "word", "--tuple", str(tfile))
+    assert rc == 0
+    assert "kernel word = A1^+1 A2^-1 A1^+1 A2^-1" in out
+    assert "exponent sums = 2,-2" in out
+
+
+def test_multdep_budget_is_the_word_state_cap(tmp_path, capsys, monkeypatch):
+    args = build_parser().parse_args(["multdep", "word"])
+    assert args.budget == multdep.DEFAULT_WORD_STATE_CAP
+    caps = []
+
+    def fake(mats, max_len, state_cap):
+        caps.append(state_cap)
+        return None
+
+    monkeypatch.setattr(multdep, "find_kernel_word", fake)
+    tfile = tmp_path / "rot.json"
+    tfile.write_text(json.dumps({"matrices": [[[0, -1], [1, 0]]]}))
+    for extra in ((), ("--budget", "77")):
+        rc, out, _ = run(capsys, "multdep", "word", "--tuple", str(tfile), *extra)
+        assert rc == 1 and "kernel word = none" in out
+    assert caps == [multdep.DEFAULT_WORD_STATE_CAP, 77]
 
 
 def test_multdep_construct_torsion(tmp_path, capsys):

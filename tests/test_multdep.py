@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import random_nonsingular, random_unimodular
+from helpers import kernel_word_oracle, random_nonsingular, random_unimodular
 from matstat import multdep
 from matstat.errors import BudgetExceededError, SingularMatrixError
 from matstat.exact import (
@@ -204,6 +204,41 @@ def test_find_kernel_word_none_cases():
         find_kernel_word([ROT4, ROT6, unipotent_shear_pair(2)[0]], 8, state_cap=10)
 
 
+def test_find_kernel_word_negative_and_nonunit_dets():
+    # letters A (det 2) and B^-1 = adj(B) / -2 (det -2): the denominators
+    # must be normalised to q > 0 and reduced for A B^-1 A B^-1 to close
+    a = IntMatrix([[-2, -1], [0, -1]])
+    b = IntMatrix([[-1, 1], [1, 1]])
+    w = find_kernel_word([a, b], 6)
+    assert w == Word(((0, 1), (1, -1), (0, 1), (1, -1)), (2, -2))
+    assert w == kernel_word_oracle([a, b], 6, 10**6)
+    assert find_kernel_word([a, b], 3) is None
+
+
+def test_find_kernel_word_matches_fraction_route():
+    # integer N/q states against Fraction states on tuples with some
+    # det != +-1: same word, same None, same state count at the cap
+    def outcome(search, mats, max_len, cap):
+        try:
+            return search(mats, max_len, cap)
+        except BudgetExceededError as exc:
+            return ("budget", exc.needed)
+
+    rng = random.Random(2024)
+    seen = {"word": 0, "none": 0, "budget": 0}
+    for _ in range(120):
+        n, s = rng.choice((1, 2, 2, 3)), rng.choice((1, 2, 2, 3))
+        mats = [random_nonsingular(rng, n, 2) for _ in range(s)]
+        if all(abs(det(m)) == 1 for m in mats):
+            continue
+        max_len, cap = rng.choice((2, 3, 4, 5)), rng.choice((3, 20, 200, 2000))
+        got = outcome(find_kernel_word, mats, max_len, cap)
+        assert got == outcome(kernel_word_oracle, mats, max_len, cap), mats
+        kind = "none" if got is None else "word" if isinstance(got, Word) else "budget"
+        seen[kind] += 1
+    assert min(seen.values()) >= 10
+
+
 def test_find_kernel_word_mixed():
     # A B with A = B^-1 forces the two-letter word A B (sums (1,1))
     b = random_unimodular(random.Random(5), 2)
@@ -343,14 +378,15 @@ def test_fingerprint_without_a_prime_keeps_every_candidate(monkeypatch):
 
 
 def test_find_dependence_checks_few_candidates_exactly(monkeypatch):
-    # the fingerprint leaves the exact Fraction products to the survivors
+    # the fingerprint leaves the exact products to the survivors; without
+    # it every one of the 2390 lattice points in the box is checked
     calls = []
-    matmul = RationalMatrix.__matmul__
+    check = multdep.check_relation
 
-    def counted(self, other):
-        calls.append(1)
-        return matmul(self, other)
+    def counted(mats, k):
+        calls.append(k)
+        return check(mats, k)
 
-    monkeypatch.setattr(RationalMatrix, "__matmul__", counted)
+    monkeypatch.setattr(multdep, "check_relation", counted)
     assert find_dependence(unipotent_shear_pair(24), 24) == (-24, 23)
-    assert len(calls) <= 200
+    assert 1 <= len(calls) <= 200

@@ -149,7 +149,7 @@ def _cmd_count(args) -> int:
         spec.parts, spec.threads, spec.budget,
     )
     _print_count(args, label, count, {shown[k]: v for k, v in pairs if k in shown})
-    _manifest_line("count " + args.what, spec)
+    _manifest_line("count " + args.what, {**spec.canonical(), "method": args.method})
     return 0
 
 

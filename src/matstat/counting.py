@@ -9,10 +9,12 @@ Every counter takes method="auto" (the default), which runs a kernel where
 one exists, or method="naive", the reference scan it is checked against:
 the n2_count divisor walk at n = 2, the n3_stats scan of all (2H+1)^9
 matrices at n = 3 and plain enumeration for n >= 4.  At n = 3 the auto
-routes border the top-left 2x2 block in O(H^6) per target: det and trace
-by det_trace3, det alone as the sum of those counts over |t| <= 3H.  For
-n <= 3 the characteristic polynomial is fixed by det A, tr A and tr A^2,
-so count_charpoly is a det/trace/trace^2 count.
+routes border the top-left 2x2 block in one kernel pass: det and trace
+by det_trace3 in O(H^6), det alone by det_trace3 with the trace free, a33
+then running over [-H, H], in O(H^7).  For n <= 3 the characteristic
+polynomial is fixed by det A, tr A and tr A^2, so count_charpoly is a
+det/trace/trace^2 count; one private core, _count_det_trace, serves them
+all, with None for a target left free.
 
 Targets (d, t, t2, K) are integers; numpy integers are accepted.
 
@@ -23,6 +25,7 @@ depend on the thread count.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -126,11 +129,14 @@ def _check_method(method: str):
 
 
 def _int_arg(name: str, value) -> int:
-    """value as a Python int (numpy integers included), else ValueError."""
+    """value as a Python int (numpy integers included), else ValueError;
+    a bool is refused, though Python counts it as an int."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _scan_count(n: int, hf: int, keep, budget: int) -> int:
@@ -138,63 +144,67 @@ def _scan_count(n: int, hf: int, keep, budget: int) -> int:
     return sum(1 for a in enumerate_matrices(n, hf, budget=budget) if keep(a))
 
 
-def _n2_scan(hf: int, d: int, t: int, use_trace: bool,
-             budget: int, parts: int, threads: int) -> int:
-    """The n2_count reference scan of M_2(Z; H), sharded over a11."""
-    _check_budget(universe_size(2, hf), budget, "2x2 scan")
-    pieces = _run_parts(
-        lambda lo, hi: kernels.n2_count(hf, d, t, use_trace, lo, hi),
-        2 * hf + 1, parts, threads,
-    )
-    return sum(pieces)
-
-
-def _det_infeasible(n: int, hf: int, d: int) -> bool:
-    """True when Hadamard's bound |det A| <= (sqrt(n) H)^n excludes d."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return d * d > n**n * hf ** (2 * n)
-
-
 # ---------------------------------------------------------------------------
-# determinant counts
+# determinant, trace and trace^2 counts
 
 
-def count_with_det(
-    n: int,
-    h,
-    d: int,
-    method: str = "auto",
-    budget: int = DEFAULT_BUDGET,
-    parts: int = 1,
-    threads: int = 1,
-) -> int:
-    """#{A in M_n(Z; H) : det A = d}, exact.
+def _count_det_trace(n: int, h, d: int, t, t2, method: str, budget: int,
+                     parts: int, threads: int) -> int:
+    """#{A in M_n(Z; H) : det A = d, tr A = t, tr A^2 = t2}, where t = None
+    leaves the trace free and t2 = None leaves tr A^2 free (a t2 always
+    comes with a t).  The one route behind every det/trace counter.
 
-    "auto" runs the divisor kernel det2_count at n = 2 and, at n = 3, sums
-    count_det_trace(3, H, d, t) over |t| <= 3H: 6H+1 bordered O(H^6)
-    kernel calls, budgeted as (2H+1)^7 in all.  "naive" and n >= 4 scan.
+    "auto" runs det2_count / charpoly2_count at n = 2 and, at n = 3, one
+    bordered kernel pass over the (2H+1)^4 top-left blocks: det_trace3
+    (budget (2H+1)^6, or (2H+1)^7 with a free trace, which a33 then
+    ranges over) or det_trace3_t2.  "naive" and n >= 4 scan.
     """
     hf = _floor_h(h)
     _check_method(method)
     d = _int_arg("d", d)
-    if _det_infeasible(n, hf, d):
+    t = None if t is None else _int_arg("t", t)
+    t2 = None if t2 is None else _int_arg("t2", t2)
+    if t is None and t2 is not None:
+        raise ValueError("a tr A^2 target needs a trace target")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    # Hadamard: |det A| <= (sqrt(n) H)^n; |tr A| <= n H; |tr A^2| <= n^2 H^2
+    if (d * d > n**n * hf ** (2 * n) or (t is not None and abs(t) > n * hf)
+            or (t2 is not None and abs(t2) > n * n * hf * hf)):
         return 0
     if n == 1:
-        return 1
+        return int(t in (None, d) and t2 in (None, d * d))
     if n == 2:
-        if method == "auto":
-            return kernels.det2_count(hf, d)
-        return _n2_scan(hf, d, 0, False, budget, parts, threads)
+        # Cayley-Hamilton forces tr A^2 = t^2 - 2d; det and trace pin the charpoly
+        if t2 is not None and t2 != t * t - 2 * d:
+            return 0
+        if method == "naive":  # the n2_count divisor walk, sharded over a11
+            _check_budget(universe_size(2, hf), budget, "2x2 scan")
+            return sum(_run_parts(lambda lo, hi: kernels.n2_count(hf, d, t, lo, hi),
+                                  2 * hf + 1, parts, threads))
+        return kernels.det2_count(hf, d) if t is None else kernels.charpoly2_count(hf, t, d)
     if n == 3:
-        if method == "naive":
-            return _n3_scan_count(hf, lambda tr, mid, dt: dt == d, budget, parts, threads)
-        _check_budget((2 * hf + 1) ** 7, budget, "bordered det count")
-        return sum(
-            count_det_trace(3, hf, d, t, method, budget, parts, threads)
-            for t in range(-3 * hf, 3 * hf + 1)
+        if method == "naive":  # tr A^2 = tr^2 - 2 mid for the 3x3 charpoly
+            return _n3_scan_count(
+                hf,
+                lambda tr, mid, dt: ((dt == d) & (t is None or tr == t)
+                                     & (t2 is None or tr * tr - 2 * mid == t2)),
+                budget, parts, threads,
+            )
+        _check_budget((2 * hf + 1) ** (7 if t is None else 6), budget,
+                      "bordered det/trace count")
+        pieces = _run_parts(
+            lambda lo, hi: (kernels.det_trace3(hf, d, t, lo, hi) if t2 is None
+                            else kernels.det_trace3_t2(hf, d, t, t2, lo, hi)),
+            (2 * hf + 1) ** 4, parts, threads,
         )
-    return _scan_count(n, hf, lambda a: det(a) == d, budget)
+        return sum(pieces)
+    return _scan_count(
+        n, hf,
+        lambda a: ((t is None or trace(a) == t) and det(a) == d
+                   and (t2 is None or trace(a @ a) == t2)),
+        budget,
+    )
 
 
 def _n3_scan_count(hf: int, predicate, budget: int, parts: int, threads: int) -> int:
@@ -208,6 +218,53 @@ def _n3_scan_count(hf: int, predicate, budget: int, parts: int, threads: int) ->
         return sum(int(np.count_nonzero(predicate(*c))) for c in stats)
 
     return sum(_run_parts(work, size, parts, threads))
+
+
+def count_with_det(
+    n: int,
+    h,
+    d: int,
+    method: str = "auto",
+    budget: int = DEFAULT_BUDGET,
+    parts: int = 1,
+    threads: int = 1,
+) -> int:
+    """#{A in M_n(Z; H) : det A = d}, exact.
+
+    "auto" runs the divisor kernel det2_count at n = 2 and, at n = 3, one
+    bordered pass of det_trace3 with the trace free, budgeted as
+    (2H+1)^7.  "naive" and n >= 4 scan.
+    """
+    return _count_det_trace(n, h, d, None, None, method, budget, parts, threads)
+
+
+def count_det_trace(
+    n: int,
+    h,
+    d: int,
+    t: int,
+    method: str = "auto",
+    budget: int = DEFAULT_BUDGET,
+    parts: int = 1,
+    threads: int = 1,
+) -> int:
+    """S_n(H; d, t) = #{A in M_n(Z; H) : det A = d, tr A = t}."""
+    return _count_det_trace(n, h, d, t, None, method, budget, parts, threads)
+
+
+def count_det_trace2(
+    n: int,
+    h,
+    d: int,
+    t1: int,
+    t2: int,
+    method: str = "auto",
+    budget: int = DEFAULT_BUDGET,
+    parts: int = 1,
+    threads: int = 1,
+) -> int:
+    """S_n(H; d, t1, t2): additionally fixes tr A^2 = t2."""
+    return _count_det_trace(n, h, d, t1, t2, method, budget, parts, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +283,8 @@ def count_charpoly(
     """R_n(H; f): matrices in M_n(Z; H) with charpoly det(XI - A) = f.
 
     For n <= 3, f is fixed by d = det A, t1 = tr A and t2 = tr A^2
-    (Newton: t2 = c_{n-1}^2 - 2 c_{n-2}), so this is count_det_trace2 with
-    the same method: "auto" takes the divisor pair table (n = 2) or the
+    (Newton: t2 = c_{n-1}^2 - 2 c_{n-2}), so this is the det/trace/trace^2
+    count with the same method: "auto" takes the divisor pair table (n = 2) or the
     bordered O(H^6) kernel (n = 3), and "naive" the reference scan it is
     checked against.  For n >= 4 every matrix is enumerated and its
     charpoly compared with f.
@@ -239,7 +296,7 @@ def count_charpoly(
     if n <= 3:
         c = (0,) + f.coeffs  # c_{-1} = 0 makes t2 = t1^2 at n = 1
         t1 = -c[-1]
-        return count_det_trace2(n, hf, (-1) ** n * c[1], t1, t1 * t1 - 2 * c[-2],
+        return _count_det_trace(n, hf, (-1) ** n * c[1], t1, t1 * t1 - 2 * c[-2],
                                 method, budget, parts, threads)
     return _scan_count(n, hf, lambda a: charpoly(a) == f, budget)
 
@@ -302,93 +359,6 @@ def max_charpoly_count(
 
 
 # ---------------------------------------------------------------------------
-# determinant + trace counts
-
-
-def count_det_trace(
-    n: int,
-    h,
-    d: int,
-    t: int,
-    method: str = "auto",
-    budget: int = DEFAULT_BUDGET,
-    parts: int = 1,
-    threads: int = 1,
-) -> int:
-    """S_n(H; d, t) = #{A in M_n(Z; H) : det A = d, tr A = t}."""
-    hf = _floor_h(h)
-    _check_method(method)
-    d, t = _int_arg("d", d), _int_arg("t", t)
-    if _det_infeasible(n, hf, d) or abs(t) > n * hf:
-        return 0
-    if n == 1:
-        return 1 if d == t else 0
-    if n == 2:
-        # det+trace pins the charpoly, so this is the 2x2 charpoly count
-        if method == "auto":
-            return kernels.charpoly2_count(hf, t, d)
-        return _n2_scan(hf, d, t, True, budget, parts, threads)
-    if n == 3:
-        if method == "naive":
-            return _n3_scan_count(
-                hf, lambda tr, mid, dt: (tr == t) & (dt == d), budget, parts, threads
-            )
-        cost = (2 * hf + 1) ** 6
-        _check_budget(cost, budget, "bordered det/trace count")
-        pieces = _run_parts(
-            lambda lo, hi: kernels.det_trace3(hf, d, t, lo, hi),
-            (2 * hf + 1) ** 4, parts, threads,
-        )
-        return sum(pieces)
-    return _scan_count(n, hf, lambda a: trace(a) == t and det(a) == d, budget)
-
-
-def count_det_trace2(
-    n: int,
-    h,
-    d: int,
-    t1: int,
-    t2: int,
-    method: str = "auto",
-    budget: int = DEFAULT_BUDGET,
-    parts: int = 1,
-    threads: int = 1,
-) -> int:
-    """S_n(H; d, t1, t2): additionally fixes tr A^2 = t2."""
-    hf = _floor_h(h)
-    _check_method(method)
-    d, t1, t2 = _int_arg("d", d), _int_arg("t1", t1), _int_arg("t2", t2)
-    # |tr A^2| = |sum a_ij a_ji| <= n^2 H^2
-    if _det_infeasible(n, hf, d) or abs(t1) > n * hf or abs(t2) > n * n * hf * hf:
-        return 0
-    if n == 1:
-        return 1 if (d == t1 and t2 == t1 * t1) else 0
-    if n == 2:
-        # Cayley-Hamilton forces tr A^2 = t1^2 - 2d
-        if t2 != t1 * t1 - 2 * d:
-            return 0
-        return count_det_trace(2, hf, d, t1, method, budget, parts, threads)
-    if n == 3:
-        if method == "naive":
-            # tr A^2 = tr^2 - 2*mid for the 3x3 charpoly coefficients
-            return _n3_scan_count(
-                hf,
-                lambda tr, mid, dt: (tr == t1) & (dt == d) & (tr * tr - 2 * mid == t2),
-                budget, parts, threads,
-            )
-        cost = (2 * hf + 1) ** 6
-        _check_budget(cost, budget, "bordered det/trace/trace2 count")
-        pieces = _run_parts(
-            lambda lo, hi: kernels.det_trace3_t2(hf, d, t1, t2, lo, hi),
-            (2 * hf + 1) ** 4, parts, threads,
-        )
-        return sum(pieces)
-    return _scan_count(
-        n, hf, lambda a: trace(a) == t1 and det(a) == d and trace(a @ a) == t2, budget
-    )
-
-
-# ---------------------------------------------------------------------------
 # singular bordered sets
 
 
@@ -424,26 +394,18 @@ def count_singular_bordered(
             (2 * k + 1) ** 4, parts, threads,
         )
         return sum(p[0] for p in pieces), sum(p[1] for p in pieces)
-    # plain scan over the free entries (everything but a_nn)
+    # plain scan over the free entries (everything but a_nn), a11 most significant
     free = n * n - 1
-    size = (2 * k + 1) ** free
-    _check_budget(size, budget, "bordered naive scan")
+    _check_budget((2 * k + 1) ** free, budget, "bordered naive scan")
     u_cnt = 0
     v_cnt = 0
-    b = 2 * k + 1
-    for rank in range(size):
-        flat = [0] * free
-        rem = rank
-        for pos in range(free - 1, -1, -1):
-            flat[pos] = rem % b - k
-            rem //= b
+    for flat in itertools.product(range(-k, k + 1), repeat=free):
         rows = [flat[i * n : (i + 1) * n] for i in range(n - 1)]
-        last = flat[(n - 1) * n :] + [0]
+        last = flat[(n - 1) * n :] + (0,)
         a_star = [rows[i][n - 1] for i in range(n - 1)]
         if all(x == 0 for x in a_star):
             continue
-        mat = IntMatrix(rows + [last])
-        if det(mat) != 0:
+        if det(IntMatrix(rows + [last])) != 0:
             continue
         u_cnt += 1
         if sum(last[i] * a_star[i] for i in range(n - 1)) == 0:

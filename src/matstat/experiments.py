@@ -134,8 +134,14 @@ def census_k(k, u) -> Union[int, Fraction]:
 
 # ---------------------------------------------------------------------------
 # the counter table: each entry maps (n, h, params, method, parts, threads,
-# budget) to (count, record pairs); method is auto|naive and only the
-# counters with a kernel and a naive route read it.
+# budget) to (count, record pairs); method is auto|naive.  The counters with
+# a kernel and a naive route read it, and those with one route that `matstat
+# count` offers refuse "naive".
+
+
+def _auto_only(kind: str, method: str):
+    if method != "auto":
+        raise ValueError(f"{kind} has one route; method must be auto, got {method!r}")
 
 
 def _charpoly(n, h, params, method, parts, threads, budget):
@@ -144,6 +150,7 @@ def _charpoly(n, h, params, method, parts, threads, budget):
 
 
 def _charpoly_max(n, h, params, method, parts, threads, budget):
+    _auto_only("charpoly-max", method)
     f, count = counting.max_charpoly_count(n, h, budget, parts, threads)
     return count, [("argmax", f)]
 
@@ -156,13 +163,12 @@ def _det(n, h, params, method, parts, threads, budget):
 def _det_trace(n, h, params, method, parts, threads, budget):
     d = counting._int_arg("d", params.get("d", 0))
     t = counting._int_arg("t", params.get("t", 0))
+    pairs = [("d", d), ("t", t)]
     t2 = params.get("t2")
-    if t2 is None:
-        count = counting.count_det_trace(n, h, d, t, method, budget, parts, threads)
-        return count, [("d", d), ("t", t)]
-    t2 = counting._int_arg("t2", t2)
-    count = counting.count_det_trace2(n, h, d, t, t2, method, budget, parts, threads)
-    return count, [("d", d), ("t", t), ("t2", t2)]
+    if t2 is not None:
+        t2 = counting._int_arg("t2", t2)
+        pairs.append(("t2", t2))
+    return counting._count_det_trace(n, h, d, t, t2, method, budget, parts, threads), pairs
 
 
 def _grid_int(h) -> int:
@@ -199,6 +205,7 @@ def _totient_v(n, h, params, method, parts, threads, budget):
 
 
 def _centralizer(n, h, params, method, parts, threads, budget):
+    _auto_only("centralizer", method)
     a = _required(params, "matrix")
     a = a if isinstance(a, IntMatrix) else IntMatrix(a)
     return counting.centralizer_count(a, h, node_cap=budget), [("matrix", _flat_matrix(a))]

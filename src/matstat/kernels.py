@@ -102,9 +102,10 @@ def _decode_block(lo: int, hi: int, h: int, ndigits: int) -> list:
 # n = 2 naive enumeration count (det, optionally trace)
 
 
-def n2_count(h: int, d: int, t: int = 0, use_trace: bool = False,
+def n2_count(h: int, d: int, t: int | None = None,
              lo: int = 0, hi: int | None = None) -> int:
-    """Enumeration count of 2x2 matrices with det = d (and trace = t).
+    """Enumeration count of 2x2 matrices with det = d (and trace = t unless
+    t is None).
 
     The outer index runs over a11 in [-h, h]; lo/hi give a subrange for
     sharding.  Counts a12*a21 pairs by divisor walk, which keeps this route
@@ -112,18 +113,19 @@ def n2_count(h: int, d: int, t: int = 0, use_trace: bool = False,
     """
     if hi is None:
         hi = 2 * h + 1
+    _check_span(lo, hi, 2 * h + 1)
     rng = np.arange(-h, h + 1, dtype=np.int64)
     b = rng[rng != 0]  # a12; a12 = 0 leaves a21 free when a11*a22 = d
-    per_a11 = b.size * (1 if use_trace else rng.size)
+    per_a11 = b.size * (rng.size if t is None else 1)
     step = max(1, _BATCH // max(1, per_a11))
     count = 0
     for start in range(lo, hi, step):
         a = np.arange(start, min(start + step, hi), dtype=np.int64) - h
-        if use_trace:
+        if t is None:
+            target = (a[:, None] * rng - d).ravel()  # over (a11, a22)
+        else:
             e = t - a
             target = (a * e - d)[np.abs(e) <= h]
-        else:
-            target = (a[:, None] * rng - d).ravel()  # over (a11, a22)
         q, r = np.divmod(target[:, None], b)  # a21 = target / a12
         count += int(np.count_nonzero((r == 0) & (np.abs(q) <= h)))
         count += (2 * h + 1) * int(np.count_nonzero(target == 0))
@@ -287,7 +289,10 @@ def charpoly3_tally(h: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
 # A = [[R, a], [b^T, c]] with R the top-left 2x2 block.  For fixed R and
 # c, det A = c*det R - b^T adj(R) a is linear in a for fixed b, so each
 # border vector b leaves a line count over a in [-h, h]^2.  Every such count
-# is even in b (negate a as well), so the kernels visit b up to sign.
+# is even in b (negate a as well), so the kernels visit b up to sign.  A
+# fixed trace forces c = t - tr R; with the trace free (det_trace3 with
+# t = None) c runs over [-h, h] in the same pass, so a det count is one
+# pass over the blocks rather than one per trace.
 
 _LINE_H_MAX = 20  # the line table has (2h^2+1)^2 entries: 26 MB at h = 20
 _BORDER_K_MAX = 127  # one rank's (2k+1)^2 border vectors fit a batch
@@ -355,16 +360,18 @@ def _line_counts(alpha, beta, g0, h, table):
 
 def _check_det_trace_args(h, d, t):
     _check_range("h", h, _LINE_H_MAX)
-    if abs(d) > 6 * h**3 or abs(t) > 3 * h:
+    if abs(d) > 6 * h**3 or (t is not None and abs(t) > 3 * h):
         raise ValueError(f"(d, t) = ({d}, {t}) outside |d| <= 6h^3, |t| <= 3h")
 
 
-def det_trace3(h: int, d: int, t: int, lo: int = 0, hi: int | None = None) -> int:
-    """#{A in M_3(Z; h) : det A = d, tr A = t}.
+def det_trace3(h: int, d: int, t: int | None, lo: int = 0, hi: int | None = None) -> int:
+    """#{A in M_3(Z; h) : det A = d, tr A = t}, or det A = d alone when t
+    is None.
 
     Iterates the top-left 2x2 block (outer rank range [lo, hi) over
-    (2h+1)^4 for sharding), forces a33 from the trace, and counts the
-    remaining off-diagonal pair by exact line counts.
+    (2h+1)^4 for sharding), forces a33 from the trace or, with the trace
+    free, runs it over [-h, h], and counts the remaining off-diagonal pair
+    by exact line counts.
     """
     if hi is None:
         hi = (2 * h + 1) ** 4
@@ -372,16 +379,21 @@ def det_trace3(h: int, d: int, t: int, lo: int = 0, hi: int | None = None) -> in
     _check_span(lo, hi, (2 * h + 1) ** 4)
     b1, b2, w = _half_border(h)
     table = _line_table(h)
+    per_rank = b1.size * (2 * h + 1 if t is None else 1)
     total = 0
-    for r11, r12, r21, r22 in _rank_batches(lo, hi, h, b1.size):
-        c = t - (r11 + r22)
-        keep = np.abs(c) <= h
-        r11, r12, r21, r22, c = r11[keep], r12[keep], r21[keep], r22[keep], c[keep]
-        g0 = d - c * (r11 * r22 - r12 * r21)
-        alpha = r21[:, None] * b2 - r22[:, None] * b1
-        beta = r12[:, None] * b1 - r11[:, None] * b2
-        cnt = _line_counts(alpha, beta, g0[:, None], h, table)
-        total += int(cnt.sum(axis=0) @ w)
+    for r11, r12, r21, r22 in _rank_batches(lo, hi, h, per_rank):
+        if t is None:
+            c = np.arange(-h, h + 1, dtype=np.int64)[None, :]
+        else:
+            c = t - (r11 + r22)
+            keep = np.abs(c) <= h
+            r11, r12, r21, r22, c = r11[keep], r12[keep], r21[keep], r22[keep], c[keep, None]
+        # (block, a33, border): the line table is read once per (block, border)
+        g0 = (d - c * (r11 * r22 - r12 * r21)[:, None])[:, :, None]
+        alpha = (r21[:, None] * b2 - r22[:, None] * b1)[:, None, :]
+        beta = (r12[:, None] * b1 - r11[:, None] * b2)[:, None, :]
+        cnt = _line_counts(alpha, beta, g0, h, table)
+        total += int(cnt.sum(axis=(0, 1)) @ w)
     return total
 
 
@@ -510,11 +522,15 @@ def _xgcd_vec(a, b):
     return g, x, y
 
 
-def _isqrt_vec(x):
-    """floor(sqrt(x)) of an int64 array with 0 <= x < 2^52."""
-    r = np.sqrt(x.astype(np.float64)).astype(np.int64)
-    r -= r * r > x
-    return r + ((r + 1) * (r + 1) <= x)
+def _isqrt(q: np.ndarray) -> np.ndarray:
+    """Elementwise floor(sqrt(q)) for q >= 0, math.isqrt on Python ints.
+    On int64 (q < 2^62) the correctly rounded float sqrt of q is never
+    below isqrt(q) and at most one above it, so one step down corrects it."""
+    if q.dtype == object:
+        return np.array([math.isqrt(v) for v in q], dtype=object)
+    r = np.sqrt(q.astype(np.float64)).astype(np.int64)
+    r -= r * r > q
+    return r
 
 
 def _domain_blocks(usq, lo, hi):
@@ -533,7 +549,7 @@ def _domain_blocks(usq, lo, hi):
         b = np.arange(a, math.isqrt(rest // 2) + 1, dtype=np.int64)
         ra = np.concatenate([ra, np.full_like(b, a)])
         rb = np.concatenate([rb, b])
-        rn = np.concatenate([rn, _isqrt_vec(rest - b * b) - b + 1])
+        rn = np.concatenate([rn, _isqrt(rest - b * b) - b + 1])
         cum = np.cumsum(rn)
         start, base = 0, 0
         while cum[-1] - base >= _BATCH:

@@ -33,8 +33,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import kernels
 from .errors import BudgetExceededError
 from .exact import IntMatrix, _echelon, _rref, det
+from .kernels import _isqrt
 
 __all__ = [
     "Lattice",
@@ -470,17 +472,6 @@ def _support_components(basis: Sequence[IntVector]):
     return out
 
 
-def _isqrt(q: np.ndarray) -> np.ndarray:
-    """Elementwise floor(sqrt(q)) for q >= 0, math.isqrt on Python ints.
-    On int64 (q < 2^62) the correctly rounded float sqrt of q is never
-    below isqrt(q) and at most one above it, so one step down corrects it."""
-    if q.dtype == object:
-        return np.array([math.isqrt(v) for v in q], dtype=object)
-    r = np.sqrt(q.astype(np.float64)).astype(np.int64)
-    r -= r * r > q
-    return r
-
-
 def _box_blocks(basis: Sequence[IntVector], hf: int, budget: _NodeBudget):
     """The lattice points v with |v|_inf <= hf, origin included, yielded
     as blocks of rows of a 2-D array, in no specified order.
@@ -736,8 +727,6 @@ def kbad_census(
     usq = math.floor(Fraction(u_bound) ** 2)
     ksq = _bound_sq_floor(k_bound)
     if use_kernel:
-        from . import kernels
-
         pieces = kernels.run_parts(
             lambda lo, hi: kernels.census3(uf, usq, ksq, lo, hi),
             kernels.census_planes(usq),

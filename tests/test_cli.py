@@ -300,7 +300,28 @@ def test_count_manifest_records_inputs(capsys):
     assert manifest["spec"]["grid"] == [2]  # H
     assert manifest["spec"]["params"] == {"d": 1}
     assert manifest["spec"]["n"] == 2
+    assert manifest["spec"]["method"] == "auto"
     assert manifest["versions"]["numpy"]
+    rc, out, err = run(capsys, "count", "det", "--n", "2", "--H", "2", "--method", "naive")
+    assert rc == 0
+    assert json.loads(err.splitlines()[-1])["manifest"]["spec"]["method"] == "naive"
+
+
+@pytest.mark.parametrize("argv", [
+    ["maxcharpoly", "--n", "2", "--H", "3"],
+    ["centralizer", "--matrix", "SHEAR", "--H", "3"],
+])
+def test_count_kinds_without_a_naive_route_refuse_it(tmp_path, capsys, argv):
+    # one route only: --method naive must not print the kernel's answer
+    shear = tmp_path / "shear.json"
+    shear.write_text(json.dumps({"matrix": [[1, 1], [0, 1]]}))
+    argv = ["count"] + [str(shear) if a == "SHEAR" else a for a in argv]
+    rc, out, err = run(capsys, *argv, "--method", "naive")
+    assert rc == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "method must be auto" in err
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and "count = " in out
 
 
 @pytest.mark.parametrize(

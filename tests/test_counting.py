@@ -24,6 +24,7 @@ from matstat.counting import (
 )
 from matstat.errors import BudgetExceededError
 from matstat.exact import IntMatrix, MonicIntPoly, charpoly, det, trace
+from matstat.experiments import ExperimentSpec, run_grid
 
 
 def test_universe_size_examples():
@@ -78,7 +79,7 @@ def test_count_with_det_methods_agree():
 
 
 def test_count_with_det_n3_sum_over_traces_equals_scan():
-    # the sum of det_trace3 counts over |t| <= 3H against the n3_stats scan;
+    # the free-trace det_trace3 pass against the n3_stats scan;
     # d = +-1 at H = 1 includes I and -I, at the two ends of the trace range
     for d in range(-6, 7):
         assert count_with_det(3, 1, d) == count_with_det(3, 1, d, method="naive"), d
@@ -86,6 +87,16 @@ def test_count_with_det_n3_sum_over_traces_equals_scan():
     rng = random.Random(0xDE73)
     for d in [rng.randint(-32, 32) for _ in range(8)]:
         assert count_with_det(3, 2, d) == count_with_det(3, 2, d, method="naive"), d
+
+
+def test_count_with_det_n3_equals_sum_over_traces():
+    # the one free-trace pass against the sum of the fixed-trace counts over
+    # |t| <= 3H that it replaced, on a seeded sample of d up to H = 4
+    rng = random.Random(0xDE74)
+    for h in (1, 2, 3, 4):
+        for d in (0, 1, rng.randint(-6 * h**3, 6 * h**3)):
+            by_trace = sum(count_det_trace(3, h, d, t) for t in range(-3 * h, 3 * h + 1))
+            assert count_with_det(3, h, d) == by_trace, (h, d)
 
 
 def test_count_with_det_n3_sharding_invariant():
@@ -132,6 +143,17 @@ def test_targets_must_be_integers():
         count_det_trace2(3, 1, 0, 0, "2")
     with pytest.raises(ValueError):
         count_singular_bordered(3, 2.5)
+    # a bool is not an integer target, though Python counts True as 1
+    for call in (
+        lambda: count_with_det(2, 2, True),
+        lambda: count_det_trace(3, 1, 0, False),
+        lambda: count_det_trace2(3, 1, 0, 0, True),
+        lambda: count_with_det(3, 1, np.bool_(True)),
+        lambda: count_singular_bordered(3, True),
+        lambda: run_grid(ExperimentSpec("det", n=2, grid=(2,), params={"d": True})),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
     # numpy integers are integers
     assert count_with_det(2, 2, np.int64(1)) == count_with_det(2, 2, 1)
     assert count_det_trace(3, 1, np.int32(1), np.int64(1)) == count_det_trace(

@@ -93,12 +93,12 @@ def test_xgcd_properties():
     assert lhs == g.tolist()
 
 
-def _brute_n2(h, d, t, use_trace):
+def _brute_n2(h, d, t=None):
     cnt = 0
     for a, b, c, e in product(range(-h, h + 1), repeat=4):
         if a * e - b * c != d:
             continue
-        if use_trace and a + e != t:
+        if t is not None and a + e != t:
             continue
         cnt += 1
     return cnt
@@ -110,18 +110,16 @@ def _brute_n2_hist(h):
     return Counter((a + e, a * e - b * c) for a, b, c, e in entries)
 
 
-def test_n2_count_both_backends():
+def test_n2_count_matches_brute():
     rng = random.Random(0x1111)
     for _ in range(25):
         h = rng.randint(1, 4)
         d = rng.randint(-2 * h * h, 2 * h * h)
-        t = rng.randint(-2 * h, 2 * h)
-        for use_trace in (False, True):
-            truth = _brute_n2(h, d, t, use_trace)
-            assert kernels.n2_count(h, d, t, use_trace) == truth, (h, d, t, use_trace)
+        for t in (None, rng.randint(-2 * h, 2 * h)):
+            assert kernels.n2_count(h, d, t) == _brute_n2(h, d, t), (h, d, t)
 
 
-def test_charpoly2_scan_partition_and_backends():
+def test_charpoly2_scan_matches_brute_histogram():
     # the scan and max_charpoly_count(2) against the brute (t, d) histogram:
     # the maximum, the smallest (t, d) among ties and the total, on the full
     # range and on every range of traces t <= 0 (weight 2 for t < 0)
@@ -158,7 +156,7 @@ def test_det2_count_matches_brute():
     for _ in range(30):
         h = rng.randint(1, 4)
         d = rng.randint(-3 * h * h, 3 * h * h)
-        truth = _brute_n2(h, d, 0, False)
+        truth = _brute_n2(h, d)
         assert kernels.det2_count(h, d) == truth
 
 
@@ -183,7 +181,7 @@ def test_n3_stats_decode_order():
             assert mid[i] == f.coeffs[1]  # X-coefficient = 2x2 minors
 
 
-def test_det_trace3_both_backends_match_scan():
+def test_det_trace3_matches_n3_stats_scan():
     for h in (1, 2):
         size4 = (2 * h + 1) ** 4
         # oracle via the full 9-entry scan
@@ -191,6 +189,18 @@ def test_det_trace3_both_backends_match_scan():
         for d, t in ((0, 0), (1, 2), (-2, -1)):
             truth = int(np.count_nonzero((tr == t) & (dt == d)))
             assert kernels.det_trace3(h, d, t, 0, size4) == truth
+
+
+def test_det_trace3_free_trace_shards_match_scan():
+    # t = None runs a33 over [-h, h]: random shards of the block axis
+    # against the det-only counts of the n3_stats scan
+    rng = random.Random(0x7118)
+    for h in (1, 2):
+        dets = Counter(kernels.n3_stats(h, 0, (2 * h + 1) ** 9)[2].tolist())
+        for d in [0, 1, -1, 6 * h**3] + [rng.randint(-6 * h**3, 6 * h**3) for _ in range(4)]:
+            shards = _random_shards(rng, (2 * h + 1) ** 4, 4)
+            total = sum(kernels.det_trace3(h, d, None, lo, hi) for lo, hi in shards)
+            assert total == dets[d], (h, d)
 
 
 def test_det_trace3_t2_matches_scan():
@@ -212,13 +222,13 @@ def _brute_bordered(k):
     return int(np.count_nonzero(u)), int(np.count_nonzero(v))
 
 
-def test_bordered3_backends_agree():
+def test_bordered3_matches_brute_scan():
     # the kernel against a scan of all (2k+1)^8 bordered matrices
     for k in (1, 2):
         assert kernels.bordered3(k) == _brute_bordered(k)
 
 
-def test_census3_backends_agree():
+def test_census3_matches_generic_census():
     # the kernel against the exact Fincke-Pohst census on its orbits
     from fractions import Fraction
 
@@ -317,10 +327,10 @@ def test_kernel_shards_sum_to_independent_routes():
             if bc > best[0]:  # shards come in scan order: first maximum wins
                 best = (bc, bt, bd)
         assert (total, best[1], best[2], best[0]) == full
-        for d, t, use_trace in ((0, 0, False), (2, 1, True), (-3, 0, False)):
-            total = sum(kernels.n2_count(h, d, t, use_trace, lo, hi)
+        for d, t in ((0, None), (2, 1), (-3, None)):
+            total = sum(kernels.n2_count(h, d, t, lo, hi)
                         for lo, hi in _random_shards(rng, 2 * h + 1, 2))
-            assert total == _brute_n2(h, d, t, use_trace), (h, d, t, use_trace)
+            assert total == _brute_n2(h, d, t), (h, d, t)
     for usq, ksq in ((36, 4), (27, 2), (400, 25)):
         uf = math.isqrt(usq)
         whole, whole_sum = kernels.census3(uf, usq, ksq)
@@ -450,12 +460,14 @@ def test_census3_with_ksq_zero_counts_every_primitive_point(uf, usq):
         lambda: kernels.det_trace3(21, 0, 0, 0, 0),  # line table bound
         lambda: kernels.det_trace3(2, 49, 0),  # |d| > 6h^3
         lambda: kernels.det_trace3(2, 0, 7),  # |t| > 3h
+        lambda: kernels.det_trace3(2, -49, None),  # |d| > 6h^3, trace free
         lambda: kernels.det_trace3(2, 0, 0, 0, 626),  # past (2h+1)^4
         lambda: kernels.det_trace3_t2(21, 0, 0, 0, 0, 0),
         lambda: kernels.det_trace3_t2(2, 0, 0, 37),  # |t2| > 9h^2
         lambda: kernels.det_trace3_t2(2, 0, 0, 0, -1, 5),
         lambda: kernels.bordered3(128, 0, 0),  # border vectors overflow a batch
         lambda: kernels.bordered3(2, 5, 4),
+        lambda: kernels.n2_count(1, 0, None, 0, 4),  # past a11 = h
         lambda: kernels.n3_stats(64, 0, 1),  # ranks overflow int64
         lambda: kernels.n3_stats(1, 0, 3**9 + 1),
         lambda: kernels.charpoly3_tally(5, 0, 0),  # dense tally past 30 MB
@@ -465,8 +477,8 @@ def test_census3_with_ksq_zero_counts_every_primitive_point(uf, usq):
         lambda: kernels.census3(6, 36, 4, 0, 5),  # past isqrt(36 // 3) + 1 planes
         lambda: kernels.census3(6, 49, 4, 0, 0),  # usq past the U = 6 box
     ],
-    ids=["dt3-h", "dt3-d", "dt3-t", "dt3-hi", "dt3t2-h", "dt3t2-t2", "dt3t2-lo",
-         "b3-k", "b3-span", "n3-h", "n3-hi", "tally-h", "tally-hi", "cp2-t",
+    ids=["dt3-h", "dt3-d", "dt3-t", "dt3-free-d", "dt3-hi", "dt3t2-h", "dt3t2-t2", "dt3t2-lo",
+         "b3-k", "b3-span", "n2-hi", "n3-h", "n3-hi", "tally-h", "tally-hi", "cp2-t",
          "census-U", "census-hi", "census-usq"],
 )
 def test_kernel_range_guards(call):
@@ -477,8 +489,10 @@ def test_kernel_range_guards(call):
 
 def test_kernel_range_edges_accepted():
     assert kernels.det_trace3(2, 48, 6) == 0
+    assert kernels.det_trace3(2, -48, None) == 0
     assert kernels.det_trace3_t2(1, 6, 3, 9, 80, 81) == 0
     assert kernels.bordered3(1, 81, 81) == (0, 0)
+    assert kernels.n2_count(1, 0, None, 2, 3) == 9  # a11 = 1: a22 = a12 a21 (5 + 2 + 2)
     assert [len(x) for x in kernels.n3_stats(1, 3**9 - 2, 3**9)] == [2, 2, 2]
     assert kernels.charpoly3_tally(4, 9**6, 9**6).shape == (25, 193, 769)
     assert kernels.charpoly2_scan(2, -4, -4) == (0, 0, 0, -1)

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import counting, experiments, lattices, multdep, numtheory
 from .errors import BudgetExceededError
-from .exact import IntMatrix, MonicIntPoly
+from .exact import IntMatrix
 from .experiments import ExperimentSpec
 
 __all__ = ["main"]
@@ -27,14 +27,7 @@ def _parse_ints(text: str) -> Tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise SystemExit(f"error: expected comma-separated integers, got {text!r}") from exc
-
-
-def _parse_poly(text: str, n: int) -> MonicIntPoly:
-    try:
-        return experiments.charpoly_target(n, _parse_ints(text))
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from exc
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
 
 
 def _required(args, name: str):
@@ -69,7 +62,7 @@ def _load_tuple(path: str) -> List[IntMatrix]:
     if isinstance(obj, dict):
         obj = obj.get("matrices", obj)
     if not isinstance(obj, list) or not obj:
-        raise SystemExit(f"error: {path} does not hold a matrix tuple")
+        raise ValueError(f"{path} does not hold a matrix tuple")
     return [_as_matrix(m) for m in obj]
 
 
@@ -99,7 +92,7 @@ def _spec(args, kind: str, grid) -> ExperimentSpec:
         if value is None:
             continue
         if name == "f":
-            value = list(_parse_poly(value, args.n).all_coeffs())
+            value = list(experiments.charpoly_target(args.n, _parse_ints(value)).all_coeffs())
         elif name == "matrix":
             value = [list(r) for r in _load_matrix(value).rows]
         params[name] = value
@@ -157,6 +150,9 @@ def _cmd_multdep(args) -> int:
     if args.what == "construct":
         if args.mode == "torsion":
             orders = _parse_ints(_required(args, "orders"))
+            dim = sum(numtheory.euler_phi(k) for k in orders if k >= 1)
+            if dim * dim > args.budget:
+                raise BudgetExceededError(dim * dim, args.budget, "torsion block")
             a, m = multdep.construct_torsion_block(orders)
             _dump_tuple([a], args.out)
             print(f"dimension = {a.n}", file=sys.stderr)
@@ -196,7 +192,7 @@ def _cmd_multdep(args) -> int:
         maximal = multdep.is_maximal_rank_dependent(mats, args.bound)
         print(f"maximal-rank dependent = {maximal}")
         _manifest_line("multdep rank", {"s": len(mats), "bound": args.bound})
-    elif args.what == "word":
+    else:
         w = multdep.find_kernel_word(mats, args.max_len, state_cap=args.budget)
         if w is None:
             print("kernel word = none")
@@ -206,8 +202,6 @@ def _cmd_multdep(args) -> int:
         print(f"kernel word = {text}")
         print(f"exponent sums = {','.join(map(str, w.exponent_sums))}")
         _manifest_line("multdep word", {"s": len(mats), "max_len": args.max_len})
-    else:  # pragma: no cover
-        raise SystemExit(f"error: unknown multdep action {args.what}")
     return 0
 
 
@@ -230,7 +224,7 @@ def _cmd_lattice(args) -> int:
         print(f"verdict = {verdict.verdict}")
         print(f"minima squared = {','.join(map(str, verdict.minima_sq))}")
         _manifest_line("lattice good", {"t": len(vec), "K": args.K})
-    elif args.what == "census":
+    else:
         kb = experiments.census_k(args.K, args.U)
         res = lattices.kbad_census(
             args.t, args.U, kb, method=args.method, node_cap=args.budget,
@@ -253,8 +247,6 @@ def _cmd_lattice(args) -> int:
             "t": args.t, "U": args.U, "K": str(kb),
             "budget": args.budget, "parts": args.parts, "threads": args.threads,
         })
-    else:  # pragma: no cover
-        raise SystemExit(f"error: unknown lattice action {args.what}")
     return 0
 
 
@@ -326,8 +318,16 @@ def _add_common(p, formats, parts=1):
     p.add_argument("--format", choices=formats, default=formats[0])
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a usage error as one `error:` line (exit 2); the
+    subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="matstat",
         description="exact counting and dependence tools for bounded integer matrices",
     )
@@ -360,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--orders", type=str, default=None)
     pm.add_argument("--out", type=str, default=None)
     pm.add_argument("--budget", type=int, default=multdep.DEFAULT_WORD_STATE_CAP,
-                    help="state cap of the word search")
+                    help="state cap of the word search; torsion blocks of dimension d "
+                    "need d^2 <= budget")
     pm.set_defaults(fn=_cmd_multdep)
 
     pl = sub.add_parser("lattice", help="orthogonal lattices and the census")

@@ -26,7 +26,6 @@ depend on the thread count.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from typing import Iterator, Tuple
@@ -68,18 +67,11 @@ class CountRecord:
     elapsed_ms: float
 
 
-def _floor_h(h) -> int:
-    hf = math.floor(h)
-    if hf < 1:
-        raise ValueError("H must be >= 1")
-    return hf
-
-
 def universe_size(n: int, h) -> int:
     """|M_n(Z; H)| = (2*floor(H) + 1)^(n^2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return (2 * _floor_h(h) + 1) ** (n * n)
+    return (2 * lattices._floor_bound("H", h, 1) + 1) ** (n * n)
 
 
 def _decode(n: int, hf: int, rank: int) -> IntMatrix:
@@ -105,7 +97,7 @@ def enumerate_matrices(
     index, total = shard
     if not (1 <= index <= total):
         raise ValueError("shard index out of range")
-    hf = _floor_h(h)
+    hf = lattices._floor_bound("H", h, 1)
     size = universe_size(n, hf)
     lo = (index - 1) * size // total
     hi = index * size // total
@@ -159,7 +151,7 @@ def _count_det_trace(n: int, h, d: int, t, t2, method: str, budget: int,
     (budget (2H+1)^6, or (2H+1)^7 with a free trace, which a33 then
     ranges over) or det_trace3_t2.  "naive" and n >= 4 scan.
     """
-    hf = _floor_h(h)
+    hf = lattices._floor_bound("H", h, 1)
     _check_method(method)
     d = _int_arg("d", d)
     t = None if t is None else _int_arg("t", t)
@@ -289,7 +281,7 @@ def count_charpoly(
     checked against.  For n >= 4 every matrix is enumerated and its
     charpoly compared with f.
     """
-    hf = _floor_h(h)
+    hf = lattices._floor_bound("H", h, 1)
     _check_method(method)
     if f.degree != n:
         raise ValueError(f"polynomial degree {f.degree} does not match n={n}")
@@ -324,9 +316,10 @@ def max_charpoly_count(
     matrix within budget by kernels.charpoly3_tally (H <= 4), one key
     matmul per block of top row pairs, sharded over the (2H+1)^6 row pairs.
     """
-    hf = _floor_h(h)
+    hf = lattices._floor_bound("H", h, 1)
     if n == 2:
-        _check_budget((4 * hf + 1) * (4 * hf * hf + 1), budget, "charpoly aggregation")
+        # charpoly2_scan adds (H+1)^2 slices, each 4H^2+1 wide, over the traces t <= 0
+        _check_budget((hf + 1) ** 2 * (4 * hf * hf + 1), budget, "charpoly aggregation")
         pieces = _run_parts(  # over the traces t <= 0 (see charpoly2_scan)
             lambda lo, hi: kernels.charpoly2_scan(hf, lo - 2 * hf, hi - 2 * hf),
             2 * hf + 1, parts, threads,
@@ -420,7 +413,7 @@ def count_singular_bordered(
 def centralizer_count(a: IntMatrix, h, node_cap: int = lattices.DEFAULT_NODE_CAP) -> int:
     """#{B in M_n(Z; H) : AB = BA}: box points of the commutant lattice."""
     n = a.n
-    hf = _floor_h(h)
+    hf = lattices._floor_bound("H", h, 1)
     rows = []
     for i in range(n):
         for j in range(n):

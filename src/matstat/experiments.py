@@ -11,6 +11,7 @@ round trip.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -126,9 +127,10 @@ def charpoly_target(n: int, coeffs: Sequence[int]) -> MonicIntPoly:
 
 def census_k(k, u) -> Union[int, Fraction]:
     """The census bound K at U: ceil(sqrt(U)) for 'sqrt', otherwise K read
-    exactly as a Fraction ('5/2', '2.5', 2)."""
+    exactly as a Fraction ('5/2', '2.5', 2).  A U below 0 gives K = 0, so
+    the census refuses it by its own U check."""
     if k == "sqrt":
-        return math.ceil(math.sqrt(u))
+        return math.ceil(math.sqrt(max(u, 0)))
     return Fraction(k)
 
 
@@ -317,22 +319,17 @@ def records_to_csv(
     """CSV text; counts in full precision, timings off by default so equal
     runs serialize identically."""
     buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\r\n")
     cols = ["n", "h", "kind", "params", "count"]
     if include_timing:
         cols.append("elapsed_ms")
-    buf.write(",".join(cols) + "\r\n")
+    out.writerow(cols)
     for r in records:
-        cells = [str(r.n), str(_num(r.h)), r.kind, _csv_quote(r.params), str(r.count)]
+        cells = [str(r.n), str(_num(r.h)), r.kind, r.params, str(r.count)]
         if include_timing:
             cells.append(repr(r.elapsed_ms))
-        buf.write(",".join(cells) + "\r\n")
+        out.writerow(cells)
     return buf.getvalue()
-
-
-def _csv_quote(s: str) -> str:
-    if any(ch in s for ch in ",\"\n"):
-        return '"' + s.replace('"', '""') + '"'
-    return s
 
 
 def records_to_json(

@@ -419,9 +419,26 @@ class GoodnessVerdict:
         return "good" if self.good else "bad"
 
 
+def _exact(value) -> Fraction:
+    """An int, float, Fraction or numpy scalar bound read exactly, over
+    Python ints: numpy floats (float32 too) by their integer ratio, numpy
+    integers by int(), so no int64 arithmetic can wrap."""
+    if isinstance(value, np.floating):
+        return Fraction(*value.as_integer_ratio())
+    return Fraction(int(value) if isinstance(value, np.integer) else value)
+
+
+def _floor_bound(name: str, value, least: int) -> int:
+    """floor(value) read exactly, refusing value < least."""
+    exact = _exact(value)
+    if exact < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return math.floor(exact)
+
+
 def _bound_sq_floor(k) -> int:
-    """floor(K^2) computed exactly from an int/float/Fraction bound."""
-    return math.floor(Fraction(k) ** 2)
+    """floor(K^2) computed exactly (see _exact)."""
+    return math.floor(_exact(k) ** 2)
 
 
 def is_k_good(u: Sequence[int], k_bound, node_cap: int = DEFAULT_NODE_CAP) -> GoodnessVerdict:
@@ -435,8 +452,7 @@ def is_k_good(u: Sequence[int], k_bound, node_cap: int = DEFAULT_NODE_CAP) -> Go
         raise ValueError("vector must be primitive")
     if len(u) < 2:
         raise ValueError("ambient dimension must be >= 2")
-    if Fraction(k_bound) < 1:
-        raise ValueError("K must be >= 1")
+    _floor_bound("K", k_bound, 1)
     dual = orthogonal_lattice([u])
     minima, vectors = successive_minima(dual, node_cap)
     basis = _reduced_basis(dual, vectors)
@@ -565,13 +581,6 @@ def _box_blocks(basis: Sequence[IntVector], hf: int, budget: _NodeBudget):
     yield from expand(r - 1, np.zeros((1, t), dtype=dtype), np.array([t * hf * hf * m], dtype=dtype))
 
 
-def _box_floor(box_bound) -> int:
-    """floor(box_bound), refusing negative bounds."""
-    if Fraction(box_bound) < 0:
-        raise ValueError("box bound must be >= 0")
-    return math.floor(Fraction(box_bound))
-
-
 def points_in_box(lat: Lattice, box_bound, node_cap: int = DEFAULT_NODE_CAP) -> int:
     """Exact number of lattice points v with |v|_inf <= box_bound.
 
@@ -580,7 +589,7 @@ def points_in_box(lat: Lattice, box_bound, node_cap: int = DEFAULT_NODE_CAP) -> 
     multiplied; rank-1 components have a closed form and the others are
     listed exactly by _box_blocks, one block at a time.
     """
-    hf = _box_floor(box_bound)
+    hf = _floor_bound("box bound", box_bound, 0)
     total = 1
     budget = _NodeBudget(node_cap)
     for _, vecs in _support_components(_lll(lat.basis)[0]):
@@ -595,7 +604,7 @@ def _box_rows(lat: Lattice, box_bound, node_cap: int) -> np.ndarray:
     """The lattice points with |v|_inf <= box_bound, origin included, as
     the rows of one array (int64, or object past the int64 guard of
     _box_blocks), in no specified order."""
-    hf = _box_floor(box_bound)
+    hf = _floor_bound("box bound", box_bound, 0)
     if lat.rank == 0:
         return np.zeros((1, lat.ambient_dim), dtype=np.int64)
     return np.concatenate(list(_box_blocks(lat.basis, hf, _NodeBudget(node_cap))))
@@ -629,7 +638,7 @@ def slab_count_in_box(v: Sequence[int], box_bound, node_cap: int = DEFAULT_NODE_
     v = tuple(int(x) for x in v)
     if all(x == 0 for x in v):
         raise ValueError("v must be nonzero")
-    tf = _box_floor(box_bound)
+    tf = _floor_bound("box bound", box_bound, 0)
     t = len(v)
     size = (2 * tf + 1) ** t
     if size > node_cap:
@@ -715,16 +724,13 @@ def kbad_census(
     """
     if t < 3:
         raise ValueError("t must be >= 3")
-    if Fraction(k_bound) < 1:
-        raise ValueError("K must be >= 1")
-    if Fraction(u_bound) < 1:
-        raise ValueError("U must be >= 1")
+    uf = _floor_bound("U", u_bound, 1)
+    _floor_bound("K", k_bound, 1)
     start = time.perf_counter()
     if method not in ("auto", "generic"):
         raise ValueError("method must be auto|generic")
     use_kernel = t == 3 and method == "auto" and not collect
-    uf = math.floor(Fraction(u_bound))
-    usq = math.floor(Fraction(u_bound) ** 2)
+    usq = _bound_sq_floor(u_bound)
     ksq = _bound_sq_floor(k_bound)
     if use_kernel:
         pieces = kernels.run_parts(

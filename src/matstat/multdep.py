@@ -24,7 +24,7 @@ from .exact import (
     companion,
     det,
 )
-from .lattices import Lattice, _box_rows, integer_kernel, linf, norm_sq
+from .lattices import DEFAULT_NODE_CAP, Lattice, _box_rows, integer_kernel, linf, norm_sq
 from .numtheory import cyclotomic, factorize
 
 __all__ = [
@@ -121,7 +121,7 @@ def check_relation(mats: Sequence[IntMatrix], k: Sequence[int]) -> bool:
 def find_dependence(
     mats: Sequence[IntMatrix],
     bound: Optional[int] = None,
-    node_cap: int = 20_000_000,
+    node_cap: int = DEFAULT_NODE_CAP,
 ) -> Optional[Tuple[int, ...]]:
     """Smallest witness k != 0 with A_1^{k_1}...A_s^{k_s} = I and
     |k|_inf <= bound, or None when no such witness exists.

@@ -309,16 +309,10 @@ def _square_sum_dp(limit: int) -> tuple:
     table = totients_up_to(limit)
     vals = np.array(table.values, dtype=np.int64)
     squares = vals * vals
-    w = np.full(limit + 1, -1, dtype=np.int64)
-    w[0] = 0
+    w = np.zeros(limit + 1, dtype=np.int64)
     for n in range(1, limit + 1):
-        usable = vals[vals <= n]
-        if usable.size == 0:
-            continue
-        prev = w[n - usable]
-        ok = prev >= 0
-        if np.any(ok):
-            w[n] = int(np.max(prev[ok] + squares[: usable.size][ok]))
+        usable = vals[vals <= n]  # never empty: 1 is a totient, so w[m] >= m
+        w[n] = int(np.max(w[n - usable] + squares[: usable.size]))
     return tuple(int(x) for x in w)
 
 
@@ -359,15 +353,6 @@ def count_smooth_wrt(q: int, u) -> int:
             room //= p
         return total
     return rec(0, uf)
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _poly_divexact(num: list, den: list) -> list:

@@ -53,11 +53,6 @@ def test_method_aliases_are_refused(capsys, argv):
     assert exc.value.code != 0
 
 
-def test_count_charpoly_rejects_nonmonic(capsys):
-    with pytest.raises(SystemExit):
-        run(capsys, "count", "charpoly", "--n", "2", "--H", "1", "--f", "1,-2,3")
-
-
 def test_count_universe_json(capsys):
     rc, out, _ = run(
         capsys, "count", "universe", "--n", "2", "--H", "2", "--format", "json"
@@ -195,6 +190,27 @@ def test_lattice_census_json(capsys):
     assert data["method"].startswith("kernel-")
 
 
+def test_lattice_census_human_matches_json(capsys):
+    argv = ("lattice", "census", "--t", "3", "--U", "6", "--K", "2")
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    rc, js, _ = run(capsys, *argv, "--format", "json")
+    data = json.loads(js)
+    assert out.splitlines() == [
+        f"bad count = {data['count']}",
+        f"inverse norm sum = {data['inv_norm_sum']}",
+        f"sum error bound = {float(data['sum_error_bound']):.3e}",
+        f"method = {data['method']}",
+    ]
+
+
+def test_multdep_check_independent_pair(tmp_path, capsys):
+    tfile = tmp_path / "pair.json"
+    tfile.write_text(json.dumps({"matrices": [[[2, 0], [0, 1]], [[3, 0], [0, 1]]]}))
+    rc, out, _ = run(capsys, "multdep", "check", "--tuple", str(tfile))
+    assert rc == 1 and out == "dependent = False\n"
+
+
 def test_totient_and_nt(capsys):
     rc, out, _ = run(capsys, "totient", "v", "--n", "5")
     assert rc == 0 and "v(5) = 4" in out
@@ -266,14 +282,45 @@ def test_error_exit_code(capsys):
         ["lattice", "census", "--U", "20000"],  # beyond the census kernel
         ["multdep", "check"],  # no --tuple
         ["count", "centralizer", "--matrix", "FLOAT_ENTRY"],
+        ["count", "charpoly", "--n", "2", "--H", "1", "--f", "1,-2,3"],  # not monic
+        ["count", "charpoly", "--n", "2", "--H", "1", "--f", "1,2"],
+        ["count", "charpoly", "--n", "2", "--H", "1", "--f", "1,x,1"],
+        ["lattice", "census", "--U", "0"],
+        ["lattice", "dual", "--vector", "1,x"],
+        ["multdep", "check", "--tuple", "EMPTY_TUPLE"],
     ],
 )
 def test_refused_input_is_one_error_line(capsys, tmp_path, argv):
-    path = tmp_path / "float.json"
-    path.write_text(json.dumps({"matrix": [[1, 0.5], [0, 1]]}))
-    rc, out, err = run(capsys, *(str(path) if a == "FLOAT_ENTRY" else a for a in argv))
+    files = {"FLOAT_ENTRY": {"matrix": [[1, 0.5], [0, 1]]}, "EMPTY_TUPLE": []}
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    rc, out, err = run(capsys, *(str(tmp_path / a) if a in files else a for a in argv))
     assert rc == 1
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["lattice", "census", "--U", "0"], "error: U must be >= 1"),  # before K = 0
+    (["lattice", "census", "--U", "-3"], "error: U must be >= 1"),
+    (["count", "det", "--H", "0.5"], "error: H must be >= 1"),
+    (["lattice", "good", "--vector", "1,2", "--K", "1/2"], "error: K must be >= 1"),
+    (["multdep", "construct", "--mode", "torsion", "--orders", "7", "--budget", "35"],
+     "error: torsion block needs ~36 nodes, exceeds budget 35"),
+])
+def test_refusal_names_the_bound(capsys, argv, line):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and err == line + "\n"
+
+
+def test_torsion_block_within_budget(capsys):
+    # phi(7) = 6: the 6 x 6 companion needs 36 <= budget
+    rc, out, err = run(
+        capsys, "multdep", "construct", "--mode", "torsion", "--orders", "7", "--budget", "36"
+    )
+    assert rc == 0
+    (block,) = json.loads(out)["matrices"]
+    assert len(block) == 6 and all(len(row) == 6 for row in block)
+    assert "dimension = 6" in err
 
 
 def test_totient_beyond_int32_sieve_is_one_error_line(capsys):
@@ -385,9 +432,23 @@ def test_fraction_k_same_in_fit_and_census(capsys):
         ["multdep", "check", "--tuple", "pair.json", "--parts", "3"],
         ["multdep", "check", "--tuple", "pair.json", "--threads", "7"],
         ["multdep", "check", "--tuple", "pair.json", "--format", "json"],
+        ["count", "det", "--n", "x"],  # a usage error, not an unknown option
     ],
 )
 def test_options_a_subcommand_does_not_take_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+def test_usage_error_is_argparse_message_on_one_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "det", "--n", "x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: argument --n: invalid int value: 'x'\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out

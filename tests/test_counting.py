@@ -3,6 +3,7 @@
 import random
 import time
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -35,6 +36,14 @@ def test_universe_size_examples():
     assert universe_size(2, 2.9) == 625  # floor(H)
     with pytest.raises(ValueError):
         universe_size(2, 0.5)
+    # every bound type is read exactly: float32 and float64, Fraction, numpy ints
+    for h in (np.float32(3.5), np.float64(3.5), Fraction(7, 2), np.int64(3), 3):
+        assert universe_size(2, h) == 7**4 and type(universe_size(2, h)) is int
+        assert count_with_det(2, h, 1) == 116
+        assert centralizer_count(IntMatrix([[1, 1], [0, 1]]), h) == 49
+    for h in (np.float32(0.5), Fraction(1, 2), np.int64(0)):
+        with pytest.raises(ValueError, match="H must be >= 1"):
+            count_with_det(2, h, 1)
 
 
 def test_enumerate_matrices_stream():
@@ -442,6 +451,18 @@ def test_budget_exceeded():
         count_with_det(2, 3, 1, method="naive", budget=10)
     with pytest.raises(BudgetExceededError):
         count_det_trace(3, 3, 0, 0, method="naive", budget=10)
+    # n >= 4 is a plain scan of (2H+1)^16 matrices, refused before it starts
+    with pytest.raises(BudgetExceededError) as exc:
+        count_charpoly(4, 1, MonicIntPoly((0, 0, 0, 0)), budget=10)
+    assert exc.value.needed == 3**16
+
+
+def test_max_charpoly_2_budget_is_the_scan():
+    # charpoly2_scan adds (H+1)^2 slices of width 4H^2+1: 36 * 101 at H = 5
+    assert max_charpoly_count(2, 5, budget=3636) == max_charpoly_count(2, 5)
+    with pytest.raises(BudgetExceededError) as exc:
+        max_charpoly_count(2, 5, budget=3635)
+    assert exc.value.needed == 3636
 
 
 def test_validation():

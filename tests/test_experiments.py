@@ -192,6 +192,9 @@ def test_csv_serialization():
     assert lines[0] == "n,h,kind,params,count"
     assert lines[1] == "2,2,det,d=0,33"
     assert lines[2] == '2,3,det,"a,b",1000000000000000000000000000000'
+    quoted = [_rec(2, 1, params='f="x"'), _rec(2, 2, params="a\nb"), _rec(2, 3, params="")]
+    assert records_to_csv(quoted).split("\r\n")[1:] == [
+        '2,2,det,"f=""x""",1', '2,2,det,"a\nb",2', "2,2,det,,3", ""]
     timed = records_to_csv(recs, include_timing=True)
     assert timed.splitlines()[0].endswith("elapsed_ms")
 

@@ -358,6 +358,32 @@ def test_successive_minima_against_oracle():
             assert lat.contains(w)
 
 
+def test_rank_zero_lattice():
+    lat = Lattice(3, ())
+    assert successive_minima(lat) == ((), ())
+    assert reduced_basis(lat) == ()
+    assert lattice_points_in_box(lat, 2) == [(0, 0, 0)]
+
+
+def test_reduced_basis_falls_back_to_lll_when_minima_do_not_span():
+    # L = 2Z^5 + Z(1,1,1,1,1): the minima (4,4,4,4,4) are attained by the
+    # +-2e_i only, which span an index-2 sublattice, so LLL's basis is kept
+    lat = Lattice(5, tuple(tuple(2 * (i == j) for j in range(5)) for i in range(4))
+                  + ((1, 1, 1, 1, 1),))
+    assert lat.gram_det() == 256
+    assert successive_minima(lat)[0] == (4, 4, 4, 4, 4)
+    basis = reduced_basis(lat)
+    norms = [norm_sq(v) for v in basis]
+    assert norms == sorted(norms) and len(basis) == 5
+    assert norms[-1] > 4  # the LLL basis, not the minima
+    assert Lattice(5, basis).gram_det() == 256
+    assert all(lat.contains(v) for v in basis)
+    # rank 7 > 6: no minima search, the LLL basis sorted by length
+    z7 = Lattice(7, tuple(tuple(int(i == j) for j in range(7)) for i in range(7)))
+    basis = reduced_basis(z7)
+    assert sorted(basis) == sorted(z7.basis) and Lattice(7, basis).gram_det() == 1
+
+
 def test_reduced_basis_achieves_minima():
     rng = random.Random(0x888)
     for _ in range(40):
@@ -407,6 +433,15 @@ def test_points_in_box_fractional_bound():
     lat = Lattice(1, ((2,),))
     assert points_in_box(lat, 5) == 5  # -4,-2,0,2,4
     assert points_in_box(lat, 3.9) == 3
+    # every bound type is read exactly: float32 and float64, Fraction, numpy ints
+    for box in (np.float32(4.5), np.float64(4.5), Fraction(9, 2), np.int64(4), 4):
+        assert points_in_box(lat, box) == 5
+        assert sorted(lattice_points_in_box(lat, box)) == [(-4,), (-2,), (0,), (2,), (4,)]
+        assert slab_count_in_box((1, 2), box) == slab_count_in_box((1, 2), 4)
+    assert is_k_good((1, 2), np.float32(2.25)).good  # floor(2.25^2) = 5
+    assert not is_k_good((1, 2), np.float32(2.125)).good  # floor(4.515625) = 4
+    with pytest.raises(ValueError, match="box bound must be >= 0"):
+        points_in_box(lat, np.float32(-0.5))
 
 
 def _grid_reference(lat, hf):
@@ -575,6 +610,7 @@ def test_is_k_good_boundary_square():
     v = (1, 2)
     assert is_k_good(v, math.sqrt(5) + 1e-9).good
     assert not is_k_good(v, 2).good  # floor(K^2) = 4 < 5
+    assert is_k_good(v, np.int64(2**32)).good  # K^2 = 2^64 in Python ints, not wrapped to 0
 
 
 def test_slab_frozen_and_scan():
@@ -680,6 +716,10 @@ def test_census_validation():
         kbad_census(2, 5, 2)
     with pytest.raises(ValueError):
         kbad_census(3, 5, 0.5)
+    # U is read before K, whose default ceil(sqrt(U)) is 0 at U = 0
+    with pytest.raises(ValueError, match="U must be >= 1"):
+        kbad_census(3, 0, 0)
+    assert kbad_census(3, np.float32(6.5), np.float32(2)).count == kbad_census(3, 6.5, 2).count
     with pytest.raises(BudgetExceededError):
         kbad_census(3, 50, 3, method="generic", node_cap=100)
     with pytest.raises(ValueError):

@@ -220,12 +220,12 @@ def _cmd_lattice(args) -> int:
         _manifest_line("lattice dual", {"t": len(vec)})
     elif args.what == "good":
         vec = _parse_ints(_required(args, "vector"))
-        verdict = lattices.is_k_good(vec, Fraction(args.K), node_cap=args.budget)
+        verdict = lattices.is_k_good(vec, Fraction(_required(args, "K")), node_cap=args.budget)
         print(f"verdict = {verdict.verdict}")
         print(f"minima squared = {','.join(map(str, verdict.minima_sq))}")
         _manifest_line("lattice good", {"t": len(vec), "K": args.K})
     else:
-        kb = experiments.census_k(args.K, args.U)
+        kb = experiments.census_k("sqrt" if args.K is None else args.K, args.U)
         res = lattices.kbad_census(
             args.t, args.U, kb, method=args.method, node_cap=args.budget,
             parts=args.parts, threads=args.threads,
@@ -367,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("lattice", help="orthogonal lattices and the census")
     pl.add_argument("what", choices=("dual", "good", "census"))
     pl.add_argument("--vector", type=str, default=None)
-    pl.add_argument("--K", type=str, default="sqrt")
+    pl.add_argument("--K", type=str, default=None,
+                    help="a number; census also takes 'sqrt' (its default), K = ceil(sqrt(U))")
     pl.add_argument("--t", type=int, default=3)
     pl.add_argument("--U", type=float, default=20.0)
     pl.add_argument("--method", choices=("auto", "generic"), default="auto")

@@ -9,9 +9,10 @@ Every counter takes method="auto" (the default), which runs a kernel where
 one exists, or method="naive", the reference scan it is checked against:
 the n2_count divisor walk at n = 2, the n3_stats scan of all (2H+1)^9
 matrices at n = 3 and plain enumeration for n >= 4.  At n = 3 the auto
-routes border the top-left 2x2 block in one kernel pass: det and trace
-by det_trace3 in O(H^6), det alone by det_trace3 with the trace free, a33
-then running over [-H, H], in O(H^7).  For n <= 3 the characteristic
+routes border the top-left 2x2 block in one kernel pass, which visits one
+block per orbit of a symmetry group of order 8 and weights it by the
+orbit size: det and trace by det_trace3 in O(H^6), det alone by
+det_trace3 with the trace free, a33 then running over [-H, H], in O(H^7).  For n <= 3 the characteristic
 polynomial is fixed by det A, tr A and tr A^2, so count_charpoly is a
 det/trace/trace^2 count; one private core, _count_det_trace, serves them
 all, with None for a target left free.
@@ -147,7 +148,8 @@ def _count_det_trace(n: int, h, d: int, t, t2, method: str, budget: int,
     comes with a t).  The one route behind every det/trace counter.
 
     "auto" runs det2_count / charpoly2_count at n = 2 and, at n = 3, one
-    bordered kernel pass over the (2H+1)^4 top-left blocks: det_trace3
+    bordered kernel pass sharded over the (2H+1)^4 top-left blocks, of
+    which it visits one per orbit (see kernels._orbit_weight): det_trace3
     (budget (2H+1)^6, or (2H+1)^7 with a free trace, which a33 then
     ranges over) or det_trace3_t2.  "naive" and n >= 4 scan.
     """
@@ -313,8 +315,9 @@ def max_charpoly_count(
     det) scan order, so the result is deterministic.  n = 2 aggregates the
     divisor-table counter over the traces t <= 0 (count(t, d) =
     count(-t, d)), sharded over those 2H+1 traces.  n = 3 tallies every
-    matrix within budget by kernels.charpoly3_tally (H <= 4), one key
-    matmul per block of top row pairs, sharded over the (2H+1)^6 row pairs.
+    matrix within budget by kernels.charpoly3_tally (H <= 4), sharded over
+    the (2H+1)^6 top row pairs: one key matmul per batch of the row pairs
+    whose top-left block represents its orbit, weighted by the orbit size.
     """
     hf = lattices._floor_bound("H", h, 1)
     if n == 2:
@@ -367,7 +370,9 @@ def count_singular_bordered(
 
     U_n(K): matrices in M_n(Z; K) with det = 0, last diagonal entry 0, and
     nonzero last column above the diagonal.  V_n(K) additionally requires
-    the bordering row-column dot product to vanish.
+    the bordering row-column dot product to vanish.  "auto" at n = 3 runs
+    kernels.bordered3, sharded over the (2K+1)^4 top-left blocks and
+    visiting one per orbit; "naive" and n >= 4 scan.
     """
     if n < 2:
         raise ValueError("bordered sets need n >= 2")

@@ -127,10 +127,10 @@ def charpoly_target(n: int, coeffs: Sequence[int]) -> MonicIntPoly:
 
 def census_k(k, u) -> Union[int, Fraction]:
     """The census bound K at U: ceil(sqrt(U)) for 'sqrt', otherwise K read
-    exactly as a Fraction ('5/2', '2.5', 2).  A U below 0 gives K = 0, so
-    the census refuses it by its own U check."""
+    exactly as a Fraction ('5/2', '2.5', 2).  A U below 0 or not finite
+    gives K = 0, so the census refuses it by its own U check."""
     if k == "sqrt":
-        return math.ceil(math.sqrt(max(u, 0)))
+        return math.ceil(math.sqrt(max(u, 0))) if math.isfinite(u) else 0
     return Fraction(k)
 
 

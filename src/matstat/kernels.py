@@ -13,7 +13,12 @@ must lie inside the kernel's rank range.  Most kernels shard their
 outermost enumeration digit; charpoly2_scan shards the traces t <= 0
 (A -> -A gives the rest); census3 scans one representative
 0 <= a <= b <= c of each signed-permutation orbit, weighted by the orbit
-size, and shards the smallest coordinate a.
+size, and shards the smallest coordinate a.  det_trace3, det_trace3_t2,
+bordered3 and charpoly3_tally likewise count a rank only when its top-left
+2x2 block is the smallest-rank member of its orbit under a group of order 8
+(see _orbit_weight), weighted by the orbit size; their shard axes stay the
+(2h+1)^4 blocks and the (2h+1)^6 top row pairs, and any split of an axis
+sums to the whole.
 """
 
 from __future__ import annotations
@@ -96,6 +101,56 @@ def _decode_block(lo: int, hi: int, h: int, ndigits: int) -> list:
         rem, dig = np.divmod(rem, 2 * h + 1)
         digits.append(dig - h)
     return digits
+
+
+def _orbit_weight(r11, r12, r21, r22, side):
+    """Orbit size of each top-left 2x2 block that has the smallest rank in
+    its orbit, 0 for every other block.
+
+    The orbits are those of the group of order 8 generated by
+    (r11, -r12, -r21, r22) (conjugation by diag(1, -1, 1)), (r22, r21, r12,
+    r11) (conjugation by the swap of the first two coordinates) and
+    (r11, r21, r12, r22) (A -> A^T).  Each keeps det, tr A and tr A^2 of a
+    3x3 matrix with that block and maps its other entries bijectively onto
+    the box.  The key ((e side + c) side + b) side + a of a block (a, b, c, e)
+    orders blocks as their ranks do (signed digits in base side = 2h+1, r22
+    most significant); the eight images have the keys outer +- inner, with
+    outer from the diagonal and inner from the off-diagonal pair.  The orbit
+    size is 8 over the number of images equal to the block."""
+    outer = (r22 * side * side * side + r11, r11 * side * side * side + r22)
+    inner = ((r21 * side + r12) * side, (r12 * side + r21) * side)
+    own = outer[0] + inner[0]
+    least = np.ones(own.shape, dtype=bool)
+    fixed = np.zeros_like(own)
+    for diag, off in ((0, 0), (0, 1), (1, 1), (1, 0)):
+        for image in (outer[diag] + inner[off], outer[diag] - inner[off]):
+            least &= own <= image
+            fixed += own == image
+    return np.where(least, 8 // fixed, 0)
+
+
+def _orbit_batches(lo, hi, h, ndigits, block, step):
+    """Pairs (orbit size, digits as _decode_block returns them) over the
+    ranks in [lo, hi) whose top-left block, the digits at indices `block` =
+    (r11, r12, r21, r22), is its orbit's representative.
+
+    Ranks are screened in chunks of _BATCH.  The representatives are
+    re-batched by orbit size, so a batch has one size and at most `step`
+    ranks, and only the last batch of each size holds fewer."""
+    held = {size: [np.empty(0, dtype=np.int64)] * ndigits for size in (1, 2, 4, 8)}
+    for start in range(lo, hi, _BATCH):
+        digits = _decode_block(start, min(start + _BATCH, hi), h, ndigits)
+        sizes = _orbit_weight(*(digits[i] for i in block), 2 * h + 1)
+        for size, old in held.items():
+            keep = sizes == size
+            new = [np.concatenate([x, y[keep]]) for x, y in zip(old, digits)]
+            while new[0].size >= step:
+                yield size, [x[:step] for x in new]
+                new = [x[step:] for x in new]
+            held[size] = new
+    for size, rest in held.items():
+        if rest[0].size:
+            yield size, rest
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +269,11 @@ def det2_count(h: int, d: int) -> int:
 # n = 3 matrix stats from enumeration ranks
 
 
-def _row_pair_forms(h: int, lo: int, hi: int):
-    """(trace, mid, det) of the row pairs [lo, hi) of (2h+1)^6 (the top two
-    rows, a11 most significant) as affine forms of the last row: (k, 4)
-    arrays to multiply by the column (a31, a32, a33, 1)."""
-    a12, a11, a10, a02, a01, a00 = _decode_block(lo, hi, h, 6)
+def _row_pair_forms(a12, a11, a10, a02, a01, a00):
+    """(trace, mid, det) of top row pairs, given by their digit arrays (as
+    _decode_block returns the ranks of (2h+1)^6, a11 most significant), as
+    affine forms of the last row: (k, 4) arrays to multiply by the column
+    (a31, a32, a33, 1)."""
     minor = a00 * a11 - a01 * a10
     zero = np.zeros_like(minor)
     return (np.stack([zero, zero, zero + 1, a00 + a11], axis=1),
@@ -248,7 +303,7 @@ def n3_stats(h: int, lo: int, hi: int):
     first = lo // rows
     last = _last_rows(h)
     cut = slice(lo - first * rows, hi - first * rows)
-    forms = _row_pair_forms(h, first, -(-hi // rows))
+    forms = _row_pair_forms(*_decode_block(first, -(-hi // rows), h, 6))
     return tuple((form @ last).ravel()[cut] for form in forms)
 
 
@@ -260,11 +315,16 @@ def charpoly3_tally(h: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """tally[trace + 3h, mid + 6h^2, det + 6h^3] over the A in M_3(Z; h)
     whose top two rows have rank in [lo, hi) of (2h+1)^6, the shard axis.
 
+    The orbit maps of the top-left block (see _orbit_weight) extend to
+    conjugations and the transpose of A, which keep its charpoly and map the
+    matrices over one block onto those over its image.  So only the row
+    pairs whose block is a representative are tallied, each times its orbit
+    size: one exact int64 bincount per batch of one size, scaled in place.
     |trace| <= 3h, |mid| <= 6h^2 and |det| <= 6h^3, so the flat key
     ((trace + 3h) km + mid + 6h^2) kd + det + 6h^3 (km = 12h^2 + 1,
     kd = 12h^3 + 1) lies in [0, (6h+1) km kd), far below 2^63.  It is an
     affine form of the last row like each stat (see _row_pair_forms), so a
-    block of row pairs is one int64 matmul against all (2h+1)^3 last rows.
+    batch of row pairs is one int64 matmul against all (2h+1)^3 last rows.
     """
     rows = (2 * h + 1) ** 3
     if hi is None:
@@ -275,11 +335,13 @@ def charpoly3_tally(h: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
     last = _last_rows(h)
     tally = np.zeros((6 * h + 1) * km * kd, dtype=np.int64)
     step = max(1, _TALLY_BLOCK // rows)
-    for start in range(lo, hi, step):
-        tr, mid, dt = _row_pair_forms(h, start, min(start + step, hi))
+    for size, digits in _orbit_batches(lo, hi, h, 6, (5, 4, 2, 1), step):
+        tr, mid, dt = _row_pair_forms(*digits)
         w = (tr * km + mid) * kd + dt
         w[:, 3] += (3 * h * km + 6 * h * h) * kd + 6 * h**3
-        tally += np.bincount((w @ last).ravel(), minlength=tally.size)
+        part = np.bincount((w @ last).ravel(), minlength=tally.size)
+        part *= size
+        tally += part
     return tally.reshape(6 * h + 1, km, kd)
 
 
@@ -292,7 +354,12 @@ def charpoly3_tally(h: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
 # is even in b (negate a as well), so the kernels visit b up to sign.  A
 # fixed trace forces c = t - tr R; with the trace free (det_trace3 with
 # t = None) c runs over [-h, h] in the same pass, so a det count is one
-# pass over the blocks rather than one per trace.
+# pass over the blocks rather than one per trace.  The kernels visit one
+# block R per orbit of order 8 (see _orbit_weight) and weight its count by
+# the orbit size: the maps keep det, tr A and tr A^2 and permute the border
+# pairs (a, b), the transpose swapping a and b.  For bordered3 the count of
+# pairs with a != 0 is the count of all pairs less the (2k+1)^2 with a = 0,
+# so the swap keeps it too.
 
 _LINE_H_MAX = 20  # the line table has (2h^2+1)^2 entries: 26 MB at h = 20
 _BORDER_K_MAX = 127  # one rank's (2k+1)^2 border vectors fit a batch
@@ -308,12 +375,10 @@ def _half_border(h):
     return b1, b2, np.where((b1 == 0) & (b2 == 0), 1, 2)
 
 
-def _rank_batches(lo, hi, h, per_rank):
-    """2x2 block digits (r11, r12, r21, r22) of [lo, hi) in batches of at
-    most _BATCH // per_rank ranks."""
-    step = max(1, _BATCH // per_rank)
-    for start in range(lo, hi, step):
-        yield _decode_block(start, min(start + step, hi), h, 4)
+def _block_batches(lo, hi, h, per_rank):
+    """(orbit size, representative 2x2 blocks (r11, r12, r21, r22)) of
+    [lo, hi), in batches of one size and at most _BATCH // per_rank blocks."""
+    return _orbit_batches(lo, hi, h, 4, (0, 1, 2, 3), max(1, _BATCH // per_rank))
 
 
 def _line_table(h):
@@ -368,10 +433,10 @@ def det_trace3(h: int, d: int, t: int | None, lo: int = 0, hi: int | None = None
     """#{A in M_3(Z; h) : det A = d, tr A = t}, or det A = d alone when t
     is None.
 
-    Iterates the top-left 2x2 block (outer rank range [lo, hi) over
-    (2h+1)^4 for sharding), forces a33 from the trace or, with the trace
-    free, runs it over [-h, h], and counts the remaining off-diagonal pair
-    by exact line counts.
+    Iterates one top-left 2x2 block per orbit, weighted by the orbit size
+    (outer rank range [lo, hi) over (2h+1)^4 for sharding), forces a33 from
+    the trace or, with the trace free, runs it over [-h, h], and counts the
+    remaining off-diagonal pair by exact line counts.
     """
     if hi is None:
         hi = (2 * h + 1) ** 4
@@ -381,7 +446,7 @@ def det_trace3(h: int, d: int, t: int | None, lo: int = 0, hi: int | None = None
     table = _line_table(h)
     per_rank = b1.size * (2 * h + 1 if t is None else 1)
     total = 0
-    for r11, r12, r21, r22 in _rank_batches(lo, hi, h, per_rank):
+    for size, (r11, r12, r21, r22) in _block_batches(lo, hi, h, per_rank):
         if t is None:
             c = np.arange(-h, h + 1, dtype=np.int64)[None, :]
         else:
@@ -393,7 +458,7 @@ def det_trace3(h: int, d: int, t: int | None, lo: int = 0, hi: int | None = None
         alpha = (r21[:, None] * b2 - r22[:, None] * b1)[:, None, :]
         beta = (r12[:, None] * b1 - r11[:, None] * b2)[:, None, :]
         cnt = _line_counts(alpha, beta, g0, h, table)
-        total += int(cnt.sum(axis=(0, 1)) @ w)
+        total += size * int(cnt.sum(axis=(0, 1)) @ w)
     return total
 
 
@@ -409,7 +474,7 @@ def det_trace3_t2(h: int, d: int, t1: int, t2: int,
     b1, b2, w = _half_border(h)
     table = _line_table(h)
     total = 0
-    for r11, r12, r21, r22 in _rank_batches(lo, hi, h, b1.size):
+    for size, (r11, r12, r21, r22) in _block_batches(lo, hi, h, b1.size):
         c = t1 - (r11 + r22)
         h2 = t2 - (r11 * r11 + 2 * r12 * r21 + r22 * r22) - c * c
         keep = (np.abs(c) <= h) & (h2 % 2 == 0)
@@ -424,7 +489,7 @@ def det_trace3_t2(h: int, d: int, t1: int, t2: int,
         q1, m1 = np.divmod(g0 * b2 - beta * hdot, det2 + flat)
         q2, m2 = np.divmod(alpha * hdot - g0 * b1, det2 + flat)
         one = ~flat & (m1 == 0) & (m2 == 0) & (np.abs(q1) <= h) & (np.abs(q2) <= h)
-        total += int(np.count_nonzero(one, axis=0) @ w)
+        total += size * int(np.count_nonzero(one, axis=0) @ w)
         # det2 == 0: the two equations share one line, or are inconsistent
         ri, bi = np.nonzero(flat)
         al, be, p1, p2 = alpha[ri, bi], beta[ri, bi], b1[bi], b2[bi]
@@ -434,7 +499,7 @@ def det_trace3_t2(h: int, d: int, t1: int, t2: int,
         use_b = (al == 0) & (be == 0)
         cnt = _line_counts(np.where(use_b, p1, al), np.where(use_b, p2, be),
                            np.where(use_b, np.abs(g) + np.abs(hd), g), h, table)
-        total += int((cnt * same) @ w[bi])
+        total += size * int((cnt * same) @ w[bi])
     return total
 
 
@@ -454,7 +519,9 @@ def _nonzero_on_line(p, q, k):
 
 def bordered3(k: int, lo: int = 0, hi: int | None = None):
     """(#U_3(k), #V_3(k)): singular bordered matrices with a33 = 0 and
-    nonzero last column block; V additionally has b.a = 0."""
+    nonzero last column block; V additionally has b.a = 0.  One top-left
+    block per orbit, weighted by the orbit size; [lo, hi) shards the
+    (2k+1)^4 blocks."""
     if hi is None:
         hi = (2 * k + 1) ** 4
     _check_range("k", k, _BORDER_K_MAX)
@@ -465,11 +532,11 @@ def bordered3(k: int, lo: int = 0, hi: int | None = None):
     v_weight = w * _nonzero_on_line(b1, b2, k)
     u_total = 0
     v_total = 0
-    for r11, r12, r21, r22 in _rank_batches(lo, hi, k, b1.size):
+    for size, (r11, r12, r21, r22) in _block_batches(lo, hi, k, b1.size):
         alpha = r21[:, None] * b2 - r22[:, None] * b1
         beta = r12[:, None] * b1 - r11[:, None] * b2
-        u_total += int(_nonzero_on_line(alpha, beta, k).sum(axis=0) @ w)
-        v_total += int(np.count_nonzero(alpha * b2 == beta * b1, axis=0) @ v_weight)
+        u_total += size * int(_nonzero_on_line(alpha, beta, k).sum(axis=0) @ w)
+        v_total += size * int(np.count_nonzero(alpha * b2 == beta * b1, axis=0) @ v_weight)
     return u_total, v_total
 
 

@@ -429,7 +429,9 @@ def _exact(value) -> Fraction:
 
 
 def _floor_bound(name: str, value, least: int) -> int:
-    """floor(value) read exactly, refusing value < least."""
+    """floor(value) read exactly, refusing NaN, +-inf and value < least."""
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number")
     exact = _exact(value)
     if exact < least:
         raise ValueError(f"{name} must be >= {least}")

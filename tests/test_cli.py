@@ -312,6 +312,28 @@ def test_refusal_names_the_bound(capsys, argv, line):
     assert rc == 1 and err == line + "\n"
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["count", "det", "--n", "2", "--H", "inf", "--d", "1"], "error: H must be a finite number"),
+    (["count", "det", "--n", "2", "--H", "nan", "--d", "1"], "error: H must be a finite number"),
+    (["count", "charpoly", "--n", "3", "--H", "inf", "--f", "0,0,0,1"],
+     "error: H must be a finite number"),
+    (["lattice", "census", "--U", "inf"], "error: U must be a finite number"),
+    (["lattice", "census", "--U", "nan"], "error: U must be a finite number"),
+])
+def test_non_finite_bound_is_refused_by_name(capsys, argv, line):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and err == line + "\n"
+
+
+def test_lattice_good_needs_k_and_census_defaults_to_sqrt(capsys):
+    rc, out, err = run(capsys, "lattice", "good", "--vector", "1,2")
+    assert rc == 1 and err == "error: lattice good needs --K\n"
+    rc, out, _ = run(capsys, "lattice", "census", "--U", "20", "--format", "json")
+    assert rc == 0 and json.loads(out)["K"] == "5"  # ceil(sqrt(20))
+    rc, out2, _ = run(capsys, "lattice", "census", "--U", "20", "--K", "sqrt", "--format", "json")
+    assert rc == 0 and out2 == out
+
+
 def test_torsion_block_within_budget(capsys):
     # phi(7) = 6: the 6 x 6 companion needs 36 <= budget
     rc, out, err = run(

@@ -1,5 +1,6 @@
 """Counters against enumeration oracles, partition identities, budgets."""
 
+import math
 import random
 import time
 from collections import Counter
@@ -44,6 +45,26 @@ def test_universe_size_examples():
     for h in (np.float32(0.5), Fraction(1, 2), np.int64(0)):
         with pytest.raises(ValueError, match="H must be >= 1"):
             count_with_det(2, h, 1)
+
+
+def test_non_finite_bounds_are_refused_by_name():
+    from matstat import lattices
+
+    lat = lattices.orthogonal_lattice([(1, 2, 3)])
+    for bad in (math.inf, -math.inf, math.nan, np.float32("inf"), np.float64("nan")):
+        for call, name in [
+            (lambda: universe_size(2, bad), "H"),
+            (lambda: count_with_det(3, bad, 0), "H"),
+            (lambda: max_charpoly_count(3, bad), "H"),
+            (lambda: centralizer_count(IntMatrix([[1, 1], [0, 1]]), bad), "H"),
+            (lambda: run_grid(ExperimentSpec("det", n=2, grid=(bad,), params={"d": 1})), "H"),
+            (lambda: lattices.points_in_box(lat, bad), "box bound"),
+            (lambda: lattices.is_k_good((1, 2), bad), "K"),
+            (lambda: lattices.kbad_census(3, bad, 2), "U"),
+            (lambda: lattices.kbad_census(3, 20, bad), "K"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{name} must be a finite number$"):
+                call()
 
 
 def test_enumerate_matrices_stream():

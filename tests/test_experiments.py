@@ -261,3 +261,23 @@ def test_outputs_byte_identical_across_threads(tmp_path):
         recs = run_grid(spec)
         texts[threads] = (records_to_csv(recs), records_to_json(recs))
     assert texts[1] == texts[4]
+
+
+def test_n3_grids_byte_identical_across_threads():
+    # the orbit-reduced n = 3 kernels spread their representative blocks
+    # unevenly over the parts; the merged records must not depend on threads
+    specs = [
+        dict(kind="det-trace", n=3, grid=(2, 3), params={"d": 1, "t": 1}),
+        dict(kind="det", n=3, grid=(2, 3), params={"d": 2}),
+        dict(kind="singular-bordered", n=3, grid=(1, 2, 3)),
+        dict(kind="charpoly-max", n=3, grid=(1, 2)),
+    ]
+    for kw in specs:
+        texts = {}
+        for threads in (1, 2):
+            recs = run_grid(ExperimentSpec(parts=8, threads=threads, **kw))
+            texts[threads] = (records_to_csv(recs), records_to_json(recs))
+        assert texts[1] == texts[2], kw["kind"]
+    recs = run_grid(ExperimentSpec(kind="det-trace", n=3, grid=(2,), params={"d": 1, "t": 1},
+                                   parts=8, threads=2))
+    assert recs[0].count == counting.count_det_trace(3, 2, 1, 1, method="naive")

@@ -228,6 +228,135 @@ def test_bordered3_matches_brute_scan():
         assert kernels.bordered3(k) == _brute_bordered(k)
 
 
+# ---------------------------------------------------------------------------
+# the orbit reduction of the top-left 2x2 block (det_trace3, det_trace3_t2,
+# bordered3, charpoly3_tally)
+
+
+def _block_images(m):
+    """The 8 images of a block (r11, r12, r21, r22) under the maps
+    diag(1, -1, 1)-conjugation, swap-conjugation and transpose."""
+    r11, r12, r21, r22 = m
+    out = []
+    for s, p, t in product((1, -1), repeat=3):
+        b = (r11, s * r12, s * r21, r22)
+        if p == -1:
+            b = (b[3], b[2], b[1], b[0])
+        if t == -1:
+            b = (b[0], b[2], b[1], b[3])
+        out.append(b)
+    return out
+
+
+def _block_rank(m, h):
+    # r11 is the least significant digit (see kernels._decode_block)
+    return sum((x + h) * (2 * h + 1) ** i for i, x in enumerate(m))
+
+
+def _representatives(h):
+    """(rank, block, orbit size) of every orbit representative, by scan."""
+    reps = []
+    for rank in range((2 * h + 1) ** 4):
+        m = tuple(int(x[0]) for x in kernels._decode_block(rank, rank + 1, h, 4))
+        assert _block_rank(m, h) == rank
+        images = _block_images(m)
+        if rank == min(_block_rank(g, h) for g in images):
+            reps.append((rank, m, len(set(images))))
+    return reps
+
+
+def test_orbit_weights_tile_the_block_axis():
+    for h in range(7):
+        side = 2 * h + 1
+        sizes = kernels._orbit_weight(*kernels._decode_block(0, side**4, h, 4), side)
+        assert set(np.unique(sizes).tolist()) <= {0, 1, 2, 4, 8}
+        assert int(sizes.sum()) == side**4, h
+    orbits = {h: np.count_nonzero(kernels._orbit_weight(
+        *kernels._decode_block(0, (2 * h + 1) ** 4, h, 4), 2 * h + 1)) for h in (2, 3, 4)}
+    assert orbits == {2: 135, 3: 448, 4: 1125}
+
+
+def test_orbit_representatives_are_least_in_box():
+    for h in (1, 2, 3):
+        side = 2 * h + 1
+        sizes = kernels._orbit_weight(*kernels._decode_block(0, side**4, h, 4), side)
+        reps = _representatives(h)
+        assert [r for r, _, _ in reps] == np.flatnonzero(sizes).tolist()
+        for rank, m, size in reps:
+            images = _block_images(m)
+            assert all(max(map(abs, g)) <= h for g in images)
+            assert rank == min(_block_rank(g, h) for g in images)
+            assert sizes[rank] == size == 8 // images.count(m)
+
+
+@pytest.mark.parametrize("step", [1, 3, 50])
+def test_orbit_batches_cover_each_representative_once(monkeypatch, step):
+    # chunks of 7 ranks cut across blocks and batches; every representative
+    # of a random range comes once, in batches of one orbit size
+    monkeypatch.setattr(kernels, "_BATCH", 7)
+    rng = random.Random(0x0B17 + step)
+    h = 2
+    sizes = kernels._orbit_weight(*kernels._decode_block(0, 625, h, 4), 5)
+    for lo, hi in [(0, 625)] + [sorted(rng.sample(range(626), 2)) for _ in range(5)]:
+        seen = []
+        for size, (r11, r12, r21, r22) in kernels._orbit_batches(lo, hi, h, 4, (0, 1, 2, 3), step):
+            assert 1 <= r11.size <= step
+            ranks = (r11 + h) + 5 * (r12 + h) + 25 * (r21 + h) + 125 * (r22 + h)
+            assert (sizes[ranks] == size).all()
+            seen += ranks.tolist()
+        assert sorted(seen) == [r for r in range(lo, hi) if sizes[r]]
+
+
+def _block_brute(m, h):
+    """(det, trace, tr A^2) of every 3x3 matrix with top-left block m and
+    the other five entries in [-h, h]."""
+    r11, r12, r21, r22 = m
+    a13, a23, a31, a32, a33 = np.indices((2 * h + 1,) * 5).reshape(5, -1) - h
+    det = (r11 * (r22 * a33 - a23 * a32) - r12 * (r21 * a33 - a23 * a31)
+           + a13 * (r21 * a32 - r22 * a31))
+    t2 = r11 * r11 + r22 * r22 + a33 * a33 + 2 * (r12 * r21 + a13 * a31 + a23 * a32)
+    return det, r11 + r22 + a33, t2, (a13, a23, a31, a32, a33)
+
+
+def _check_block_counts(h, rank, m, size, rng):
+    det, tr, t2, (a13, a23, a31, a32, a33) = _block_brute(m, h)
+    i = rng.randrange(det.size)  # a target that this block meets
+    d, t, s = int(det[i]), int(tr[i]), int(t2[i])
+    one = dict(lo=rank, hi=rank + 1)
+    assert kernels.det_trace3(h, d, t, **one) == size * np.count_nonzero(
+        (det == d) & (tr == t)), (m, d, t)
+    assert kernels.det_trace3(h, d, None, **one) == size * np.count_nonzero(det == d), (m, d)
+    assert kernels.det_trace3_t2(h, d, t, s, **one) == size * np.count_nonzero(
+        (det == d) & (tr == t) & (t2 == s)), (m, d, t, s)
+    u = (a33 == 0) & (det == 0) & ((a13 != 0) | (a23 != 0))
+    v = u & (a31 * a13 + a32 * a23 == 0)
+    want = (size * np.count_nonzero(u), size * np.count_nonzero(v))
+    assert kernels.bordered3(h, **one) == want, m
+
+
+def test_kernels_weight_each_representative_by_its_orbit():
+    rng = random.Random(0x0B18)
+    for h in (1, 2):
+        reps = {rank: (m, size) for rank, m, size in _representatives(h)}
+        for rank in range((2 * h + 1) ** 4):
+            if rank in reps:
+                _check_block_counts(h, rank, *reps[rank], rng)
+            else:  # another block of the orbit carries its count
+                assert kernels.det_trace3(h, 0, None, rank, rank + 1) == 0
+                assert kernels.det_trace3_t2(h, 0, 0, 0, rank, rank + 1) == 0
+                assert kernels.bordered3(h, rank, rank + 1) == (0, 0)
+    h = 4
+    sizes = kernels._orbit_weight(*kernels._decode_block(0, 9**4, h, 4), 9)
+    for rank in rng.sample(np.flatnonzero(sizes).tolist(), 40):
+        m = tuple(int(x[0]) for x in kernels._decode_block(rank, rank + 1, h, 4))
+        _check_block_counts(h, rank, m, int(sizes[rank]), rng)
+
+
+def test_charpoly3_tally_counts_every_matrix():
+    for h in range(4):
+        assert int(kernels.charpoly3_tally(h).sum()) == (2 * h + 1) ** 9, h
+
+
 def test_census3_matches_generic_census():
     # the kernel against the exact Fincke-Pohst census on its orbits
     from fractions import Fraction

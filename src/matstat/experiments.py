@@ -62,6 +62,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if not self.grid:
             raise ValueError("grid must be non-empty")
+        for name in ("parts", "threads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         object.__setattr__(self, "grid", tuple(self.grid))
         object.__setattr__(self, "params", dict(self.params))
 
@@ -127,18 +130,19 @@ def charpoly_target(n: int, coeffs: Sequence[int]) -> MonicIntPoly:
 
 def census_k(k, u) -> Union[int, Fraction]:
     """The census bound K at U: ceil(sqrt(U)) for 'sqrt', otherwise K read
-    exactly as a Fraction ('5/2', '2.5', 2).  A U below 0 or not finite
-    gives K = 0, so the census refuses it by its own U check."""
+    exactly as a Fraction ('5/2', '2.5', 2) by the bound reader, which
+    refuses an unreadable K by name.  A U below 0 or not finite gives
+    K = 0, so the census refuses it by its own U check."""
     if k == "sqrt":
         return math.ceil(math.sqrt(max(u, 0))) if math.isfinite(u) else 0
-    return Fraction(k)
+    return lattices._exact("K", k)
 
 
 # ---------------------------------------------------------------------------
 # the counter table: each entry maps (n, h, params, method, parts, threads,
 # budget) to (count, record pairs); method is auto|naive.  The counters with
-# a kernel and a naive route read it, and those with one route that `matstat
-# count` offers refuse "naive".
+# a kernel and a naive route read it, and those with one route refuse
+# "naive" (`matstat count` offers them no --method).
 
 
 def _auto_only(kind: str, method: str):
@@ -210,6 +214,8 @@ def _centralizer(n, h, params, method, parts, threads, budget):
     _auto_only("centralizer", method)
     a = _required(params, "matrix")
     a = a if isinstance(a, IntMatrix) else IntMatrix(a)
+    if a.n != n:
+        raise ValueError(f"the matrix is {a.n}x{a.n}, but n = {n}")
     return counting.centralizer_count(a, h, node_cap=budget), [("matrix", _flat_matrix(a))]
 
 

@@ -24,6 +24,8 @@ sums to the whole.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,18 +39,21 @@ def run_parts(fn, total_range: int, parts: int, threads: int) -> list:
     """Apply fn(lo, hi) over `parts` contiguous ranges of [0, total_range).
 
     Part boundaries depend only on `parts`, and results come back in part
-    order, so the merged output is independent of the thread count.
+    order, so the merged output is independent of the thread count.  At
+    most min(threads, parts, os.cpu_count()) worker threads run.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    parts = max(1, min(parts, total_range)) if total_range else 1
+    for name, value in (("parts", parts), ("threads", threads)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
+    parts = min(parts, total_range) if total_range else 1
     bounds = [
         (i * total_range // parts, (i + 1) * total_range // parts)
         for i in range(parts)
     ]
-    if threads <= 1 or parts == 1:
+    workers = min(threads, parts, os.cpu_count() or 1)
+    if workers == 1:
         return [fn(lo, hi) for lo, hi in bounds]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
+    with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(lambda b: fn(b[0], b[1]), bounds))
 
 

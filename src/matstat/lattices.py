@@ -22,6 +22,7 @@ searches (``successive_minima`` and the census).
 from __future__ import annotations
 
 import math
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -419,28 +420,34 @@ class GoodnessVerdict:
         return "good" if self.good else "bad"
 
 
-def _exact(value) -> Fraction:
-    """An int, float, Fraction or numpy scalar bound read exactly, over
-    Python ints: numpy floats (float32 too) by their integer ratio, numpy
-    integers by int(), so no int64 arithmetic can wrap."""
-    if isinstance(value, np.floating):
-        return Fraction(*value.as_integer_ratio())
-    return Fraction(int(value) if isinstance(value, np.integer) else value)
+_FLOAT_MAX = Fraction(sys.float_info.max)
+
+
+def _exact(name: str, value) -> Fraction:
+    """The bound `name` read exactly, over Python ints: numpy floats
+    (float32 too) by their integer ratio, numpy integers by int(), anything
+    else (text such as '5/2' or '2.5' too) by Fraction, so no int64
+    arithmetic can wrap.  NaN, +-inf, unreadable text and a value beyond
+    the float range, which verdicts and census results record, are refused
+    by name."""
+    try:
+        if isinstance(value, np.floating):
+            exact = Fraction(*value.as_integer_ratio())
+        else:
+            exact = Fraction(int(value) if isinstance(value, np.integer) else value)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise ValueError(f"{name} must be a finite number") from None
+    if abs(exact) > _FLOAT_MAX:
+        raise ValueError(f"{name} must be at most {sys.float_info.max!r}")
+    return exact
 
 
 def _floor_bound(name: str, value, least: int) -> int:
-    """floor(value) read exactly, refusing NaN, +-inf and value < least."""
-    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number")
-    exact = _exact(value)
+    """floor(value) read exactly (see _exact), refusing value < least."""
+    exact = _exact(name, value)
     if exact < least:
         raise ValueError(f"{name} must be >= {least}")
     return math.floor(exact)
-
-
-def _bound_sq_floor(k) -> int:
-    """floor(K^2) computed exactly (see _exact)."""
-    return math.floor(_exact(k) ** 2)
 
 
 def is_k_good(u: Sequence[int], k_bound, node_cap: int = DEFAULT_NODE_CAP) -> GoodnessVerdict:
@@ -454,13 +461,14 @@ def is_k_good(u: Sequence[int], k_bound, node_cap: int = DEFAULT_NODE_CAP) -> Go
         raise ValueError("vector must be primitive")
     if len(u) < 2:
         raise ValueError("ambient dimension must be >= 2")
-    _floor_bound("K", k_bound, 1)
+    k = _exact("K", k_bound)
+    _floor_bound("K", k, 1)
     dual = orthogonal_lattice([u])
     minima, vectors = successive_minima(dual, node_cap)
     basis = _reduced_basis(dual, vectors)
-    ksq = _bound_sq_floor(k_bound)
+    ksq = math.floor(k ** 2)
     good = all(m <= ksq for m in minima)
-    return GoodnessVerdict(u, float(k_bound), good, minima, basis)
+    return GoodnessVerdict(u, float(k), good, minima, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -726,14 +734,15 @@ def kbad_census(
     """
     if t < 3:
         raise ValueError("t must be >= 3")
-    uf = _floor_bound("U", u_bound, 1)
-    _floor_bound("K", k_bound, 1)
+    u_exact = _exact("U", u_bound)
+    uf = _floor_bound("U", u_exact, 1)
+    k_exact = _exact("K", k_bound)
+    _floor_bound("K", k_exact, 1)
     start = time.perf_counter()
     if method not in ("auto", "generic"):
         raise ValueError("method must be auto|generic")
     use_kernel = t == 3 and method == "auto" and not collect
-    usq = _bound_sq_floor(u_bound)
-    ksq = _bound_sq_floor(k_bound)
+    usq, ksq = math.floor(u_exact ** 2), math.floor(k_exact ** 2)
     if use_kernel:
         pieces = kernels.run_parts(
             lambda lo, hi: kernels.census3(uf, usq, ksq, lo, hi),
@@ -767,7 +776,7 @@ def kbad_census(
     err = abs(inv_sum) * 2.3e-16 * max(count, 1)
     elapsed = (time.perf_counter() - start) * 1000.0
     return CensusResult(
-        t, float(u_bound), float(k_bound), count, inv_sum, err, bad, method_used, elapsed
+        t, float(u_exact), float(k_exact), count, inv_sum, err, bad, method_used, elapsed
     )
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI invocations through main()."""
 
+import argparse
 import json
 
 import pytest
@@ -121,7 +122,7 @@ def test_multdep_word_nonunit_dets(tmp_path, capsys):
 
 
 def test_multdep_budget_is_the_word_state_cap(tmp_path, capsys, monkeypatch):
-    args = build_parser().parse_args(["multdep", "word"])
+    args = build_parser().parse_args(["multdep", "word", "--tuple", "rot.json"])
     assert args.budget == multdep.DEFAULT_WORD_STATE_CAP
     caps = []
 
@@ -280,7 +281,7 @@ def test_error_exit_code(capsys):
     [
         ["count", "det", "--n", "4", "--H", "3"],  # over the scan budget
         ["lattice", "census", "--U", "20000"],  # beyond the census kernel
-        ["multdep", "check"],  # no --tuple
+        ["multdep", "check", "--tuple", "PAIR", "--k", "1,x"],
         ["count", "centralizer", "--matrix", "FLOAT_ENTRY"],
         ["count", "charpoly", "--n", "2", "--H", "1", "--f", "1,-2,3"],  # not monic
         ["count", "charpoly", "--n", "2", "--H", "1", "--f", "1,2"],
@@ -291,7 +292,8 @@ def test_error_exit_code(capsys):
     ],
 )
 def test_refused_input_is_one_error_line(capsys, tmp_path, argv):
-    files = {"FLOAT_ENTRY": {"matrix": [[1, 0.5], [0, 1]]}, "EMPTY_TUPLE": []}
+    files = {"FLOAT_ENTRY": {"matrix": [[1, 0.5], [0, 1]]}, "EMPTY_TUPLE": [],
+             "PAIR": {"matrices": [[[1, 1], [0, 1]], [[1, 2], [0, 1]]]}}
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
     rc, out, err = run(capsys, *(str(tmp_path / a) if a in files else a for a in argv))
@@ -325,9 +327,33 @@ def test_non_finite_bound_is_refused_by_name(capsys, argv, line):
     assert rc == 1 and err == line + "\n"
 
 
+@pytest.mark.parametrize("argv,line", [
+    *((["lattice", "good", "--vector", "1,2", "--K", k], "error: K must be a finite number")
+      for k in ("inf", "nan", "abc", "5/0")),
+    (["lattice", "good", "--vector", "1,2", "--K", "1e400"],
+     "error: K must be at most 1.7976931348623157e+308"),
+    (["lattice", "census", "--U", "10", "--K", "inf"], "error: K must be a finite number"),
+    (["fit", "--kind", "kbad-census", "--n", "3", "--grid", "6", "--K", "inf"],
+     "error: K must be a finite number"),
+    (["fit", "--kind", "totient-v", "--n", "1", "--grid", ""],
+     "error: --grid expects comma-separated numbers, got ''"),
+    (["fit", "--kind", "totient-v", "--n", "1", "--grid", "1,x"],
+     "error: --grid expects comma-separated numbers, got '1,x'"),
+    (["count", "det", "--n", "3", "--H", "2", "--parts", "-4", "--threads", "0"],
+     "error: parts must be >= 1"),
+    (["count", "det", "--n", "3", "--H", "2", "--threads", "0"], "error: threads must be >= 1"),
+    (["fit", "--kind", "det", "--grid", "2", "--parts", "0"], "error: parts must be >= 1"),
+])
+def test_unreadable_value_is_refused_by_name(capsys, argv, line):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == "" and err == line + "\n"
+
+
 def test_lattice_good_needs_k_and_census_defaults_to_sqrt(capsys):
-    rc, out, err = run(capsys, "lattice", "good", "--vector", "1,2")
-    assert rc == 1 and err == "error: lattice good needs --K\n"
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "lattice", "good", "--vector", "1,2")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: the following arguments are required: --K\n"
     rc, out, _ = run(capsys, "lattice", "census", "--U", "20", "--format", "json")
     assert rc == 0 and json.loads(out)["K"] == "5"  # ceil(sqrt(20))
     rc, out2, _ = run(capsys, "lattice", "census", "--U", "20", "--K", "sqrt", "--format", "json")
@@ -381,14 +407,15 @@ def test_count_manifest_records_inputs(capsys):
     ["centralizer", "--matrix", "SHEAR", "--H", "3"],
 ])
 def test_count_kinds_without_a_naive_route_refuse_it(tmp_path, capsys, argv):
-    # one route only: --method naive must not print the kernel's answer
+    # one route only: these actions take no --method, so naive is a usage error
     shear = tmp_path / "shear.json"
     shear.write_text(json.dumps({"matrix": [[1, 1], [0, 1]]}))
     argv = ["count"] + [str(shear) if a == "SHEAR" else a for a in argv]
-    rc, out, err = run(capsys, *argv, "--method", "naive")
-    assert rc == 1 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
-    assert "method must be auto" in err
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *argv, "--method", "naive")
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: unrecognized arguments: --method naive\n"
     rc, out, _ = run(capsys, *argv)
     assert rc == 0 and "count = " in out
 
@@ -465,6 +492,34 @@ def test_options_a_subcommand_does_not_take_are_refused(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "det", "--n", "3", "--H", "2", "--d", "1", "--t", "0"],  # det, not det/trace
+        ["lattice", "dual", "--vector", "1,2", "--format", "json"],
+        ["multdep", "check", "--tuple", "pair.json", "--budget", "1"],
+        ["multdep", "check"],  # no --tuple
+        ["multdep", "check", "--tuple", "pair.json", "--k", "1,2", "--bound", "3"],
+        ["count", "centralizer", "--matrix", "m.json", "--n", "2"],  # n is the matrix's
+        ["count", "det", "--th", "2"],  # no prefix abbreviations
+        ["lattice", "good", "--v", "1,2", "--K", "2"],
+        ["fit", "--kind", "totient-v", "--n", "1", "--grid", "10", "--d", "3"],
+        ["fit", "--kind", "det", "--grid", "2", "--matrix", "m.json"],
+        ["multdep", "construct", "--mode", "even", "--blocks", "b.json", "--orders", "3"],
+        ["multdep", "construct", "--mode", "odd", "--blocks", "b.json", "--budget", "5"],
+        ["multdep", "construct", "--mode", "torsion", "--orders", "3", "--blocks", "b.json"],
+        ["multdep", "construct", "--mode", "torsion"],  # needs --orders
+        ["multdep", "construct"],  # even needs --blocks
+    ],
+)
+def test_options_an_action_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
 def test_usage_error_is_argparse_message_on_one_line(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "det", "--n", "x"])
@@ -474,3 +529,89 @@ def test_usage_error_is_argparse_message_on_one_line(capsys):
         main(["count", "--help"])
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    assert build_parser() is build_parser()
+    assert build_parser().parse_args(["count", "det", "--d", "5"]).d == 5
+    assert build_parser().parse_args(["count", "det"]).d == 0
+
+
+def test_centralizer_n_is_the_matrix_dimension(tmp_path, capsys):
+    m3 = tmp_path / "m3.json"
+    m3.write_text(json.dumps({"matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 2]]}))
+    argv = ("fit", "--kind", "centralizer", "--matrix", str(m3), "--grid", "1,2")
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == "" and err == "error: the matrix is 3x3, but n = 2\n"
+    rc, out, _ = run(capsys, *argv, "--n", "3", "--format", "json")
+    assert rc == 0 and [r["n"] for r in json.loads(out)["records"]] == [3, 3]
+    rc, out, err = run(capsys, "count", "centralizer", "--matrix", str(m3), "--H", "1")
+    assert rc == 0 and json.loads(err.splitlines()[-1])["manifest"]["spec"]["n"] == 3
+
+
+class _ReadLog(argparse.Namespace):
+    """A Namespace that records the name of every attribute read from it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def _action_parsers():
+    """(command words, parser) of every action: `count det`, ..., `fit`."""
+    def actions(parser):
+        return next((a.choices for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)), None)
+
+    for cmd, parser in actions(build_parser()).items():
+        if actions(parser) is None:
+            yield (cmd,), parser
+        else:
+            yield from (((cmd, what), p) for what, p in actions(parser).items())
+
+
+# one small valid command line per action, whose handler takes every branch
+# that reads an option
+_SMALL_ARGV = {
+    ("count", "universe"): [],
+    ("count", "charpoly"): ["--f=1,-2,1"],
+    ("count", "det"): [],
+    ("count", "dettrace"): [],
+    ("count", "bordered"): [],
+    ("count", "maxcharpoly"): [],
+    ("count", "centralizer"): ["--matrix", "SHEAR"],
+    ("multdep", "check"): ["--tuple", "PAIR"],
+    ("multdep", "rank"): ["--tuple", "PAIR"],
+    ("multdep", "word"): ["--tuple", "PAIR"],
+    ("multdep", "construct"): ["--mode", "torsion", "--orders", "3"],
+    ("lattice", "dual"): ["--vector", "1,0,5"],
+    ("lattice", "good"): ["--vector", "1,0,5", "--K", "4"],
+    ("lattice", "census"): ["--U", "6"],
+    ("totient",): ["v", "--n", "5"],
+    ("nt", "smoothcount"): [],
+    ("nt", "cyclotomic"): [],
+    ("fit",): ["--kind", "det", "--grid", "2,4", "--predicted", "3"],
+}
+
+
+def test_every_option_an_action_offers_is_read(tmp_path, capsys):
+    files = {"SHEAR": {"matrix": [[1, 1], [0, 1]]},
+             "PAIR": {"matrices": [[[1, 2], [0, 1]], [[1, 3], [0, 1]]]}}
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    parsers = dict(_action_parsers())
+    assert set(parsers) == set(_SMALL_ARGV)
+    unread = {}
+    for words, parser in parsers.items():
+        argv = [str(tmp_path / a) if a in files else a for a in (*words, *_SMALL_ARGV[words])]
+        args = _ReadLog(**vars(build_parser().parse_args(argv)))
+        assert args.fn(args) in (None, 0), argv
+        offered = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+        unread[words] = offered - args._reads
+    capsys.readouterr()
+    assert unread == {words: set() for words in parsers}

@@ -130,6 +130,13 @@ def test_run_grid_accepts_integral_float_grid_points():
     assert [r.count for r in tv] == [4]
 
 
+def test_spec_refuses_parts_and_threads_below_one():
+    for name in ("parts", "threads"):
+        for bad in (0, -4):
+            with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+                ExperimentSpec(kind="det", grid=(1,), **{name: bad})
+
+
 def test_run_grid_centralizer():
     recs = run_grid(
         ExperimentSpec(
@@ -140,6 +147,12 @@ def test_run_grid_centralizer():
         )
     )
     assert [r.count for r in recs] == [9, 25]
+
+
+def test_centralizer_refuses_a_matrix_of_another_dimension():
+    with pytest.raises(ValueError, match="^the matrix is 2x2, but n = 3$"):
+        run_grid(ExperimentSpec(kind="centralizer", n=3, grid=(1,),
+                                params={"matrix": [[1, 1], [0, 1]]}))
 
 
 def test_counter_table_param_policies():

@@ -401,6 +401,41 @@ def test_run_parts_boundaries():
     assert out == [(0, 3), (3, 6), (6, 10)]
 
 
+def test_run_parts_refuses_bad_counts_and_caps_its_workers(monkeypatch):
+    for parts, threads, name in ((0, 1, "parts"), (-4, 2, "parts"), (3, 0, "threads")):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            kernels.run_parts(lambda lo, hi: (lo, hi), 10, parts, threads)
+    made = []
+
+    class Recording:
+        """Records max_workers and runs the parts on the calling thread."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(kernels, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(kernels.os, "cpu_count", lambda: 4)
+    # parts are capped at the range, results come back in part order
+    assert kernels.run_parts(lambda lo, hi: (lo, hi), 10, 50, 1) == [(i, i + 1) for i in range(10)]
+    for parts, threads in ((3, 1000), (50, 1000), (8, 2), (8, 1)):
+        out = kernels.run_parts(lambda lo, hi: (lo, hi), 10, parts, threads)
+        assert out == kernels.run_parts(lambda lo, hi: (lo, hi), 10, parts, 1)
+    # min(threads, parts, cpu_count); one worker runs inline
+    assert made == [3, 4, 2]
+    monkeypatch.setattr(kernels.os, "cpu_count", lambda: None)
+    kernels.run_parts(lambda lo, hi: (lo, hi), 10, 8, 8)
+    assert made == [3, 4, 2]
+
+
 def _random_shards(rng, size, parts):
     cuts = sorted(rng.randrange(size + 1) for _ in range(parts - 1))
     return list(zip([0] + cuts, cuts + [size]))

@@ -605,6 +605,25 @@ def test_is_k_good_frozen():
         is_k_good((1, 1), 0.5)
 
 
+@pytest.mark.parametrize("k,line", [
+    *((k, "K must be a finite number")
+      for k in ("inf", "nan", "abc", "5/0", float("inf"), np.float32("nan"))),
+    *((k, "K must be at most 1.7976931348623157e+308") for k in ("1e400", 10**400)),
+])
+def test_unreadable_k_is_refused_by_name(k, line):
+    for call in (lambda: is_k_good((1, 2), k), lambda: kbad_census(3, 6, k)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == line
+
+
+def test_k_text_is_read_exactly():
+    verdict = is_k_good((1, 2), "5/2")
+    assert verdict.bound == 2.5 and verdict.good  # floor(K^2) = 6 >= 5
+    assert not is_k_good((1, 2), "2.2").good  # floor(4.84) = 4 < 5
+    assert kbad_census(3, 6, "5/2").count == kbad_census(3, 6, Fraction(5, 2)).count
+
+
 def test_is_k_good_boundary_square():
     # minima_sq of dual of (1,2) in Z^2 is 5; K = sqrt(5) via float
     v = (1, 2)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from typing import List, Optional, Sequence
@@ -41,9 +42,25 @@ def _usage(message: str):
     build_parser().error(message)
 
 
-def _load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
+def _budget(text: str) -> int:
+    """The argparse type of every --budget: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expects a non-negative integer, got {text!r}")
+    return value
+
+
+def _load_json(path: str, option: str):
+    """The JSON value in `path`, the file given to --option; a file that is
+    not UTF-8 JSON is a ValueError naming both."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"--{option} {path} is not UTF-8 JSON: {exc}") from exc
 
 
 def _as_matrix(obj) -> IntMatrix:
@@ -57,8 +74,8 @@ def _as_matrix(obj) -> IntMatrix:
     return IntMatrix(obj)
 
 
-def _load_tuple(path: str) -> List[IntMatrix]:
-    obj = _load_json(path)
+def _load_tuple(path: str, option: str = "tuple") -> List[IntMatrix]:
+    obj = _load_json(path, option)
     if isinstance(obj, dict):
         obj = obj.get("matrices", obj)
     if not isinstance(obj, list) or not obj:
@@ -92,7 +109,7 @@ def _spec(args, kind: str, grid) -> ExperimentSpec:
         if name == "f":
             value = list(experiments.charpoly_target(args.n, _numbers(value, "f")).all_coeffs())
         elif name == "matrix":
-            value = [list(r) for r in _as_matrix(_load_json(value)).rows]
+            value = [list(r) for r in _as_matrix(_load_json(value, "matrix")).rows]
         params[name] = value
     return ExperimentSpec(
         kind=kind, n=args.n if "n" in args else len(params["matrix"]), grid=grid,
@@ -146,13 +163,23 @@ _OPTS = {
     "method": dict(choices=("auto", "naive"), default="auto"),
     "parts": dict(type=int, default=1),
     "threads": dict(type=int, default=1),
-    "budget": dict(type=int, default=counting.DEFAULT_BUDGET),
+    "budget": dict(type=_budget, default=counting.DEFAULT_BUDGET),
     "format": dict(choices=("human", "json"), default="human"),
     "out": dict(),
 }
 
 
 def _count_universe(args):
+    # the count is printed in full, and Python converts at most `digits`
+    # digits to text: (2H+1)^(n^2) has floor(n^2 log10(2H+1)) + 1, so n is
+    # capped at the largest n with n^2 log10(2H+1) < digits, checked before
+    # the power is computed
+    digits = sys.get_int_max_str_digits()  # 0: no limit
+    side = counting.universe_size(1, args.H)  # 2H+1
+    n_max = math.isqrt(math.ceil(digits / math.log10(side)) - 1) if digits else args.n
+    if args.n > n_max:
+        raise ValueError(f"count universe prints at most {digits} digits: "
+                         f"n must be <= {n_max} at H = {args.H:g}")
     _print_count(args, "universe", counting.universe_size(args.n, args.H))
     _manifest_line("count universe", {"n": args.n, "H": args.H})
 
@@ -224,7 +251,7 @@ def _multdep_construct(args):
         print(f"identity exponent = {m}", file=sys.stderr)
     else:
         construct = multdep.construct_even if args.mode == "even" else multdep.construct_odd
-        built = construct(_load_tuple(args.blocks))
+        built = construct(_load_tuple(args.blocks, "blocks"))
         _dump_tuple(built, args.out)
         k = multdep.alternating_relation_vector(len(built))
         print(f"relation = {','.join(map(str, k))}", file=sys.stderr)
@@ -368,13 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
     _action(md, "rank", _multdep_rank, "tuple bound", tuple=tuple_file, bound=dict(type=int))
     _action(md, "word", _multdep_word, "tuple max_len budget", tuple=tuple_file,
             max_len=dict(type=int, default=6),
-            budget=dict(type=int, default=multdep.DEFAULT_WORD_STATE_CAP,
+            budget=dict(type=_budget, default=multdep.DEFAULT_WORD_STATE_CAP,
                         help="state cap of the word search"))
     _action(md, "construct", _multdep_construct, "mode blocks orders budget out",
             mode=dict(choices=("even", "odd", "torsion"), default="even"),
             blocks=dict(help="JSON tuple file of the blocks (even, odd)"),
             orders=dict(help="torsion orders k1,k2,..."),
-            budget=dict(type=int, help="a torsion block of dimension d needs d^2 <= "
+            budget=dict(type=_budget, help="a torsion block of dimension d needs d^2 <= "
                         "budget (default: the word search's state cap)"))
 
     la = _actions(sub, "lattice", "orthogonal lattices and the census")

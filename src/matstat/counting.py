@@ -21,12 +21,16 @@ Targets (d, t, t2, K) are integers; numpy integers are accepted.
 
 Counters accept `parts`/`threads` for deterministic sharding: the work
 range splits into `parts` fixed pieces merged in order, so results do not
-depend on the thread count.
+depend on the thread count.  Work that costs less than _THREAD_MIN_COST (the
+cost the budget is checked against) runs its parts in the calling thread,
+since threads cost more than they save there.  The bordered 3x3 counters
+build their tables (kernels.orbit_blocks) once per call, outside the parts.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterator, Tuple
@@ -99,7 +103,9 @@ def enumerate_matrices(
     if not (1 <= index <= total):
         raise ValueError("shard index out of range")
     hf = lattices._floor_bound("H", h, 1)
-    size = universe_size(n, hf)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    size = _scan_size(2 * hf + 1, n * n, budget, "matrix enumeration", total)
     lo = (index - 1) * size // total
     hi = index * size // total
     if hi - lo > budget:
@@ -108,12 +114,39 @@ def enumerate_matrices(
         yield _decode(n, hf, rank)
 
 
-_run_parts = kernels.run_parts
+# below this cost (as _check_budget reads it) the parts run in the calling
+# thread: 2 threads gained nothing on count_det_trace(3, 6, ...) at 13^6 and
+# lost time on count_singular_bordered(3, 6), while count_with_det(3, 5, 0)
+# at 1.9e7 ran 1.6x faster on 2 threads
+_THREAD_MIN_COST = 10**7
+
+
+def _run_parts(fn, total_range: int, cost: int, parts: int, threads: int) -> list:
+    """kernels.run_parts, on one thread when the cost is below _THREAD_MIN_COST:
+    the parts, and so the result, stay the same."""
+    if cost < _THREAD_MIN_COST:
+        threads = min(threads, 1)  # a count below 1 is still refused
+    return kernels.run_parts(fn, total_range, parts, threads)
 
 
 def _check_budget(cost: int, budget: int, what: str):
     if cost > budget:
         raise BudgetExceededError(cost, budget, what)
+
+
+_SHOWN_BITS = 64  # a scan size past 2^64 and past the budget is never computed
+
+
+def _scan_size(base: int, exponent: int, budget: int, what: str, share: int = 1) -> int:
+    """base^exponent, the size of a scan, once a 1/share part of it may fit
+    the budget: exponent log2(base) - log2(share) is compared with the
+    budget's bit length first, so a size far past the budget is never
+    computed, and the refusal names it as a power."""
+    bits = exponent * math.log2(base) - math.log2(share)
+    if bits > max(budget.bit_length() + 1, _SHOWN_BITS):
+        shown = f"{base}^{exponent}" + (f"/{share}" if share > 1 else "")
+        raise BudgetExceededError(shown, budget, what)
+    return base**exponent
 
 
 def _check_method(method: str):
@@ -133,7 +166,9 @@ def _int_arg(name: str, value) -> int:
 
 
 def _scan_count(n: int, hf: int, keep, budget: int) -> int:
-    """#{A in M_n(Z; H) : keep(A)} by plain enumeration within budget."""
+    """#{A in M_n(Z; H) : keep(A)} by plain enumeration within budget,
+    refused (see _scan_size) before the size is computed when it is far
+    past the budget."""
     return sum(1 for a in enumerate_matrices(n, hf, budget=budget) if keep(a))
 
 
@@ -148,10 +183,11 @@ def _count_det_trace(n: int, h, d: int, t, t2, method: str, budget: int,
     comes with a t).  The one route behind every det/trace counter.
 
     "auto" runs det2_count / charpoly2_count at n = 2 and, at n = 3, one
-    bordered kernel pass sharded over the (2H+1)^4 top-left blocks, of
-    which it visits one per orbit (see kernels._orbit_weight): det_trace3
-    (budget (2H+1)^6, or (2H+1)^7 with a free trace, which a33 then
-    ranges over) or det_trace3_t2.  "naive" and n >= 4 scan.
+    bordered kernel pass over one top-left block per orbit (see
+    kernels.orbit_blocks, built once here), sharded over those
+    representatives: det_trace3 (budget (2H+1)^6, or (2H+1)^7 with a free
+    trace, which a33 then ranges over) or det_trace3_t2.  "naive" and
+    n >= 4 scan.
     """
     hf = lattices._floor_bound("H", h, 1)
     _check_method(method)
@@ -173,9 +209,10 @@ def _count_det_trace(n: int, h, d: int, t, t2, method: str, budget: int,
         if t2 is not None and t2 != t * t - 2 * d:
             return 0
         if method == "naive":  # the n2_count divisor walk, sharded over a11
-            _check_budget(universe_size(2, hf), budget, "2x2 scan")
+            cost = universe_size(2, hf)
+            _check_budget(cost, budget, "2x2 scan")
             return sum(_run_parts(lambda lo, hi: kernels.n2_count(hf, d, t, lo, hi),
-                                  2 * hf + 1, parts, threads))
+                                  2 * hf + 1, cost, parts, threads))
         return kernels.det2_count(hf, d) if t is None else kernels.charpoly2_count(hf, t, d)
     if n == 3:
         if method == "naive":  # tr A^2 = tr^2 - 2 mid for the 3x3 charpoly
@@ -185,12 +222,13 @@ def _count_det_trace(n: int, h, d: int, t, t2, method: str, budget: int,
                                      & (t2 is None or tr * tr - 2 * mid == t2)),
                 budget, parts, threads,
             )
-        _check_budget((2 * hf + 1) ** (7 if t is None else 6), budget,
-                      "bordered det/trace count")
+        cost = (2 * hf + 1) ** (7 if t is None else 6)
+        _check_budget(cost, budget, "bordered det/trace count")
+        blocks = kernels.orbit_blocks(hf, lines=True)
         pieces = _run_parts(
-            lambda lo, hi: (kernels.det_trace3(hf, d, t, lo, hi) if t2 is None
-                            else kernels.det_trace3_t2(hf, d, t, t2, lo, hi)),
-            (2 * hf + 1) ** 4, parts, threads,
+            lambda lo, hi: (kernels.det_trace3(blocks, d, t, lo, hi) if t2 is None
+                            else kernels.det_trace3_t2(blocks, d, t, t2, lo, hi)),
+            blocks.size.size, cost, parts, threads,
         )
         return sum(pieces)
     return _scan_count(
@@ -211,7 +249,7 @@ def _n3_scan_count(hf: int, predicate, budget: int, parts: int, threads: int) ->
         stats = (kernels.n3_stats(hf, s, min(s + _CHUNK, hi)) for s in range(lo, hi, _CHUNK))
         return sum(int(np.count_nonzero(predicate(*c))) for c in stats)
 
-    return sum(_run_parts(work, size, parts, threads))
+    return sum(_run_parts(work, size, size, parts, threads))
 
 
 def count_with_det(
@@ -316,16 +354,18 @@ def max_charpoly_count(
     divisor-table counter over the traces t <= 0 (count(t, d) =
     count(-t, d)), sharded over those 2H+1 traces.  n = 3 tallies every
     matrix within budget by kernels.charpoly3_tally (H <= 4), sharded over
-    the (2H+1)^6 top row pairs: one key matmul per batch of the row pairs
-    whose top-left block represents its orbit, weighted by the orbit size.
+    the top row pairs whose top-left block represents its orbit (see
+    kernels.orbit_blocks, built once here): one key matmul per batch of
+    them, weighted by the orbit size.
     """
     hf = lattices._floor_bound("H", h, 1)
     if n == 2:
         # charpoly2_scan adds (H+1)^2 slices, each 4H^2+1 wide, over the traces t <= 0
-        _check_budget((hf + 1) ** 2 * (4 * hf * hf + 1), budget, "charpoly aggregation")
+        cost = (hf + 1) ** 2 * (4 * hf * hf + 1)
+        _check_budget(cost, budget, "charpoly aggregation")
         pieces = _run_parts(  # over the traces t <= 0 (see charpoly2_scan)
             lambda lo, hi: kernels.charpoly2_scan(hf, lo - 2 * hf, hi - 2 * hf),
-            2 * hf + 1, parts, threads,
+            2 * hf + 1, cost, parts, threads,
         )
         total = sum(p[0] for p in pieces)
         best = max(pieces, key=lambda p: (p[3], -p[1], -p[2]))
@@ -336,13 +376,14 @@ def max_charpoly_count(
     if n == 3:
         size = universe_size(3, hf)
         _check_budget(size, budget, "3x3 charpoly tally")
+        blocks = kernels.orbit_blocks(hf)
 
         def work(lo, hi):
-            local = kernels.charpoly3_tally(hf, lo, hi)
+            local = kernels.charpoly3_tally(blocks, lo, hi)
             seen = np.flatnonzero(local)
             return local.shape, seen, local.ravel()[seen]
 
-        pieces = _run_parts(work, (2 * hf + 1) ** 6, parts, threads)
+        pieces = _run_parts(work, blocks.size.size * (2 * hf + 1) ** 2, size, parts, threads)
         tally = np.zeros(pieces[0][0], dtype=np.int64)
         for _, seen, cnt in pieces:
             tally.ravel()[seen] += cnt
@@ -371,8 +412,9 @@ def count_singular_bordered(
     U_n(K): matrices in M_n(Z; K) with det = 0, last diagonal entry 0, and
     nonzero last column above the diagonal.  V_n(K) additionally requires
     the bordering row-column dot product to vanish.  "auto" at n = 3 runs
-    kernels.bordered3, sharded over the (2K+1)^4 top-left blocks and
-    visiting one per orbit; "naive" and n >= 4 scan.
+    kernels.bordered3 over one top-left block per orbit (see
+    kernels.orbit_blocks, built once here; K <= 49), sharded over those
+    representatives; "naive" and n >= 4 scan.
     """
     if n < 2:
         raise ValueError("bordered sets need n >= 2")
@@ -387,14 +429,14 @@ def count_singular_bordered(
     if n == 3 and method == "auto":
         cost = (2 * k + 1) ** 6
         _check_budget(cost, budget, "bordered singular count")
-        pieces = _run_parts(
-            lambda lo, hi: kernels.bordered3(k, lo, hi),
-            (2 * k + 1) ** 4, parts, threads,
-        )
+        blocks = kernels.orbit_blocks(k)
+        pieces = _run_parts(lambda lo, hi: kernels.bordered3(blocks, lo, hi),
+                            blocks.size.size, cost, parts, threads)
         return sum(p[0] for p in pieces), sum(p[1] for p in pieces)
     # plain scan over the free entries (everything but a_nn), a11 most significant
     free = n * n - 1
-    _check_budget((2 * k + 1) ** free, budget, "bordered naive scan")
+    what = "bordered naive scan"
+    _check_budget(_scan_size(2 * k + 1, free, budget, what), budget, what)
     u_cnt = 0
     v_cnt = 0
     for flat in itertools.product(range(-k, k + 1), repeat=free):

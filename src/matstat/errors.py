@@ -17,11 +17,12 @@ class BudgetExceededError(RuntimeError):
     """Raised when an enumeration would exceed its node / iteration budget.
 
     The message records the estimated cost and the budget that was in force,
-    so callers can retry with a larger explicit budget.
+    so callers can retry with a larger explicit budget.  `needed` is an int,
+    or a power as text ("3^90000") when the cost is too large to compute.
     """
 
     def __init__(self, needed, budget, what="enumeration"):
-        self.needed = int(needed)
+        self.needed = needed if isinstance(needed, str) else int(needed)
         self.budget = int(budget)
         super().__init__(
             f"{what} needs ~{self.needed} nodes, exceeds budget {self.budget}"

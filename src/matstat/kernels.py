@@ -6,19 +6,24 @@ bounded, raising ValueError otherwise: h <= 2048 for the pair tables,
 h <= 63 for n3_stats (ranks below (2h+1)^9 < 2^63), h <= 4 for
 charpoly3_tally (a dense tally of (6h+1)(12h^2+1)(12h^3+1) keys, 30 MB at
 h = 4), h <= 20 for det_trace3/det_trace3_t2 (a line table of (2h^2+1)^2
-entries, 26 MB at h = 20), k <= 127 for bordered3 (one rank's border
-vectors fit a batch) and U <= 10^4 for census3 (norms in the rank-2
+entries, 26 MB at h = 20), h <= 49 for the orbit representative list of
+det_trace3, det_trace3_t2, bordered3 and charpoly3_tally (so k <= 49 for
+bordered3: (2h+1)(h+1)^3 representatives of 5 bytes each, 62 MB at h = 49
+against a 64 MB bound) and U <= 10^4 for census3 (norms in the rank-2
 reduction stay below 2^55).  Infeasible targets count 0.  Shard ranges
-must lie inside the kernel's rank range.  Most kernels shard their
-outermost enumeration digit; charpoly2_scan shards the traces t <= 0
-(A -> -A gives the rest); census3 scans one representative
-0 <= a <= b <= c of each signed-permutation orbit, weighted by the orbit
-size, and shards the smallest coordinate a.  det_trace3, det_trace3_t2,
-bordered3 and charpoly3_tally likewise count a rank only when its top-left
-2x2 block is the smallest-rank member of its orbit under a group of order 8
-(see _orbit_weight), weighted by the orbit size; their shard axes stay the
-(2h+1)^4 blocks and the (2h+1)^6 top row pairs, and any split of an axis
-sums to the whole.
+must lie inside the kernel's shard axis, and any split of an axis sums to
+the whole.  Most kernels shard their outermost enumeration digit;
+charpoly2_scan shards the traces t <= 0 (A -> -A gives the rest); census3
+scans one representative 0 <= a <= b <= c of each signed-permutation
+orbit, weighted by the orbit size, and shards the smallest coordinate a.
+det_trace3, det_trace3_t2, bordered3 and charpoly3_tally likewise visit
+only the top-left 2x2 blocks that are the smallest-rank member of their
+orbit under a group of order 8 (see _orbit_weight), weighted by the orbit
+size.  They take the list of these representatives from orbit_blocks,
+which a counter builds once per call and hands, read-only, to every part:
+the shard axis of the three count kernels is that list, in rank order, and
+of charpoly3_tally the list times the (2h+1)^2 entries (a13, a23), so
+equal ranges of an axis are equal work.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,16 +41,23 @@ def current_backend() -> str:
     return "numpy"
 
 
+def _check_parts(parts: int, threads: int) -> None:
+    """Refuse a part or thread count below 1, by name."""
+    for name, value in (("parts", parts), ("threads", threads)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
+
+
 def run_parts(fn, total_range: int, parts: int, threads: int) -> list:
     """Apply fn(lo, hi) over `parts` contiguous ranges of [0, total_range).
 
     Part boundaries depend only on `parts`, and results come back in part
     order, so the merged output is independent of the thread count.  At
-    most min(threads, parts, os.cpu_count()) worker threads run.
+    most min(threads, parts, os.cpu_count()) worker threads run; with one,
+    the parts run in the calling thread.  Tables the parts share are built
+    by the caller, once, and only read by fn.
     """
-    for name, value in (("parts", parts), ("threads", threads)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1")
+    _check_parts(parts, threads)
     parts = min(parts, total_range) if total_range else 1
     bounds = [
         (i * total_range // parts, (i + 1) * total_range // parts)
@@ -134,28 +147,62 @@ def _orbit_weight(r11, r12, r21, r22, side):
     return np.where(least, 8 // fixed, 0)
 
 
-def _orbit_batches(lo, hi, h, ndigits, block, step):
-    """Pairs (orbit size, digits as _decode_block returns them) over the
-    ranks in [lo, hi) whose top-left block, the digits at indices `block` =
-    (r11, r12, r21, r22), is its orbit's representative.
+_BLOCKS_H_MAX = 49  # (2h+1)(h+1)^3 representatives of 5 bytes: 62 MB at h = 49, 67 MB at 50
 
-    Ranks are screened in chunks of _BATCH.  The representatives are
-    re-batched by orbit size, so a batch has one size and at most `step`
-    ranks, and only the last batch of each size holds fewer."""
-    held = {size: [np.empty(0, dtype=np.int64)] * ndigits for size in (1, 2, 4, 8)}
-    for start in range(lo, hi, _BATCH):
-        digits = _decode_block(start, min(start + _BATCH, hi), h, ndigits)
-        sizes = _orbit_weight(*(digits[i] for i in block), 2 * h + 1)
-        for size, old in held.items():
-            keep = sizes == size
-            new = [np.concatenate([x, y[keep]]) for x, y in zip(old, digits)]
-            while new[0].size >= step:
-                yield size, [x[:step] for x in new]
-                new = [x[step:] for x in new]
-            held[size] = new
-    for size, rest in held.items():
-        if rest[0].size:
-            yield size, rest
+
+class Blocks(NamedTuple):
+    """The tables of the bordered 3x3 kernels for one h (see orbit_blocks)."""
+
+    h: int
+    reps: np.ndarray  # (r11, r12, r21, r22) of each representative, int8, in rank order
+    size: np.ndarray  # its orbit size, int8
+    border: tuple  # _half_border(h)
+    lines: tuple | None  # _line_table(h), for det_trace3 and det_trace3_t2
+
+
+def orbit_blocks(h: int, lines: bool = False) -> Blocks:
+    """The representatives of the orbits of top-left 2x2 blocks (see
+    _orbit_weight) in rank order, with their orbit sizes, the half border
+    and, with `lines`, the line table: the shard axis and the tables of
+    det_trace3, det_trace3_t2, bordered3 and charpoly3_tally, which only
+    read them.
+
+    By Burnside's lemma over the group's eight maps there are (s^4 + 3s^3
+    + 3s^2 + s)/8 = s(s+1)^3/8 = (2h+1)(h+1)^3 orbits (s = 2h+1), about
+    s^4/8.  Ranks are screened in chunks of _BATCH into arrays of that
+    length, so the scratch beyond the 5 bytes per representative stays
+    bounded."""
+    cap = _LINE_H_MAX if lines else _BLOCKS_H_MAX
+    if not 0 <= h <= cap:
+        raise ValueError(f"the bordered 3x3 kernels take H (or K) in [0, {cap}], got {h}")
+    side = 2 * h + 1
+    count = side * (h + 1) ** 3
+    reps = np.empty((count, 4), dtype=np.int8)
+    size = np.empty(count, dtype=np.int8)
+    at = 0
+    for start in range(0, side**4, _BATCH):
+        digits = _decode_block(start, min(start + _BATCH, side**4), h, 4)
+        weight = _orbit_weight(*digits, side)
+        keep = weight > 0
+        end = at + int(np.count_nonzero(keep))
+        reps[at:end] = np.stack([x[keep] for x in digits], axis=1)
+        size[at:end] = weight[keep]
+        at = end
+    return Blocks(h, reps, size, _half_border(h), _line_table(h) if lines else None)
+
+
+def _rep_batches(blocks: Blocks, lo: int, hi: int | None, per_rep: int):
+    """(orbit sizes, r11, r12, r21, r22) as int64 arrays over the
+    representatives [lo, hi) (all when hi is None), in batches of at most
+    _BATCH // per_rep."""
+    if hi is None:
+        hi = blocks.size.size
+    _check_span(lo, hi, blocks.size.size)
+    step = max(1, _BATCH // per_rep)
+    for start in range(lo, hi, step):
+        stop = min(start + step, hi)
+        yield (blocks.size[start:stop].astype(np.int64),
+               *blocks.reps[start:stop].T.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -316,37 +363,49 @@ _TALLY_H_MAX = 4  # the dense tally has (6h+1) km kd entries: 30 MB at h = 4
 _TALLY_BLOCK = 1 << 20  # matrices per key block
 
 
-def charpoly3_tally(h: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """tally[trace + 3h, mid + 6h^2, det + 6h^3] over the A in M_3(Z; h)
-    whose top two rows have rank in [lo, hi) of (2h+1)^6, the shard axis.
+def charpoly3_tally(blocks: Blocks, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """tally[trace + 3h, mid + 6h^2, det + 6h^3] over the A in M_3(Z; h),
+    h = blocks.h, whose top two rows are in [lo, hi) of the shard axis: the
+    representative blocks of orbit_blocks(h), each with the (2h+1)^2
+    entries (a13, a23) in turn.
 
     The orbit maps of the top-left block (see _orbit_weight) extend to
     conjugations and the transpose of A, which keep its charpoly and map the
     matrices over one block onto those over its image.  So only the row
     pairs whose block is a representative are tallied, each times its orbit
-    size: one exact int64 bincount per batch of one size, scaled in place.
+    size: the row pairs of a range are grouped by size, and each group is
+    one exact int64 bincount per _TALLY_BLOCK matrices, scaled in place.
     |trace| <= 3h, |mid| <= 6h^2 and |det| <= 6h^3, so the flat key
     ((trace + 3h) km + mid + 6h^2) kd + det + 6h^3 (km = 12h^2 + 1,
     kd = 12h^3 + 1) lies in [0, (6h+1) km kd), far below 2^63.  It is an
     affine form of the last row like each stat (see _row_pair_forms), so a
     batch of row pairs is one int64 matmul against all (2h+1)^3 last rows.
     """
-    rows = (2 * h + 1) ** 3
-    if hi is None:
-        hi = rows * rows
+    h = blocks.h
     _check_range("h", h, _TALLY_H_MAX)
-    _check_span(lo, hi, rows * rows)
+    side = 2 * h + 1
+    if hi is None:
+        hi = blocks.size.size * side * side
+    _check_span(lo, hi, blocks.size.size * side * side)
     km, kd = 12 * h * h + 1, 12 * h**3 + 1
     last = _last_rows(h)
     tally = np.zeros((6 * h + 1) * km * kd, dtype=np.int64)
-    step = max(1, _TALLY_BLOCK // rows)
-    for size, digits in _orbit_batches(lo, hi, h, 6, (5, 4, 2, 1), step):
-        tr, mid, dt = _row_pair_forms(*digits)
-        w = (tr * km + mid) * kd + dt
-        w[:, 3] += (3 * h * km + 6 * h * h) * kd + 6 * h**3
-        part = np.bincount((w @ last).ravel(), minlength=tally.size)
-        part *= size
-        tally += part
+    step = max(1, _TALLY_BLOCK // side**3)
+    rep, rest = np.divmod(np.arange(lo, hi, dtype=np.int64), side * side)
+    sizes = blocks.size[rep]
+    for size in (1, 2, 4, 8):
+        group = np.flatnonzero(sizes == size)
+        for start in range(0, group.size, step):
+            pick = group[start : start + step]
+            r11, r12, r21, r22 = blocks.reps[rep[pick]].T.astype(np.int64)
+            a13, a23 = np.divmod(rest[pick], side)
+            # the digits of the row pair as _decode_block gives them, a23 first
+            tr, mid, dt = _row_pair_forms(a23 - h, r22, r21, a13 - h, r12, r11)
+            w = (tr * km + mid) * kd + dt
+            w[:, 3] += (3 * h * km + 6 * h * h) * kd + 6 * h**3
+            part = np.bincount((w @ last).ravel(), minlength=tally.size)
+            part *= size
+            tally += part
     return tally.reshape(6 * h + 1, km, kd)
 
 
@@ -367,7 +426,6 @@ def charpoly3_tally(h: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
 # so the swap keeps it too.
 
 _LINE_H_MAX = 20  # the line table has (2h^2+1)^2 entries: 26 MB at h = 20
-_BORDER_K_MAX = 127  # one rank's (2k+1)^2 border vectors fit a batch
 
 
 def _half_border(h):
@@ -380,15 +438,9 @@ def _half_border(h):
     return b1, b2, np.where((b1 == 0) & (b2 == 0), 1, 2)
 
 
-def _block_batches(lo, hi, h, per_rank):
-    """(orbit size, representative 2x2 blocks (r11, r12, r21, r22)) of
-    [lo, hi), in batches of one size and at most _BATCH // per_rank blocks."""
-    return _orbit_batches(lo, hi, h, 4, (0, 1, 2, 3), max(1, _BATCH // per_rank))
-
-
 def _line_table(h):
     """Extended gcd of every (A, B) in [0, 2h^2]^2, keyed A*(2h^2+1) + B:
-    (g, x, y, A/g, B/g) with A*x + B*y = g, computed once per kernel call."""
+    (g, x, y, A/g, B/g) with A*x + B*y = g, built by orbit_blocks."""
     width = 2 * h * h + 1
     a = np.repeat(np.arange(width, dtype=np.int64), width)
     b = np.tile(np.arange(width, dtype=np.int64), width)
@@ -428,62 +480,62 @@ def _line_counts(alpha, beta, g0, h, table):
     return cnt * (r == 0)
 
 
-def _check_det_trace_args(h, d, t):
-    _check_range("h", h, _LINE_H_MAX)
+def _check_det_trace_args(blocks, d, t):
+    h = blocks.h
+    if blocks.lines is None:
+        raise ValueError("the det/trace kernels need orbit_blocks(h, lines=True)")
     if abs(d) > 6 * h**3 or (t is not None and abs(t) > 3 * h):
         raise ValueError(f"(d, t) = ({d}, {t}) outside |d| <= 6h^3, |t| <= 3h")
 
 
-def det_trace3(h: int, d: int, t: int | None, lo: int = 0, hi: int | None = None) -> int:
+def det_trace3(blocks: Blocks, d: int, t: int | None,
+               lo: int = 0, hi: int | None = None) -> int:
     """#{A in M_3(Z; h) : det A = d, tr A = t}, or det A = d alone when t
-    is None.
+    is None, h = blocks.h.
 
-    Iterates one top-left 2x2 block per orbit, weighted by the orbit size
-    (outer rank range [lo, hi) over (2h+1)^4 for sharding), forces a33 from
-    the trace or, with the trace free, runs it over [-h, h], and counts the
-    remaining off-diagonal pair by exact line counts.
+    Iterates the representative top-left 2x2 blocks [lo, hi) of
+    orbit_blocks(h, lines=True), weighted by the orbit size, forces a33
+    from the trace or, with the trace free, runs it over [-h, h], and counts
+    the remaining off-diagonal pair by exact line counts.
     """
-    if hi is None:
-        hi = (2 * h + 1) ** 4
-    _check_det_trace_args(h, d, t)
-    _check_span(lo, hi, (2 * h + 1) ** 4)
-    b1, b2, w = _half_border(h)
-    table = _line_table(h)
-    per_rank = b1.size * (2 * h + 1 if t is None else 1)
+    _check_det_trace_args(blocks, d, t)
+    h = blocks.h
+    b1, b2, w = blocks.border
+    per_rep = b1.size * (2 * h + 1 if t is None else 1)
     total = 0
-    for size, (r11, r12, r21, r22) in _block_batches(lo, hi, h, per_rank):
+    for size, r11, r12, r21, r22 in _rep_batches(blocks, lo, hi, per_rep):
         if t is None:
             c = np.arange(-h, h + 1, dtype=np.int64)[None, :]
         else:
             c = t - (r11 + r22)
             keep = np.abs(c) <= h
-            r11, r12, r21, r22, c = r11[keep], r12[keep], r21[keep], r22[keep], c[keep, None]
+            size, r11, r12, r21, r22 = size[keep], r11[keep], r12[keep], r21[keep], r22[keep]
+            c = c[keep, None]
         # (block, a33, border): the line table is read once per (block, border)
         g0 = (d - c * (r11 * r22 - r12 * r21)[:, None])[:, :, None]
         alpha = (r21[:, None] * b2 - r22[:, None] * b1)[:, None, :]
         beta = (r12[:, None] * b1 - r11[:, None] * b2)[:, None, :]
-        cnt = _line_counts(alpha, beta, g0, h, table)
-        total += size * int(cnt.sum(axis=(0, 1)) @ w)
+        cnt = _line_counts(alpha, beta, g0, h, blocks.lines)
+        total += int(size @ (cnt.sum(axis=1) @ w))
     return total
 
 
-def det_trace3_t2(h: int, d: int, t1: int, t2: int,
+def det_trace3_t2(blocks: Blocks, d: int, t1: int, t2: int,
                   lo: int = 0, hi: int | None = None) -> int:
-    """#{A in M_3(Z; h) : det A = d, tr A = t1, tr A^2 = t2}."""
-    if hi is None:
-        hi = (2 * h + 1) ** 4
-    _check_det_trace_args(h, d, t1)
+    """#{A in M_3(Z; h) : det A = d, tr A = t1, tr A^2 = t2}, over the
+    representatives [lo, hi) as in det_trace3."""
+    _check_det_trace_args(blocks, d, t1)
+    h = blocks.h
     if abs(t2) > 9 * h * h:
         raise ValueError(f"t2 = {t2} outside |t2| <= 9h^2")
-    _check_span(lo, hi, (2 * h + 1) ** 4)
-    b1, b2, w = _half_border(h)
-    table = _line_table(h)
+    b1, b2, w = blocks.border
     total = 0
-    for size, (r11, r12, r21, r22) in _block_batches(lo, hi, h, b1.size):
+    for size, r11, r12, r21, r22 in _rep_batches(blocks, lo, hi, b1.size):
         c = t1 - (r11 + r22)
         h2 = t2 - (r11 * r11 + 2 * r12 * r21 + r22 * r22) - c * c
         keep = (np.abs(c) <= h) & (h2 % 2 == 0)
-        r11, r12, r21, r22, c = r11[keep], r12[keep], r21[keep], r22[keep], c[keep]
+        size, r11, r12, r21, r22, c = (size[keep], r11[keep], r12[keep], r21[keep],
+                                       r22[keep], c[keep])
         g0 = (d - c * (r11 * r22 - r12 * r21))[:, None]
         hdot = (h2[keep] // 2)[:, None]
         alpha = r21[:, None] * b2 - r22[:, None] * b1
@@ -494,7 +546,7 @@ def det_trace3_t2(h: int, d: int, t1: int, t2: int,
         q1, m1 = np.divmod(g0 * b2 - beta * hdot, det2 + flat)
         q2, m2 = np.divmod(alpha * hdot - g0 * b1, det2 + flat)
         one = ~flat & (m1 == 0) & (m2 == 0) & (np.abs(q1) <= h) & (np.abs(q2) <= h)
-        total += size * int(np.count_nonzero(one, axis=0) @ w)
+        total += int(size @ (one @ w))
         # det2 == 0: the two equations share one line, or are inconsistent
         ri, bi = np.nonzero(flat)
         al, be, p1, p2 = alpha[ri, bi], beta[ri, bi], b1[bi], b2[bi]
@@ -503,8 +555,8 @@ def det_trace3_t2(h: int, d: int, t1: int, t2: int,
         # alpha = beta = 0 leaves b.a = hdot, with g = 0 forced unless b = 0
         use_b = (al == 0) & (be == 0)
         cnt = _line_counts(np.where(use_b, p1, al), np.where(use_b, p2, be),
-                           np.where(use_b, np.abs(g) + np.abs(hd), g), h, table)
-        total += size * int((cnt * same) @ w[bi])
+                           np.where(use_b, np.abs(g) + np.abs(hd), g), h, blocks.lines)
+        total += int((cnt * same * w[bi]) @ size[ri])
     return total
 
 
@@ -522,26 +574,23 @@ def _nonzero_on_line(p, q, k):
                     2 * ((k * np.gcd(p, q)) // (top + (top == 0))))
 
 
-def bordered3(k: int, lo: int = 0, hi: int | None = None):
-    """(#U_3(k), #V_3(k)): singular bordered matrices with a33 = 0 and
-    nonzero last column block; V additionally has b.a = 0.  One top-left
-    block per orbit, weighted by the orbit size; [lo, hi) shards the
-    (2k+1)^4 blocks."""
-    if hi is None:
-        hi = (2 * k + 1) ** 4
-    _check_range("k", k, _BORDER_K_MAX)
-    _check_span(lo, hi, (2 * k + 1) ** 4)
-    b1, b2, w = _half_border(k)
+def bordered3(blocks: Blocks, lo: int = 0, hi: int | None = None):
+    """(#U_3(k), #V_3(k)), k = blocks.h: singular bordered matrices with
+    a33 = 0 and nonzero last column block; V additionally has b.a = 0.
+    Sums over the representative top-left blocks [lo, hi) of
+    orbit_blocks(k), weighted by the orbit size."""
+    k = blocks.h
+    b1, b2, w = blocks.border
     # V needs b.a = 0 too: with det2 = 0 that line is alpha.a = 0's line
     # when both are nonzero, and all of it when alpha = beta = 0
     v_weight = w * _nonzero_on_line(b1, b2, k)
     u_total = 0
     v_total = 0
-    for size, (r11, r12, r21, r22) in _block_batches(lo, hi, k, b1.size):
+    for size, r11, r12, r21, r22 in _rep_batches(blocks, lo, hi, b1.size):
         alpha = r21[:, None] * b2 - r22[:, None] * b1
         beta = r12[:, None] * b1 - r11[:, None] * b2
-        u_total += size * int(_nonzero_on_line(alpha, beta, k).sum(axis=0) @ w)
-        v_total += size * int(np.count_nonzero(alpha * b2 == beta * b1, axis=0) @ v_weight)
+        u_total += int(size @ (_nonzero_on_line(alpha, beta, k) @ w))
+        v_total += int(size @ ((alpha * b2 == beta * b1) @ v_weight))
     return u_total, v_total
 
 

@@ -734,6 +734,7 @@ def kbad_census(
     """
     if t < 3:
         raise ValueError("t must be >= 3")
+    kernels._check_parts(parts, threads)  # on every path, not only the kernel's
     u_exact = _exact("U", u_bound)
     uf = _floor_bound("U", u_exact, 1)
     k_exact = _exact("K", k_bound)

@@ -308,6 +308,16 @@ def test_refused_input_is_one_error_line(capsys, tmp_path, argv):
     (["lattice", "good", "--vector", "1,2", "--K", "1/2"], "error: K must be >= 1"),
     (["multdep", "construct", "--mode", "torsion", "--orders", "7", "--budget", "35"],
      "error: torsion block needs ~36 nodes, exceeds budget 35"),
+    # a scan far past its budget is refused before (2H+1)^(n^2) is computed
+    (["count", "det", "--n", "300", "--H", "1", "--budget", "100000"],
+     "error: matrix enumeration needs ~3^90000 nodes, exceeds budget 100000"),
+    (["count", "bordered", "--n", "300", "--K", "1"],
+     "error: bordered naive scan needs ~3^89999 nodes, exceeds budget 2000000000"),
+    # 9^(67^2) has 4284 digits, 9^(68^2) 4413
+    (["count", "universe", "--n", "100", "--H", "4"],
+     "error: count universe prints at most 4300 digits: n must be <= 67 at H = 4"),
+    (["count", "universe", "--n", "95", "--H", "1"],
+     "error: count universe prints at most 4300 digits: n must be <= 94 at H = 1"),
 ])
 def test_refusal_names_the_bound(capsys, argv, line):
     rc, out, err = run(capsys, *argv)
@@ -343,10 +353,48 @@ def test_non_finite_bound_is_refused_by_name(capsys, argv, line):
      "error: parts must be >= 1"),
     (["count", "det", "--n", "3", "--H", "2", "--threads", "0"], "error: threads must be >= 1"),
     (["fit", "--kind", "det", "--grid", "2", "--parts", "0"], "error: parts must be >= 1"),
+    # lattice census checks both counts on its generic path too
+    (["lattice", "census", "--t", "4", "--U", "3", "--K", "1", "--parts", "0", "--threads", "-2"],
+     "error: parts must be >= 1"),
+    (["lattice", "census", "--t", "4", "--U", "3", "--K", "1", "--threads", "-2"],
+     "error: threads must be >= 1"),
+    (["lattice", "census", "--t", "3", "--U", "3", "--K", "1", "--threads", "0"],
+     "error: threads must be >= 1"),
 ])
 def test_unreadable_value_is_refused_by_name(capsys, argv, line):
     rc, out, err = run(capsys, *argv)
     assert rc == 1 and out == "" and err == line + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "det", "--n", "2", "--H", "3"],
+    ["lattice", "dual", "--vector", "1,2"],
+    ["multdep", "word", "--tuple", "pair.json"],
+    ["multdep", "construct", "--mode", "torsion", "--orders", "3"],
+])
+@pytest.mark.parametrize("budget", ["-5", "x"])
+def test_budget_must_be_a_non_negative_integer(capsys, argv, budget):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--budget", budget])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"error: argument --budget: expects a non-negative integer, got '{budget}'\n")
+
+
+@pytest.mark.parametrize("content,why", [
+    (b'{"matrix": [[1, 1], [0,', "Expecting value: line 1 column 24 (char 23)"),
+    (b'\xff{"matrix": [[1]]}', "'utf-8' codec can't decode byte 0xff in position 0"),
+])
+def test_json_input_that_does_not_decode_names_the_file_and_option(tmp_path, capsys,
+                                                                   content, why):
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    for argv, option in ((["count", "centralizer", "--matrix", str(path)], "matrix"),
+                         (["multdep", "check", "--tuple", str(path)], "tuple"),
+                         (["multdep", "construct", "--blocks", str(path)], "blocks")):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == "" and len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: --{option} {path} is not UTF-8 JSON: {why}"), err
 
 
 def test_lattice_good_needs_k_and_census_defaults_to_sqrt(capsys):

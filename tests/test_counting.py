@@ -465,6 +465,58 @@ def test_parts_threads_never_change_counts():
         assert max_charpoly_count(3, 1, parts=parts, threads=threads) == (f, c)
 
 
+def test_work_below_the_thread_threshold_runs_in_the_calling_thread(monkeypatch):
+    # every cost here is below _THREAD_MIN_COST: no pool starts, and the
+    # answers are those of threads = 1
+    runs = [
+        lambda threads: count_det_trace(3, 4, 1, 0, parts=8, threads=threads),  # 9^6
+        lambda threads: count_with_det(3, 2, 0, parts=8, threads=threads),  # 5^7
+        lambda threads: count_det_trace2(3, 3, 0, 0, 2, parts=8, threads=threads),
+        lambda threads: count_singular_bordered(3, 3, parts=8, threads=threads),  # 7^6
+        lambda threads: max_charpoly_count(3, 2, parts=8, threads=threads),  # 5^9
+        lambda threads: max_charpoly_count(2, 16, parts=8, threads=threads),
+        lambda threads: count_with_det(2, 5, 1, method="naive", parts=8, threads=threads),
+        lambda threads: count_det_trace(3, 1, 0, 0, method="naive", parts=8, threads=threads),
+    ]
+    want = [run(1) for run in runs]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool started")
+
+    monkeypatch.setattr(kernels, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(kernels.os, "cpu_count", lambda: 4)
+    assert [run(2) for run in runs] == want
+    with pytest.raises(ValueError, match="^threads must be >= 1$"):  # still refused
+        runs[0](0)
+    # from the threshold on, the parts go to the pool, with the same answers
+    monkeypatch.setattr(counting, "_THREAD_MIN_COST", (2 * 4 + 1) ** 6)
+    with pytest.raises(AssertionError, match="a thread pool started"):
+        runs[0](2)
+    monkeypatch.undo()
+    monkeypatch.setattr(counting, "_THREAD_MIN_COST", 0)
+    assert [run(2) for run in runs] == want
+
+
+def test_bordered_k_past_the_representative_list_is_refused_by_name():
+    with pytest.raises(ValueError, match=r"H \(or K\) in \[0, 49\], got 50"):
+        count_singular_bordered(3, 50, budget=10**13)
+
+
+def test_scan_far_past_the_budget_is_refused_as_a_power():
+    # (2H+1)^(n^2) is compared by its logarithm and never computed
+    with pytest.raises(BudgetExceededError) as exc:
+        count_with_det(300, 1, 0, budget=100_000)
+    assert exc.value.needed == "3^90000"
+    with pytest.raises(BudgetExceededError) as exc:
+        next(enumerate_matrices(300, 1, shard=(1, 4), budget=100_000))
+    assert exc.value.needed == "3^90000/4"
+    # near the budget the exact size is compared, as before
+    assert sum(1 for _ in enumerate_matrices(2, 1, shard=(2, 3), budget=27)) == 27
+    with pytest.raises(BudgetExceededError) as exc:
+        next(enumerate_matrices(2, 1, budget=80))
+    assert exc.value.needed == 81
+
+
 def test_budget_exceeded():
     with pytest.raises(BudgetExceededError):
         count_charpoly(3, 2, MonicIntPoly((0, 0, 0)), budget=1000)

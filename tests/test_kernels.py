@@ -183,34 +183,35 @@ def test_n3_stats_decode_order():
 
 def test_det_trace3_matches_n3_stats_scan():
     for h in (1, 2):
-        size4 = (2 * h + 1) ** 4
+        blocks = kernels.orbit_blocks(h, lines=True)
         # oracle via the full 9-entry scan
         tr, mid, dt = kernels.n3_stats(h, 0, (2 * h + 1) ** 9)
         for d, t in ((0, 0), (1, 2), (-2, -1)):
             truth = int(np.count_nonzero((tr == t) & (dt == d)))
-            assert kernels.det_trace3(h, d, t, 0, size4) == truth
+            assert kernels.det_trace3(blocks, d, t, 0, blocks.size.size) == truth
 
 
 def test_det_trace3_free_trace_shards_match_scan():
-    # t = None runs a33 over [-h, h]: random shards of the block axis
-    # against the det-only counts of the n3_stats scan
+    # t = None runs a33 over [-h, h]: random shards of the representative
+    # axis against the det-only counts of the n3_stats scan
     rng = random.Random(0x7118)
     for h in (1, 2):
+        blocks = kernels.orbit_blocks(h, lines=True)
         dets = Counter(kernels.n3_stats(h, 0, (2 * h + 1) ** 9)[2].tolist())
         for d in [0, 1, -1, 6 * h**3] + [rng.randint(-6 * h**3, 6 * h**3) for _ in range(4)]:
-            shards = _random_shards(rng, (2 * h + 1) ** 4, 4)
-            total = sum(kernels.det_trace3(h, d, None, lo, hi) for lo, hi in shards)
+            shards = _random_shards(rng, blocks.size.size, 4)
+            total = sum(kernels.det_trace3(blocks, d, None, lo, hi) for lo, hi in shards)
             assert total == dets[d], (h, d)
 
 
 def test_det_trace3_t2_matches_scan():
     h = 1
-    size4 = (2 * h + 1) ** 4
+    blocks = kernels.orbit_blocks(h, lines=True)
     tr, mid, dt = kernels.n3_stats(h, 0, (2 * h + 1) ** 9)
     t2arr = tr * tr - 2 * mid
     for d, t, t2 in ((0, 0, 0), (0, 0, 2), (1, 1, 1), (0, 1, 3)):
         truth = int(np.count_nonzero((tr == t) & (dt == d) & (t2arr == t2)))
-        assert kernels.det_trace3_t2(h, d, t, t2, 0, size4) == truth, (d, t, t2)
+        assert kernels.det_trace3_t2(blocks, d, t, t2, 0, blocks.size.size) == truth, (d, t, t2)
 
 
 def _brute_bordered(k):
@@ -225,7 +226,7 @@ def _brute_bordered(k):
 def test_bordered3_matches_brute_scan():
     # the kernel against a scan of all (2k+1)^8 bordered matrices
     for k in (1, 2):
-        assert kernels.bordered3(k) == _brute_bordered(k)
+        assert kernels.bordered3(kernels.orbit_blocks(k)) == _brute_bordered(k)
 
 
 # ---------------------------------------------------------------------------
@@ -289,22 +290,38 @@ def test_orbit_representatives_are_least_in_box():
             assert sizes[rank] == size == 8 // images.count(m)
 
 
-@pytest.mark.parametrize("step", [1, 3, 50])
-def test_orbit_batches_cover_each_representative_once(monkeypatch, step):
-    # chunks of 7 ranks cut across blocks and batches; every representative
-    # of a random range comes once, in batches of one orbit size
+def test_orbit_blocks_list_each_representative_once(monkeypatch):
+    # chunks of 7 ranks cut across the screen; the list holds every
+    # representative once, in rank order, with its orbit size, at 5 bytes
     monkeypatch.setattr(kernels, "_BATCH", 7)
-    rng = random.Random(0x0B17 + step)
-    h = 2
-    sizes = kernels._orbit_weight(*kernels._decode_block(0, 625, h, 4), 5)
-    for lo, hi in [(0, 625)] + [sorted(rng.sample(range(626), 2)) for _ in range(5)]:
-        seen = []
-        for size, (r11, r12, r21, r22) in kernels._orbit_batches(lo, hi, h, 4, (0, 1, 2, 3), step):
-            assert 1 <= r11.size <= step
-            ranks = (r11 + h) + 5 * (r12 + h) + 25 * (r21 + h) + 125 * (r22 + h)
-            assert (sizes[ranks] == size).all()
-            seen += ranks.tolist()
-        assert sorted(seen) == [r for r in range(lo, hi) if sizes[r]]
+    for h in (1, 2, 3):
+        blocks = kernels.orbit_blocks(h)
+        side = 2 * h + 1
+        ranks = (blocks.reps.astype(np.int64) + h) @ side ** np.arange(4)
+        want = _representatives(h)
+        assert ranks.tolist() == [r for r, _, _ in want], h
+        assert blocks.size.tolist() == [size for _, _, size in want], h
+        assert int(blocks.size.sum(dtype=np.int64)) == side**4
+        assert blocks.reps.nbytes + blocks.size.nbytes == 5 * len(want) == 5 * side * (h + 1) ** 3
+        assert blocks.lines is None
+    monkeypatch.undo()
+    blocks = kernels.orbit_blocks(4, lines=True)
+    sizes = kernels._orbit_weight(*kernels._decode_block(0, 9**4, 4, 4), 9)
+    ranks = (blocks.reps.astype(np.int64) + 4) @ 9 ** np.arange(4)
+    assert ranks.tolist() == np.flatnonzero(sizes).tolist()
+    assert blocks.size.tolist() == sizes[ranks].tolist()
+    assert len(blocks.lines) == 6
+
+
+def test_orbit_blocks_cap_is_the_byte_bound():
+    # 5 bytes for each of the (2h+1)(h+1)^3 representatives, within 64 MB
+    cap = kernels._BLOCKS_H_MAX
+    assert 5 * (2 * cap + 1) * (cap + 1) ** 3 <= 64 * 10**6 < 5 * (2 * cap + 3) * (cap + 2) ** 3
+    for call in (lambda: kernels.orbit_blocks(cap + 1), lambda: kernels.orbit_blocks(-1)):
+        with pytest.raises(ValueError, match=r"H \(or K\) in \[0, 49\]"):
+            call()
+    with pytest.raises(ValueError, match=r"in \[0, 20\], got 21"):
+        kernels.orbit_blocks(21, lines=True)
 
 
 def _block_brute(m, h):
@@ -318,43 +335,45 @@ def _block_brute(m, h):
     return det, r11 + r22 + a33, t2, (a13, a23, a31, a32, a33)
 
 
-def _check_block_counts(h, rank, m, size, rng):
+def _check_block_counts(blocks, index, m, size, rng):
+    h = blocks.h
     det, tr, t2, (a13, a23, a31, a32, a33) = _block_brute(m, h)
     i = rng.randrange(det.size)  # a target that this block meets
     d, t, s = int(det[i]), int(tr[i]), int(t2[i])
-    one = dict(lo=rank, hi=rank + 1)
-    assert kernels.det_trace3(h, d, t, **one) == size * np.count_nonzero(
+    one = dict(lo=index, hi=index + 1)
+    assert kernels.det_trace3(blocks, d, t, **one) == size * np.count_nonzero(
         (det == d) & (tr == t)), (m, d, t)
-    assert kernels.det_trace3(h, d, None, **one) == size * np.count_nonzero(det == d), (m, d)
-    assert kernels.det_trace3_t2(h, d, t, s, **one) == size * np.count_nonzero(
+    assert kernels.det_trace3(blocks, d, None, **one) == size * np.count_nonzero(det == d), (m, d)
+    assert kernels.det_trace3_t2(blocks, d, t, s, **one) == size * np.count_nonzero(
         (det == d) & (tr == t) & (t2 == s)), (m, d, t, s)
     u = (a33 == 0) & (det == 0) & ((a13 != 0) | (a23 != 0))
     v = u & (a31 * a13 + a32 * a23 == 0)
     want = (size * np.count_nonzero(u), size * np.count_nonzero(v))
-    assert kernels.bordered3(h, **one) == want, m
+    assert kernels.bordered3(blocks, **one) == want, m
 
 
 def test_kernels_weight_each_representative_by_its_orbit():
+    # each entry of the representative axis counts its block's matrices
+    # (by brute force) times its orbit size
     rng = random.Random(0x0B18)
     for h in (1, 2):
-        reps = {rank: (m, size) for rank, m, size in _representatives(h)}
-        for rank in range((2 * h + 1) ** 4):
-            if rank in reps:
-                _check_block_counts(h, rank, *reps[rank], rng)
-            else:  # another block of the orbit carries its count
-                assert kernels.det_trace3(h, 0, None, rank, rank + 1) == 0
-                assert kernels.det_trace3_t2(h, 0, 0, 0, rank, rank + 1) == 0
-                assert kernels.bordered3(h, rank, rank + 1) == (0, 0)
+        blocks = kernels.orbit_blocks(h, lines=True)
+        for index, (rank, m, size) in enumerate(_representatives(h)):
+            _check_block_counts(blocks, index, m, size, rng)
     h = 4
+    blocks = kernels.orbit_blocks(h, lines=True)
     sizes = kernels._orbit_weight(*kernels._decode_block(0, 9**4, h, 4), 9)
-    for rank in rng.sample(np.flatnonzero(sizes).tolist(), 40):
+    ranks = np.flatnonzero(sizes)
+    for index in rng.sample(range(ranks.size), 40):
+        rank = int(ranks[index])
         m = tuple(int(x[0]) for x in kernels._decode_block(rank, rank + 1, h, 4))
-        _check_block_counts(h, rank, m, int(sizes[rank]), rng)
+        _check_block_counts(blocks, index, m, int(sizes[rank]), rng)
 
 
 def test_charpoly3_tally_counts_every_matrix():
     for h in range(4):
-        assert int(kernels.charpoly3_tally(h).sum()) == (2 * h + 1) ** 9, h
+        tally = kernels.charpoly3_tally(kernels.orbit_blocks(h))
+        assert int(tally.sum()) == (2 * h + 1) ** 9, h
 
 
 def test_census3_matches_generic_census():
@@ -466,17 +485,18 @@ def test_kernel_shards_sum_to_independent_routes():
     rng = random.Random(0x7117)
     for h in (1, 2):
         tr, mid, dt = kernels.n3_stats(h, 0, (2 * h + 1) ** 9)
-        size4 = (2 * h + 1) ** 4
+        blocks = kernels.orbit_blocks(h, lines=True)
+        reps = blocks.size.size
         for d, t in ((0, 0), (1, 2), (-2, -1)):
-            total = sum(kernels.det_trace3(h, d, t, lo, hi)
-                        for lo, hi in _random_shards(rng, size4, 4))
+            total = sum(kernels.det_trace3(blocks, d, t, lo, hi)
+                        for lo, hi in _random_shards(rng, reps, 4))
             assert total == int(np.count_nonzero((tr == t) & (dt == d))), (h, d, t)
         for d, t, t2 in ((0, 0, 2), (1, 1, 3), (0, 1, 1)):
-            total = sum(kernels.det_trace3_t2(h, d, t, t2, lo, hi)
-                        for lo, hi in _random_shards(rng, size4, 4))
+            total = sum(kernels.det_trace3_t2(blocks, d, t, t2, lo, hi)
+                        for lo, hi in _random_shards(rng, reps, 4))
             want = (tr == t) & (dt == d) & (tr * tr - 2 * mid == t2)
             assert total == int(np.count_nonzero(want)), (h, d, t, t2)
-        shards = [kernels.bordered3(h, lo, hi) for lo, hi in _random_shards(rng, size4, 4)]
+        shards = [kernels.bordered3(blocks, lo, hi) for lo, hi in _random_shards(rng, reps, 4)]
         uv = tuple(map(sum, zip(*shards)))
         if h == 1:
             assert uv == count_singular_bordered(3, h, method="naive")
@@ -510,7 +530,8 @@ def test_charpoly3_tally_against_n3_stats(monkeypatch):
     # blocks cut small, leave it unchanged
     rng = random.Random(0x7A11)
     for h in (1, 2):
-        tally = kernels.charpoly3_tally(h)
+        blocks = kernels.orbit_blocks(h)
+        tally = kernels.charpoly3_tally(blocks)
         assert tally.shape == (6 * h + 1, 12 * h * h + 1, 12 * h**3 + 1)
         tr, mid, dt = kernels.n3_stats(h, 0, (2 * h + 1) ** 9)
         keys = np.ravel_multi_index((tr + 3 * h, mid + 6 * h * h, dt + 6 * h**3), tally.shape)
@@ -519,12 +540,12 @@ def test_charpoly3_tally_against_n3_stats(monkeypatch):
         want[seen] = counts
         assert np.array_equal(tally.ravel(), want), h
         for threads in (1, 2):
-            shards = _random_shards(rng, (2 * h + 1) ** 6, 5)
+            shards = _random_shards(rng, blocks.size.size * (2 * h + 1) ** 2, 5)
             with ThreadPoolExecutor(max_workers=threads) as ex:
-                parts = list(ex.map(lambda s: kernels.charpoly3_tally(h, *s), shards))
+                parts = list(ex.map(lambda s: kernels.charpoly3_tally(blocks, *s), shards))
             assert np.array_equal(sum(parts), tally), (h, threads)
         monkeypatch.setattr(kernels, "_TALLY_BLOCK", 5000)  # 40 row pairs at h = 2
-        assert np.array_equal(kernels.charpoly3_tally(h), tally), h
+        assert np.array_equal(kernels.charpoly3_tally(blocks), tally), h
         monkeypatch.undo()
 
 
@@ -621,28 +642,30 @@ def test_census3_with_ksq_zero_counts_every_primitive_point(uf, usq):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: kernels.det_trace3(21, 0, 0, 0, 0),  # line table bound
-        lambda: kernels.det_trace3(2, 49, 0),  # |d| > 6h^3
-        lambda: kernels.det_trace3(2, 0, 7),  # |t| > 3h
-        lambda: kernels.det_trace3(2, -49, None),  # |d| > 6h^3, trace free
-        lambda: kernels.det_trace3(2, 0, 0, 0, 626),  # past (2h+1)^4
-        lambda: kernels.det_trace3_t2(21, 0, 0, 0, 0, 0),
-        lambda: kernels.det_trace3_t2(2, 0, 0, 37),  # |t2| > 9h^2
-        lambda: kernels.det_trace3_t2(2, 0, 0, 0, -1, 5),
-        lambda: kernels.bordered3(128, 0, 0),  # border vectors overflow a batch
-        lambda: kernels.bordered3(2, 5, 4),
+        lambda: kernels.orbit_blocks(21, lines=True),  # line table bound
+        lambda: kernels.det_trace3(kernels.orbit_blocks(2, lines=True), 49, 0),  # |d| > 6h^3
+        lambda: kernels.det_trace3(kernels.orbit_blocks(2, lines=True), 0, 7),  # |t| > 3h
+        lambda: kernels.det_trace3(kernels.orbit_blocks(2, lines=True), -49, None),  # trace free
+        lambda: kernels.det_trace3(kernels.orbit_blocks(2, lines=True), 0, 0, 0, 136),  # past 135
+        lambda: kernels.det_trace3(kernels.orbit_blocks(2), 0, 0),  # no line table
+        lambda: kernels.det_trace3_t2(kernels.orbit_blocks(21, lines=True), 0, 0, 0),
+        lambda: kernels.det_trace3_t2(kernels.orbit_blocks(2), 0, 0, 0),
+        lambda: kernels.det_trace3_t2(kernels.orbit_blocks(2, lines=True), 0, 0, 37),  # > 9h^2
+        lambda: kernels.det_trace3_t2(kernels.orbit_blocks(2, lines=True), 0, 0, 0, -1, 5),
+        lambda: kernels.orbit_blocks(50),  # representative list past 64 MB
+        lambda: kernels.bordered3(kernels.orbit_blocks(2), 5, 4),
         lambda: kernels.n2_count(1, 0, None, 0, 4),  # past a11 = h
         lambda: kernels.n3_stats(64, 0, 1),  # ranks overflow int64
         lambda: kernels.n3_stats(1, 0, 3**9 + 1),
-        lambda: kernels.charpoly3_tally(5, 0, 0),  # dense tally past 30 MB
-        lambda: kernels.charpoly3_tally(1, 0, 3**6 + 1),
+        lambda: kernels.charpoly3_tally(kernels.orbit_blocks(5), 0, 0),  # tally past 30 MB
+        lambda: kernels.charpoly3_tally(kernels.orbit_blocks(1), 0, 24 * 9 + 1),
         lambda: kernels.charpoly2_scan(2, 0, 2),  # past t = 0
         lambda: kernels.census3(10_001, 10_001**2, 4, 0, 0),  # reduction overflows
         lambda: kernels.census3(6, 36, 4, 0, 5),  # past isqrt(36 // 3) + 1 planes
         lambda: kernels.census3(6, 49, 4, 0, 0),  # usq past the U = 6 box
     ],
-    ids=["dt3-h", "dt3-d", "dt3-t", "dt3-free-d", "dt3-hi", "dt3t2-h", "dt3t2-t2", "dt3t2-lo",
-         "b3-k", "b3-span", "n2-hi", "n3-h", "n3-hi", "tally-h", "tally-hi", "cp2-t",
+    ids=["dt3-h", "dt3-d", "dt3-t", "dt3-free-d", "dt3-hi", "dt3-lines", "dt3t2-h",
+         "dt3t2-lines", "dt3t2-t2", "dt3t2-lo", "b3-k", "b3-span", "n2-hi", "n3-h", "n3-hi", "tally-h", "tally-hi", "cp2-t",
          "census-U", "census-hi", "census-usq"],
 )
 def test_kernel_range_guards(call):
@@ -652,12 +675,15 @@ def test_kernel_range_guards(call):
 
 
 def test_kernel_range_edges_accepted():
-    assert kernels.det_trace3(2, 48, 6) == 0
-    assert kernels.det_trace3(2, -48, None) == 0
-    assert kernels.det_trace3_t2(1, 6, 3, 9, 80, 81) == 0
-    assert kernels.bordered3(1, 81, 81) == (0, 0)
+    two = kernels.orbit_blocks(2, lines=True)
+    assert kernels.det_trace3(two, 48, 6) == 0
+    assert kernels.det_trace3(two, -48, None) == 0
+    one = kernels.orbit_blocks(1, lines=True)  # 24 representatives
+    assert kernels.det_trace3_t2(one, 6, 3, 9, 23, 24) == 0
+    assert kernels.bordered3(one, 24, 24) == (0, 0)
     assert kernels.n2_count(1, 0, None, 2, 3) == 9  # a11 = 1: a22 = a12 a21 (5 + 2 + 2)
     assert [len(x) for x in kernels.n3_stats(1, 3**9 - 2, 3**9)] == [2, 2, 2]
-    assert kernels.charpoly3_tally(4, 9**6, 9**6).shape == (25, 193, 769)
+    assert kernels.charpoly3_tally(kernels.orbit_blocks(4), 1125 * 81, 1125 * 81).shape == (
+        25, 193, 769)
     assert kernels.charpoly2_scan(2, -4, -4) == (0, 0, 0, -1)
     assert kernels.census3(6, 48, 4, 4, 5) == (0, 0.0)  # only (4, 4, 4) there

@@ -720,6 +720,13 @@ def test_census_empty_when_k_at_least_u():
         assert kbad_census(3, u, k).count == 0
 
 
+@pytest.mark.parametrize("t,method", [(3, "auto"), (3, "generic"), (4, "auto")])
+def test_census_refuses_parts_and_threads_below_one_on_every_path(t, method):
+    for parts, threads, name in ((0, 1, "parts"), (0, -2, "parts"), (1, -2, "threads")):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            kbad_census(t, 3, 1, method=method, parts=parts, threads=threads)
+
+
 def test_census_parts_threads_invariant():
     base = kbad_census(3, 12, 3, parts=1, threads=1)
     for parts, threads in ((4, 1), (4, 4), (7, 2)):

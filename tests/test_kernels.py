@@ -313,6 +313,30 @@ def test_orbit_blocks_list_each_representative_once(monkeypatch):
     assert len(blocks.lines) == 6
 
 
+@pytest.mark.parametrize("step", [1, 3, 50])
+def test_orbit_batches_cover_each_representative_once(monkeypatch, step):
+    # batches of at most `step` representatives over random ranges of the
+    # list; every representative of a range comes once, in rank order, with
+    # its own orbit size
+    monkeypatch.setattr(kernels, "_BATCH", 7)
+    rng = random.Random(0x0B17 + step)
+    h = 2
+    blocks = kernels.orbit_blocks(h)
+    sizes = kernels._orbit_weight(*kernels._decode_block(0, 625, h, 4), 5)
+    count = blocks.size.size
+    monkeypatch.setattr(kernels, "_BATCH", step)
+    for lo, hi in [(0, count)] + [sorted(rng.sample(range(count + 1), 2)) for _ in range(5)]:
+        seen = []
+        for size, r11, r12, r21, r22 in kernels._rep_batches(blocks, lo, hi, 1):
+            assert 1 <= r11.size <= step
+            ranks = (r11 + h) + 5 * (r12 + h) + 25 * (r21 + h) + 125 * (r22 + h)
+            assert (sizes[ranks] == size).all()
+            seen += ranks.tolist()
+        assert seen == np.flatnonzero(sizes)[lo:hi].tolist()
+    # a representative costing more than _BATCH still goes one at a time
+    assert [r11.size for _, r11, _, _, _ in kernels._rep_batches(blocks, 0, 4, step + 1)] == [1] * 4
+
+
 def test_orbit_blocks_cap_is_the_byte_bound():
     # 5 bytes for each of the (2h+1)(h+1)^3 representatives, within 64 MB
     cap = kernels._BLOCKS_H_MAX

@@ -100,7 +100,8 @@ def _manifest_line(command: str, spec, records=None, elapsed_ms=None):
 
 def _spec(args, kind: str, grid) -> ExperimentSpec:
     """The spec `count` and `fit` run: the kind's params from its options.
-    `count centralizer` takes n from its matrix and runs as one part."""
+    `count centralizer` takes n from its matrix and runs as one part; a run
+    option `fit` was not given takes the spec's default."""
     params = {}
     for name in experiments.COUNTERS[kind].params:
         value = getattr(args, name, None)
@@ -111,10 +112,10 @@ def _spec(args, kind: str, grid) -> ExperimentSpec:
         elif name == "matrix":
             value = [list(r) for r in _as_matrix(_load_json(value, "matrix")).rows]
         params[name] = value
+    runs = {name: getattr(args, name, 1) for name in ("parts", "threads", "budget")}
     return ExperimentSpec(
         kind=kind, n=args.n if "n" in args else len(params["matrix"]), grid=grid,
-        params=params, parts=getattr(args, "parts", 1),
-        threads=getattr(args, "threads", 1), budget=args.budget,
+        params=params, **{name: value for name, value in runs.items() if value is not None},
     )
 
 
@@ -314,8 +315,9 @@ def _nt_cyclotomic(args):
 
 
 def _cmd_fit(args) -> int:
-    for name in ("d", "t", "t2", "K", "f", "matrix"):
-        if getattr(args, name) is not None and name not in experiments.COUNTERS[args.kind].params:
+    counter = experiments.COUNTERS[args.kind]
+    for name in ("d", "t", "t2", "K", "f", "matrix", "parts", "threads", "budget"):
+        if getattr(args, name) is not None and name not in counter.params + counter.options:
             _usage(f"fit --kind {args.kind} takes no --{name}")
     spec = _spec(args, args.kind, _numbers(args.grid, "grid", float))
     t0 = time.perf_counter()
@@ -429,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
             d=dict(type=int), t=dict(type=int), K=dict(), f=dict(), matrix=dict(),
             predicted=dict(type=float), tol=dict(type=float, default=0.5),
             mode=dict(choices=("upper", "two-sided"), default="upper"),
-            timing=dict(action="store_true"), parts=dict(type=int, default=8),
-            format=dict(choices=("csv", "json"), default="csv"))
+            timing=dict(action="store_true"), parts=dict(type=int), threads=dict(type=int),
+            budget=dict(type=_budget), format=dict(choices=("csv", "json"), default="csv"))
     return ap
 
 

@@ -336,7 +336,7 @@ def count_charpoly(
 def count_charpoly_fast2(h, f: MonicIntPoly) -> int:
     """R_2(H; f) by the divisor route: for each diagonal, count off-diagonal
     pairs with the forced product.  O(H) table lookups after an O(H^2)
-    shared table build."""
+    build of the pair table, which every call makes afresh."""
     return count_charpoly(2, h, f)
 
 

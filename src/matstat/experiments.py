@@ -62,9 +62,12 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if not self.grid:
             raise ValueError("grid must be non-empty")
-        for name in ("parts", "threads"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        reads = COUNTERS[self.kind].params
+        for name in self.params:
+            if name not in reads:
+                raise ValueError(f"{self.kind} takes no param {name!r}; it reads "
+                                 f"{', '.join(map(repr, reads)) or 'none'}")
+        kernels._check_parts(self.parts, self.threads)
         object.__setattr__(self, "grid", tuple(self.grid))
         object.__setattr__(self, "params", dict(self.params))
 
@@ -220,10 +223,12 @@ def _centralizer(n, h, params, method, parts, threads, budget):
 
 
 class Counter(NamedTuple):
-    """One experiment kind: its counter and the params it reads."""
+    """One experiment kind: its counter, the params it reads and which of
+    the run options parts, threads and budget it reads."""
 
     run: Callable[..., Tuple[int, List[Tuple[str, object]]]]
     params: Tuple[str, ...] = ()
+    options: Tuple[str, ...] = ("parts", "threads", "budget")
 
 
 COUNTERS: Dict[str, Counter] = {
@@ -233,9 +238,9 @@ COUNTERS: Dict[str, Counter] = {
     "det-trace": Counter(_det_trace, ("d", "t", "t2")),
     "singular-bordered": Counter(_singular_bordered),
     "kbad-census": Counter(_kbad_census, ("t", "K")),
-    "multdep-shear": Counter(_multdep_shear, ("bound",)),
-    "totient-v": Counter(_totient_v),
-    "centralizer": Counter(_centralizer, ("matrix",)),
+    "multdep-shear": Counter(_multdep_shear, ("bound",), ()),
+    "totient-v": Counter(_totient_v, (), ()),
+    "centralizer": Counter(_centralizer, ("matrix",), ("budget",)),
 }
 EXPERIMENT_KINDS = tuple(COUNTERS)
 

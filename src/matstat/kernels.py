@@ -18,12 +18,13 @@ scans one representative 0 <= a <= b <= c of each signed-permutation
 orbit, weighted by the orbit size, and shards the smallest coordinate a.
 det_trace3, det_trace3_t2, bordered3 and charpoly3_tally likewise visit
 only the top-left 2x2 blocks that are the smallest-rank member of their
-orbit under a group of order 8 (see _orbit_weight), weighted by the orbit
-size.  They take the list of these representatives from orbit_blocks,
-which a counter builds once per call and hands, read-only, to every part:
-the shard axis of the three count kernels is that list, in rank order, and
-of charpoly3_tally the list times the (2h+1)^2 entries (a13, a23), so
-equal ranges of an axis are equal work.
+orbit under a group of order 8, weighted by the orbit size.  They take
+the list of these representatives from orbit_blocks, which states the
+group and builds the list in closed form; a counter builds it once per
+call and hands it, read-only, to every part: the shard axis of the three
+count kernels is that list, in rank order, and of charpoly3_tally the list
+times the (2h+1)^2 entries (a13, a23), so equal ranges of an axis are
+equal work.
 """
 
 from __future__ import annotations
@@ -121,32 +122,6 @@ def _decode_block(lo: int, hi: int, h: int, ndigits: int) -> list:
     return digits
 
 
-def _orbit_weight(r11, r12, r21, r22, side):
-    """Orbit size of each top-left 2x2 block that has the smallest rank in
-    its orbit, 0 for every other block.
-
-    The orbits are those of the group of order 8 generated by
-    (r11, -r12, -r21, r22) (conjugation by diag(1, -1, 1)), (r22, r21, r12,
-    r11) (conjugation by the swap of the first two coordinates) and
-    (r11, r21, r12, r22) (A -> A^T).  Each keeps det, tr A and tr A^2 of a
-    3x3 matrix with that block and maps its other entries bijectively onto
-    the box.  The key ((e side + c) side + b) side + a of a block (a, b, c, e)
-    orders blocks as their ranks do (signed digits in base side = 2h+1, r22
-    most significant); the eight images have the keys outer +- inner, with
-    outer from the diagonal and inner from the off-diagonal pair.  The orbit
-    size is 8 over the number of images equal to the block."""
-    outer = (r22 * side * side * side + r11, r11 * side * side * side + r22)
-    inner = ((r21 * side + r12) * side, (r12 * side + r21) * side)
-    own = outer[0] + inner[0]
-    least = np.ones(own.shape, dtype=bool)
-    fixed = np.zeros_like(own)
-    for diag, off in ((0, 0), (0, 1), (1, 1), (1, 0)):
-        for image in (outer[diag] + inner[off], outer[diag] - inner[off]):
-            least &= own <= image
-            fixed += own == image
-    return np.where(least, 8 // fixed, 0)
-
-
 _BLOCKS_H_MAX = 49  # (2h+1)(h+1)^3 representatives of 5 bytes: 62 MB at h = 49, 67 MB at 50
 
 
@@ -161,32 +136,51 @@ class Blocks(NamedTuple):
 
 
 def orbit_blocks(h: int, lines: bool = False) -> Blocks:
-    """The representatives of the orbits of top-left 2x2 blocks (see
-    _orbit_weight) in rank order, with their orbit sizes, the half border
-    and, with `lines`, the line table: the shard axis and the tables of
-    det_trace3, det_trace3_t2, bordered3 and charpoly3_tally, which only
-    read them.
+    """The representatives of the orbits of top-left 2x2 blocks in rank
+    order, with their orbit sizes, the half border and, with `lines`, the
+    line table: the shard axis and the tables of det_trace3, det_trace3_t2,
+    bordered3 and charpoly3_tally, which only read them.
 
-    By Burnside's lemma over the group's eight maps there are (s^4 + 3s^3
-    + 3s^2 + s)/8 = s(s+1)^3/8 = (2h+1)(h+1)^3 orbits (s = 2h+1), about
-    s^4/8.  Ranks are screened in chunks of _BATCH into arrays of that
-    length, so the scratch beyond the 5 bytes per representative stays
-    bounded."""
+    The orbits are those of the group of order 8 generated by three
+    commuting swaps of a block (r11, r12, r21, r22): r11 <-> r22
+    (conjugation by the swap of the first two coordinates, then the
+    transpose), r12 <-> r21 (the transpose) and (r12, r21) -> (-r12, -r21)
+    (conjugation by diag(1, -1, 1)).  Each keeps det, tr A and tr A^2 of a
+    3x3 matrix with that block and maps its other entries bijectively onto
+    the box.  Ranks order blocks by (r22, r21, r12, r11), r22 most
+    significant, so the least member of an orbit is the block with
+    r22 <= r11 and r21 <= -|r12|, and its orbit size is (1 if r11 = r22
+    else 2) times (1 if r21 = 0, 2 if |r12| = -r21 != 0, else 4).  These
+    are (2h+1)(h+1) diagonal pairs times (h+1)^2 off-diagonal pairs, the
+    s(s+1)^3/8 orbits (s = 2h+1) that Burnside's lemma gives, about s^4/8.
+    The list is filled one r22 at a time, with no scratch beyond the 5
+    bytes per representative."""
     cap = _LINE_H_MAX if lines else _BLOCKS_H_MAX
     if not 0 <= h <= cap:
         raise ValueError(f"the bordered 3x3 kernels take H (or K) in [0, {cap}], got {h}")
     side = 2 * h + 1
-    count = side * (h + 1) ** 3
+    # the off-diagonal pairs with r21 <= -|r12|, in (r21, r12) order, and
+    # the factor of the orbit size that each gives
+    r21, r12 = np.indices((h + 1, side), dtype=np.int8) - np.int8(h)
+    least = np.abs(r12) <= -r21
+    off = np.stack([r12[least], r21[least]], axis=1)
+    off_size = np.where(r21 == 0, 1, np.where(np.abs(r12) == -r21, 2, 4))[least].astype(np.int8)
+    n_off = off.shape[0]  # (h+1)^2
+    diag = np.arange(-h, h + 1, dtype=np.int8)
+    diag_size = np.full(side, 2, dtype=np.int8)
+    diag_size[0] = 1  # r11 = r22
+    count = n_off * side * (h + 1)  # times the (2h+1)(h+1) diagonal pairs
     reps = np.empty((count, 4), dtype=np.int8)
     size = np.empty(count, dtype=np.int8)
     at = 0
-    for start in range(0, side**4, _BATCH):
-        digits = _decode_block(start, min(start + _BATCH, side**4), h, 4)
-        weight = _orbit_weight(*digits, side)
-        keep = weight > 0
-        end = at + int(np.count_nonzero(keep))
-        reps[at:end] = np.stack([x[keep] for x in digits], axis=1)
-        size[at:end] = weight[keep]
+    for r22 in range(-h, h + 1):
+        r11 = diag[r22 + h :]
+        end = at + n_off * r11.size
+        rows = reps[at:end].reshape(n_off, r11.size, 4)
+        rows[..., 0] = r11
+        rows[..., 1:3] = off[:, None]
+        rows[..., 3] = r22
+        np.multiply.outer(off_size, diag_size[: r11.size], out=size[at:end].reshape(n_off, -1))
         at = end
     return Blocks(h, reps, size, _half_border(h), _line_table(h) if lines else None)
 
@@ -369,7 +363,7 @@ def charpoly3_tally(blocks: Blocks, lo: int = 0, hi: int | None = None) -> np.nd
     representative blocks of orbit_blocks(h), each with the (2h+1)^2
     entries (a13, a23) in turn.
 
-    The orbit maps of the top-left block (see _orbit_weight) extend to
+    The orbit maps of the top-left block (see orbit_blocks) extend to
     conjugations and the transpose of A, which keep its charpoly and map the
     matrices over one block onto those over its image.  So only the row
     pairs whose block is a representative are tallied, each times its orbit
@@ -419,7 +413,7 @@ def charpoly3_tally(blocks: Blocks, lo: int = 0, hi: int | None = None) -> np.nd
 # fixed trace forces c = t - tr R; with the trace free (det_trace3 with
 # t = None) c runs over [-h, h] in the same pass, so a det count is one
 # pass over the blocks rather than one per trace.  The kernels visit one
-# block R per orbit of order 8 (see _orbit_weight) and weight its count by
+# block R per orbit of order 8 (see orbit_blocks) and weight its count by
 # the orbit size: the maps keep det, tr A and tr A^2 and permute the border
 # pairs (a, b), the transpose swapping a and b.  For bordered3 the count of
 # pairs with a != 0 is the count of all pairs less the (2k+1)^2 with a = 0,

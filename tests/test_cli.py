@@ -1,11 +1,15 @@
 """End-to-end CLI invocations through main()."""
 
 import argparse
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matstat import multdep
+from matstat import experiments, multdep
 from matstat.cli import build_parser, main
 
 
@@ -553,6 +557,11 @@ def test_options_a_subcommand_does_not_take_are_refused(capsys, argv):
         ["lattice", "good", "--v", "1,2", "--K", "2"],
         ["fit", "--kind", "totient-v", "--n", "1", "--grid", "10", "--d", "3"],
         ["fit", "--kind", "det", "--grid", "2", "--matrix", "m.json"],
+        ["fit", "--kind", "totient-v", "--grid", "10,20", "--parts", "3", "--threads", "5",
+         "--budget", "7"],
+        ["fit", "--kind", "multdep-shear", "--grid", "6,8", "--threads", "4", "--budget", "0"],
+        ["fit", "--kind", "centralizer", "--n", "2", "--matrix", "m.json", "--grid", "1",
+         "--parts", "2", "--threads", "4"],
         ["multdep", "construct", "--mode", "even", "--blocks", "b.json", "--orders", "3"],
         ["multdep", "construct", "--mode", "odd", "--blocks", "b.json", "--budget", "5"],
         ["multdep", "construct", "--mode", "torsion", "--orders", "3", "--blocks", "b.json"],
@@ -663,3 +672,140 @@ def test_every_option_an_action_offers_is_read(tmp_path, capsys):
         unread[words] = offered - args._reads
     capsys.readouterr()
     assert unread == {words: set() for words in parsers}
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract under drawn command lines: every action of build_parser()
+# returns 0 or 1 from main(), or argparse ends it with SystemExit(2), and a
+# nonzero exit ends in one `error:` line.  The draws stay small so that no
+# example starts a large thread count or a long scan: n <= 4, H, K, U <= 40
+# (or a bound refused before any work), parts <= 4, threads <= 2, --bound
+# and --max-len <= 3, and --budget always 100000 where an action reads it
+# (`fit` of a kind that reads no budget takes it only as a refused option).
+
+_GUARD_BUDGET = "100000"
+_GUARD_FILES = {
+    "SHEAR": b'{"matrix": [[1, 1], [0, 1]]}',
+    "M3": b'{"matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 2]]}',
+    "PAIR": b'{"matrices": [[[1, 2], [0, 1]], [[1, 3], [0, 1]]]}',
+    "FLOAT": b'{"matrix": [[1.5, 0], [0, 1]]}',
+    "RAGGED": b'{"matrix": [[1, 2], [3]]}',
+    "EMPTY": b'{"matrices": []}',
+    "BROKEN": b'{"matrix": [[1, 1], [0,',
+    "NOTUTF8": b'\xff{"matrix": [[1]]}',
+}
+_GUARD_FILE_KEYS = [*_GUARD_FILES, "MISSING"]
+# values by option dest; (command words, dest) picks a narrower set
+_GUARD_VALUES = {
+    "n": ["-1", "0", "1", "2", "3", "4", "x"],
+    "H": ["-1", "0", "0.5", "1", "2", "40", "nan", "inf", "1e9", "x"],
+    "K": ["-1", "0", "1", "2", "2.5", "5/2", "sqrt", "nan", "x"],
+    "U": ["-1", "0", "2.5", "6", "8", "nan", "x"],
+    "d": ["-3", "0", "1", "5", "100", "x"],
+    "t": ["-3", "0", "1", "5", "x"],
+    "t2": ["-2", "0", "2", "7", "x"],
+    "f": ["1,-2,1", "0,-1,0,1", "1,1", "2,1", "1,2", "1", "0,0,0,0,1", "x"],
+    "matrix": _GUARD_FILE_KEYS,
+    "tuple": _GUARD_FILE_KEYS,
+    "blocks": _GUARD_FILE_KEYS,
+    "method": ["auto", "naive", "generic", "x"],
+    "parts": ["-1", "0", "1", "2", "4", "x"],
+    "threads": ["0", "1", "2", "x"],
+    "budget": [_GUARD_BUDGET],
+    "format": ["human", "json", "csv", "x"],
+    "out": ["OUT", "DIR"],
+    "vector": ["1,0,5", "1,2", "0,0", "3", "1,2,3,4", "x"],
+    "bound": ["-1", "0", "1", "2", "3", "x"],
+    "max_len": ["-1", "0", "1", "2", "3", "x"],
+    "k": ["1,-1", "1,1", "0,0", "1", "x"],
+    "mode": ["even", "odd", "torsion", "x"],
+    "orders": ["3", "1,2", "7", "0", "-2", "1000", "x"],
+    "Q": ["-1", "0", "1", "12", "x"],
+    "kind": [*experiments.EXPERIMENT_KINDS, "x"],
+    "grid": ["1", "1,2", "2,3", "0,1", "1.5,2", "-1,2", "40", "x"],
+    "predicted": ["-1", "0.5", "3", "nan", "x"],
+    "tol": ["-1", "0", "0.5", "nan", "x"],
+    ("lattice", "census", "t"): ["1", "2", "3", "4", "x"],
+    ("fit", "mode"): ["upper", "two-sided", "x"],
+    ("fit", "format"): ["csv", "json", "x"],
+    ("totient", "n"): ["-5", "0", "1", "10", "1000", "x"],
+    ("nt", "smoothcount", "U"): ["-1", "0", "8", "40", "x"],
+    ("nt", "cyclotomic", "k"): ["-1", "0", "1", "12", "30", "x"],
+}
+_GUARD_PARSERS = list(_action_parsers())
+_FIT_CHECKED = ("d", "t", "t2", "K", "f", "matrix", "parts", "threads", "budget")
+
+
+@st.composite
+def _guard_argv(draw):
+    """(argv, command words) of one drawn command line; files are named by
+    their _GUARD_FILES key, MISSING, OUT or DIR."""
+    words, parser = draw(st.sampled_from(_GUARD_PARSERS))
+    argv = list(words)
+    counter = None
+    for action in parser._actions:
+        dest = action.dest
+        if dest == "help":
+            continue
+        if not action.option_strings:  # totient's v|w
+            argv.append(draw(st.sampled_from(["v", "w", "u"])))
+            continue
+        # --budget comes whenever it is read; an option that `fit` refuses for
+        # the drawn kind comes a tenth of the time, any other optional one a third
+        refused = counter is not None and dest in _FIT_CHECKED and dest not in (
+            counter.params + counter.options)
+        if not (action.required or (dest == "budget" and not refused)
+                or draw(st.integers(0, 9 if refused else 2)) == 0):
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:  # --timing
+            argv.append(flag)
+            continue
+        value = draw(st.sampled_from(_GUARD_VALUES.get((*words, dest)) or _GUARD_VALUES[dest]))
+        if dest == "kind":
+            counter = experiments.COUNTERS.get(value)
+        argv.append(f"{flag}={value}")  # so that argparse reads -1,2 as a value
+    return argv, words
+
+
+@pytest.fixture(scope="module")
+def guard_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli-guard")
+    for name, content in _GUARD_FILES.items():
+        (root / name).write_bytes(content)
+    return root
+
+
+@settings(max_examples=250, deadline=None)
+@given(drawn=_guard_argv())
+def test_drawn_command_lines_keep_the_exit_contract(guard_dir, drawn):
+    argv, words = drawn
+    paths = {"OUT": guard_dir / "out.txt", "DIR": guard_dir, "MISSING": guard_dir / "missing"}
+    for i, word in enumerate(argv):
+        flag, _, value = word.partition("=")
+        path = paths.get(value) or (guard_dir / value if value in _GUARD_FILES else None)
+        if path is not None:
+            argv[i] = f"{flag}={path}"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+            assert rc == 2, argv
+    assert rc in (0, 1, 2), argv
+    lines = err.getvalue().splitlines()
+    if rc == 0:
+        return
+    if rc == 1 and not any(line.startswith("error:") for line in lines):
+        # the two documented exits 1 without an error line: multdep check and
+        # word when nothing is found, fit on an inconsistent verdict
+        if words in (("multdep", "check"), ("multdep", "word")):
+            assert out.getvalue().splitlines()[0] in (
+                "dependent = False", "relation holds = False", "kernel word = none"), argv
+        else:
+            assert words == ("fit",) and "verdict = inconsistent" in lines, argv
+            assert lines[-1].startswith('{"manifest": '), argv
+        return
+    assert lines and lines[-1].startswith("error:"), (argv, lines)
+    assert sum(line.startswith("error:") for line in lines) == 1, (argv, lines)

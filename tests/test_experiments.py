@@ -137,6 +137,21 @@ def test_spec_refuses_parts_and_threads_below_one():
                 ExperimentSpec(kind="det", grid=(1,), **{name: bad})
 
 
+@pytest.mark.parametrize(
+    "kind,n,params,name",
+    [
+        ("det-trace", 3, {"D": 1, "t": 0}, "D"),  # once counted as d = 0, t = 0
+        ("det", 2, {"d": 1, "t": 0}, "t"),
+        ("charpoly-max", 2, {"f": [0, 1]}, "f"),
+        ("totient-v", 1, {"bound": 3}, "bound"),
+        ("centralizer", 2, {"matrix": [[1, 1], [0, 1]], "K": 2}, "K"),
+    ],
+)
+def test_spec_refuses_params_its_kind_does_not_read(kind, n, params, name):
+    with pytest.raises(ValueError, match=f"^{kind} takes no param '{name}'"):
+        ExperimentSpec(kind=kind, n=n, grid=(2,), params=params)
+
+
 def test_run_grid_centralizer():
     recs = run_grid(
         ExperimentSpec(

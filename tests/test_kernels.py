@@ -254,6 +254,11 @@ def _block_rank(m, h):
     return sum((x + h) * (2 * h + 1) ** i for i, x in enumerate(m))
 
 
+def _ranks(blocks):
+    """The rank of each entry of an orbit_blocks list, as int64."""
+    return (blocks.reps.astype(np.int64) + blocks.h) @ (2 * blocks.h + 1) ** np.arange(4)
+
+
 def _representatives(h):
     """(rank, block, orbit size) of every orbit representative, by scan."""
     reps = []
@@ -268,49 +273,77 @@ def _representatives(h):
 
 def test_orbit_weights_tile_the_block_axis():
     for h in range(7):
-        side = 2 * h + 1
-        sizes = kernels._orbit_weight(*kernels._decode_block(0, side**4, h, 4), side)
-        assert set(np.unique(sizes).tolist()) <= {0, 1, 2, 4, 8}
-        assert int(sizes.sum()) == side**4, h
-    orbits = {h: np.count_nonzero(kernels._orbit_weight(
-        *kernels._decode_block(0, (2 * h + 1) ** 4, h, 4), 2 * h + 1)) for h in (2, 3, 4)}
+        sizes = kernels.orbit_blocks(h).size
+        assert set(np.unique(sizes).tolist()) <= {1, 2, 4, 8}
+        assert int(sizes.sum(dtype=np.int64)) == (2 * h + 1) ** 4, h
+    orbits = {h: kernels.orbit_blocks(h).size.size for h in (2, 3, 4)}
     assert orbits == {2: 135, 3: 448, 4: 1125}
 
 
 def test_orbit_representatives_are_least_in_box():
     for h in (1, 2, 3):
-        side = 2 * h + 1
-        sizes = kernels._orbit_weight(*kernels._decode_block(0, side**4, h, 4), side)
+        blocks = kernels.orbit_blocks(h)
         reps = _representatives(h)
-        assert [r for r, _, _ in reps] == np.flatnonzero(sizes).tolist()
-        for rank, m, size in reps:
+        assert [r for r, _, _ in reps] == _ranks(blocks).tolist()
+        for index, (rank, m, size) in enumerate(reps):
             images = _block_images(m)
             assert all(max(map(abs, g)) <= h for g in images)
             assert rank == min(_block_rank(g, h) for g in images)
-            assert sizes[rank] == size == 8 // images.count(m)
+            assert blocks.size[index] == size == 8 // images.count(m)
 
 
-def test_orbit_blocks_list_each_representative_once(monkeypatch):
-    # chunks of 7 ranks cut across the screen; the list holds every
-    # representative once, in rank order, with its orbit size, at 5 bytes
-    monkeypatch.setattr(kernels, "_BATCH", 7)
+def test_orbit_blocks_list_each_representative_once():
+    # the list holds every representative once, in rank order, with its
+    # orbit size, at 5 bytes
     for h in (1, 2, 3):
         blocks = kernels.orbit_blocks(h)
         side = 2 * h + 1
-        ranks = (blocks.reps.astype(np.int64) + h) @ side ** np.arange(4)
+        ranks = _ranks(blocks)
         want = _representatives(h)
         assert ranks.tolist() == [r for r, _, _ in want], h
         assert blocks.size.tolist() == [size for _, _, size in want], h
         assert int(blocks.size.sum(dtype=np.int64)) == side**4
         assert blocks.reps.nbytes + blocks.size.nbytes == 5 * len(want) == 5 * side * (h + 1) ** 3
         assert blocks.lines is None
-    monkeypatch.undo()
     blocks = kernels.orbit_blocks(4, lines=True)
-    sizes = kernels._orbit_weight(*kernels._decode_block(0, 9**4, 4, 4), 9)
-    ranks = (blocks.reps.astype(np.int64) + 4) @ 9 ** np.arange(4)
-    assert ranks.tolist() == np.flatnonzero(sizes).tolist()
-    assert blocks.size.tolist() == sizes[ranks].tolist()
+    want = _representatives(4)
+    ranks = _ranks(blocks)
+    assert ranks.tolist() == [r for r, _, _ in want]
+    assert blocks.size.tolist() == [size for _, _, size in want]
     assert len(blocks.lines) == 6
+
+
+@pytest.mark.parametrize("h", [8, 12])
+def test_orbit_blocks_are_least_among_their_images(h):
+    # past the reach of the plain scan: the ranks strictly increase, each
+    # entry is the least rank of its 8 images under the three maps and has
+    # 8 / (images equal to it) as its size, and the sizes tile the block axis
+    blocks = kernels.orbit_blocks(h)
+    r11, r12, r21, r22 = blocks.reps.T.astype(np.int64)
+    ranks = _ranks(blocks)
+    assert (np.diff(ranks) > 0).all()
+    images = []
+    for s, p, t in product((1, -1), repeat=3):
+        m = (r11, s * r12, s * r21, r22)  # conjugation by diag(1, -1, 1)
+        if p == -1:  # conjugation by the coordinate swap
+            m = (m[3], m[2], m[1], m[0])
+        if t == -1:  # the transpose
+            m = (m[0], m[2], m[1], m[3])
+        images.append(sum((x + h) * (2 * h + 1) ** i for i, x in enumerate(m)))
+    images = np.stack(images)
+    assert (ranks == images.min(axis=0)).all()
+    assert (blocks.size == 8 // (images == ranks).sum(axis=0)).all()
+    assert blocks.size.size == (2 * h + 1) * (h + 1) ** 3
+    assert int(blocks.size.sum(dtype=np.int64)) == (2 * h + 1) ** 4
+
+
+def test_orbit_blocks_at_the_cap():
+    # the largest list: 99 * 50^3 entries within 64 MB, tiling the 99^4
+    # blocks; no int64 copy of the rows is made
+    blocks = kernels.orbit_blocks(kernels._BLOCKS_H_MAX)
+    assert blocks.size.size == blocks.reps.shape[0] == 99 * 50**3
+    assert blocks.reps.nbytes + blocks.size.nbytes <= 64 * 10**6
+    assert int(blocks.size.sum(dtype=np.int64)) == 99**4
 
 
 @pytest.mark.parametrize("step", [1, 3, 50])
@@ -318,11 +351,10 @@ def test_orbit_batches_cover_each_representative_once(monkeypatch, step):
     # batches of at most `step` representatives over random ranges of the
     # list; every representative of a range comes once, in rank order, with
     # its own orbit size
-    monkeypatch.setattr(kernels, "_BATCH", 7)
     rng = random.Random(0x0B17 + step)
     h = 2
     blocks = kernels.orbit_blocks(h)
-    sizes = kernels._orbit_weight(*kernels._decode_block(0, 625, h, 4), 5)
+    sizes = {rank: size for rank, _, size in _representatives(h)}
     count = blocks.size.size
     monkeypatch.setattr(kernels, "_BATCH", step)
     for lo, hi in [(0, count)] + [sorted(rng.sample(range(count + 1), 2)) for _ in range(5)]:
@@ -330,9 +362,9 @@ def test_orbit_batches_cover_each_representative_once(monkeypatch, step):
         for size, r11, r12, r21, r22 in kernels._rep_batches(blocks, lo, hi, 1):
             assert 1 <= r11.size <= step
             ranks = (r11 + h) + 5 * (r12 + h) + 25 * (r21 + h) + 125 * (r22 + h)
-            assert (sizes[ranks] == size).all()
+            assert [sizes[r] for r in ranks.tolist()] == size.tolist()
             seen += ranks.tolist()
-        assert seen == np.flatnonzero(sizes)[lo:hi].tolist()
+        assert seen == list(sizes)[lo:hi]
     # a representative costing more than _BATCH still goes one at a time
     assert [r11.size for _, r11, _, _, _ in kernels._rep_batches(blocks, 0, 4, step + 1)] == [1] * 4
 
@@ -386,12 +418,10 @@ def test_kernels_weight_each_representative_by_its_orbit():
             _check_block_counts(blocks, index, m, size, rng)
     h = 4
     blocks = kernels.orbit_blocks(h, lines=True)
-    sizes = kernels._orbit_weight(*kernels._decode_block(0, 9**4, h, 4), 9)
-    ranks = np.flatnonzero(sizes)
-    for index in rng.sample(range(ranks.size), 40):
-        rank = int(ranks[index])
-        m = tuple(int(x[0]) for x in kernels._decode_block(rank, rank + 1, h, 4))
-        _check_block_counts(blocks, index, m, int(sizes[rank]), rng)
+    reps = _representatives(h)
+    for index in rng.sample(range(len(reps)), 40):
+        _, m, size = reps[index]
+        _check_block_counts(blocks, index, m, size, rng)
 
 
 def test_charpoly3_tally_counts_every_matrix():

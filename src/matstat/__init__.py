@@ -8,7 +8,7 @@ counts) those questions run on.
 
 __version__ = "0.1.0"
 
-from . import counting, exact, experiments, lattices, multdep, numtheory
+from . import counting, exact, experiments, kernels, lattices, multdep, numtheory
 from .errors import (
     BudgetExceededError,
     NegativePowerOfSingularError,
@@ -17,6 +17,7 @@ from .errors import (
 )
 
 __all__ = [
+    "clear_caches",
     "counting",
     "exact",
     "experiments",
@@ -29,3 +30,14 @@ __all__ = [
     "ZeroArgumentError",
     "__version__",
 ]
+
+
+def clear_caches() -> None:
+    """Empty every per-process memo: the per-H tables of the kernels and
+    the totient, square-sum, cyclotomic and small-prime tables of
+    numtheory.  Answers do not change; the next call at each size builds
+    its table again, as in a fresh process."""
+    kernels._tables.cache_clear()
+    for memo in (numtheory.totients_up_to, numtheory._square_sum_dp,
+                 numtheory.cyclotomic, numtheory._small_primes):
+        memo.cache_clear()

@@ -23,8 +23,11 @@ Counters accept `parts`/`threads` for deterministic sharding: the work
 range splits into `parts` fixed pieces merged in order, so results do not
 depend on the thread count.  Work that costs less than _THREAD_MIN_COST (the
 cost the budget is checked against) runs its parts in the calling thread,
-since threads cost more than they save there.  The bordered 3x3 counters
-build their tables (kernels.orbit_blocks) once per call, outside the parts.
+since threads cost more than they save there.  The per-H tables (the
+n = 2 pair tables, and kernels.orbit_blocks for the bordered 3x3
+counters) are fetched outside the parts, which only read them; they are
+kept for the process, so a sweep at one H builds them once
+(matstat.clear_caches drops them).
 """
 
 from __future__ import annotations
@@ -184,7 +187,7 @@ def _count_det_trace(n: int, h, d: int, t, t2, method: str, budget: int,
 
     "auto" runs det2_count / charpoly2_count at n = 2 and, at n = 3, one
     bordered kernel pass over one top-left block per orbit (see
-    kernels.orbit_blocks, built once here), sharded over those
+    kernels.orbit_blocks, fetched before the parts), sharded over those
     representatives: det_trace3 (budget (2H+1)^6, or (2H+1)^7 with a free
     trace, which a33 then ranges over) or det_trace3_t2.  "naive" and
     n >= 4 scan.
@@ -335,8 +338,9 @@ def count_charpoly(
 
 def count_charpoly_fast2(h, f: MonicIntPoly) -> int:
     """R_2(H; f) by the divisor route: for each diagonal, count off-diagonal
-    pairs with the forced product.  O(H) table lookups after an O(H^2)
-    build of the pair table, which every call makes afresh."""
+    pairs with the forced product.  O(H) table lookups in the pair table,
+    built in O(H^2) by the first call at this H and kept for the process
+    (see kernels._TableMemo)."""
     return count_charpoly(2, h, f)
 
 
@@ -355,14 +359,15 @@ def max_charpoly_count(
     count(-t, d)), sharded over those 2H+1 traces.  n = 3 tallies every
     matrix within budget by kernels.charpoly3_tally (H <= 4), sharded over
     the top row pairs whose top-left block represents its orbit (see
-    kernels.orbit_blocks, built once here): one key matmul per batch of
-    them, weighted by the orbit size.
+    kernels.orbit_blocks, fetched before the parts): one key matmul per
+    batch of them, weighted by the orbit size.
     """
     hf = lattices._floor_bound("H", h, 1)
     if n == 2:
         # charpoly2_scan adds (H+1)^2 slices, each 4H^2+1 wide, over the traces t <= 0
         cost = (hf + 1) ** 2 * (4 * hf * hf + 1)
         _check_budget(cost, budget, "charpoly aggregation")
+        kernels._scan_table(hf)  # built and kept here, so the parts only read it
         pieces = _run_parts(  # over the traces t <= 0 (see charpoly2_scan)
             lambda lo, hi: kernels.charpoly2_scan(hf, lo - 2 * hf, hi - 2 * hf),
             2 * hf + 1, cost, parts, threads,
@@ -413,8 +418,8 @@ def count_singular_bordered(
     nonzero last column above the diagonal.  V_n(K) additionally requires
     the bordering row-column dot product to vanish.  "auto" at n = 3 runs
     kernels.bordered3 over one top-left block per orbit (see
-    kernels.orbit_blocks, built once here; K <= 49), sharded over those
-    representatives; "naive" and n >= 4 scan.
+    kernels.orbit_blocks, fetched before the parts; K <= 49), sharded over
+    those representatives; "naive" and n >= 4 scan.
     """
     if n < 2:
         raise ValueError("bordered sets need n >= 2")

@@ -72,14 +72,15 @@ class ExperimentSpec:
         object.__setattr__(self, "params", dict(self.params))
 
     def canonical(self) -> dict:
+        """The spec as JSON, with only the run options its kind reads
+        (COUNTERS[kind].options): an option the counter never reads does
+        not shape the result, so the manifest does not record it."""
         return {
             "kind": self.kind,
             "n": self.n,
             "grid": [_num(g) for g in self.grid],
             "params": {k: _json_param(self.params[k]) for k in sorted(self.params)},
-            "parts": self.parts,
-            "threads": self.threads,
-            "budget": self.budget,
+            **{name: getattr(self, name) for name in COUNTERS[self.kind].options},
         }
 
 

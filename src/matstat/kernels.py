@@ -1,12 +1,15 @@
 """Hot counting loops in numpy, vectorised over bounded batches of ranks.
 
-All kernels work on int64, and each checks at entry that its inputs lie in
-the range where its intermediates provably fit and its scratch stays
-bounded, raising ValueError otherwise: h <= 2048 for the pair tables,
-h <= 63 for n3_stats (ranks below (2h+1)^9 < 2^63), h <= 4 for
-charpoly3_tally (a dense tally of (6h+1)(12h^2+1)(12h^3+1) keys, 30 MB at
-h = 4), h <= 20 for det_trace3/det_trace3_t2 (a line table of (2h^2+1)^2
-entries, 26 MB at h = 20), h <= 49 for the orbit representative list of
+All kernels work on int64 (charpoly2_scan adds int32 slices: one of its
+counts sums at most 2(h+1) pair counts of at most 4h+1 each, below 2^31
+for h <= 2048, and its totals are int64), and each checks at entry that
+its inputs lie in the range where its intermediates provably fit and its
+scratch stays bounded, raising ValueError otherwise: h <= 2048 for the
+pair tables (checked once, in full_pair_count_array), h <= 63 for
+n3_stats (ranks below (2h+1)^9 < 2^63), h <= 4 for charpoly3_tally (a
+dense tally of (6h+1)(12h^2+1)(12h^3+1) keys, 30 MB at h = 4), h <= 20
+for det_trace3/det_trace3_t2 (a line table of (2h^2+1)^2 entries, 26 MB
+at h = 20), h <= 49 for the orbit representative list of
 det_trace3, det_trace3_t2, bordered3 and charpoly3_tally (so k <= 49 for
 bordered3: (2h+1)(h+1)^3 representatives of 5 bytes each, 62 MB at h = 49
 against a 64 MB bound) and U <= 10^4 for census3 (norms in the rank-2
@@ -20,21 +23,91 @@ det_trace3, det_trace3_t2, bordered3 and charpoly3_tally likewise visit
 only the top-left 2x2 blocks that are the smallest-rank member of their
 orbit under a group of order 8, weighted by the orbit size.  They take
 the list of these representatives from orbit_blocks, which states the
-group and builds the list in closed form; a counter builds it once per
-call and hands it, read-only, to every part: the shard axis of the three
-count kernels is that list, in rank order, and of charpoly3_tally the list
+group and builds the list in closed form; a counter fetches it before
+its parts and hands it to every part: the shard axis of the three count
+kernels is that list, in rank order, and of charpoly3_tally the list
 times the (2h+1)^2 entries (a13, a23), so equal ranges of an axis are
 equal work.
+
+The per-h tables (the n = 2 pair tables, and the representative list,
+half border and line table of orbit_blocks) are built once per process
+and kept in one memo, _tables, keyed by table kind and h, so that a
+sweep of calls at one h, and every part of one call, share them.  The
+memo keeps at most 64 MB, the scratch bound above, dropping the least
+recently used tables first; a table larger than that (the h = 2048 pair
+table, 67 MB) is returned but not kept.  Every kept array is read-only,
+so a caller that wrote into a shared table would raise ValueError.
+matstat.clear_caches() empties the memo.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
+
+
+class TableInfo(NamedTuple):
+    """What _TableMemo.cache_info reports, named as functools' caches name it."""
+
+    currsize: int  # tables kept
+    nbytes: int  # their bytes
+    maxbytes: int  # the cap on them
+
+
+class _TableMemo:
+    """The memo of per-h tables (see the module docstring): an array, or a
+    tuple holding arrays, per key, made read-only and kept within
+    `maxbytes`, least recently used first out.  A lock guards the dict;
+    tables are built outside it, so two threads may both build a missing
+    one, and both return the one kept first."""
+
+    def __init__(self, maxbytes: int):
+        self.maxbytes = maxbytes
+        self._lock = threading.Lock()
+        self._entries: OrderedDict = OrderedDict()  # key -> (table, bytes)
+        self._nbytes = 0
+
+    def get(self, key, build):
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None:
+                self._entries.move_to_end(key)
+                return hit[0]
+        table = build()
+        arrays = [a for a in (table if isinstance(table, tuple) else (table,))
+                  if isinstance(a, np.ndarray)]
+        for a in arrays:
+            a.setflags(write=False)
+        size = sum(a.nbytes for a in arrays)
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None:  # another thread kept it first
+                return hit[0]
+            if size <= self.maxbytes:
+                while self._nbytes + size > self.maxbytes:
+                    self._nbytes -= self._entries.popitem(last=False)[1][1]
+                self._entries[key] = (table, size)
+                self._nbytes += size
+        return table
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._nbytes = 0
+
+    def cache_info(self) -> TableInfo:
+        with self._lock:
+            return TableInfo(len(self._entries), self._nbytes, self.maxbytes)
+
+
+_TABLE_BYTES = 64 * 10**6  # the scratch bound of the module (see orbit_blocks)
+_tables = _TableMemo(_TABLE_BYTES)  # emptied by matstat.clear_caches
 
 
 def current_backend() -> str:
@@ -83,11 +156,18 @@ def pair_count_table(h: int) -> np.ndarray:
     return np.bincount(np.multiply.outer(r, r).ravel(), minlength=h * h + 1)
 
 
+_PAIR_H_MAX = 2048
+
+
 def full_pair_count_array(h: int, halo: int) -> np.ndarray:
     """counts of {(x,y) in [-h,h]^2 : x*y = D} indexed by D + halo.
 
     Covers D in [-halo, halo]; zero outside the feasible band |D| <= h*h.
+    Every entry is at most 4h+1 (D = 0) and the table is even in D, so it
+    is its own reverse.
     """
+    if h > _PAIR_H_MAX:
+        raise ValueError(f"pair table limited to h <= {_PAIR_H_MAX}")
     pos = pair_count_table(h)
     out = np.zeros(2 * halo + 1, dtype=np.int64)
     out[halo] = 4 * h + 1
@@ -96,6 +176,25 @@ def full_pair_count_array(h: int, halo: int) -> np.ndarray:
         out[halo + 1 : halo + top + 1] = 2 * pos[1 : top + 1]
         out[halo - top : halo] = (2 * pos[1 : top + 1])[::-1]
     return out
+
+
+def _pair_table(h: int) -> np.ndarray:
+    """full_pair_count_array(h, h*h), kept: indexed by D + h^2."""
+    return _tables.get(("pair", h), lambda: full_pair_count_array(h, h * h))
+
+
+def _scan_table(h: int) -> np.ndarray:
+    """The pair table in int32 over |D| <= 2h^2, indexed by D + 2h^2, kept:
+    the slices of charpoly2_scan."""
+
+    def build():
+        pair = _pair_table(h)  # refuses h > _PAIR_H_MAX before any allocation
+        hh = h * h
+        out = np.zeros(4 * hh + 1, dtype=np.int32)
+        out[hh : 3 * hh + 1] = pair
+        return out
+
+    return _tables.get(("scan", h), build)
 
 
 _BATCH = 1 << 15  # items per vectorised step
@@ -154,10 +253,19 @@ def orbit_blocks(h: int, lines: bool = False) -> Blocks:
     are (2h+1)(h+1) diagonal pairs times (h+1)^2 off-diagonal pairs, the
     s(s+1)^3/8 orbits (s = 2h+1) that Burnside's lemma gives, about s^4/8.
     The list is filled one r22 at a time, with no scratch beyond the 5
-    bytes per representative."""
+    bytes per representative.  The list, the half border and the line
+    table are kept per h (see _TableMemo), so a sweep at one h builds them
+    once."""
     cap = _LINE_H_MAX if lines else _BLOCKS_H_MAX
     if not 0 <= h <= cap:
         raise ValueError(f"the bordered 3x3 kernels take H (or K) in [0, {cap}], got {h}")
+    reps, size = _tables.get(("reps", h), lambda: _orbit_reps(h))
+    return Blocks(h, reps, size, _tables.get(("border", h), lambda: _half_border(h)),
+                  _tables.get(("lines", h), lambda: _line_table(h)) if lines else None)
+
+
+def _orbit_reps(h: int):
+    """(reps, size) of orbit_blocks(h), built in closed form."""
     side = 2 * h + 1
     # the off-diagonal pairs with r21 <= -|r12|, in (r21, r12) order, and
     # the factor of the orbit size that each gives
@@ -182,7 +290,7 @@ def orbit_blocks(h: int, lines: bool = False) -> Blocks:
         rows[..., 3] = r22
         np.multiply.outer(off_size, diag_size[: r11.size], out=size[at:end].reshape(n_off, -1))
         at = end
-    return Blocks(h, reps, size, _half_border(h), _line_table(h) if lines else None)
+    return reps, size
 
 
 def _rep_batches(blocks: Blocks, lo: int, hi: int | None, per_rep: int):
@@ -246,52 +354,54 @@ def charpoly2_scan(h: int, lo_t: int | None = None, hi_t: int | None = None):
     inside [-2h, 0] (the default).  The total over the full range is
     (2h+1)^4; ties for the max resolve to the smallest (t, d) in scan
     order, which is also the smallest over all t, since -t comes before t.
+
+    Each trace adds int32 slices of the kept pair table (_scan_table) over
+    the band of d its products can reach.  A count of one (t, d) sums at
+    most 2(h+1) table entries of at most 4h+1 each, and (2h+2)(4h+1) <
+    2^31 for h <= 2048, so no slice sum wraps; totals are summed in int64.
     """
-    if h > 2048:
-        raise ValueError("pair table limited to h <= 2048")
     if lo_t is None:
         lo_t = -2 * h
     if hi_t is None:
         hi_t = 1
     _check_span(lo_t + 2 * h, hi_t + 2 * h, 2 * h + 1)
-    halo = 3 * h * h + 1
-    full_counts = full_pair_count_array(h, halo)
+    table = _scan_table(h)  # indexed by q + 2h^2, q = a12*a21, and even in q
+    hh = h * h
     total = 0
     best_c = -1
     best_t = 0
     best_d = 0
-    hh2 = 2 * h * h
-    width = 2 * hh2 + 1
-    # cnt[j] (d = j - hh2) sums full_counts[p + hh2 + halo - j] over the
-    # products p = a*(t - a), a in [-h, t + h]: a and t - a give one p, so
-    # one forward slice of the reversed table per a <= t/2, doubled
-    rev = full_counts[::-1].copy()
-    top = full_counts.size - 1 - hh2 - halo
-    cnt = np.empty(width, dtype=np.int64)
     for tv in range(lo_t, hi_t):
-        cnt[:] = 0
-        for a in range(-h, tv // 2 + 1):
-            s = top - a * (tv - a)
-            cnt += rev[s : s + width]
+        # the products p = a*(t - a), a in [-h, t + h], lie in [pmin, pmax]
+        # (a = -h and a = t//2), so d = p - q lies in [pmin - h^2, pmax + h^2];
+        # cnt[k] (d = pmin - h^2 + k) sums table[p - d + 2h^2] =
+        # table[pmin + h^2 - p + k] over a: a and t - a give one p, so one
+        # slice per a <= t/2, doubled
+        mid = tv // 2
+        pmin = -h * (tv + h)
+        width = mid * (tv - mid) - pmin + 2 * hh + 1
+        base = pmin + hh
+        cnt = np.zeros(width, dtype=np.int32)
+        for a in range(-h, mid + 1):
+            s = base - a * (tv - a)
+            cnt += table[s : s + width]
         cnt *= 2
         if tv % 2 == 0:  # the last a, t/2, is its own partner
-            cnt -= rev[s : s + width]
-        total += (1 if tv == 0 else 2) * int(cnt.sum())
+            cnt -= table[s : s + width]
+        total += (1 if tv == 0 else 2) * int(cnt.sum(dtype=np.int64))
         j = int(np.argmax(cnt))
         if int(cnt[j]) > best_c:
             best_c = int(cnt[j])
             best_t = tv
-            best_d = j - hh2
+            best_d = pmin - hh + j
     return total, best_t, best_d, best_c
 
 
 def charpoly2_count(h: int, t: int, d: int) -> int:
     """Fast exact R_2(h; X^2 - tX + d) via the divisor pair table; 0 for
     an infeasible (t, d)."""
-    if h > 2048:
-        raise ValueError("pair table limited to h <= 2048")
+    full = _pair_table(h)  # indexed by p + hh, p in [-hh, hh]
     hh = h * h
-    full = full_pair_count_array(h, hh)  # indexed by p + hh, p in [-hh, hh]
     a = np.arange(max(-h, t - h), min(h, t + h) + 1, dtype=np.int64)
     q = a * (t - a) - d  # the forced product a12*a21
     return int(full[q[np.abs(q) <= hh] + hh].sum())
@@ -299,12 +409,10 @@ def charpoly2_count(h: int, t: int, d: int) -> int:
 
 def det2_count(h: int, d: int) -> int:
     """#{A in M_2(Z; h) : det A = d} via pair-count convolution."""
-    if h > 2048:
-        raise ValueError("pair table limited to h <= 2048")
     hh = h * h
     if abs(d) > 2 * hh:
         return 0
-    full = full_pair_count_array(h, hh)  # indexed by p + hh, p in [-hh, hh]
+    full = _pair_table(h)  # indexed by p + hh, p in [-hh, hh]
     # det = p - q with p = a11*a22, q = a12*a21: sum_p full(p) * full(p - d),
     # which is even in d
     d = abs(d)

@@ -3,8 +3,11 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from matstat.errors import BudgetExceededError
 from matstat.exact import IntMatrix, MonicIntPoly, RationalMatrix, inverse_rational
+from matstat.kernels import full_pair_count_array
 from matstat.multdep import Word, det_relation_lattice
 
 
@@ -169,3 +172,35 @@ def kernel_word_oracle(mats, max_len, state_cap):
                 nxt.append((new_mat, new_sums, new_word))
         frontier = nxt
     return None
+
+
+def charpoly2_scan_int64(h, lo_t=None, hi_t=None):
+    """kernels.charpoly2_scan by its former int64 route: one full-width
+    slice of a reversed, padded pair table per product, over every d in
+    [-2h^2, 2h^2] for each trace t <= 0 (weight 2 for t < 0)."""
+    lo_t = -2 * h if lo_t is None else lo_t
+    hi_t = 1 if hi_t is None else hi_t
+    halo = 3 * h * h + 1
+    full_counts = full_pair_count_array(h, halo)
+    hh2 = 2 * h * h
+    width = 2 * hh2 + 1
+    # cnt[j] (d = j - hh2) sums full_counts[p + hh2 + halo - j] over the
+    # products p = a*(t - a), a in [-h, t + h]: a and t - a give one p, so
+    # one forward slice of the reversed table per a <= t/2, doubled
+    rev = full_counts[::-1].copy()
+    top = full_counts.size - 1 - hh2 - halo
+    total, best_c, best_t, best_d = 0, -1, 0, 0
+    cnt = np.empty(width, dtype=np.int64)
+    for tv in range(lo_t, hi_t):
+        cnt[:] = 0
+        for a in range(-h, tv // 2 + 1):
+            s = top - a * (tv - a)
+            cnt += rev[s : s + width]
+        cnt *= 2
+        if tv % 2 == 0:  # the last a, t/2, is its own partner
+            cnt -= rev[s : s + width]
+        total += (1 if tv == 0 else 2) * int(cnt.sum())
+        j = int(np.argmax(cnt))
+        if int(cnt[j]) > best_c:
+            best_c, best_t, best_d = int(cnt[j]), tv, j - hh2
+    return total, best_t, best_d, best_c

@@ -34,6 +34,22 @@ def test_spec_validation():
     assert spec.canonical()["params"] == {"d": 1}
 
 
+def test_canonical_records_only_the_options_a_kind_reads():
+    # totient-v reads no run option, centralizer only its budget (as the
+    # lattice node cap), det-trace all three; a spec passing an unread one
+    # still runs
+    def options(kind, n, **kw):
+        spec = ExperimentSpec(kind=kind, n=n, grid=(2,), parts=3, threads=5, budget=10**6, **kw)
+        return {k: v for k, v in spec.canonical().items() if k in ("parts", "threads", "budget")}
+
+    assert options("totient-v", 1) == {}
+    assert options("centralizer", 2, params={"matrix": IntMatrix([[1, 1], [0, 1]])}) == {
+        "budget": 10**6}
+    assert options("det-trace", 3, params={"d": 1, "t": 0}) == {
+        "parts": 3, "threads": 5, "budget": 10**6}
+    assert [r.count for r in run_grid(ExperimentSpec("totient-v", 1, (10,), parts=3, threads=5))] == [10]
+
+
 def test_run_grid_det_matches_direct():
     spec = ExperimentSpec(kind="det", n=2, grid=(1, 2), params={"d": 0}, parts=2)
     recs = run_grid(spec)

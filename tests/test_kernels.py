@@ -1,8 +1,13 @@
 """Kernels and their closed forms against plain scans, brute force and
 independent counting routes."""
 
+import importlib
 import math
+import pkgutil
 import random
+import sys
+import threading
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations, product
@@ -10,7 +15,9 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from matstat import kernels
+import matstat
+from helpers import charpoly2_scan_int64
+from matstat import cli, clear_caches, counting, kernels, numtheory
 
 
 def test_pair_count_table():
@@ -139,6 +146,39 @@ def test_charpoly2_scan_matches_brute_histogram():
                 total = sum(c * (1 if t == 0 else 2) for (t, _), c in cells.items())
                 want = (total, *min(k for k, c in cells.items() if c == top), top)
                 assert kernels.charpoly2_scan(h, lo, hi) == want, (h, lo, hi)
+
+
+def test_charpoly2_scan_matches_the_int64_route():
+    # the int32 banded scan against the full-width int64 slice loop, on the
+    # whole range and on seeded ranges of traces
+    rng = random.Random(0x2222)
+    for h in list(range(1, 41)) + [128]:
+        assert kernels.charpoly2_scan(h) == charpoly2_scan_int64(h), h
+        for _ in range(5):
+            lo, hi = sorted(rng.sample(range(-2 * h, 2), 2))
+            assert kernels.charpoly2_scan(h, lo, hi) == charpoly2_scan_int64(h, lo, hi), (h, lo, hi)
+
+
+def test_pair_table_entries_fit_the_int32_scan():
+    # a pair count is at most 4h+1 and a scan count sums at most 2(h+1) of
+    # them, which stays below 2^31 up to the pair table's h <= 2048
+    for h in (0, 1, 2, 7, 12, 60, 360, 720):
+        arr = kernels.full_pair_count_array(h, h * h)
+        assert arr.max() <= 4 * h + 1 == arr[h * h]
+        assert (arr == arr[::-1]).all()  # even in D: its own reverse
+    top = kernels._PAIR_H_MAX
+    assert top == 2048 and (2 * top + 2) * (4 * top + 1) < 2**31
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kernels.full_pair_count_array(2049, 0),
+    lambda: kernels.det2_count(2049, 0),
+    lambda: kernels.charpoly2_count(2049, 0, 0),
+    lambda: kernels.charpoly2_scan(2049, 0, 1),
+])
+def test_pair_tables_refuse_h_past_2048(call):
+    with pytest.raises(ValueError, match=r"^pair table limited to h <= 2048$"):
+        call()
 
 
 def test_charpoly2_count_matches_brute():
@@ -741,3 +781,125 @@ def test_kernel_range_edges_accepted():
         25, 193, 769)
     assert kernels.charpoly2_scan(2, -4, -4) == (0, 0, 0, -1)
     assert kernels.census3(6, 48, 4, 4, 5) == (0, 0.0)  # only (4, 4, 4) there
+
+
+# ---------------------------------------------------------------------------
+# the per-process table memo
+
+
+def test_kept_tables_are_read_only():
+    clear_caches()
+    kernels.det2_count(5, 3)
+    kernels.charpoly2_count(5, 1, 2)
+    kernels.charpoly2_scan(5)
+    kernels.orbit_blocks(2, lines=True)
+    kept = [table for table, _ in kernels._tables._entries.values()]
+    assert len(kept) == 5  # pair, scan, reps, border, lines
+    for table in kept:
+        for a in (table if isinstance(table, tuple) else (table,)):
+            if isinstance(a, np.ndarray):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[...] = 0
+    # the counts still come out right from the kept tables
+    assert kernels.charpoly2_scan(5) == charpoly2_scan_int64(5)
+
+
+def test_cleared_table_is_rebuilt_equal():
+    first = kernels._pair_table(6), kernels.orbit_blocks(3, lines=True)
+    assert kernels._pair_table(6) is first[0]
+    assert kernels.orbit_blocks(3, lines=True).lines is first[1].lines
+    clear_caches()
+    assert kernels._tables.cache_info().currsize == 0
+    again = kernels._pair_table(6), kernels.orbit_blocks(3, lines=True)
+    assert again[0] is not first[0] and (again[0] == first[0]).all()
+    for old, new in ((first[1].reps, again[1].reps), (first[1].lines[0], again[1].lines[0])):
+        assert new is not old and (new == old).all()
+
+
+def test_memo_keeps_within_its_byte_cap(monkeypatch):
+    clear_caches()
+    size = kernels.full_pair_count_array(9, 81).nbytes  # 163 int64
+    monkeypatch.setattr(kernels._tables, "maxbytes", size - 1)
+    # a table larger than the cap is returned but not kept
+    table = kernels._pair_table(9)
+    assert (table == kernels.full_pair_count_array(9, 81)).all()
+    assert kernels._pair_table(9) is not table
+    assert kernels._tables.cache_info() == (0, 0, size - 1)
+    # room for two such tables: the least recently used one goes
+    monkeypatch.setattr(kernels._tables, "maxbytes", 2 * size)
+    first = kernels._pair_table(9)
+    kernels._tables.get(("other", 9), lambda: np.zeros(163, dtype=np.int64))
+    assert kernels._pair_table(9) is first  # now the most recent
+    kernels._tables.get(("third", 9), lambda: np.ones(163, dtype=np.int64))
+    assert set(kernels._tables._entries) == {("pair", 9), ("third", 9)}
+    assert kernels._tables.cache_info() == (2, 2 * size, 2 * size)
+    clear_caches()
+
+
+def test_threads_building_one_table_share_it():
+    # more threads than cores race to build one missing entry (a slow
+    # build, so several build it); every one returns the table kept first,
+    # and its bytes count once
+    clear_caches()
+    built = []
+
+    def build():
+        built.append(threading.get_ident())
+        time.sleep(0.05)
+        return np.arange(1000, dtype=np.int64)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            got = [f.result(timeout=60) for f in
+                   [ex.submit(kernels._tables.get, ("race", 0), build) for _ in range(32)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(built) >= 2
+    assert all(g is got[0] for g in got)
+    assert kernels._tables.cache_info()[:2] == (1, 8000)
+    clear_caches()
+
+
+def test_cold_sharded_scan_matches_one_part():
+    # the parts of a cold max_charpoly_count read the table the counter
+    # built; and parts that race to build it themselves agree with one part
+    h = 24
+    clear_caches()
+    sharded = counting.max_charpoly_count(2, h, parts=8, threads=2)
+    clear_caches()
+    assert sharded == counting.max_charpoly_count(2, h, parts=1)
+    clear_caches()
+    pieces = kernels.run_parts(lambda lo, hi: kernels.charpoly2_scan(h, lo - 2 * h, hi - 2 * h),
+                               2 * h + 1, 8, 2)
+    assert sum(p[0] for p in pieces) == (2 * h + 1) ** 4
+    assert max(pieces, key=lambda p: (p[3], -p[1], -p[2]))[1:] == kernels.charpoly2_scan(h)[1:]
+
+
+def test_clear_caches_empties_every_memo():
+    # every object in matstat's modules with cache_clear/cache_info is empty
+    # after clear_caches, so no memo outlives it; cli.build_parser, the
+    # argparse tree built once per process, holds no counting state
+    exempt = {id(cli.build_parser)}
+    numtheory.largest_totient_below(100)
+    numtheory.max_totient_square_sum(12)
+    numtheory.cyclotomic(12)
+    numtheory.factorize(10**7 + 19)
+    kernels.orbit_blocks(2, lines=True)
+    kernels.det2_count(3, 1)
+    memos = {}
+    for info in pkgutil.iter_modules(matstat.__path__):
+        if info.name == "__main__":  # the entry point runs the CLI on import
+            continue
+        mod = importlib.import_module(f"matstat.{info.name}")
+        for name, obj in vars(mod).items():
+            if (hasattr(obj, "cache_clear") and hasattr(obj, "cache_info")
+                    and not isinstance(obj, type) and id(obj) not in exempt):
+                memos[id(obj)] = (f"{info.name}.{name}", obj)
+    filled = {name for name, obj in memos.values() if obj.cache_info().currsize}
+    assert {"kernels._tables", "numtheory.totients_up_to", "numtheory._square_sum_dp",
+            "numtheory.cyclotomic", "numtheory._small_primes"} <= filled
+    matstat.clear_caches()
+    assert [name for name, obj in memos.values() if obj.cache_info().currsize] == []

@@ -12,13 +12,23 @@ is left of each cofactor is 1 or a single prime q > sqrt(N), applied in one
 gathered pass.  Both arrays are int32, exact because phi(k) <= k <= N.
 A sieve bound N > 2^28 (about 2 GiB of int32 scratch) is refused with
 ValueError before anything is allocated; that ceiling also keeps N inside
-the int32 range.
+the int32 range.  The tables serve w(n) (`max_totient_square_sum`) and
+`TotientTable` membership.
+
+v(n) (`largest_totient_below`) builds no table: it walks down over even
+m <= n and decides each m = phi(k) by a depth-first search over the primes
+p with p - 1 | m (`_is_totient`), factoring m and testing each p by trial
+division over the primes <= sqrt(n + 1).  p - 1 is a totient for every
+prime p, so the walk stops within a prime gap of n.  n keeps the domain of
+the table route: it is refused past 2^25, where its table's witness bound
+would pass the sieve ceiling.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Tuple
@@ -209,6 +219,14 @@ def tau(k: int) -> int:
     return t
 
 
+def _check_sieve_bound(limit: int) -> None:
+    """Refuse a sieve bound past the int32 ceiling 2^28 (about 2 GiB)."""
+    if limit > 2**28:
+        raise ValueError(
+            f"totient sieve bound {limit} is beyond the int32 sieve ceiling 2^28"
+        )
+
+
 def _phi_sieve(limit: int) -> np.ndarray:
     """phi(k) for 0 <= k <= limit as int32 (phi(0) = 0).
 
@@ -219,10 +237,7 @@ def _phi_sieve(limit: int) -> np.ndarray:
     gathered pass applies phi -= phi // q.  Each step divides exactly.
     Raises ValueError for limit > 2^28, before allocating.
     """
-    if limit > 2**28:
-        raise ValueError(
-            f"totient sieve bound {limit} is beyond the int32 sieve ceiling 2^28"
-        )
+    _check_sieve_bound(limit)
     phi = np.arange(limit + 1, dtype=np.int32)
     rest = phi.copy()
     for p in np.flatnonzero(_prime_mask(math.isqrt(limit))).tolist():
@@ -289,11 +304,96 @@ def totients_up_to(limit: int) -> TotientTable:
 
 
 def largest_totient_below(n: int) -> int:
-    """v(n): the largest totient value <= n."""
+    """v(n): the largest totient value <= n.
+
+    Walks m = n, n - 2, ... down over even m and returns the first totient;
+    p - 1 is one for every prime p, so the walk ends by the largest
+    p - 1 <= n.  Builds no phi table, but refuses n past 2^25, the largest
+    n whose table (witness bound of `totients_up_to(_table_size(n))`) fits
+    the sieve ceiling 2^28.  A non-integer n raises TypeError.
+    """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    table = totients_up_to(_table_size(n))
-    return table.largest_below(n)
+    _check_sieve_bound(_totient_witness_bound(_table_size(n)))
+    if n == 1:
+        return 1
+    primes = np.flatnonzero(_prime_mask(math.isqrt(n + 1))).tolist()
+    m = n - n % 2
+    while not _is_totient(m, primes):
+        m -= 2
+    return m
+
+
+def _trial_prime(p: int, primes: list) -> bool:
+    """Primality of p >= 2 by trial division; `primes` reaches sqrt(p)."""
+    for q in primes:
+        if q * q > p:
+            return True
+        if p % q == 0:
+            return False
+    return True
+
+
+def _is_totient(m: int, primes: list) -> bool:
+    """Whether m = phi(k) for some k, from the divisors of m alone.
+
+    `primes` holds every prime <= sqrt(m + 1) in increasing order, so trial
+    division over it factors m and decides the primality of each d + 1 <= m + 1
+    exactly.  phi(k) = prod (p - 1) p^(a-1) over the prime powers p^a || k,
+    so every such p - 1 divides m: the candidates are p = d + 1 for the
+    divisors d of m that are 1 or even.  A depth-first search over them in
+    increasing order divides the rest by (p - 1) p^(a-1), memoised on
+    (rest, index) for this call.
+    """
+    if m == 1:
+        return True
+    if m % 2:
+        return False
+    if _trial_prime(m + 1, primes):  # m = phi(m + 1)
+        return True
+    divisors = [1]
+    rest = m
+    for q in primes:
+        if q * q > rest:
+            break
+        e = 0
+        while rest % q == 0:
+            rest //= q
+            e += 1
+        if e:
+            divisors = [d * q**i for d in divisors for i in range(e + 1)]
+    if rest > 1:
+        divisors += [d * rest for d in divisors]
+
+    cands = sorted(d + 1 for d in divisors
+                   if (d == 1 or d % 2 == 0) and _trial_prime(d + 1, primes))
+    memo: Dict[Tuple[int, int], bool] = {}
+
+    def search(rest: int, i: int) -> bool:
+        # past index 0 every p - 1 is even, and m itself is even
+        if rest % 2:
+            return rest == 1
+        key = (rest, i)
+        if key not in memo:
+            memo[key] = False
+            for j in range(i, len(cands)):
+                p = cands[j]
+                if p - 1 > rest:
+                    break
+                if rest % (p - 1):
+                    continue
+                r = rest // (p - 1)
+                while not search(r, j + 1):
+                    if r % p:
+                        break
+                    r //= p
+                else:
+                    memo[key] = True
+                    break
+        return memo[key]
+
+    return search(m, 0)
 
 
 def _table_size(n: int) -> int:

@@ -439,6 +439,15 @@ def test_totient_beyond_sieve_ceiling_is_one_error_line(capsys):
     assert "ceiling 2^28" in err
 
 
+def test_totient_v_answers_two_to_25_and_refuses_one_more(capsys):
+    rc, out, _ = run(capsys, "totient", "v", "--n", "33554432")
+    assert rc == 0 and out == "v(33554432) = 33554432\n"
+    rc, out, err = run(capsys, "totient", "v", "--n", "33554433")
+    assert rc != 0 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "ceiling 2^28" in err
+
+
 def test_count_manifest_records_inputs(capsys):
     rc, out, err = run(capsys, "count", "det", "--n", "2", "--H", "2", "--d", "1")
     assert rc == 0

@@ -903,3 +903,23 @@ def test_clear_caches_empties_every_memo():
             "numtheory.cyclotomic", "numtheory._small_primes"} <= filled
     matstat.clear_caches()
     assert [name for name, obj in memos.values() if obj.cache_info().currsize] == []
+
+
+def test_largest_totient_below_warms_no_memo():
+    # v(n) builds no table: a gain from it cannot come from a memo that a
+    # per-pass totients_up_to.cache_clear() would miss
+    # (the scan of test_clear_caches_empties_every_memo, cli.build_parser exempt)
+    matstat.clear_caches()
+    assert numtheory.largest_totient_below(50000) == 50000
+    filled = []
+    for info in pkgutil.iter_modules(matstat.__path__):
+        if info.name == "__main__":
+            continue
+        mod = importlib.import_module(f"matstat.{info.name}")
+        for name, obj in vars(mod).items():
+            if (hasattr(obj, "cache_clear") and hasattr(obj, "cache_info")
+                    and not isinstance(obj, type) and obj is not cli.build_parser
+                    and obj.cache_info().currsize):
+                filled.append(f"{info.name}.{name}")
+    assert filled == []
+    assert numtheory.totients_up_to.cache_info().currsize == 0

@@ -300,6 +300,61 @@ def test_totient_v_answers_up_to_two_to_25():
     assert _totient_witness_bound(_table_size(2**25 + 1)) > 2**28
 
 
+def test_largest_totient_below_answers_two_to_25():
+    # the walk's first m is a totient: 2^25 = phi(2^26)
+    assert largest_totient_below(2**25) == 2**25 == euler_phi(2**26)
+
+
+def test_largest_totient_below_refuses_past_two_to_25():
+    # refused through the table route's ceiling check, with its message
+    with pytest.raises(ValueError, match="ceiling 2\\^28"):
+        largest_totient_below(2**25 + 1)
+
+
+@pytest.mark.parametrize("n", [10.5, "10"])
+def test_largest_totient_below_refuses_non_integer(n):
+    # a float n never reaches an even m, so its walk would not end
+    with pytest.raises(TypeError):
+        largest_totient_below(n)
+
+
+# --- v(n) by the inverse-totient walk, against the sieve table -------------
+
+
+def test_largest_totient_below_matches_table_to_two_to_13():
+    table = totients_up_to(2**13)
+    ns = range(1, 2**13 + 1)
+    assert [largest_totient_below(n) for n in ns] == [table.largest_below(n) for n in ns]
+
+
+def test_largest_totient_below_matches_table_on_seeded_sample():
+    table = totients_up_to(2**20)
+    rng = random.Random(0x7074)
+    for _ in range(2000):
+        n = rng.randint(1, 2**20)
+        assert largest_totient_below(n) == table.largest_below(n), n
+
+
+def test_largest_totient_below_at_record_gaps():
+    # the n in [100, 1e5] where n - v(n) reaches a new maximum: the longest walks
+    table = totients_up_to(2**17)
+    records, worst = [], -1
+    for n in range(100, 10**5 + 1):
+        gap = n - table.largest_below(n)
+        if gap > worst:
+            records.append(n)
+            worst = gap
+    assert len(records) >= 5 and worst > 0
+    assert [largest_totient_below(n) for n in records] == [table.largest_below(n) for n in records]
+
+
+def test_is_totient_matches_table_membership():
+    table = totients_up_to(2**14)
+    primes = np.flatnonzero(numtheory._prime_mask(math.isqrt(2**14 + 1))).tolist()
+    found = [m for m in range(1, 2**14 + 1) if numtheory._is_totient(m, primes)]
+    assert found == list(table.values)
+
+
 @pytest.mark.parametrize("limit", [1, 2, 3, 64, 1024])
 def test_totient_table_equals_brute_set(limit):
     table = totients_up_to(limit)

@@ -353,18 +353,18 @@ def _is_totient(m: int, primes: list) -> bool:
     if _trial_prime(m + 1, primes):  # m = phi(m + 1)
         return True
     divisors = [1]
-    rest = m
+    cofactor = m
     for q in primes:
-        if q * q > rest:
+        if q * q > cofactor:
             break
         e = 0
-        while rest % q == 0:
-            rest //= q
+        while cofactor % q == 0:
+            cofactor //= q
             e += 1
         if e:
             divisors = [d * q**i for d in divisors for i in range(e + 1)]
-    if rest > 1:
-        divisors += [d * rest for d in divisors]
+    if cofactor > 1:
+        divisors += [d * cofactor for d in divisors]
 
     cands = sorted(d + 1 for d in divisors
                    if (d == 1 or d % 2 == 0) and _trial_prime(d + 1, primes))

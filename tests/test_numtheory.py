@@ -311,9 +311,10 @@ def test_largest_totient_below_refuses_past_two_to_25():
         largest_totient_below(2**25 + 1)
 
 
-@pytest.mark.parametrize("n", [10.5, "10"])
+@pytest.mark.parametrize("n", [10.5, "10", 1.0])
 def test_largest_totient_below_refuses_non_integer(n):
-    # a float n never reaches an even m, so its walk would not end
+    # a float n never reaches an even m, so its walk would not end; 1.0
+    # would otherwise be answered before any integer-only call
     with pytest.raises(TypeError):
         largest_totient_below(n)
 
@@ -330,8 +331,9 @@ def test_largest_totient_below_matches_table_to_two_to_13():
 def test_largest_totient_below_matches_table_on_seeded_sample():
     table = totients_up_to(2**20)
     rng = random.Random(0x7074)
-    for _ in range(2000):
-        n = rng.randint(1, 2**20)
+    # n = p^2 - 1 for p = 173, 317, 509 is no totient, and n + 1 = p^2 is
+    # composite only by p = sqrt(n + 1): the trial primes must reach it
+    for n in [rng.randint(1, 2**20) for _ in range(2000)] + [29928, 100488, 259080]:
         assert largest_totient_below(n) == table.largest_below(n), n
 
 

@@ -24,7 +24,7 @@ range splits into `parts` fixed pieces merged in order, so results do not
 depend on the thread count.  Work that costs less than _THREAD_MIN_COST (the
 cost the budget is checked against) runs its parts in the calling thread,
 since threads cost more than they save there.  The per-H tables (the
-n = 2 pair tables, and kernels.orbit_blocks for the bordered 3x3
+n = 2 pair table, and kernels.orbit_blocks for the bordered 3x3
 counters) are fetched outside the parts, which only read them; they are
 kept for the process, so a sweep at one H builds them once
 (matstat.clear_caches drops them).
@@ -338,9 +338,9 @@ def count_charpoly(
 
 def count_charpoly_fast2(h, f: MonicIntPoly) -> int:
     """R_2(H; f) by the divisor route: for each diagonal, count off-diagonal
-    pairs with the forced product.  O(H) table lookups in the pair table,
-    built in O(H^2) by the first call at this H and kept for the process
-    (see kernels._TableMemo)."""
+    pairs with the forced product.  O(H) lookups in the int32 pair table
+    that every n = 2 kernel reads, built in O(H^2) by the first call at
+    this H and kept for the process (see kernels._pair_table)."""
     return count_charpoly(2, h, f)
 
 
@@ -367,7 +367,7 @@ def max_charpoly_count(
         # charpoly2_scan adds (H+1)^2 slices, each 4H^2+1 wide, over the traces t <= 0
         cost = (hf + 1) ** 2 * (4 * hf * hf + 1)
         _check_budget(cost, budget, "charpoly aggregation")
-        kernels._scan_table(hf)  # built and kept here, so the parts only read it
+        kernels._pair_table(hf)  # built and kept here, so the parts only read it
         pieces = _run_parts(  # over the traces t <= 0 (see charpoly2_scan)
             lambda lo, hi: kernels.charpoly2_scan(hf, lo - 2 * hf, hi - 2 * hf),
             2 * hf + 1, cost, parts, threads,

@@ -1,11 +1,13 @@
 """Hot counting loops in numpy, vectorised over bounded batches of ranks.
 
-All kernels work on int64 (charpoly2_scan adds int32 slices: one of its
-counts sums at most 2(h+1) pair counts of at most 4h+1 each, below 2^31
-for h <= 2048, and its totals are int64), and each checks at entry that
-its inputs lie in the range where its intermediates provably fit and its
-scratch stays bounded, raising ValueError otherwise: h <= 2048 for the
-pair tables (checked once, in full_pair_count_array), h <= 63 for
+All kernels work on int64, except that the n = 2 kernels read one int32
+pair table per h (_pair_table): charpoly2_scan adds int32 slices of it
+(one of its counts sums at most 2(h+1) pair counts of at most 4h+1 each,
+below 2^31 for h <= 2048) and det2_count multiplies int32 entries (each
+product at most (4h+1)^2 < 2^31); their totals are int64.  Each kernel
+checks at entry that its inputs lie in the range where its intermediates
+provably fit and its scratch stays bounded, raising ValueError otherwise:
+h <= 2048 for the pair table (checked once, in _pair_table), h <= 63 for
 n3_stats (ranks below (2h+1)^9 < 2^63), h <= 4 for charpoly3_tally (a
 dense tally of (6h+1)(12h^2+1)(12h^3+1) keys, 30 MB at h = 4), h <= 20
 for det_trace3/det_trace3_t2 (a line table of (2h^2+1)^2 entries, 26 MB
@@ -29,7 +31,7 @@ kernels is that list, in rank order, and of charpoly3_tally the list
 times the (2h+1)^2 entries (a13, a23), so equal ranges of an axis are
 equal work.
 
-The per-h tables (the n = 2 pair tables, and the representative list,
+The per-h tables (the n = 2 pair table, and the representative list,
 half border and line table of orbit_blocks) are built once per process
 and kept in one memo, _tables, keyed by table kind and h, so that a
 sweep of calls at one h, and every part of one call, share them.  The
@@ -159,42 +161,26 @@ def pair_count_table(h: int) -> np.ndarray:
 _PAIR_H_MAX = 2048
 
 
-def full_pair_count_array(h: int, halo: int) -> np.ndarray:
-    """counts of {(x,y) in [-h,h]^2 : x*y = D} indexed by D + halo.
-
-    Covers D in [-halo, halo]; zero outside the feasible band |D| <= h*h.
-    Every entry is at most 4h+1 (D = 0) and the table is even in D, so it
-    is its own reverse.
-    """
-    if h > _PAIR_H_MAX:
-        raise ValueError(f"pair table limited to h <= {_PAIR_H_MAX}")
-    pos = pair_count_table(h)
-    out = np.zeros(2 * halo + 1, dtype=np.int64)
-    out[halo] = 4 * h + 1
-    top = min(h * h, halo)
-    if top >= 1:
-        out[halo + 1 : halo + top + 1] = 2 * pos[1 : top + 1]
-        out[halo - top : halo] = (2 * pos[1 : top + 1])[::-1]
-    return out
-
-
 def _pair_table(h: int) -> np.ndarray:
-    """full_pair_count_array(h, h*h), kept: indexed by D + h^2."""
-    return _tables.get(("pair", h), lambda: full_pair_count_array(h, h * h))
+    """T[q + 2h^2] = #{(x, y) in [-h, h]^2 : x*y = q} for |q| <= 2h^2, in
+    int32, kept: the table every n = 2 kernel reads.
 
-
-def _scan_table(h: int) -> np.ndarray:
-    """The pair table in int32 over |D| <= 2h^2, indexed by D + 2h^2, kept:
-    the slices of charpoly2_scan."""
+    T is zero for |q| > h^2 (the margin lets charpoly2_scan slice without
+    clipping), even in q, and at most 4h+1 (at q = 0).
+    """
 
     def build():
-        pair = _pair_table(h)  # refuses h > _PAIR_H_MAX before any allocation
+        if h > _PAIR_H_MAX:
+            raise ValueError(f"pair table limited to h <= {_PAIR_H_MAX}")
         hh = h * h
+        half = 2 * pair_count_table(h)[1:]  # q = 1 .. h^2: (x, y) and (-x, -y)
         out = np.zeros(4 * hh + 1, dtype=np.int32)
-        out[hh : 3 * hh + 1] = pair
+        out[2 * hh] = 4 * h + 1
+        out[2 * hh + 1 : 3 * hh + 1] = half
+        out[hh : 2 * hh] = half[::-1]
         return out
 
-    return _tables.get(("scan", h), build)
+    return _tables.get(("pair", h), build)
 
 
 _BATCH = 1 << 15  # items per vectorised step
@@ -355,7 +341,7 @@ def charpoly2_scan(h: int, lo_t: int | None = None, hi_t: int | None = None):
     (2h+1)^4; ties for the max resolve to the smallest (t, d) in scan
     order, which is also the smallest over all t, since -t comes before t.
 
-    Each trace adds int32 slices of the kept pair table (_scan_table) over
+    Each trace adds int32 slices of the kept pair table (_pair_table) over
     the band of d its products can reach.  A count of one (t, d) sums at
     most 2(h+1) table entries of at most 4h+1 each, and (2h+2)(4h+1) <
     2^31 for h <= 2048, so no slice sum wraps; totals are summed in int64.
@@ -365,7 +351,7 @@ def charpoly2_scan(h: int, lo_t: int | None = None, hi_t: int | None = None):
     if hi_t is None:
         hi_t = 1
     _check_span(lo_t + 2 * h, hi_t + 2 * h, 2 * h + 1)
-    table = _scan_table(h)  # indexed by q + 2h^2, q = a12*a21, and even in q
+    table = _pair_table(h)  # indexed by q + 2h^2, q = a12*a21, and even in q
     hh = h * h
     total = 0
     best_c = -1
@@ -400,11 +386,11 @@ def charpoly2_scan(h: int, lo_t: int | None = None, hi_t: int | None = None):
 def charpoly2_count(h: int, t: int, d: int) -> int:
     """Fast exact R_2(h; X^2 - tX + d) via the divisor pair table; 0 for
     an infeasible (t, d)."""
-    full = _pair_table(h)  # indexed by p + hh, p in [-hh, hh]
+    table = _pair_table(h)  # indexed by q + 2h^2
     hh = h * h
     a = np.arange(max(-h, t - h), min(h, t + h) + 1, dtype=np.int64)
     q = a * (t - a) - d  # the forced product a12*a21
-    return int(full[q[np.abs(q) <= hh] + hh].sum())
+    return int(table[q[np.abs(q) <= hh] + 2 * hh].sum(dtype=np.int64))
 
 
 def det2_count(h: int, d: int) -> int:
@@ -412,11 +398,11 @@ def det2_count(h: int, d: int) -> int:
     hh = h * h
     if abs(d) > 2 * hh:
         return 0
-    full = _pair_table(h)  # indexed by p + hh, p in [-hh, hh]
-    # det = p - q with p = a11*a22, q = a12*a21: sum_p full(p) * full(p - d),
-    # which is even in d
+    mid = _pair_table(h)[hh : 3 * hh + 1]  # T(p) for |p| <= h^2
+    # det = p - q with p = a11*a22, q = a12*a21: sum_p T(p) * T(p - d),
+    # which is even in d; no int32 product wraps, as (4h+1)^2 < 2^31
     d = abs(d)
-    return int(np.dot(full[d:], full[: full.size - d]))
+    return int(np.multiply(mid[d:], mid[: mid.size - d]).sum(dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -811,6 +797,9 @@ def _census3_block(u1, u2, u3, ksq):
     return int(w.sum()), float((w * nsq**-1.5).sum())
 
 
+_CENSUS_U_MAX = 10_000  # norms in the rank-2 reduction stay below 2^55
+
+
 def census_planes(usq: int) -> int:
     """Length of census3's shard axis: the smallest coordinate a of a point
     0 <= a <= b <= c with a^2 + b^2 + c^2 <= usq is at most isqrt(usq // 3)."""
@@ -831,7 +820,7 @@ def census3(uf: int, usq: int, ksq: int, lo: int = 0, hi: int | None = None):
     """
     if hi is None:
         hi = census_planes(usq)
-    _check_range("U", uf, 10_000)
+    _check_range("U", uf, _CENSUS_U_MAX)
     _check_range("usq", usq, (uf + 1) ** 2 - 1)
     _check_span(lo, hi, census_planes(usq))
     count = 0

@@ -731,6 +731,9 @@ def kbad_census(
     taken.  Both count each signed vector, so u and -u contribute
     separately.  parts/threads shard the kernel path over the smallest
     coordinate a; the float norm sum is merged in fixed part order.
+    node_cap bounds both paths before they scan: the kernel path refuses
+    C(floor(U)+3, 3) representatives, the generic one a signed box of
+    (2 floor(U)+1)^t points, above it.
     """
     if t < 3:
         raise ValueError("t must be >= 3")
@@ -745,6 +748,10 @@ def kbad_census(
     use_kernel = t == 3 and method == "auto" and not collect
     usq, ksq = math.floor(u_exact ** 2), math.floor(k_exact ** 2)
     if use_kernel:
+        kernels._check_range("U", uf, kernels._CENSUS_U_MAX)  # before the budget
+        reps = math.comb(uf + 3, 3)  # the triples 0 <= a <= b <= c <= floor(U)
+        if reps > node_cap:
+            raise BudgetExceededError(reps, node_cap, "census kernel")
         pieces = kernels.run_parts(
             lambda lo, hi: kernels.census3(uf, usq, ksq, lo, hi),
             kernels.census_planes(usq),

@@ -7,7 +7,7 @@ import numpy as np
 
 from matstat.errors import BudgetExceededError
 from matstat.exact import IntMatrix, MonicIntPoly, RationalMatrix, inverse_rational
-from matstat.kernels import full_pair_count_array
+from matstat.kernels import pair_count_table
 from matstat.multdep import Word, det_relation_lattice
 
 
@@ -180,9 +180,15 @@ def charpoly2_scan_int64(h, lo_t=None, hi_t=None):
     [-2h^2, 2h^2] for each trace t <= 0 (weight 2 for t < 0)."""
     lo_t = -2 * h if lo_t is None else lo_t
     hi_t = 1 if hi_t is None else hi_t
-    halo = 3 * h * h + 1
-    full_counts = full_pair_count_array(h, halo)
-    hh2 = 2 * h * h
+    # its own int64 pair table, from the positive pair counts: the counts
+    # of x*y = q over [-h, h]^2 indexed by q + halo, zero for |q| > h^2
+    hh, halo = h * h, 3 * h * h + 1
+    pos = 2 * pair_count_table(h)[1:]
+    full_counts = np.zeros(2 * halo + 1, dtype=np.int64)
+    full_counts[halo] = 4 * h + 1
+    full_counts[halo + 1 : halo + hh + 1] = pos
+    full_counts[halo - hh : halo] = pos[::-1]
+    hh2 = 2 * hh
     width = 2 * hh2 + 1
     # cnt[j] (d = j - hh2) sums full_counts[p + hh2 + halo - j] over the
     # products p = a*(t - a), a in [-h, t + h]: a and t - a give one p, so

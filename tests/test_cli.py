@@ -439,6 +439,22 @@ def test_totient_beyond_sieve_ceiling_is_one_error_line(capsys):
     assert "ceiling 2^28" in err
 
 
+def test_totient_w_past_two_to_17_is_one_error_line(capsys):
+    # refused by its bound, before the square-sum DP starts
+    rc, out, err = run(capsys, "totient", "w", "--n", "131073")
+    assert rc != 0 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "2^17" in err
+
+
+def test_census_budget_binds_the_kernel_path(capsys):
+    # 1 337 337 001 sorted triples against a budget of 1: refused at once
+    rc, out, err = run(capsys, "lattice", "census", "--U", "2000", "--budget", "1")
+    assert rc != 0 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "census kernel" in err
+
+
 def test_totient_v_answers_two_to_25_and_refuses_one_more(capsys):
     rc, out, _ = run(capsys, "totient", "v", "--n", "33554432")
     assert rc == 0 and out == "v(33554432) = 33554432\n"

@@ -35,17 +35,19 @@ def test_pair_count_table():
 
 
 def test_full_pair_count_array():
+    # the kept n = 2 pair table over its whole width |q| <= 2h^2
     for h in (1, 2, 4):
-        halo = 3 * h * h + 1
-        arr = kernels.full_pair_count_array(h, halo)
-        for dv in range(-halo, halo + 1):
+        top = 2 * h * h
+        arr = kernels._pair_table(h)
+        assert arr.dtype == np.int32 and arr.size == 2 * top + 1
+        for dv in range(-top, top + 1):
             truth = sum(
                 1
                 for x in range(-h, h + 1)
                 for y in range(-h, h + 1)
                 if x * y == dv
             )
-            assert arr[dv + halo] == truth
+            assert arr[dv + top] == truth
 
 
 def test_count_line_against_scan():
@@ -160,18 +162,21 @@ def test_charpoly2_scan_matches_the_int64_route():
 
 
 def test_pair_table_entries_fit_the_int32_scan():
-    # a pair count is at most 4h+1 and a scan count sums at most 2(h+1) of
-    # them, which stays below 2^31 up to the pair table's h <= 2048
+    # a pair count is at most 4h+1, a scan count sums at most 2(h+1) of
+    # them and det2_count multiplies two, which stays below 2^31 up to the
+    # pair table's h <= 2048
     for h in (0, 1, 2, 7, 12, 60, 360, 720):
-        arr = kernels.full_pair_count_array(h, h * h)
-        assert arr.max() <= 4 * h + 1 == arr[h * h]
+        arr = kernels._pair_table(h)
+        assert arr.dtype == np.int32
+        assert arr.max() <= 4 * h + 1 == arr[2 * h * h]
         assert (arr == arr[::-1]).all()  # even in D: its own reverse
     top = kernels._PAIR_H_MAX
     assert top == 2048 and (2 * top + 2) * (4 * top + 1) < 2**31
+    assert (4 * top + 1) ** 2 < 2**31
 
 
 @pytest.mark.parametrize("call", [
-    lambda: kernels.full_pair_count_array(2049, 0),
+    lambda: kernels._pair_table(2049),
     lambda: kernels.det2_count(2049, 0),
     lambda: kernels.charpoly2_count(2049, 0, 0),
     lambda: kernels.charpoly2_scan(2049, 0, 1),
@@ -198,6 +203,15 @@ def test_det2_count_matches_brute():
         d = rng.randint(-3 * h * h, 3 * h * h)
         truth = _brute_n2(h, d)
         assert kernels.det2_count(h, d) == truth
+
+
+def test_det2_count_of_large_counts_matches_the_divisor_walk():
+    # the int32 products summed in int64, at counts far past the small h
+    # above: det 0 counts 191841 at h = 60; the counts partition the box
+    h = 60
+    for d in (0, 1, -7, 360, 3600, -7199, 7200):
+        assert kernels.det2_count(h, d) == kernels.n2_count(h, d), d
+    assert sum(kernels.det2_count(h, d) for d in range(-2 * h * h, 2 * h * h + 1)) == (2 * h + 1) ** 4
 
 
 def test_n3_stats_decode_order():
@@ -794,7 +808,7 @@ def test_kept_tables_are_read_only():
     kernels.charpoly2_scan(5)
     kernels.orbit_blocks(2, lines=True)
     kept = [table for table, _ in kernels._tables._entries.values()]
-    assert len(kept) == 5  # pair, scan, reps, border, lines
+    assert len(kept) == 4  # pair (one for all three n = 2 kernels), reps, border, lines
     for table in kept:
         for a in (table if isinstance(table, tuple) else (table,)):
             if isinstance(a, np.ndarray):
@@ -819,19 +833,20 @@ def test_cleared_table_is_rebuilt_equal():
 
 def test_memo_keeps_within_its_byte_cap(monkeypatch):
     clear_caches()
-    size = kernels.full_pair_count_array(9, 81).nbytes  # 163 int64
+    size = (4 * 81 + 1) * 4  # the h = 9 pair table: 325 int32
     monkeypatch.setattr(kernels._tables, "maxbytes", size - 1)
     # a table larger than the cap is returned but not kept
     table = kernels._pair_table(9)
-    assert (table == kernels.full_pair_count_array(9, 81)).all()
-    assert kernels._pair_table(9) is not table
+    assert table.nbytes == size
+    again = kernels._pair_table(9)
+    assert again is not table and (again == table).all()
     assert kernels._tables.cache_info() == (0, 0, size - 1)
     # room for two such tables: the least recently used one goes
     monkeypatch.setattr(kernels._tables, "maxbytes", 2 * size)
     first = kernels._pair_table(9)
-    kernels._tables.get(("other", 9), lambda: np.zeros(163, dtype=np.int64))
+    kernels._tables.get(("other", 9), lambda: np.zeros(325, dtype=np.int32))
     assert kernels._pair_table(9) is first  # now the most recent
-    kernels._tables.get(("third", 9), lambda: np.ones(163, dtype=np.int64))
+    kernels._tables.get(("third", 9), lambda: np.ones(325, dtype=np.int32))
     assert set(kernels._tables._entries) == {("pair", 9), ("third", 9)}
     assert kernels._tables.cache_info() == (2, 2 * size, 2 * size)
     clear_caches()

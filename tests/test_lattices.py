@@ -796,6 +796,20 @@ def test_census_box_precheck_is_unchanged():
     assert kbad_census(4, 3, 2, node_cap=7**4).count == kbad_census(4, 3, 2).count
 
 
+def test_census_kernel_charges_its_triples_to_node_cap():
+    # the t = 3 kernel refuses C(floor(U)+3, 3) sorted triples above
+    # node_cap before it scans, and still checks its U <= 10^4 range first
+    with pytest.raises(BudgetExceededError, match="^census kernel") as err:
+        kbad_census(3, 2000, 3, node_cap=1)
+    assert err.value.needed == math.comb(2003, 3) and err.value.budget == 1
+    need = math.comb(63, 3)  # 39711, the benchmark's U = 60
+    with pytest.raises(BudgetExceededError):
+        kbad_census(3, 60.5, 8, node_cap=need - 1)
+    assert kbad_census(3, 60.5, 8, node_cap=need).count == kbad_census(3, 60.5, 8).count
+    with pytest.raises(ValueError, match="U must be in"):
+        kbad_census(3, 20_000, 3, node_cap=1)
+
+
 def test_classify_frozen():
     assert classify_perfect_mediocre((1, 0, 5), 30, 2) == "perfect"
     assert classify_perfect_mediocre((1, 1, 1), 30, 2) == "perfect"

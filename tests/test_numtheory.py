@@ -136,6 +136,17 @@ def test_square_sum_examples():
     assert max_totient_square_sum(10) == 100
 
 
+def test_square_sum_refuses_n_past_two_to_17():
+    # the DP is a Python loop over n, so w(n) stops where it takes seconds;
+    # its table size, a power of two, never passes the cap
+    numtheory._square_sum_dp.cache_clear()
+    for n in (2**17 + 1, 10**6, 2**25):
+        with pytest.raises(ValueError, match=r"^w\(n\) takes n <= 2\^17, got "):
+            max_totient_square_sum(n)
+    assert numtheory._square_sum_dp.cache_info().currsize == 0
+    assert _table_size(2**17) == 2**17
+
+
 def test_count_smooth_examples():
     assert count_smooth_wrt(6, 10) == 7  # 1,2,3,4,6,8,9
     assert count_smooth_wrt(12, 12) == 8  # 1,2,3,4,6,8,9,12

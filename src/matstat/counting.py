@@ -19,14 +19,17 @@ all, with None for a target left free.
 
 Targets (d, t, t2, K) are integers; numpy integers are accepted.
 
-Counters accept `parts`/`threads` for deterministic sharding: the work
-range splits into `parts` fixed pieces merged in order, so results do not
-depend on the thread count.  Work that costs less than _THREAD_MIN_COST (the
-cost the budget is checked against) runs its parts in the calling thread,
-since threads cost more than they save there.  The per-H tables (the
-n = 2 pair table, and kernels.orbit_blocks for the bordered 3x3
-counters) are fetched outside the parts, which only read them; they are
-kept for the process, so a sweep at one H builds them once
+Counters accept `parts`/`threads` as upper bounds for sharding: the work
+range splits into at most `parts` fixed pieces on at most `threads`
+threads, and the pieces merge so that no result depends on the partition.
+Each route estimates its serial time as its cost units (the budget cost,
+or a count of its steps where that cost does not track the work) times a
+seconds-per-unit constant measured beside it, and kernels._schedule_parts
+runs work estimated below kernels._POOL_MIN_S as one part in the calling
+thread, since threads and parts cost more than they save there.  The
+per-H tables (the n = 2 pair table, and kernels.orbit_blocks for the
+bordered 3x3 counters) are fetched outside the parts, which only read
+them; they are kept for the process, so a sweep at one H builds them once
 (matstat.clear_caches drops them).
 """
 
@@ -35,6 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
@@ -117,21 +121,6 @@ def enumerate_matrices(
         yield _decode(n, hf, rank)
 
 
-# below this cost (as _check_budget reads it) the parts run in the calling
-# thread: 2 threads gained nothing on count_det_trace(3, 6, ...) at 13^6 and
-# lost time on count_singular_bordered(3, 6), while count_with_det(3, 5, 0)
-# at 1.9e7 ran 1.6x faster on 2 threads
-_THREAD_MIN_COST = 10**7
-
-
-def _run_parts(fn, total_range: int, cost: int, parts: int, threads: int) -> list:
-    """kernels.run_parts, on one thread when the cost is below _THREAD_MIN_COST:
-    the parts, and so the result, stay the same."""
-    if cost < _THREAD_MIN_COST:
-        threads = min(threads, 1)  # a count below 1 is still refused
-    return kernels.run_parts(fn, total_range, parts, threads)
-
-
 def _check_budget(cost: int, budget: int, what: str):
     if cost > budget:
         raise BudgetExceededError(cost, budget, what)
@@ -179,6 +168,23 @@ def _scan_count(n: int, hf: int, keep, budget: int) -> int:
 # determinant, trace and trace^2 counts
 
 
+# Seconds per unit of work on one thread, which kernels._schedule_parts
+# reads to choose parts and threads (medians of 5 at parts = 1, threads =
+# 1, on a 2-vCPU Xeon).  The divisor walk of n2_count, per target and
+# divisor: count_with_det(2, H, 1, method="naive") took 10.3 / 45.8 ms at
+# H = 60 / 100 (1.8e6 / 8.1e6 steps).
+_N2_WALK_S = 6e-9
+# det_trace3 with the trace free, per unit of its budget (2H+1)^7:
+# count_with_det(3, H, 0) took 22.3 / 82.6 / 244 ms at H = 4 / 5 / 6.
+_DET3_S = 4.5e-9
+# det_trace3 with the trace fixed, per unit of (2H+1)^6:
+# count_det_trace(3, H, 1, 0) took 20.6 / 45.8 / 101.6 ms at H = 6 / 7 / 8.
+_DET_TRACE3_S = 4.2e-9
+# det_trace3_t2, per unit of (2H+1)^6: count_det_trace2(3, H, 0, 0, 2)
+# took 12.3 / 48.8 / 225 ms at H = 6 / 8 / 10.
+_DET_TRACE3_T2_S = 2.5e-9
+
+
 def _count_det_trace(n: int, h, d: int, t, t2, method: str, budget: int,
                      parts: int, threads: int) -> int:
     """#{A in M_n(Z; H) : det A = d, tr A = t, tr A^2 = t2}, where t = None
@@ -212,10 +218,13 @@ def _count_det_trace(n: int, h, d: int, t, t2, method: str, budget: int,
         if t2 is not None and t2 != t * t - 2 * d:
             return 0
         if method == "naive":  # the n2_count divisor walk, sharded over a11
-            cost = universe_size(2, hf)
-            _check_budget(cost, budget, "2x2 scan")
-            return sum(_run_parts(lambda lo, hi: kernels.n2_count(hf, d, t, lo, hi),
-                                  2 * hf + 1, cost, parts, threads))
+            _check_budget(universe_size(2, hf), budget, "2x2 scan")
+            # the walk divides (2H+1)^2 targets, or 2H+1 with the trace fixed,
+            # by 2H divisors each; the budget charges (2H+1)^4 either way
+            steps = (2 * hf + 1) ** (2 if t is None else 1) * 2 * hf
+            return sum(kernels._schedule_parts(
+                lambda lo, hi: kernels.n2_count(hf, d, t, lo, hi),
+                2 * hf + 1, steps * _N2_WALK_S, parts, threads))
         return kernels.det2_count(hf, d) if t is None else kernels.charpoly2_count(hf, t, d)
     if n == 3:
         if method == "naive":  # tr A^2 = tr^2 - 2 mid for the 3x3 charpoly
@@ -228,10 +237,12 @@ def _count_det_trace(n: int, h, d: int, t, t2, method: str, budget: int,
         cost = (2 * hf + 1) ** (7 if t is None else 6)
         _check_budget(cost, budget, "bordered det/trace count")
         blocks = kernels.orbit_blocks(hf, lines=True)
-        pieces = _run_parts(
+        pieces = kernels._schedule_parts(
             lambda lo, hi: (kernels.det_trace3(blocks, d, t, lo, hi) if t2 is None
                             else kernels.det_trace3_t2(blocks, d, t, t2, lo, hi)),
-            blocks.size.size, cost, parts, threads,
+            blocks.size.size,
+            cost * (_DET3_S if t is None else _DET_TRACE3_S if t2 is None else _DET_TRACE3_T2_S),
+            parts, threads,
         )
         return sum(pieces)
     return _scan_count(
@@ -240,6 +251,11 @@ def _count_det_trace(n: int, h, d: int, t, t2, method: str, budget: int,
                    and (t2 is None or trace(a @ a) == t2)),
         budget,
     )
+
+
+# seconds per matrix of the n3_stats scan, one thread: count_det_trace(3,
+# H, 0, 0, method="naive") took 0.4 / 46.1 ms at H = 1 / 2 (3^9 / 5^9)
+_N3_SCAN_S = 2.3e-8
 
 
 def _n3_scan_count(hf: int, predicate, budget: int, parts: int, threads: int) -> int:
@@ -252,7 +268,7 @@ def _n3_scan_count(hf: int, predicate, budget: int, parts: int, threads: int) ->
         stats = (kernels.n3_stats(hf, s, min(s + _CHUNK, hi)) for s in range(lo, hi, _CHUNK))
         return sum(int(np.count_nonzero(predicate(*c))) for c in stats)
 
-    return sum(_run_parts(work, size, size, parts, threads))
+    return sum(kernels._schedule_parts(work, size, size * _N3_SCAN_S, parts, threads))
 
 
 def count_with_det(
@@ -344,6 +360,15 @@ def count_charpoly_fast2(h, f: MonicIntPoly) -> int:
     return count_charpoly(2, h, f)
 
 
+# Seconds per unit of the budget cost, one thread.  charpoly2_scan:
+# max_charpoly_count(2, H) took 3.9 / 40.1 / 103 / 273 / 460 ms at H = 48 /
+# 96 / 128 / 160 / 192 (1.8e-10 per unit at H = 48, 0.8-1.2e-10 from 96 on).
+_CHARPOLY2_SCAN_S = 1e-10
+# charpoly3_tally, per matrix: max_charpoly_count(3, H) took 2.4 / 38.1 ms
+# at H = 2 / 3 (5^9 / 7^9 matrices).
+_CHARPOLY3_TALLY_S = 1e-9
+
+
 def max_charpoly_count(
     n: int,
     h,
@@ -360,7 +385,9 @@ def max_charpoly_count(
     matrix within budget by kernels.charpoly3_tally (H <= 4), sharded over
     the top row pairs whose top-left block represents its orbit (see
     kernels.orbit_blocks, fetched before the parts): one key matmul per
-    batch of them, weighted by the orbit size.
+    batch of them, weighted by the orbit size.  The parts that one thread
+    runs add into one tally of that thread's, and the threads' tallies are
+    summed.
     """
     hf = lattices._floor_bound("H", h, 1)
     if n == 2:
@@ -368,9 +395,9 @@ def max_charpoly_count(
         cost = (hf + 1) ** 2 * (4 * hf * hf + 1)
         _check_budget(cost, budget, "charpoly aggregation")
         kernels._pair_table(hf)  # built and kept here, so the parts only read it
-        pieces = _run_parts(  # over the traces t <= 0 (see charpoly2_scan)
+        pieces = kernels._schedule_parts(  # over the traces t <= 0 (see charpoly2_scan)
             lambda lo, hi: kernels.charpoly2_scan(hf, lo - 2 * hf, hi - 2 * hf),
-            2 * hf + 1, cost, parts, threads,
+            2 * hf + 1, cost * _CHARPOLY2_SCAN_S, parts, threads,
         )
         total = sum(p[0] for p in pieces)
         best = max(pieces, key=lambda p: (p[3], -p[1], -p[2]))
@@ -382,16 +409,15 @@ def max_charpoly_count(
         size = universe_size(3, hf)
         _check_budget(size, budget, "3x3 charpoly tally")
         blocks = kernels.orbit_blocks(hf)
+        tallies = {}  # one per worker thread, which its parts add into
 
         def work(lo, hi):
-            local = kernels.charpoly3_tally(blocks, lo, hi)
-            seen = np.flatnonzero(local)
-            return local.shape, seen, local.ravel()[seen]
+            me = threading.get_ident()
+            tallies[me] = kernels.charpoly3_tally(blocks, lo, hi, tallies.get(me))
 
-        pieces = _run_parts(work, blocks.size.size * (2 * hf + 1) ** 2, size, parts, threads)
-        tally = np.zeros(pieces[0][0], dtype=np.int64)
-        for _, seen, cnt in pieces:
-            tally.ravel()[seen] += cnt
+        kernels._schedule_parts(work, blocks.size.size * (2 * hf + 1) ** 2,
+                                size * _CHARPOLY3_TALLY_S, parts, threads)
+        tally = sum(tallies.values())
         if int(tally.sum()) != size:
             raise AssertionError("charpoly tally failed the partition check")
         best = np.unravel_index(np.argmax(tally), tally.shape)  # the smallest key
@@ -402,6 +428,11 @@ def max_charpoly_count(
 
 # ---------------------------------------------------------------------------
 # singular bordered sets
+
+
+# seconds per unit of the budget (2K+1)^6 of bordered3, one thread:
+# count_singular_bordered(3, K) took 17.5 / 43.5 / 91.1 ms at K = 6 / 7 / 8
+_BORDERED3_S = 3.7e-9
 
 
 def count_singular_bordered(
@@ -435,8 +466,8 @@ def count_singular_bordered(
         cost = (2 * k + 1) ** 6
         _check_budget(cost, budget, "bordered singular count")
         blocks = kernels.orbit_blocks(k)
-        pieces = _run_parts(lambda lo, hi: kernels.bordered3(blocks, lo, hi),
-                            blocks.size.size, cost, parts, threads)
+        pieces = kernels._schedule_parts(lambda lo, hi: kernels.bordered3(blocks, lo, hi),
+                                         blocks.size.size, cost * _BORDERED3_S, parts, threads)
         return sum(p[0] for p in pieces), sum(p[1] for p in pieces)
     # plain scan over the free entries (everything but a_nn), a11 most significant
     free = n * n - 1

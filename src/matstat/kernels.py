@@ -146,6 +146,34 @@ def run_parts(fn, total_range: int, parts: int, threads: int) -> list:
         return list(ex.map(lambda b: fn(b[0], b[1]), bounds))
 
 
+# Below this estimated serial time a sharded count runs as one part in the
+# calling thread.  Medians of 5 on a 2-vCPU Xeon, 8 parts on 2 threads
+# against 1 part on 1 thread, near the threshold: the census at U = 60
+# took 11.1 against 4.7 ms, det_trace3 at H = 6 24.1 against 20.6 ms and
+# count_with_det(3, 4, 0) 24.0 against 22.3 ms, while bordered3 at K = 6
+# took 15.9 against 17.5 ms and the census at U = 100 23.6 against
+# 27.9 ms; from about 40 ms of serial work on, the pool paid (census at
+# U = 160 49.8 against 81.4 ms, count_with_det(3, 5, 0) 49.6 against
+# 82.6 ms, bordered3 at K = 7 22.7 against 43.5 ms).
+_POOL_MIN_S = 0.025
+
+
+def _schedule_parts(fn, total_range: int, seconds: float, parts: int, threads: int) -> list:
+    """run_parts with `parts` and `threads` as upper bounds, lowered from
+    `seconds`, the caller's estimate of the serial run time (its own cost
+    units times its seconds per unit).  Below _POOL_MIN_S, or when only one
+    worker would run, one part runs in the calling thread; otherwise the
+    requested parts run on min(threads, parts, os.cpu_count()) workers.
+    Every caller merges its parts so that no result depends on the
+    partition, so the choice changes only the time.  A part or thread
+    count below 1 is refused before anything is lowered."""
+    _check_parts(parts, threads)
+    workers = min(threads, parts, os.cpu_count() or 1)
+    if workers == 1 or seconds < _POOL_MIN_S:
+        parts = workers = 1
+    return run_parts(fn, total_range, parts, workers)
+
+
 # ---------------------------------------------------------------------------
 # shared small helpers
 
@@ -451,20 +479,24 @@ _TALLY_H_MAX = 4  # the dense tally has (6h+1) km kd entries: 30 MB at h = 4
 _TALLY_BLOCK = 1 << 20  # matrices per key block
 
 
-def charpoly3_tally(blocks: Blocks, lo: int = 0, hi: int | None = None) -> np.ndarray:
+def charpoly3_tally(blocks: Blocks, lo: int = 0, hi: int | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """tally[trace + 3h, mid + 6h^2, det + 6h^3] over the A in M_3(Z; h),
     h = blocks.h, whose top two rows are in [lo, hi) of the shard axis: the
     representative blocks of orbit_blocks(h), each with the (2h+1)^2
-    entries (a13, a23) in turn.
+    entries (a13, a23) in turn.  The counts are added into `out`, an int64
+    tally of that shape from an earlier call at this h, and `out` is
+    returned; with out=None a new tally is made.  So the parts that one
+    thread runs share one tally, and no part allocates or scans its own.
 
     The orbit maps of the top-left block (see orbit_blocks) extend to
     conjugations and the transpose of A, which keep its charpoly and map the
     matrices over one block onto those over its image.  So only the row
     pairs whose block is a representative are tallied, each times its orbit
-    size: the row pairs of a range are grouped by size, and each group is
-    one exact int64 bincount per _TALLY_BLOCK matrices, scaled in place.
-    |trace| <= 3h, |mid| <= 6h^2 and |det| <= 6h^3, so the flat key
-    ((trace + 3h) km + mid + 6h^2) kd + det + 6h^3 (km = 12h^2 + 1,
+    size: the row pairs of a range are grouped by size, and each group adds
+    its size at its keys in one exact int64 np.add.at per _TALLY_BLOCK
+    matrices.  |trace| <= 3h, |mid| <= 6h^2 and |det| <= 6h^3, so the flat
+    key ((trace + 3h) km + mid + 6h^2) kd + det + 6h^3 (km = 12h^2 + 1,
     kd = 12h^3 + 1) lies in [0, (6h+1) km kd), far below 2^63.  It is an
     affine form of the last row like each stat (see _row_pair_forms), so a
     batch of row pairs is one int64 matmul against all (2h+1)^3 last rows.
@@ -476,8 +508,13 @@ def charpoly3_tally(blocks: Blocks, lo: int = 0, hi: int | None = None) -> np.nd
         hi = blocks.size.size * side * side
     _check_span(lo, hi, blocks.size.size * side * side)
     km, kd = 12 * h * h + 1, 12 * h**3 + 1
+    shape = (6 * h + 1, km, kd)
+    if out is None:
+        out = np.zeros(shape, dtype=np.int64)
+    elif out.shape != shape or out.dtype != np.int64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a contiguous int64 tally of shape {shape}")
+    tally = out.reshape(-1)  # a view: the adds land in out
     last = _last_rows(h)
-    tally = np.zeros((6 * h + 1) * km * kd, dtype=np.int64)
     step = max(1, _TALLY_BLOCK // side**3)
     rep, rest = np.divmod(np.arange(lo, hi, dtype=np.int64), side * side)
     sizes = blocks.size[rep]
@@ -491,10 +528,8 @@ def charpoly3_tally(blocks: Blocks, lo: int = 0, hi: int | None = None) -> np.nd
             tr, mid, dt = _row_pair_forms(a23 - h, r22, r21, a13 - h, r12, r11)
             w = (tr * km + mid) * kd + dt
             w[:, 3] += (3 * h * km + 6 * h * h) * kd + 6 * h**3
-            part = np.bincount((w @ last).ravel(), minlength=tally.size)
-            part *= size
-            tally += part
-    return tally.reshape(6 * h + 1, km, kd)
+            np.add.at(tally, (w @ last).ravel(), size)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -771,9 +806,13 @@ def _domain_blocks(usq, lo, hi):
 
 
 def _census3_block(u1, u2, u3, ksq):
-    """(weighted K-bad count, weighted sum of |u|^-3) over one block of
-    domain points; as a function, so one block's scratch is freed before
-    the next block is built."""
+    """(weighted K-bad count, weighted sums of |u|^-3, one per (a, b) row
+    with a K-bad point, in row order) over one block of domain points; as a
+    function, so one block's scratch is freed before the next block is
+    built.  A row never splits across blocks (see _domain_blocks), and
+    np.add.reduceat sums each row's terms by a rule that reads only those
+    terms, so each row sum is the same float however the rows are packed
+    into blocks or shards."""
     keep = np.gcd(np.gcd(u1, u2), u3) == 1
     u1, u2, u3 = u1[keep], u2[keep], u3[keep]
     g1, x, y = _xgcd_vec(u1, u2)
@@ -794,7 +833,10 @@ def _census3_block(u1, u2, u3, ksq):
     u1, u2, u3 = u1[bad], u2[bad], u3[bad]
     w = _orbit_size(u1, u2, u3)
     nsq = (u1 * u1 + u2 * u2 + u3 * u3).astype(np.float64)
-    return int(w.sum()), float((w * nsq**-1.5).sum())
+    if not w.size:
+        return 0, np.empty(0)
+    starts = np.flatnonzero((u1[1:] != u1[:-1]) | (u2[1:] != u2[:-1])) + 1
+    return int(w.sum()), np.add.reduceat(w * nsq**-1.5, np.r_[0, starts])
 
 
 _CENSUS_U_MAX = 10_000  # norms in the rank-2 reduction stay below 2^55
@@ -808,15 +850,18 @@ def census_planes(usq: int) -> int:
 
 def census3(uf: int, usq: int, ksq: int, lo: int = 0, hi: int | None = None):
     """Count primitive u in Z^3 with |u|^2 <= usq whose dual second minimum
-    squared exceeds ksq; also the sum of |u|^-3 over them.
+    squared exceeds ksq; also the sum of |u|^-3 over them, as a float64
+    array of partial sums, one per (a, b) row with a K-bad point.
 
     Signed census: u and -u both count.  |u|, primitivity and the minima of
     u^perp are invariant under the 48 signed permutations of coordinates,
     so only the representatives 0 <= a <= b <= c are reduced, and each
     K-bad one adds its orbit size (see _orbit_size) to the count and that
-    weight times |u|^-3 to the sum.  uf = floor(U) with usq < (uf + 1)^2;
-    [lo, hi) shards the smallest coordinate a (full range is
-    [0, census_planes(usq))).
+    weight times |u|^-3 to its row's sum.  uf = floor(U) with
+    usq < (uf + 1)^2; [lo, hi) shards the smallest coordinate a (full range
+    is [0, census_planes(usq))).  Each row sum does not depend on [lo, hi)
+    or on the block size, so math.fsum over the row sums of any split of
+    the axis is the same float: the exact sum of the row sums, rounded once.
     """
     if hi is None:
         hi = census_planes(usq)
@@ -824,9 +869,9 @@ def census3(uf: int, usq: int, ksq: int, lo: int = 0, hi: int | None = None):
     _check_range("usq", usq, (uf + 1) ** 2 - 1)
     _check_span(lo, hi, census_planes(usq))
     count = 0
-    inv_sum = 0.0
+    sums = [np.empty(0)]
     for block in _domain_blocks(usq, lo, hi):
         c, s = _census3_block(*block, ksq)
         count += c
-        inv_sum += s
-    return count, inv_sum
+        sums.append(s)
+    return count, np.concatenate(sums)

@@ -709,6 +709,12 @@ def _census_bad(u: IntVector, ksq: int, node_cap: int) -> bool:
     return len(_echelon(list(zip(*short)), full=False)[1]) < len(red)
 
 
+# seconds per triple of the census kernel, one thread (medians of 5 on a
+# 2-vCPU Xeon): kbad_census(3, U, K) took 4.5 / 19.3 / 44.7 / 159.8 ms at
+# (U, K) = (60, 8) / (100, 10) / (130, 12) / (200, 15)
+_CENSUS3_S = 1.2e-7
+
+
 def kbad_census(
     t: int,
     u_bound,
@@ -729,8 +735,12 @@ def kbad_census(
     _census_bad), with bad_vectors, when collected, expanded from the bad
     orbits and listed in lexicographic order; result.method names the path
     taken.  Both count each signed vector, so u and -u contribute
-    separately.  parts/threads shard the kernel path over the smallest
-    coordinate a; the float norm sum is merged in fixed part order.
+    separately.  The kernel path shards the smallest coordinate a into at
+    most `parts` parts on at most `threads` threads: both are upper bounds,
+    which kernels._schedule_parts lowers to one part in the calling thread
+    when the estimated serial time (_CENSUS3_S per triple) is short.  The
+    norm sum is one math.fsum over the kernel's per-row partial sums, so
+    every reported value is the same for any parts and threads.
     node_cap bounds both paths before they scan: the kernel path refuses
     C(floor(U)+3, 3) representatives, the generic one a signed box of
     (2 floor(U)+1)^t points, above it.
@@ -749,17 +759,19 @@ def kbad_census(
     usq, ksq = math.floor(u_exact ** 2), math.floor(k_exact ** 2)
     if use_kernel:
         kernels._check_range("U", uf, kernels._CENSUS_U_MAX)  # before the budget
-        reps = math.comb(uf + 3, 3)  # the triples 0 <= a <= b <= c <= floor(U)
+        # the triples 0 <= a <= b <= c <= floor(U); _CENSUS3_S seconds each
+        reps = math.comb(uf + 3, 3)
         if reps > node_cap:
             raise BudgetExceededError(reps, node_cap, "census kernel")
-        pieces = kernels.run_parts(
+        pieces = kernels._schedule_parts(
             lambda lo, hi: kernels.census3(uf, usq, ksq, lo, hi),
             kernels.census_planes(usq),
+            reps * _CENSUS3_S,
             parts,
             threads,
         )
         count = sum(p[0] for p in pieces)
-        inv_sum = math.fsum(p[1] for p in pieces)
+        inv_sum = math.fsum(np.concatenate([p[1] for p in pieces]))
         bad = None
         method_used = f"kernel-{kernels.current_backend()}"
     else:

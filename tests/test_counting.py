@@ -27,6 +27,7 @@ from matstat.counting import (
 from matstat.errors import BudgetExceededError
 from matstat.exact import IntMatrix, MonicIntPoly, charpoly, det, trace
 from matstat.experiments import ExperimentSpec, run_grid
+from matstat.lattices import kbad_census
 
 
 def test_universe_size_examples():
@@ -466,8 +467,13 @@ def test_parts_threads_never_change_counts():
 
 
 def test_work_below_the_thread_threshold_runs_in_the_calling_thread(monkeypatch):
-    # every cost here is below _THREAD_MIN_COST: no pool starts, and the
-    # answers are those of threads = 1
+    # every estimate here is below kernels._POOL_MIN_S: no pool starts, one
+    # part runs, and the answers are those of threads = 1; the census takes
+    # the same rule
+    def census(threads):
+        r = kbad_census(3, 12, 3, parts=8, threads=threads)
+        return r.count, r.inv_norm_sum
+
     runs = [
         lambda threads: count_det_trace(3, 4, 1, 0, parts=8, threads=threads),  # 9^6
         lambda threads: count_with_det(3, 2, 0, parts=8, threads=threads),  # 5^7
@@ -477,24 +483,47 @@ def test_work_below_the_thread_threshold_runs_in_the_calling_thread(monkeypatch)
         lambda threads: max_charpoly_count(2, 16, parts=8, threads=threads),
         lambda threads: count_with_det(2, 5, 1, method="naive", parts=8, threads=threads),
         lambda threads: count_det_trace(3, 1, 0, 0, method="naive", parts=8, threads=threads),
+        census,
     ]
     want = [run(1) for run in runs]
+    run_parts = kernels.run_parts
+    calls = []
+
+    def spy(fn, total_range, parts, threads):
+        calls.append((parts, threads))
+        return run_parts(fn, total_range, parts, threads)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool started")
 
+    monkeypatch.setattr(kernels, "run_parts", spy)
     monkeypatch.setattr(kernels, "ThreadPoolExecutor", no_pool)
     monkeypatch.setattr(kernels.os, "cpu_count", lambda: 4)
     assert [run(2) for run in runs] == want
-    with pytest.raises(ValueError, match="^threads must be >= 1$"):  # still refused
-        runs[0](0)
+    assert calls == [(1, 1)] * len(runs)  # one part each, in the calling thread
+    for name, call in (("threads", lambda: runs[0](0)),  # still refused
+                       ("parts", lambda: count_det_trace(3, 4, 1, 0, parts=0)),
+                       ("threads", lambda: census(0))):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            call()
     # from the threshold on, the parts go to the pool, with the same answers
-    monkeypatch.setattr(counting, "_THREAD_MIN_COST", (2 * 4 + 1) ** 6)
+    monkeypatch.setattr(kernels, "_POOL_MIN_S", 9**6 * counting._DET_TRACE3_S)
     with pytest.raises(AssertionError, match="a thread pool started"):
         runs[0](2)
+    monkeypatch.setattr(kernels, "_POOL_MIN_S", 0)
+    with pytest.raises(AssertionError, match="a thread pool started"):
+        census(2)
     monkeypatch.undo()
-    monkeypatch.setattr(counting, "_THREAD_MIN_COST", 0)
+    monkeypatch.setattr(kernels, "run_parts", spy)
+    monkeypatch.setattr(kernels, "_POOL_MIN_S", 0)
+    monkeypatch.setattr(kernels.os, "cpu_count", lambda: 4)
+    calls.clear()
     assert [run(2) for run in runs] == want
+    assert calls == [(8, 2)] * len(runs)
+    # with one worker to run them, the parts still collapse to one
+    calls.clear()
+    assert [run(1) for run in runs] == want
+    assert calls == [(1, 1)] * len(runs)
 
 
 def test_bordered_k_past_the_representative_list_is_refused_by_name():

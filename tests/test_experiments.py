@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from matstat import counting, experiments
+from matstat import counting, experiments, kernels
 from matstat.counting import CountRecord
 from matstat.exact import IntMatrix
 from matstat.experiments import (
@@ -22,6 +22,41 @@ from matstat.experiments import (
 
 def _rec(h, count, params="", kind="det", n=2):
     return CountRecord(n=n, h=h, kind=kind, params=params, count=count, elapsed_ms=1.0)
+
+
+# one grid per route of every kind that reads parts, small enough that
+# every part is a few rows of its shard axis
+_SHARDED_SPECS = [
+    ("charpoly", 2, (3, 6), {"f": [2, -1, 1]}),
+    ("charpoly", 3, (1, 2), {"f": [0, -1, 0, 1]}),
+    ("charpoly-max", 2, (4, 9), {}),
+    ("charpoly-max", 3, (1, 2), {}),
+    ("det", 2, (3,), {"d": 2}),
+    ("det", 3, (2, 3), {"d": 1}),
+    ("det-trace", 3, (2, 3), {"d": 1, "t": 0}),
+    ("det-trace", 3, (2,), {"d": 0, "t": 0, "t2": 2}),
+    ("singular-bordered", 3, (2, 3), {}),
+    ("kbad-census", 3, (20, 40), {"t": 3}),
+    ("kbad-census", 3, (100,), {"K": 8}),  # summed part by part, the last bit moved
+]
+
+
+def test_every_sharded_kind_gives_the_same_records_for_any_partition(monkeypatch):
+    # parts and threads are a scheduling choice: with no threshold, so the
+    # requested parts really run, the records are byte-identical for
+    # parts 1, 3, 8 on 1 or 2 threads
+    monkeypatch.setattr(kernels, "_POOL_MIN_S", 0)
+    monkeypatch.setattr(kernels.os, "cpu_count", lambda: 2)
+    sharded = {k for k, c in experiments.COUNTERS.items() if "parts" in c.options}
+    assert sharded == {kind for kind, *_ in _SHARDED_SPECS}
+    for kind, n, grid, params in _SHARDED_SPECS:
+        outs = set()
+        for parts in (1, 3, 8):
+            for threads in (1, 2):
+                recs = run_grid(ExperimentSpec(kind, n, grid, params, parts=parts,
+                                               threads=threads))
+                outs.add((records_to_csv(recs), records_to_json(recs)))
+        assert len(outs) == 1, (kind, n, grid, params)
 
 
 def test_spec_validation():

@@ -494,7 +494,7 @@ def test_census3_matches_generic_census():
         usq, ksq = math.floor(u * u), math.floor(k * k)  # (36, 4), (81, 9), (27, 2)
         c, s = kernels.census3(math.floor(u), usq, ksq)
         r = kbad_census(3, u, k, method="generic")
-        assert c == r.count and math.isclose(s, r.inv_norm_sum, rel_tol=1e-12)
+        assert c == r.count and math.isclose(math.fsum(s), r.inv_norm_sum, rel_tol=1e-12)
 
 
 def test_shard_merging_is_partition():
@@ -625,11 +625,12 @@ def test_kernel_shards_sum_to_independent_routes():
             assert total == _brute_n2(h, d, t), (h, d, t)
     for usq, ksq in ((36, 4), (27, 2), (400, 25)):
         uf = math.isqrt(usq)
-        whole, whole_sum = kernels.census3(uf, usq, ksq)
+        whole, whole_sums = kernels.census3(uf, usq, ksq)
         parts = [kernels.census3(uf, usq, ksq, lo, hi)
                  for lo, hi in _random_shards(rng, kernels.census_planes(usq), 3)]
         assert sum(c for c, _ in parts) == whole
-        assert math.isclose(sum(s for _, s in parts), whole_sum, rel_tol=1e-12)
+        # the shards' row sums are the whole range's, row for row
+        assert np.array_equal(np.concatenate([s for _, s in parts]), whole_sums)
 
 
 def test_charpoly3_tally_against_n3_stats(monkeypatch):
@@ -652,6 +653,11 @@ def test_charpoly3_tally_against_n3_stats(monkeypatch):
             with ThreadPoolExecutor(max_workers=threads) as ex:
                 parts = list(ex.map(lambda s: kernels.charpoly3_tally(blocks, *s), shards))
             assert np.array_equal(sum(parts), tally), (h, threads)
+        # the shards added into one tally, as a thread adds the parts it runs
+        out = None
+        for lo, hi in _random_shards(rng, blocks.size.size * (2 * h + 1) ** 2, 5):
+            out = kernels.charpoly3_tally(blocks, lo, hi, out)
+        assert np.array_equal(out, tally), h
         monkeypatch.setattr(kernels, "_TALLY_BLOCK", 5000)  # 40 row pairs at h = 2
         assert np.array_equal(kernels.charpoly3_tally(blocks), tally), h
         monkeypatch.undo()
@@ -682,7 +688,7 @@ def test_census3_plane_wider_than_one_batch(monkeypatch):
         assert len(list(kernels._domain_blocks(usq, lo, hi))) == 1
         c2, s2 = kernels.census3(uf, usq, ksq, lo, hi)
         assert c1 > 0
-        assert c1 == c2 and math.isclose(s1, s2, rel_tol=1e-12, abs_tol=1e-15)
+        assert c1 == c2 and np.array_equal(s1, s2)  # row sums do not see the blocks
 
 
 def test_census3_blocks_tile_the_domain(monkeypatch):
@@ -743,8 +749,8 @@ def test_census3_with_ksq_zero_counts_every_primitive_point(uf, usq):
     prim = (np.gcd(np.gcd(a, b), c) == 1) & (nsq <= usq)
     count, inv = kernels.census3(uf, usq, 0)
     assert count == int(np.count_nonzero(prim))
-    assert math.isclose(inv, math.fsum(float(n) ** -1.5 for n in nsq[prim].tolist()),
-                        rel_tol=1e-13)
+    want = math.fsum(float(n) ** -1.5 for n in nsq[prim].tolist())
+    assert math.isclose(math.fsum(inv), want, rel_tol=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -767,13 +773,15 @@ def test_census3_with_ksq_zero_counts_every_primitive_point(uf, usq):
         lambda: kernels.n3_stats(1, 0, 3**9 + 1),
         lambda: kernels.charpoly3_tally(kernels.orbit_blocks(5), 0, 0),  # tally past 30 MB
         lambda: kernels.charpoly3_tally(kernels.orbit_blocks(1), 0, 24 * 9 + 1),
+        lambda: kernels.charpoly3_tally(kernels.orbit_blocks(1), 0, 0,  # h = 1 takes (7, 13, 13)
+                                        np.zeros((7, 13, 12), dtype=np.int64)),
         lambda: kernels.charpoly2_scan(2, 0, 2),  # past t = 0
         lambda: kernels.census3(10_001, 10_001**2, 4, 0, 0),  # reduction overflows
         lambda: kernels.census3(6, 36, 4, 0, 5),  # past isqrt(36 // 3) + 1 planes
         lambda: kernels.census3(6, 49, 4, 0, 0),  # usq past the U = 6 box
     ],
     ids=["dt3-h", "dt3-d", "dt3-t", "dt3-free-d", "dt3-hi", "dt3-lines", "dt3t2-h",
-         "dt3t2-lines", "dt3t2-t2", "dt3t2-lo", "b3-k", "b3-span", "n2-hi", "n3-h", "n3-hi", "tally-h", "tally-hi", "cp2-t",
+         "dt3t2-lines", "dt3t2-t2", "dt3t2-lo", "b3-k", "b3-span", "n2-hi", "n3-h", "n3-hi", "tally-h", "tally-hi", "tally-out", "cp2-t",
          "census-U", "census-hi", "census-usq"],
 )
 def test_kernel_range_guards(call):
@@ -794,7 +802,8 @@ def test_kernel_range_edges_accepted():
     assert kernels.charpoly3_tally(kernels.orbit_blocks(4), 1125 * 81, 1125 * 81).shape == (
         25, 193, 769)
     assert kernels.charpoly2_scan(2, -4, -4) == (0, 0, 0, -1)
-    assert kernels.census3(6, 48, 4, 4, 5) == (0, 0.0)  # only (4, 4, 4) there
+    count, sums = kernels.census3(6, 48, 4, 4, 5)  # only (4, 4, 4) there
+    assert count == 0 and sums.size == 0
 
 
 # ---------------------------------------------------------------------------

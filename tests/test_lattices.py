@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import minima_oracle
-from matstat import lattices
+from matstat import kernels, lattices
 from matstat.errors import BudgetExceededError
 from matstat.lattices import (
     DEFAULT_NODE_CAP,
@@ -727,7 +727,7 @@ def test_census_refuses_parts_and_threads_below_one_on_every_path(t, method):
             kbad_census(t, 3, 1, method=method, parts=parts, threads=threads)
 
 
-def test_census_parts_threads_invariant():
+def test_census_parts_threads_invariant(monkeypatch):
     base = kbad_census(3, 12, 3, parts=1, threads=1)
     for parts, threads in ((4, 1), (4, 4), (7, 2)):
         r = kbad_census(3, 12, 3, parts=parts, threads=threads)
@@ -735,6 +735,12 @@ def test_census_parts_threads_invariant():
     a = kbad_census(3, 12, 3, parts=5, threads=1)
     b = kbad_census(3, 12, 3, parts=5, threads=3)
     assert a.inv_norm_sum == b.inv_norm_sum  # fixed parts: bitwise equal
+    # any parts: the norm sum is one fsum over per-row sums, bitwise equal
+    # however the planes are split (no threshold, so the parts really run)
+    monkeypatch.setattr(kernels, "_POOL_MIN_S", 0)
+    monkeypatch.setattr(kernels.os, "cpu_count", lambda: 2)
+    runs = [kbad_census(3, 100, 8, parts=parts, threads=2) for parts in (1, 3, 8)]
+    assert len({(r.count, r.inv_norm_sum.hex()) for r in runs}) == 1
 
 
 def test_census_validation():

@@ -360,12 +360,8 @@ def count_charpoly_fast2(h, f: MonicIntPoly) -> int:
     return count_charpoly(2, h, f)
 
 
-# Seconds per unit of the budget cost, one thread.  charpoly2_scan:
-# max_charpoly_count(2, H) took 3.9 / 40.1 / 103 / 273 / 460 ms at H = 48 /
-# 96 / 128 / 160 / 192 (1.8e-10 per unit at H = 48, 0.8-1.2e-10 from 96 on).
-_CHARPOLY2_SCAN_S = 1e-10
-# charpoly3_tally, per matrix: max_charpoly_count(3, H) took 2.4 / 38.1 ms
-# at H = 2 / 3 (5^9 / 7^9 matrices).
+# Seconds per matrix of charpoly3_tally, one thread: max_charpoly_count(3,
+# H) took 2.4 / 38.1 ms at H = 2 / 3 (5^9 / 7^9 matrices).
 _CHARPOLY3_TALLY_S = 1e-9
 
 
@@ -381,7 +377,11 @@ def max_charpoly_count(
     Ties resolve to the smallest coefficient vector in (trace, middle,
     det) scan order, so the result is deterministic.  n = 2 aggregates the
     divisor-table counter over the traces t <= 0 (count(t, d) =
-    count(-t, d)), sharded over those 2H+1 traces.  n = 3 tallies every
+    count(-t, d)) by kernels.charpoly2_scan, one slice add per trace along
+    a recurrence over the discriminant, budgeted as (2H+1)(3H^2+1).  That
+    recurrence is serial, so it runs whole in the calling thread: `parts`
+    and `threads` are checked, and recorded by callers, but split nothing,
+    as each part would rebuild its chains' start.  n = 3 tallies every
     matrix within budget by kernels.charpoly3_tally (H <= 4), sharded over
     the top row pairs whose top-left block represents its orbit (see
     kernels.orbit_blocks, fetched before the parts): one key matmul per
@@ -391,19 +391,12 @@ def max_charpoly_count(
     """
     hf = lattices._floor_bound("H", h, 1)
     if n == 2:
-        # charpoly2_scan adds (H+1)^2 slices, each 4H^2+1 wide, over the traces t <= 0
-        cost = (hf + 1) ** 2 * (4 * hf * hf + 1)
-        _check_budget(cost, budget, "charpoly aggregation")
-        kernels._pair_table(hf)  # built and kept here, so the parts only read it
-        pieces = kernels._schedule_parts(  # over the traces t <= 0 (see charpoly2_scan)
-            lambda lo, hi: kernels.charpoly2_scan(hf, lo - 2 * hf, hi - 2 * hf),
-            2 * hf + 1, cost * _CHARPOLY2_SCAN_S, parts, threads,
-        )
-        total = sum(p[0] for p in pieces)
-        best = max(pieces, key=lambda p: (p[3], -p[1], -p[2]))
+        # charpoly2_scan adds one slice of width 3H^2+1 per trace t <= 0
+        _check_budget((2 * hf + 1) * (3 * hf * hf + 1), budget, "charpoly aggregation")
+        kernels._check_parts(parts, threads)
+        total, bt, bd, bc = kernels.charpoly2_scan(hf)
         if total != universe_size(2, hf):
             raise AssertionError("charpoly aggregation failed the partition check")
-        _, bt, bd, bc = best
         return MonicIntPoly((bd, -bt)), bc
     if n == 3:
         size = universe_size(3, hf)

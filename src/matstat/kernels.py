@@ -2,34 +2,36 @@
 
 All kernels work on int64, except that the n = 2 kernels read one int32
 pair table per h (_pair_table): charpoly2_scan adds int32 slices of it
-(one of its counts sums at most 2(h+1) pair counts of at most 4h+1 each,
-below 2^31 for h <= 2048) and det2_count multiplies int32 entries (each
-product at most (4h+1)^2 < 2^31); their totals are int64.  Each kernel
-checks at entry that its inputs lie in the range where its intermediates
-provably fit and its scratch stays bounded, raising ValueError otherwise:
-h <= 2048 for the pair table (checked once, in _pair_table), h <= 63 for
-n3_stats (ranks below (2h+1)^9 < 2^63), h <= 4 for charpoly3_tally (a
-dense tally of (6h+1)(12h^2+1)(12h^3+1) keys, 30 MB at h = 4), h <= 20
-for det_trace3/det_trace3_t2 (a line table of (2h^2+1)^2 entries, 26 MB
-at h = 20), h <= 49 for the orbit representative list of
-det_trace3, det_trace3_t2, bordered3 and charpoly3_tally (so k <= 49 for
-bordered3: (2h+1)(h+1)^3 representatives of 5 bytes each, 62 MB at h = 49
-against a 64 MB bound) and U <= 10^4 for census3 (norms in the rank-2
-reduction stay below 2^55).  Infeasible targets count 0.  Shard ranges
-must lie inside the kernel's shard axis, and any split of an axis sums to
-the whole.  Most kernels shard their outermost enumeration digit;
-charpoly2_scan shards the traces t <= 0 (A -> -A gives the rest); census3
-scans one representative 0 <= a <= b <= c of each signed-permutation
-orbit, weighted by the orbit size, and shards the smallest coordinate a.
-det_trace3, det_trace3_t2, bordered3 and charpoly3_tally likewise visit
-only the top-left 2x2 blocks that are the smallest-rank member of their
-orbit under a group of order 8, weighted by the orbit size.  They take
-the list of these representatives from orbit_blocks, which states the
-group and builds the list in closed form; a counter fetches it before
-its parts and hands it to every part: the shard axis of the three count
-kernels is that list, in rank order, and of charpoly3_tally the list
-times the (2h+1)^2 entries (a13, a23), so equal ranges of an axis are
-equal work.
+along a recurrence over the discriminant t^2 - 4d, one slice per trace,
+so one of its counts sums at most 2h+1 pair counts of at most 4h+1 each,
+and (2h+1)(4h+1) < 2^31 for h <= 2048; det2_count multiplies int32
+entries (each product at most (4h+1)^2 < 2^31); their totals are int64.
+Each kernel checks at entry that its inputs lie in the range where its
+intermediates provably fit and its scratch stays bounded, raising
+ValueError otherwise: h <= 2048 for the pair table (checked once, in
+_pair_table), h <= 63 for n3_stats (ranks below (2h+1)^9 < 2^63), h <= 4
+for charpoly3_tally (a dense tally of (6h+1)(12h^2+1)(12h^3+1) keys,
+30 MB at h = 4), h <= 20 for det_trace3/det_trace3_t2 (a line table of
+(2h^2+1)^2 entries, 26 MB at h = 20), h <= 49 for the orbit
+representative list of det_trace3, det_trace3_t2, bordered3 and
+charpoly3_tally (so k <= 49 for bordered3: (2h+1)(h+1)^3 representatives
+of 5 bytes each, 62 MB at h = 49 against a 64 MB bound) and U <= 10^4
+for census3 (norms in the rank-2 reduction stay below 2^55).  Infeasible
+targets count 0.  Shard ranges must lie inside the kernel's shard axis,
+and any split of an axis sums to the whole.  Most kernels shard their
+outermost enumeration digit; charpoly2_scan shards the traces t <= 0
+(A -> -A gives the rest), each shard starting its recurrence afresh, so its
+caller runs it whole; census3 scans one representative 0 <= a <= b <= c
+of each signed-permutation orbit, weighted by the orbit size, and shards
+the smallest coordinate a.  det_trace3, det_trace3_t2, bordered3 and
+charpoly3_tally likewise visit only the top-left 2x2 blocks that are the
+smallest-rank member of their orbit under a group of order 8, weighted
+by the orbit size.  They take the list of these representatives from
+orbit_blocks, which states the group and builds the list in closed form;
+a counter fetches it before its parts and hands it to every part: the
+shard axis of the three count kernels is that list, in rank order, and
+of charpoly3_tally the list times the (2h+1)^2 entries (a13, a23), so
+equal ranges of an axis are equal work.
 
 The per-h tables (the n = 2 pair table, and the representative list,
 half border and line table of orbit_blocks) are built once per process
@@ -365,14 +367,28 @@ def charpoly2_scan(h: int, lo_t: int | None = None, hi_t: int | None = None):
     A -> -A keeps det and negates the trace, so count(t, d) = count(-t, d):
     only t <= 0 is scanned, and each t < 0 counts twice in the total.
     Returns (total, best_t, best_d, best_count) on the t-range [lo_t, hi_t)
-    inside [-2h, 0] (the default).  The total over the full range is
-    (2h+1)^4; ties for the max resolve to the smallest (t, d) in scan
-    order, which is also the smallest over all t, since -t comes before t.
+    inside [-2h, 0] (the default); an empty range gives (0, 0, 0, -1).  The
+    total over the full range is (2h+1)^4; ties for the max resolve to the
+    smallest (t, d) in scan order (t rising, the first strict maximum
+    winning, then the smallest d), which is also the smallest over all t,
+    since -t comes before t.
 
-    Each trace adds int32 slices of the kept pair table (_pair_table) over
-    the band of d its products can reach.  A count of one (t, d) sums at
-    most 2(h+1) table entries of at most 4h+1 each, and (2h+2)(4h+1) <
-    2^31 for h <= 2048, so no slice sum wraps; totals are summed in int64.
+    With m = 2 a11 - t, the product a11 a22 = a11 (t - a11) is
+    (t^2 - m^2)/4, so a12 a21 = (D - m^2)/4 with D = t^2 - 4d, over the m
+    with m = t (mod 2) and |m| <= M = 2h - |t|.  With e = t^2//4 - d that
+    product is e - m^2//4, so count(t, d) = F_M(e) = sum_m T(e - m^2//4),
+    T the kept pair table (_pair_table): it depends on t only through M.
+    Each parity of M is one chain, F_0 = T, F_1 = 2T and F_M = F_{M-2} +
+    2 T(e - s) with s = j^2 (M = 2j) or j(j+1) (M = 2j+1).  As T is even,
+    F_M over d ascending (e descending) adds the forward slice
+    table[s : s + 3h^2+1] of the table, so each trace costs one slice add
+    and one argmax, O(h^3) in all; a chain's first trace in [lo_t, hi_t)
+    adds its M//2 + 1 slices from scratch.  A count sums at most 2h+1
+    entries of at most 4h+1 each, and (2h+1)(4h+1) < 2^31 for h <= 2048,
+    so no int32 sum wraps.  The total is summed in int64 from each slice's
+    sum, read off one cumulative sum of the table (at most (2h+1)^2).
+    Besides the table, the scratch is three int32 arrays of at most 4h^2+2
+    entries: the doubled table, the cumulative sum and one chain.
     """
     if lo_t is None:
         lo_t = -2 * h
@@ -380,35 +396,35 @@ def charpoly2_scan(h: int, lo_t: int | None = None, hi_t: int | None = None):
         hi_t = 1
     _check_span(lo_t + 2 * h, hi_t + 2 * h, 2 * h + 1)
     table = _pair_table(h)  # indexed by q + 2h^2, q = a12*a21, and even in q
+    if hi_t == lo_t:
+        return 0, 0, 0, -1
     hh = h * h
+    width = 3 * hh + 1  # cnt[k] is the count at d = t^2//4 + k - 2h^2
+    twice = table + table
+    cum = np.zeros(table.size + 1, dtype=np.int32)
+    np.cumsum(table, out=cum[1:])
+    best_c = np.empty(hi_t - lo_t, dtype=np.int64)  # per trace: the max count
+    best_d = np.empty(hi_t - lo_t, dtype=np.int64)  # and its smallest d
     total = 0
-    best_c = -1
-    best_t = 0
-    best_d = 0
-    for tv in range(lo_t, hi_t):
-        # the products p = a*(t - a), a in [-h, t + h], lie in [pmin, pmax]
-        # (a = -h and a = t//2), so d = p - q lies in [pmin - h^2, pmax + h^2];
-        # cnt[k] (d = pmin - h^2 + k) sums table[p - d + 2h^2] =
-        # table[pmin + h^2 - p + k] over a: a and t - a give one p, so one
-        # slice per a <= t/2, doubled
-        mid = tv // 2
-        pmin = -h * (tv + h)
-        width = mid * (tv - mid) - pmin + 2 * hh + 1
-        base = pmin + hh
+    for first in range(lo_t, min(lo_t + 2, hi_t)):  # one chain per parity of M
+        odd = first % 2
         cnt = np.zeros(width, dtype=np.int32)
-        for a in range(-h, mid + 1):
-            s = base - a * (tv - a)
-            cnt += table[s : s + width]
-        cnt *= 2
-        if tv % 2 == 0:  # the last a, t/2, is its own partner
-            cnt -= table[s : s + width]
-        total += (1 if tv == 0 else 2) * int(cnt.sum(dtype=np.int64))
-        j = int(np.argmax(cnt))
-        if int(cnt[j]) > best_c:
-            best_c = int(cnt[j])
-            best_t = tv
-            best_d = pmin - hh + j
-    return total, best_t, best_d, best_c
+        cnt_sum = 0
+        j_next = 0
+        for tv in range(first, hi_t, 2):
+            top = (2 * h + tv) // 2  # M // 2
+            for j in range(j_next, top + 1):
+                s = j * (j + odd)
+                weight = 2 if j or odd else 1  # m = +-(2j + odd); m = 0 once
+                np.add(cnt, (twice if weight == 2 else table)[s : s + width], out=cnt)
+                cnt_sum += weight * int(cum[s + width] - cum[s])
+            j_next = top + 1
+            total += (1 if tv == 0 else 2) * cnt_sum
+            k = int(np.argmax(cnt))
+            best_c[tv - lo_t] = cnt[k]
+            best_d[tv - lo_t] = tv * tv // 4 + k - 2 * hh
+    i = int(np.argmax(best_c))
+    return total, lo_t + i, int(best_d[i]), int(best_c[i])
 
 
 def charpoly2_count(h: int, t: int, d: int) -> int:
@@ -729,14 +745,16 @@ def _orbit_size(a, b, c):
     return (6 >> ties) << (1 + (a > 0) + (b > 0))
 
 
-def _dual_gram(u1, u2, u3, g1, x, y):
-    """Gram entries (|v1|^2, |v2|^2, v1.v2) of the basis v1 = (u2, -u1, 0)/g1,
-    v2 = (-x u3, -y u3, g1) of u^perp, where u1 x + u2 y = g1 = gcd(u1, u2)
-    != 0.  The rank-2 reduction runs on these alone: swapping v1 and v2
-    swaps the norms, and v2 -= q v1 maps (n2, d12) to
-    (n2 - q (2 d12 - q n1), d12 - q n1).  Works on ints and on arrays."""
-    return ((u1 * u1 + u2 * u2) // (g1 * g1), (x * x + y * y) * u3 * u3 + g1 * g1,
-            u3 * ((u1 * y - u2 * x) // g1))
+def _dual_gram(u1, u2, g1, x, y):
+    """The factors of u = (u1, u2, u3) that the Gram entries of the basis
+    v1 = (u2, -u1, 0)/g1, v2 = (-x u3, -y u3, g1) of u^perp share along a
+    row (u1, u2) of points, where u1 x + u2 y = g1 = gcd(u1, u2) != 0:
+    (|v1|^2, x^2 + y^2, (u1 y - u2 x)/g1), so that |v2|^2 = (x^2 + y^2)
+    u3^2 + g1^2 and v1.v2 = u3 (u1 y - u2 x)/g1.  The rank-2 reduction
+    runs on the Gram entries alone: swapping v1 and v2 swaps the norms,
+    and v2 -= q v1 maps (n2, d12) to (n2 - q (2 d12 - q n1), d12 - q n1).
+    Works on ints and on arrays."""
+    return (u1 * u1 + u2 * u2) // (g1 * g1), x * x + y * y, (u1 * y - u2 * x) // g1
 
 
 def _xgcd_vec(a, b):
@@ -809,17 +827,23 @@ def _census3_block(u1, u2, u3, ksq):
     """(weighted K-bad count, weighted sums of |u|^-3, one per (a, b) row
     with a K-bad point, in row order) over one block of domain points; as a
     function, so one block's scratch is freed before the next block is
-    built.  A row never splits across blocks (see _domain_blocks), and
-    np.add.reduceat sums each row's terms by a rule that reads only those
-    terms, so each row sum is the same float however the rows are packed
-    into blocks or shards."""
-    keep = np.gcd(np.gcd(u1, u2), u3) == 1
-    u1, u2, u3 = u1[keep], u2[keep], u3[keep]
-    g1, x, y = _xgcd_vec(u1, u2)
-    deg = g1 == 0  # u = (0, 0, 1): dual is Z^2, Gram (1, 1, 0)
-    n1, n2, d12 = _dual_gram(u1, u2, u3, g1 + deg, x, y)
-    n1[deg] = n2[deg] = 1
-    d12[deg] = 0
+    built.  The extended gcd and the Gram factors that a row (u1, u2)
+    shares (_dual_gram) are taken once per row and repeated over its
+    points, and u is primitive when gcd(g1, u3) = 1.  A row never splits
+    across blocks (see _domain_blocks), and np.add.reduceat sums each row's
+    terms by a rule that reads only those terms, so each row sum is the
+    same float however the rows are packed into blocks or shards."""
+    heads = np.flatnonzero(np.r_[True, (u1[1:] != u1[:-1]) | (u2[1:] != u2[:-1])])
+    r1, r2 = u1[heads], u2[heads]
+    row = np.repeat(np.arange(heads.size), np.diff(np.r_[heads, u1.size]))
+    g1, x, y = _xgcd_vec(r1, r2)
+    deg = g1 == 0  # the row (0, 0): only u = (0, 0, 1) is primitive, dual Z^2
+    n1, xy, cross = _dual_gram(r1, r2, g1 + deg, x, y)
+    n1[deg], xy[deg], cross[deg] = 1, 1, 0  # Gram (1, 1, 0), as g1 = 0 there
+    keep = np.gcd(g1[row], u3) == 1
+    row, u3 = row[keep], u3[keep]
+    g = g1[row]
+    n1, n2, d12 = n1[row], xy[row] * u3 * u3 + g * g, cross[row] * u3
     for _ in range(128):
         n1, n2 = np.minimum(n1, n2), np.maximum(n1, n2)
         q = (2 * d12 + n1) // (2 * n1)
@@ -830,13 +854,13 @@ def _census3_block(u1, u2, u3, ksq):
     else:  # pragma: no cover - reduction always converges long before
         raise RuntimeError("rank-2 reduction failed to converge")
     bad = n2 > ksq
-    u1, u2, u3 = u1[bad], u2[bad], u3[bad]
-    w = _orbit_size(u1, u2, u3)
-    nsq = (u1 * u1 + u2 * u2 + u3 * u3).astype(np.float64)
-    if not w.size:
+    row, u3 = row[bad], u3[bad]
+    if not row.size:
         return 0, np.empty(0)
-    starts = np.flatnonzero((u1[1:] != u1[:-1]) | (u2[1:] != u2[:-1])) + 1
-    return int(w.sum()), np.add.reduceat(w * nsq**-1.5, np.r_[0, starts])
+    w = _orbit_size(r1[row], r2[row], u3)
+    nsq = (r1 * r1 + r2 * r2)[row] + u3 * u3
+    starts = np.flatnonzero(row[1:] != row[:-1]) + 1
+    return int(w.sum()), np.add.reduceat(w * nsq.astype(np.float64)**-1.5, np.r_[0, starts])
 
 
 _CENSUS_U_MAX = 10_000  # norms in the rank-2 reduction stay below 2^55

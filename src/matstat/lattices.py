@@ -387,8 +387,11 @@ def reduced_basis(lat: Lattice, node_cap: int = DEFAULT_NODE_CAP) -> Tuple[IntVe
     """A shortest-possible basis, sorted by length.
 
     LLL (delta = 0.99) first; for rank <= 6 the result is upgraded to
-    vectors attaining the successive minima whenever those still generate
-    the lattice (they always do for rank <= 4).
+    the vectors attaining the successive minima that successive_minima
+    returns, whenever those generate the lattice, which a comparison of
+    Gram determinants decides.  For rank <= 3 they always do, but not
+    beyond: in 2Z^4 + Z(1, 1, 1, 1) the vectors 2e_1, ..., 2e_4 attain
+    every minimum and span a sublattice of index 2.
     """
     minimal = successive_minima(lat, node_cap)[1] if lat.rank <= 6 else ()
     return _reduced_basis(lat, minimal)
@@ -709,10 +712,11 @@ def _census_bad(u: IntVector, ksq: int, node_cap: int) -> bool:
     return len(_echelon(list(zip(*short)), full=False)[1]) < len(red)
 
 
-# seconds per triple of the census kernel, one thread (medians of 5 on a
-# 2-vCPU Xeon): kbad_census(3, U, K) took 4.5 / 19.3 / 44.7 / 159.8 ms at
-# (U, K) = (60, 8) / (100, 10) / (130, 12) / (200, 15)
-_CENSUS3_S = 1.2e-7
+# seconds per triple of the census kernel, one thread (medians of 7 on a
+# 2-vCPU Xeon, three runs): kbad_census(3, U, K) took 3.0-4.3 /
+# 10.8-15.0 / 22.7-29.9 / 74.8-78.7 ms at (U, K) = (60, 8) / (100, 10) /
+# (130, 12) / (200, 15), 5.5-6.2e-8 per triple from U = 130 on
+_CENSUS3_S = 6.5e-8
 
 
 def kbad_census(

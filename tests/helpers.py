@@ -7,6 +7,7 @@ import numpy as np
 
 from matstat.errors import BudgetExceededError
 from matstat.exact import IntMatrix, MonicIntPoly, RationalMatrix, inverse_rational
+from matstat import kernels
 from matstat.kernels import pair_count_table
 from matstat.multdep import Word, det_relation_lattice
 
@@ -210,3 +211,42 @@ def charpoly2_scan_int64(h, lo_t=None, hi_t=None):
         if int(cnt[j]) > best_c:
             best_c, best_t, best_d = int(cnt[j]), tv, j - hh2
     return total, best_t, best_d, best_c
+
+
+def census3_per_point(uf, usq, ksq, lo=0, hi=None):
+    """kernels.census3 by its former per-point route: the extended gcd,
+    the Gram entries of u^perp and the primitivity test gcd(gcd(u1, u2),
+    u3) = 1 taken at every point of each block of kernels._domain_blocks,
+    not once per (a, b) row."""
+    if hi is None:
+        hi = kernels.census_planes(usq)
+    count = 0
+    sums = [np.empty(0)]
+    for u1, u2, u3 in kernels._domain_blocks(usq, lo, hi):
+        keep = np.gcd(np.gcd(u1, u2), u3) == 1
+        u1, u2, u3 = u1[keep], u2[keep], u3[keep]
+        g1, x, y = kernels._xgcd_vec(u1, u2)
+        deg = g1 == 0  # u = (0, 0, 1): dual is Z^2, Gram (1, 1, 0)
+        g1 = g1 + deg
+        n1 = (u1 * u1 + u2 * u2) // (g1 * g1)
+        n2 = (x * x + y * y) * u3 * u3 + g1 * g1
+        d12 = u3 * ((u1 * y - u2 * x) // g1)
+        n1[deg] = n2[deg] = 1
+        d12[deg] = 0
+        for _ in range(128):
+            n1, n2 = np.minimum(n1, n2), np.maximum(n1, n2)
+            q = (2 * d12 + n1) // (2 * n1)
+            if not np.any(q):
+                break
+            n2 -= q * (2 * d12 - q * n1)
+            d12 -= q * n1
+        bad = n2 > ksq
+        u1, u2, u3 = u1[bad], u2[bad], u3[bad]
+        w = kernels._orbit_size(u1, u2, u3)
+        nsq = (u1 * u1 + u2 * u2 + u3 * u3).astype(np.float64)
+        if not w.size:
+            continue
+        starts = np.flatnonzero((u1[1:] != u1[:-1]) | (u2[1:] != u2[:-1])) + 1
+        count += int(w.sum())
+        sums.append(np.add.reduceat(w * nsq**-1.5, np.r_[0, starts]))
+    return count, np.concatenate(sums)

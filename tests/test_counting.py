@@ -480,7 +480,6 @@ def test_work_below_the_thread_threshold_runs_in_the_calling_thread(monkeypatch)
         lambda threads: count_det_trace2(3, 3, 0, 0, 2, parts=8, threads=threads),
         lambda threads: count_singular_bordered(3, 3, parts=8, threads=threads),  # 7^6
         lambda threads: max_charpoly_count(3, 2, parts=8, threads=threads),  # 5^9
-        lambda threads: max_charpoly_count(2, 16, parts=8, threads=threads),
         lambda threads: count_with_det(2, 5, 1, method="naive", parts=8, threads=threads),
         lambda threads: count_det_trace(3, 1, 0, 0, method="naive", parts=8, threads=threads),
         census,
@@ -524,6 +523,18 @@ def test_work_below_the_thread_threshold_runs_in_the_calling_thread(monkeypatch)
     calls.clear()
     assert [run(1) for run in runs] == want
     assert calls == [(1, 1)] * len(runs)
+    # the n = 2 charpoly maximum is one serial recurrence: even with the
+    # threshold at 0 it starts no parts and no pool, answers alike for any
+    # parts and threads, and still refuses a count below 1
+    monkeypatch.setattr(kernels, "ThreadPoolExecutor", no_pool)
+    calls.clear()
+    want = max_charpoly_count(2, 16)
+    for parts, threads in ((1, 1), (8, 1), (1, 2), (8, 2)):
+        assert max_charpoly_count(2, 16, parts=parts, threads=threads) == want
+    assert calls == []
+    for name, parts, threads in (("parts", 0, 1), ("threads", 1, 0)):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            max_charpoly_count(2, 16, parts=parts, threads=threads)
 
 
 def test_bordered_k_past_the_representative_list_is_refused_by_name():
@@ -560,11 +571,18 @@ def test_budget_exceeded():
 
 
 def test_max_charpoly_2_budget_is_the_scan():
-    # charpoly2_scan adds (H+1)^2 slices of width 4H^2+1: 36 * 101 at H = 5
-    assert max_charpoly_count(2, 5, budget=3636) == max_charpoly_count(2, 5)
+    # charpoly2_scan adds one slice of width 3H^2+1 per trace t <= 0:
+    # 11 * 76 at H = 5, (2H+1)(3H^2+1) at every H
+    assert max_charpoly_count(2, 5, budget=836) == max_charpoly_count(2, 5)
     with pytest.raises(BudgetExceededError) as exc:
-        max_charpoly_count(2, 5, budget=3635)
-    assert exc.value.needed == 3636
+        max_charpoly_count(2, 5, budget=835)
+    assert exc.value.needed == 836
+    for h in (1, 16, 48):
+        cost = (2 * h + 1) * (3 * h * h + 1)
+        assert max_charpoly_count(2, h, budget=cost) == max_charpoly_count(2, h)
+        with pytest.raises(BudgetExceededError) as exc:
+            max_charpoly_count(2, h, budget=cost - 1)
+        assert exc.value.needed == cost
 
 
 def test_validation():

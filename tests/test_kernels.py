@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import matstat
-from helpers import charpoly2_scan_int64
+from helpers import census3_per_point, charpoly2_scan_int64
 from matstat import cli, clear_caches, counting, kernels, numtheory
 
 
@@ -159,6 +159,27 @@ def test_charpoly2_scan_matches_the_int64_route():
         for _ in range(5):
             lo, hi = sorted(rng.sample(range(-2 * h, 2), 2))
             assert kernels.charpoly2_scan(h, lo, hi) == charpoly2_scan_int64(h, lo, hi), (h, lo, hi)
+
+
+def test_charpoly2_recurrence_matches_the_int64_route_at_h_160():
+    # one slice per trace along the discriminant recurrence against the
+    # O(h^4) slice loop, on the whole range and on seeded ranges, each of
+    # which starts its two chains from scratch
+    rng = random.Random(0x160)
+    h = 160
+    assert kernels.charpoly2_scan(h) == charpoly2_scan_int64(h)
+    for _ in range(3):
+        lo, hi = sorted(rng.sample(range(-2 * h, 2), 2))
+        assert kernels.charpoly2_scan(h, lo, hi) == charpoly2_scan_int64(h, lo, hi), (lo, hi)
+
+
+def test_charpoly2_scan_keeps_the_first_of_tied_traces():
+    # max F_M never falls along a chain, so maxima tie across traces: at
+    # h = 21 the first trace to reach 466 is t = -11, and the scan keeps it
+    want = (3418801, -11, 0, 466)
+    assert kernels.charpoly2_scan(21) == want == charpoly2_scan_int64(21)
+    later = kernels.charpoly2_scan(21, -10, 1)
+    assert later[3] == 466 and later[1] > -11
 
 
 def test_pair_table_entries_fit_the_int32_scan():
@@ -705,6 +726,22 @@ def test_census3_blocks_tile_the_domain(monkeypatch):
                     for b in range(a, math.isqrt(usq) + 1)
                     for c in range(b, math.isqrt(usq) + 1) if a * a + b * b + c * c <= usq]
             assert got == want, (usq, lo, hi)
+
+
+def test_census3_rows_match_the_per_point_route():
+    # the row-wise extended gcd and Gram factors against the per-point
+    # route, bitwise: the count and every row sum, on the whole axis and on
+    # random shards
+    rng = random.Random(0xC3)
+    for uf, kf in ((60, 8), (100, 10), (130, 12)):
+        usq, ksq = uf * uf, kf * kf
+        count, sums = kernels.census3(uf, usq, ksq)
+        want_count, want_sums = census3_per_point(uf, usq, ksq)
+        assert count == want_count and np.array_equal(sums, want_sums), uf
+        for lo, hi in _random_shards(rng, kernels.census_planes(usq), 3):
+            count, sums = kernels.census3(uf, usq, ksq, lo, hi)
+            want_count, want_sums = census3_per_point(uf, usq, ksq, lo, hi)
+            assert count == want_count and np.array_equal(sums, want_sums), (uf, lo, hi)
 
 
 def _signed_orbit(u):

@@ -384,6 +384,18 @@ def test_reduced_basis_falls_back_to_lll_when_minima_do_not_span():
     assert sorted(basis) == sorted(z7.basis) and Lattice(7, basis).gram_det() == 1
 
 
+def test_rank_four_minimal_vectors_need_not_span():
+    # in L = 2Z^4 + Z(1,1,1,1) the 2e_i attain every minimum but span
+    # index 2: the Gram check refuses them, where some other choice spans
+    lat = Lattice(4, ((1, 1, 1, 1), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)))
+    doubled = tuple(tuple(2 * (i == j) for j in range(4)) for i in range(4))
+    assert successive_minima(lat)[0] == (4, 4, 4, 4) == tuple(map(norm_sq, doubled))
+    assert Lattice(4, doubled).gram_det() == 4 * lat.gram_det()
+    basis = lattices._reduced_basis(lat, doubled)
+    assert basis != doubled and Lattice(4, basis).gram_det() == lat.gram_det()
+    assert [norm_sq(v) for v in reduced_basis(lat)] == [4, 4, 4, 4]
+
+
 def test_reduced_basis_achieves_minima():
     rng = random.Random(0x888)
     for _ in range(40):

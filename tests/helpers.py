@@ -5,9 +5,9 @@ from itertools import product
 
 import numpy as np
 
+from matstat import kernels
 from matstat.errors import BudgetExceededError
 from matstat.exact import IntMatrix, MonicIntPoly, RationalMatrix, inverse_rational
-from matstat import kernels
 from matstat.kernels import pair_count_table
 from matstat.multdep import Word, det_relation_lattice
 

@@ -795,23 +795,40 @@ def _isqrt(q: np.ndarray) -> np.ndarray:
     return r
 
 
+def _ranges(first, counts):
+    """The runs first[i], first[i] + 1, ..., first[i] + counts[i] - 1, one
+    after another, as one array (counts >= 1)."""
+    shift = np.repeat(np.cumsum(counts) - counts - first, counts)
+    return np.arange(shift.size) - shift
+
+
 def _domain_blocks(usq, lo, hi):
     """Points (a, b, c) with 0 <= a <= b <= c, a^2 + b^2 + c^2 <= usq and a in
     [lo, hi), in (a, b, c) order: whole (a, b) rows, packed across planes
-    into blocks of at most _BATCH points (a row has at most isqrt(usq) + 1)."""
+    into blocks of at most _BATCH points (a row has at most isqrt(usq) + 1).
+
+    The rows are listed in closed form, b = a..isqrt((usq - a^2) // 2) with
+    c = b..isqrt(usq - a^2 - b^2), for groups of planes of at most _BATCH
+    rows (or one plane), so the row arrays stay O(_BATCH).  Blocks are cut
+    greedily: while the rows not yet yielded hold _BATCH points or more,
+    the next block is the longest run of them with at most _BATCH points
+    (at least one row); the rest is the last block."""
 
     def points(ra, rb, rn):
-        first = np.repeat(np.cumsum(rn) - rn, rn)
-        b = np.repeat(rb, rn)
-        return np.repeat(ra, rn), b, b + (np.arange(first.size) - first)
+        return np.repeat(ra, rn), np.repeat(rb, rn), _ranges(rb, rn)
 
+    planes = np.arange(lo, hi, dtype=np.int64)
+    nrows = _isqrt((usq - planes * planes) // 2) - planes + 1
+    rows_before = np.concatenate(([0], np.cumsum(nrows)))
     ra = rb = rn = np.empty(0, dtype=np.int64)
-    for a in range(lo, hi):
-        rest = usq - a * a
-        b = np.arange(a, math.isqrt(rest // 2) + 1, dtype=np.int64)
-        ra = np.concatenate([ra, np.full_like(b, a)])
-        rb = np.concatenate([rb, b])
-        rn = np.concatenate([rn, _isqrt(rest - b * b) - b + 1])
+    g0 = 0
+    while g0 < planes.size:
+        g1 = int(np.searchsorted(rows_before, rows_before[g0] + _BATCH, side="right"))
+        g1 = max(g0 + 1, g1 - 1)  # planes g0..g1-1: at most _BATCH rows, or one plane
+        a = np.repeat(planes[g0:g1], nrows[g0:g1])
+        b = _ranges(planes[g0:g1], nrows[g0:g1])
+        ra, rb = np.concatenate((ra, a)), np.concatenate((rb, b))
+        rn = np.concatenate((rn, _isqrt(usq - a * a - b * b) - b + 1))
         cum = np.cumsum(rn)
         start, base = 0, 0
         while cum[-1] - base >= _BATCH:
@@ -819,6 +836,7 @@ def _domain_blocks(usq, lo, hi):
             yield points(ra[start:end], rb[start:end], rn[start:end])
             start, base = end, cum[end - 1]
         ra, rb, rn = ra[start:], rb[start:], rn[start:]
+        g0 = g1
     if rn.size:
         yield points(ra, rb, rn)
 

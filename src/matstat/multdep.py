@@ -51,16 +51,29 @@ _FINGERPRINT_PRIMES = (268435399, 268435367, 268435361, 16777213, 1048573)
 _BLOCK_ENTRIES = 1 << 18  # int64 entries per batched product block (2 MB)
 
 
-def _validate_tuple(mats: Sequence[IntMatrix], require_nonsingular: bool = True):
+def _check_dims(mats: Sequence[IntMatrix]) -> None:
     if not mats:
         raise ValueError("tuple must be non-empty")
     n = mats[0].n
     if any(m.n != n for m in mats):
         raise ValueError("matrices must share a common dimension")
+
+
+def _validate_tuple(mats: Sequence[IntMatrix]) -> List[int]:
+    _check_dims(mats)
     dets = [det(m) for m in mats]
-    if require_nonsingular and any(dv == 0 for dv in dets):
+    if any(dv == 0 for dv in dets):
         raise SingularMatrixError("tuple contains a singular matrix")
     return dets
+
+
+def _adjugates(mats: Sequence[IntMatrix]) -> Tuple[List[IntMatrix], List[int]]:
+    """(adj A_i, det A_i) for a nonsingular tuple, one elimination each."""
+    _check_dims(mats)
+    pairs = [_adjugate(m) for m in mats]
+    if any(adj is None for adj, _ in pairs):
+        raise SingularMatrixError("tuple contains a singular matrix")
+    return [adj for adj, _ in pairs], [dv for _, dv in pairs]
 
 
 def det_relation_lattice(mats: Sequence[IntMatrix]) -> Lattice:
@@ -70,8 +83,12 @@ def det_relation_lattice(mats: Sequence[IntMatrix]) -> Lattice:
     is an extra order-2 generator, handled by passing to the even-parity
     sublattice (doubling one odd basis vector).
     """
-    dets = _validate_tuple(mats)
-    s = len(mats)
+    return _relation_lattice(_validate_tuple(mats))
+
+
+def _relation_lattice(dets: Sequence[int]) -> Lattice:
+    """det_relation_lattice from the nonzero determinants."""
+    s = len(dets)
     facs = [factorize(dv) for dv in dets]
     primes = sorted({p for f in facs for p in f.primes})
     rows = [[f.as_dict().get(p, 0) for f in facs] for p in primes]
@@ -102,7 +119,7 @@ def check_relation(mats: Sequence[IntMatrix], k: Sequence[int]) -> bool:
     """
     if len(k) != len(mats):
         raise ValueError("exponent vector length mismatch")
-    _validate_tuple(mats, require_nonsingular=False)
+    _check_dims(mats)
     prod = IntMatrix.identity(mats[0].n)
     scale = 1
     for a, e in zip(mats, k):
@@ -126,32 +143,34 @@ def find_dependence(
     """Smallest witness k != 0 with A_1^{k_1}...A_s^{k_s} = I and
     |k|_inf <= bound, or None when no such witness exists.
 
+    Each A_i is eliminated once, for its adjugate and determinant.
     Candidates are the relation-lattice points in the box (the determinant
     condition is necessary), listed as one array in no specified order.
-    A fingerprint filters them: each candidate's
-    ordered product is evaluated mod a prime p in int64, in numpy batches
-    over power tables A_j^e mod p.  p is the first of _FINGERPRINT_PRIMES
-    that divides no det A_i and keeps n (p-1)^2 < 2^63, so no int64 product
-    overflows; without one the filter keeps every candidate.  The
-    survivors, ordered by (|k|_inf, |k|_2^2, lexicographic), are verified
-    by exact integer evaluation (check_relation), and the first that
-    passes is returned.
+    A fingerprint filters them mod a prime p (see _fingerprint_survivors):
+    A_1^{k_1}...A_{s-1}^{k_{s-1}} mod p, in numpy batches over power
+    tables A_j^e mod p, is compared with A_s^{-k_s} mod p, one row of the
+    last table.  p is the first of _FINGERPRINT_PRIMES that divides no
+    det A_i and keeps n (p-1)^2 < 2^63, so no int64 product overflows;
+    without one the filter keeps every candidate.  The nonzero survivors,
+    ordered by (|k|_inf, |k|_2^2, lexicographic), are verified by exact
+    integer evaluation (check_relation), and the first that passes is
+    returned.
 
     The answer is exact: a true relation is the identity mod p whenever p
     divides no det A_i, so the filter never drops one, and a false
     survivor fails the exact check.  Hence the result equals a plain
     exact scan of the candidates in that order.
     """
-    dets = _validate_tuple(mats)
+    adjs, dets = _adjugates(mats)
     if bound is None:
         bound = max(64, 2 * max(m.max_abs_entry() for m in mats))
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    lat = det_relation_lattice(mats)
+    lat = _relation_lattice(dets)
     if lat.rank == 0:
         return None
     ks = _box_rows(lat, bound, node_cap)
-    survivors = _fingerprint_survivors(mats, dets, ks[ks.any(axis=1)])
+    survivors = [k for k in _fingerprint_survivors(mats, dets, ks, adjs) if any(k)]
     survivors.sort(key=lambda k: (linf(k), norm_sq(k), k))
     for k in survivors:
         if check_relation(mats, k):
@@ -168,55 +187,79 @@ def _fingerprint_prime(n: int, dets: Sequence[int]) -> Optional[int]:
     return None
 
 
-def _power_table_mod(a: IntMatrix, m: int, p: int) -> np.ndarray:
+def _power_table_mod(a: IntMatrix, adj: IntMatrix, d: int, m: int, p: int) -> np.ndarray:
     """A^e mod p for e = -m..m as an int64 array; entry e sits at index m + e.
 
-    A^-1 mod p is adj(A) mod p times det(A)^-1 mod p, both from the
-    integer adjugate; p divides no det A, so det(A) is invertible mod p.
+    A^-1 mod p is adj(A) mod p times d^-1 mod p, with d = det A, which p
+    does not divide.  The powers are built by doubling, A^e and A^-e
+    together: once they are known for e <= k, the rows e = k+1..2k are
+    A^{+-k} times the rows e = 1..k, one batched product for both signs,
+    so about log2(m) products in all.
     """
-    fwd = np.array([[x % p for x in row] for row in a.rows], dtype=np.int64)
-    adj, d = _adjugate(a)
+    n = a.n
     d_inv = pow(d, -1, p)
-    inv = np.array(
-        [[x * d_inv % p for x in row] for row in adj.rows], dtype=np.int64
-    )
-    table = np.empty((2 * m + 1, a.n, a.n), dtype=np.int64)
-    table[m] = np.eye(a.n, dtype=np.int64)
-    for e in range(1, m + 1):
-        table[m + e] = table[m + e - 1] @ fwd % p
-        table[m - e] = table[m - e + 1] @ inv % p
-    return table
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    half = np.empty((2, m + 1, n, n), dtype=np.int64)  # A^e and A^-e, e = 0..m
+    half[:, :2] = np.array(
+        [[eye, [[x % p for x in row] for row in a.rows]],
+         [eye, [[x * d_inv % p for x in row] for row in adj.rows]]],
+        dtype=np.int64,
+    )[:, : m + 1]
+    k = 1
+    while k < m:
+        take = min(k, m - k)
+        np.remainder(
+            half[:, k : k + 1] @ half[:, 1 : take + 1], p, out=half[:, k + 1 : k + take + 1]
+        )
+        k += take
+    return np.concatenate((half[1, :0:-1], half[0]))
 
 
 def _fingerprint_survivors(
-    mats: Sequence[IntMatrix], dets: Sequence[int], candidates
+    mats: Sequence[IntMatrix],
+    dets: Sequence[int],
+    candidates,
+    adjs: Optional[Sequence[IntMatrix]] = None,
 ) -> List[tuple]:
     """The candidates k with A_1^{k_1}...A_s^{k_s} = I mod p, as tuples.
 
-    candidates is a list of exponent tuples or an array with one per row.
-    Every true relation survives, because reduction mod a prime p dividing
-    no det A_i maps the product over Q to the product over Z/p.  Products
-    run in blocks of at most _BLOCK_ENTRIES int64 entries, one batched
-    matmul per matrix, every entry reduced below p before the next one.
-    Without a usable prime the filter keeps every candidate.
+    candidates is a list of exponent tuples or an array with one per row;
+    adjs, the adjugates of the A_i, are computed when not given.  Every
+    true relation survives, because reduction mod a prime p dividing no
+    det A_i maps the product over Q to the product over Z/p.  As A_s is
+    invertible mod p, the product is I exactly when A_1^{k_1} ...
+    A_{s-1}^{k_{s-1}} equals A_s^{-k_s}, which is row m_s - k_s of A_s's
+    power table: s - 2 batched matmuls per block of at most _BLOCK_ENTRIES
+    int64 entries, every entry reduced below p before the next one, and
+    one comparison of the two residue matrices of each candidate as one
+    n*n*8-byte item (for s = 1 the row is compared with I).  Without a
+    usable prime the filter keeps every candidate.
     """
     ks = np.asarray(candidates, dtype=np.int64).reshape(-1, len(mats))
     n = mats[0].n
     p = _fingerprint_prime(n, dets)
     if p is None or not len(ks):
         return [tuple(k) for k in ks.tolist()]
-    ms = [int(m) for m in np.abs(ks).max(axis=0)]
-    tables = [_power_table_mod(a, m, p) for a, m in zip(mats, ms)]
-    eye = np.eye(n, dtype=np.int64)
+    if adjs is None:
+        adjs = [_adjugate(a)[0] for a in mats]
+    ms = [int(np.abs(col).max()) for col in ks.T]
+    tables = [_power_table_mod(*args, p) for args in zip(mats, adjs, dets, ms)]
+    item = np.dtype((np.void, 8 * n * n))
+
+    def items(mats_mod_p):
+        return mats_mod_p.reshape(-1, n * n).view(item)[:, 0]
+
+    eye = np.eye(n, dtype=np.int64)[None]
+    last = items(tables[-1])
     step = max(1, _BLOCK_ENTRIES // (n * n))
     keep = np.empty(len(ks), dtype=bool)
     for lo in range(0, len(ks), step):
         block = ks[lo : lo + step]
-        prod = tables[0][block[:, 0] + ms[0]]
-        for j in range(1, len(mats)):
-            prod = prod @ tables[j][block[:, j] + ms[j]]
-            prod %= p
-        keep[lo : lo + step] = (prod == eye).all(axis=(1, 2))
+        factors = (t[block[:, j] + m] for j, (t, m) in enumerate(zip(tables[:-1], ms)))
+        prod = next(factors, eye)
+        for f in factors:
+            prod = prod @ f % p
+        keep[lo : lo + step] = items(prod) == last[ms[-1] - block[:, -1]]
     return [tuple(k) for k in ks[keep].tolist()]
 
 
@@ -338,7 +381,7 @@ def construct_even(blocks: Sequence[IntMatrix]) -> Tuple[IntMatrix, ...]:
     s = len(blocks)
     if s < 2 or s % 2 != 0:
         raise ValueError("need an even number (>= 2) of blocks")
-    _validate_tuple(blocks, require_nonsingular=False)
+    _check_dims(blocks)
     out = []
     for i in range(1, s // 2 + 1):
         b_odd = blocks[2 * i - 2]
@@ -359,7 +402,7 @@ def construct_odd(blocks: Sequence[IntMatrix]) -> Tuple[IntMatrix, ...]:
     m = len(blocks)
     if m < 2 or m % 2 != 0:
         raise ValueError("need an even number (>= 2) of blocks")
-    _validate_tuple(blocks, require_nonsingular=False)
+    _check_dims(blocks)
     n = blocks[0].n
     out = []
     r = m // 2

@@ -1,13 +1,14 @@
 """Independent oracles and random generators for the test suite."""
 
 from fractions import Fraction
+import math
 from itertools import product
 
 import numpy as np
 
-from matstat import kernels
+from matstat import kernels, multdep
 from matstat.errors import BudgetExceededError
-from matstat.exact import IntMatrix, MonicIntPoly, RationalMatrix, inverse_rational
+from matstat.exact import IntMatrix, MonicIntPoly, RationalMatrix, _adjugate, inverse_rational
 from matstat.kernels import pair_count_table
 from matstat.multdep import Word, det_relation_lattice
 
@@ -250,3 +251,71 @@ def census3_per_point(uf, usq, ksq, lo=0, hi=None):
         count += int(w.sum())
         sums.append(np.add.reduceat(w * nsq**-1.5, np.r_[0, starts]))
     return count, np.concatenate(sums)
+
+
+def domain_blocks_per_plane(usq, lo, hi):
+    """kernels._domain_blocks by its former per-plane route: each plane a
+    appends its (a, b) rows to the rows not yet yielded and takes a
+    cumulative sum, then cuts blocks of at most kernels._BATCH points."""
+
+    def points(ra, rb, rn):
+        first = np.repeat(np.cumsum(rn) - rn, rn)
+        b = np.repeat(rb, rn)
+        return np.repeat(ra, rn), b, b + (np.arange(first.size) - first)
+
+    ra = rb = rn = np.empty(0, dtype=np.int64)
+    for a in range(lo, hi):
+        rest = usq - a * a
+        b = np.arange(a, math.isqrt(rest // 2) + 1, dtype=np.int64)
+        ra = np.concatenate([ra, np.full_like(b, a)])
+        rb = np.concatenate([rb, b])
+        rn = np.concatenate([rn, kernels._isqrt(rest - b * b) - b + 1])
+        cum = np.cumsum(rn)
+        start, base = 0, 0
+        while cum[-1] - base >= kernels._BATCH:
+            end = max(start + 1, int(np.searchsorted(cum, base + kernels._BATCH, side="right")))
+            yield points(ra[start:end], rb[start:end], rn[start:end])
+            start, base = end, cum[end - 1]
+        ra, rb, rn = ra[start:], rb[start:], rn[start:]
+    if rn.size:
+        yield points(ra, rb, rn)
+
+
+def power_table_loop(a, m, p):
+    """multdep._power_table_mod by its former route: A^e mod p for
+    e = -m..m (index m + e), one n x n product per power in a loop."""
+    fwd = np.array([[x % p for x in row] for row in a.rows], dtype=np.int64)
+    adj, d = _adjugate(a)
+    d_inv = pow(d, -1, p)
+    inv = np.array([[x * d_inv % p for x in row] for row in adj.rows], dtype=np.int64)
+    table = np.empty((2 * m + 1, a.n, a.n), dtype=np.int64)
+    table[m] = np.eye(a.n, dtype=np.int64)
+    for e in range(1, m + 1):
+        table[m + e] = table[m + e - 1] @ fwd % p
+        table[m - e] = table[m - e + 1] @ inv % p
+    return table
+
+
+def fingerprint_survivors_full_product(mats, dets, candidates):
+    """multdep._fingerprint_survivors by its former route: the whole
+    product A_1^{k_1}...A_s^{k_s} mod p of each candidate (s - 1 batched
+    products per block of multdep._BLOCK_ENTRIES entries) compared with I
+    entry by entry, over loop-built power tables."""
+    ks = np.asarray(candidates, dtype=np.int64).reshape(-1, len(mats))
+    n = mats[0].n
+    p = multdep._fingerprint_prime(n, dets)
+    if p is None or not len(ks):
+        return [tuple(k) for k in ks.tolist()]
+    ms = [int(m) for m in np.abs(ks).max(axis=0)]
+    tables = [power_table_loop(a, m, p) for a, m in zip(mats, ms)]
+    eye = np.eye(n, dtype=np.int64)
+    step = max(1, multdep._BLOCK_ENTRIES // (n * n))
+    keep = np.empty(len(ks), dtype=bool)
+    for lo in range(0, len(ks), step):
+        block = ks[lo : lo + step]
+        prod = tables[0][block[:, 0] + ms[0]]
+        for j in range(1, len(mats)):
+            prod = prod @ tables[j][block[:, j] + ms[j]]
+            prod %= p
+        keep[lo : lo + step] = (prod == eye).all(axis=(1, 2))
+    return [tuple(k) for k in ks[keep].tolist()]

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import matstat
-from helpers import census3_per_point, charpoly2_scan_int64
+from helpers import census3_per_point, charpoly2_scan_int64, domain_blocks_per_plane
 from matstat import cli, clear_caches, counting, kernels, numtheory
 
 
@@ -726,6 +726,27 @@ def test_census3_blocks_tile_the_domain(monkeypatch):
                     for b in range(a, math.isqrt(usq) + 1)
                     for c in range(b, math.isqrt(usq) + 1) if a * a + b * b + c * c <= usq]
             assert got == want, (usq, lo, hi)
+
+
+def test_domain_blocks_match_the_per_plane_route(monkeypatch):
+    # the closed-form listing against the former per-plane one: the same
+    # points in the same blocks, on the shards above and on the whole axis,
+    # with 50-point batches (groups of planes, cuts inside and across
+    # planes) and at the default batch
+    for batch in (50, kernels._BATCH):
+        monkeypatch.setattr(kernels, "_BATCH", batch)
+        for usq in (1, 2, 3, 56, 400, 3600, 410 * 410):
+            planes = kernels.census_planes(usq)
+            spans = [(0, 1), (37, 38), (150, 153)]
+            if usq <= 3600 or batch > 50:
+                spans.append((0, planes))
+            for lo, hi in spans:
+                lo, hi = min(lo, planes), min(hi, planes)
+                got = list(kernels._domain_blocks(usq, lo, hi))
+                want = list(domain_blocks_per_plane(usq, lo, hi))
+                assert len(got) == len(want), (batch, usq, lo, hi)
+                for g, w in zip(got, want):
+                    assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(g, w))
 
 
 def test_census3_rows_match_the_per_point_route():

@@ -6,13 +6,20 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import kernel_word_oracle, random_nonsingular, random_unimodular
+from helpers import (
+    fingerprint_survivors_full_product,
+    kernel_word_oracle,
+    power_table_loop,
+    random_nonsingular,
+    random_unimodular,
+)
 from matstat import multdep
 from matstat.errors import BudgetExceededError, SingularMatrixError
 from matstat.exact import (
     IntMatrix,
     MonicIntPoly,
     RationalMatrix,
+    _adjugate,
     companion,
     det,
     mat_pow,
@@ -390,3 +397,88 @@ def test_find_dependence_checks_few_candidates_exactly(monkeypatch):
     monkeypatch.setattr(multdep, "check_relation", counted)
     assert find_dependence(unipotent_shear_pair(24), 24) == (-24, 23)
     assert 1 <= len(calls) <= 200
+
+
+def _filter_cases():
+    # random tuples for s = 1..5 and n = 1..3, and tuples built on a
+    # relation in the box, so that true relations are among the candidates
+    rng = random.Random(0xF17)
+    cases = []
+    for s in range(1, 6):
+        bound = (3, 3, 2, 1, 1)[s - 1]
+        box = list(product(range(-bound, bound + 1), repeat=s))
+        for n in (1, 2, 3):
+            for _ in range(3):
+                cases.append(([random_nonsingular(rng, n, 3) for _ in range(s)], box))
+    for n in (2, 3):
+        blocks = [random_unimodular(rng, n) for _ in range(4)]
+        for mats in (construct_even(blocks[:2]), construct_odd(blocks[:2]),
+                     construct_even(blocks), construct_odd(blocks)):
+            cases.append((mats, list(product((-1, 0, 1), repeat=len(mats)))))
+    return cases
+
+
+def test_fingerprint_survivors_match_the_full_product(monkeypatch):
+    # the comparison with the last factor's inverse powers against the
+    # former whole-product filter: the same survivors in the same order,
+    # with the default primes and with 5 and 7 (many false survivors), in
+    # blocks of 5 candidates so that every listing spans several
+    cases = _filter_cases()
+    for primes in (multdep._FINGERPRINT_PRIMES, (5, 7)):
+        monkeypatch.setattr(multdep, "_FINGERPRINT_PRIMES", primes)
+        false_survivors = true_relations = 0
+        for mats, box in cases:
+            n = mats[0].n
+            monkeypatch.setattr(multdep, "_BLOCK_ENTRIES", 5 * n * n)
+            dets = [det(m) for m in mats]
+            want = fingerprint_survivors_full_product(mats, dets, box)
+            assert multdep._fingerprint_survivors(mats, dets, box) == want
+            assert multdep._fingerprint_survivors(mats, dets, np.array(box)) == want
+            exact = [k for k in want if check_relation(mats, k)]
+            true_relations += len(exact) - 1  # less the origin
+            false_survivors += len(want) - len(exact)
+        assert true_relations >= 8
+        if primes == (5, 7):
+            assert false_survivors > 100
+
+
+def test_power_tables_by_doubling_match_the_loop():
+    rng = random.Random(0xD0B)
+    for n in (1, 2, 3):
+        for p in (multdep._FINGERPRINT_PRIMES[0], 7):
+            a = random_nonsingular(rng, n, 4)
+            while det(a) % p == 0:
+                a = random_nonsingular(rng, n, 4)
+            adj, d = _adjugate(a)
+            for m in range(71):
+                table = multdep._power_table_mod(a, adj, d, m, p)
+                assert table.dtype == np.int64
+                assert np.array_equal(table, power_table_loop(a, m, p)), (n, p, m)
+
+
+def test_find_dependence_eliminates_each_matrix_once(monkeypatch):
+    # one _adjugate, which gives the determinant too, per matrix before the
+    # exact checks: the tuple check, the relation lattice and the power
+    # tables share it
+    rng = random.Random(0x4E)
+    mats = construct_even([random_nonsingular(rng, 2, 3) for _ in range(4)])
+    eliminations, checks = [], []
+    for name in ("_adjugate", "det"):
+
+        def spy(a, _f=getattr(multdep, name), _name=name):
+            if not checks:
+                eliminations.append(_name)
+            return _f(a)
+
+        monkeypatch.setattr(multdep, name, spy)
+    check = multdep.check_relation
+
+    def counted(mats, k):
+        checks.append(k)
+        return check(mats, k)
+
+    monkeypatch.setattr(multdep, "check_relation", counted)
+    k = find_dependence(mats, 2)
+    assert checks and len(eliminations) <= len(mats), eliminations
+    monkeypatch.undo()
+    assert k == brute_force_dependence(mats, 2)

@@ -34,10 +34,9 @@ __all__ = [
 
 def clear_caches() -> None:
     """Empty every per-process memo: the per-H tables of the kernels and
-    the totient, square-sum, cyclotomic and small-prime tables of
-    numtheory.  Answers do not change; the next call at each size builds
-    its table again, as in a fresh process."""
+    the totient, cyclotomic and small-prime tables of numtheory.  Answers
+    do not change; the next call at each size builds its table again, as
+    in a fresh process."""
     kernels._tables.cache_clear()
-    for memo in (numtheory.totients_up_to, numtheory._square_sum_dp,
-                 numtheory.cyclotomic, numtheory._small_primes):
+    for memo in (numtheory.totients_up_to, numtheory.cyclotomic, numtheory._small_primes):
         memo.cache_clear()

@@ -240,15 +240,18 @@ def trace(a: IntMatrix) -> int:
 
 
 def _int_pow_nonneg(a: IntMatrix, k: int) -> IntMatrix:
-    result = IntMatrix.identity(a.n)
+    """A^k for k >= 0 by binary powering, from the first power it needs."""
+    if k == 0:
+        return IntMatrix.identity(a.n)
+    result = None
     base = a
-    while k:
+    while True:
         if k & 1:
-            result = mat_mul(result, base)
+            result = base if result is None else mat_mul(result, base)
         k >>= 1
-        if k:
-            base = mat_mul(base, base)
-    return result
+        if not k:
+            return result
+        base = mat_mul(base, base)
 
 
 def trace_power(a: IntMatrix, j: int) -> int:

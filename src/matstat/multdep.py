@@ -59,14 +59,6 @@ def _check_dims(mats: Sequence[IntMatrix]) -> None:
         raise ValueError("matrices must share a common dimension")
 
 
-def _validate_tuple(mats: Sequence[IntMatrix]) -> List[int]:
-    _check_dims(mats)
-    dets = [det(m) for m in mats]
-    if any(dv == 0 for dv in dets):
-        raise SingularMatrixError("tuple contains a singular matrix")
-    return dets
-
-
 def _adjugates(mats: Sequence[IntMatrix]) -> Tuple[List[IntMatrix], List[int]]:
     """(adj A_i, det A_i) for a nonsingular tuple, one elimination each."""
     _check_dims(mats)
@@ -83,7 +75,7 @@ def det_relation_lattice(mats: Sequence[IntMatrix]) -> Lattice:
     is an extra order-2 generator, handled by passing to the even-parity
     sublattice (doubling one odd basis vector).
     """
-    return _relation_lattice(_validate_tuple(mats))
+    return _relation_lattice(_adjugates(mats)[1])
 
 
 def _relation_lattice(dets: Sequence[int]) -> Lattice:
@@ -120,15 +112,14 @@ def check_relation(mats: Sequence[IntMatrix], k: Sequence[int]) -> bool:
     if len(k) != len(mats):
         raise ValueError("exponent vector length mismatch")
     _check_dims(mats)
-    prod = IntMatrix.identity(mats[0].n)
-    scale = 1
+    prod, scale = None, 1
     for a, e in zip(mats, k):
         if e == 0:
             continue
         num, den = _int_pow(a, int(e))
-        prod = prod @ num
+        prod = num if prod is None else prod @ num
         scale *= den
-    return all(
+    return prod is None or all(
         x == (scale if i == j else 0)
         for i, row in enumerate(prod.rows)
         for j, x in enumerate(row)
@@ -170,7 +161,7 @@ def find_dependence(
     if lat.rank == 0:
         return None
     ks = _box_rows(lat, bound, node_cap)
-    survivors = [k for k in _fingerprint_survivors(mats, dets, ks, adjs) if any(k)]
+    survivors = [k for k in _fingerprint_survivors(mats, adjs, dets, ks) if any(k)]
     survivors.sort(key=lambda k: (linf(k), norm_sq(k), k))
     for k in survivors:
         if check_relation(mats, k):
@@ -217,31 +208,29 @@ def _power_table_mod(a: IntMatrix, adj: IntMatrix, d: int, m: int, p: int) -> np
 
 def _fingerprint_survivors(
     mats: Sequence[IntMatrix],
+    adjs: Sequence[IntMatrix],
     dets: Sequence[int],
     candidates,
-    adjs: Optional[Sequence[IntMatrix]] = None,
 ) -> List[tuple]:
     """The candidates k with A_1^{k_1}...A_s^{k_s} = I mod p, as tuples.
 
-    candidates is a list of exponent tuples or an array with one per row;
-    adjs, the adjugates of the A_i, are computed when not given.  Every
-    true relation survives, because reduction mod a prime p dividing no
-    det A_i maps the product over Q to the product over Z/p.  As A_s is
-    invertible mod p, the product is I exactly when A_1^{k_1} ...
-    A_{s-1}^{k_{s-1}} equals A_s^{-k_s}, which is row m_s - k_s of A_s's
-    power table: s - 2 batched matmuls per block of at most _BLOCK_ENTRIES
-    int64 entries, every entry reduced below p before the next one, and
-    one comparison of the two residue matrices of each candidate as one
-    n*n*8-byte item (for s = 1 the row is compared with I).  Without a
-    usable prime the filter keeps every candidate.
+    adjs and dets are the adjugates and determinants of the A_i
+    (`_adjugates`); candidates is a list of exponent tuples or an array
+    with one per row.  Every true relation survives, because reduction mod
+    a prime p dividing no det A_i maps the product over Q to the product
+    over Z/p.  As A_s is invertible mod p, the product is I exactly when
+    A_1^{k_1} ... A_{s-1}^{k_{s-1}} equals A_s^{-k_s}, which is row
+    m_s - k_s of A_s's power table: s - 2 batched matmuls per block of at
+    most _BLOCK_ENTRIES int64 entries, every entry reduced below p before
+    the next one, and one comparison of the two residue matrices of each
+    candidate as one n*n*8-byte item (for s = 1 the row is compared with
+    I).  Without a usable prime the filter keeps every candidate.
     """
     ks = np.asarray(candidates, dtype=np.int64).reshape(-1, len(mats))
     n = mats[0].n
     p = _fingerprint_prime(n, dets)
     if p is None or not len(ks):
         return [tuple(k) for k in ks.tolist()]
-    if adjs is None:
-        adjs = [_adjugate(a)[0] for a in mats]
     ms = [int(np.abs(col).max()) for col in ks.T]
     tables = [_power_table_mod(*args, p) for args in zip(mats, adjs, dets, ms)]
     item = np.dtype((np.void, 8 * n * n))
@@ -269,7 +258,7 @@ def tuple_rank(mats: Sequence[IntMatrix], bound: int) -> int:
     Rank 0 means every single matrix is torsion within the bound; rank s
     means the whole tuple is independent at this search radius.
     """
-    _validate_tuple(mats)
+    _check_dims(mats)
     s = len(mats)
     for r in range(s, 0, -1):
         for idx in combinations(range(s), r):
@@ -285,7 +274,6 @@ def is_maximal_rank_dependent(mats: Sequence[IntMatrix], bound: int) -> bool:
     Checking the s subtuples of size s-1 suffices: a relation on a smaller
     subtuple extends by zero exponents without leaving the box.
     """
-    _validate_tuple(mats)
     s = len(mats)
     if find_dependence(mats, bound) is None:
         return False
@@ -335,12 +323,13 @@ def find_kernel_word(
     deduplicated on (N, q, exponent sums), which preserves completeness
     because extensions depend only on that triple.
     """
-    _validate_tuple(mats)
+    adjs, dets = _adjugates(mats)
     if max_len < 1:
         raise ValueError("word length must be >= 1")
-    if det_relation_lattice(mats).rank == 0:
+    if _relation_lattice(dets).rank == 0:
         return None  # determinant obstruction kills every kernel word
-    letters = [(i, e, *_int_pow(m, e)) for i, m in enumerate(mats) for e in (1, -1)]
+    letters = [letter for i, (m, adj, dv) in enumerate(zip(mats, adjs, dets))
+               for letter in ((i, 1, m, 1), (i, -1, adj, dv))]
     start, zero = IntMatrix.identity(mats[0].n), (0,) * len(mats)
     frontier = [(start, 1, zero, ())]
     seen = {(start.rows, 1, zero)}

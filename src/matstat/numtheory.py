@@ -12,18 +12,14 @@ is left of each cofactor is 1 or a single prime q > sqrt(N), applied in one
 gathered pass.  Both arrays are int32, exact because phi(k) <= k <= N.
 A sieve bound N > 2^28 (about 2 GiB of int32 scratch) is refused with
 ValueError before anything is allocated; that ceiling also keeps N inside
-the int32 range.  The tables serve w(n) (`max_totient_square_sum`) and
-`TotientTable` membership.  w(n) is refused past 2^17, well inside the
-sieve's range: its dynamic program is a Python loop over n, about 2 s at
-2^16 and 8 s at 2^17 on a 2-vCPU Xeon, 3-4x longer per doubling.
+the int32 range.  The sieve serves only the public `totients_up_to` /
+`TotientTable` API.
 
-v(n) (`largest_totient_below`) builds no table: it walks down over even
-m <= n and decides each m = phi(k) by a depth-first search over the primes
-p with p - 1 | m (`_is_totient`), factoring m and testing each p by trial
-division over the primes <= sqrt(n + 1).  p - 1 is a totient for every
-prime p, so the walk stops within a prime gap of n.  n keeps the domain of
-the table route: it is refused past 2^25, where its table's witness bound
-would pass the sieve ceiling.
+v(n) (`largest_totient_below`) and w(n) (`max_totient_square_sum`) build
+no table: they walk down over even m <= n and decide each m = phi(k) by a
+depth-first search over the primes p with p - 1 | m (`_is_totient`), with
+trial division over the primes <= sqrt(n + 1).  Both take n <= 2^40,
+where that trial division keeps a call under about 0.1 s (`_WALK_CAP`).
 """
 
 from __future__ import annotations
@@ -302,22 +298,35 @@ def totients_up_to(limit: int) -> TotientTable:
     return TotientTable(limit, tuple(np.flatnonzero(seen).tolist()), bound)
 
 
+# v(n) and w(n) take n <= 2^40.  Their walks test each candidate by trial
+# division over the primes <= sqrt(n + 1), so a call costs about sqrt(n):
+# 4x per 4 bits.  On a 2-vCPU Xeon, 200 seeded n in [2^39, 2^40] took
+# 15 ms mean (46 ms worst) for v and 25 ms mean (112 ms worst) for w; in
+# [2^47, 2^48], 20 n took 0.24 s mean for v and 0.40 s (1.06 s worst) for w.
+_WALK_CAP = 2**40
+
+
+def _walk_primes(n: int) -> list:
+    """The primes <= sqrt(n + 1) for the walks of v(n) and w(n), which
+    refuse n past _WALK_CAP before anything is allocated."""
+    if n > _WALK_CAP:
+        raise ValueError(f"v(n) and w(n) take n <= 2^40, got {n}")
+    return np.flatnonzero(_prime_mask(math.isqrt(n + 1))).tolist()
+
+
 def largest_totient_below(n: int) -> int:
-    """v(n): the largest totient value <= n.
+    """v(n): the largest totient value <= n, for 1 <= n <= 2^40.
 
     Walks m = n, n - 2, ... down over even m and returns the first totient;
     p - 1 is one for every prime p, so the walk ends by the largest
-    p - 1 <= n.  Builds no phi table, but refuses n past 2^25, the largest
-    n whose table (witness bound of `totients_up_to(_table_size(n))`) fits
-    the sieve ceiling 2^28.  A non-integer n raises TypeError.
+    p - 1 <= n.  A non-integer n raises TypeError.
     """
     n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_sieve_bound(_totient_witness_bound(_table_size(n)))
+    primes = _walk_primes(n)
     if n == 1:
         return 1
-    primes = np.flatnonzero(_prime_mask(math.isqrt(n + 1))).tolist()
     m = n - n % 2
     while not _is_totient(m, primes):
         m -= 2
@@ -395,40 +404,37 @@ def _is_totient(m: int, primes: list) -> bool:
     return search(m, 0)
 
 
-def _table_size(n: int) -> int:
-    size = 1
-    while size < n:
-        size *= 2
-    return size
-
-
-@lru_cache(maxsize=8)
-def _square_sum_dp(limit: int) -> tuple:
-    """DP array: w[n] = max sum of squares of totient parts summing to n."""
-    table = totients_up_to(limit)
-    vals = np.array(table.values, dtype=np.int64)
-    squares = vals * vals
-    w = np.zeros(limit + 1, dtype=np.int64)
-    for n in range(1, limit + 1):
-        usable = vals[vals <= n]  # never empty: 1 is a totient, so w[m] >= m
-        w[n] = int(np.max(w[n - usable] + squares[: usable.size]))
-    return tuple(int(x) for x in w)
-
-
 def max_totient_square_sum(n: int) -> int:
     """w(n): max of sum(phi(k_j)^2) over ways to write n as a sum of
-    totient values (repeats allowed).  w(0) = 0.
+    totient values (repeats allowed), for 0 <= n <= 2^40.  w(0) = 0.
 
-    Every n >= 1 has at least the all-ones partition, so w(n) >= n.
+    w(m) is the max over totients a <= m of a^2 + w(m - a), starting from
+    m, the all-ones partition.  Taking a as the largest part of a best
+    partition, which for m >= 2 is even (totients above 1 are), the walk
+    tries even a = m, m - 2, ... and stops once a m <= best: a partition
+    whose parts are all at most a has square sum at most a m.  So each
+    level tries the a within about twice a prime gap of m, and the
+    w(m - a) it needs, memoised for this call, are far smaller than m.
+    A non-integer n raises TypeError.
     """
+    n = operator.index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > 2**17:  # _square_sum_dp's loop over n takes 3-4x as long per doubling
-        raise ValueError(f"w(n) takes n <= 2^17, got {n}")
-    if n == 0:
-        return 0
-    w = _square_sum_dp(_table_size(n))
-    return w[n]
+    primes = _walk_primes(n)
+    memo: Dict[int, int] = {}
+
+    def w(m: int) -> int:
+        if m not in memo:
+            best = m
+            a = m - m % 2
+            while a * m > best:
+                if _is_totient(a, primes):
+                    best = max(best, a * a + w(m - a))
+                a -= 2
+            memo[m] = best
+        return memo[m]
+
+    return w(n)
 
 
 def count_smooth_wrt(q: int, u) -> int:

@@ -11,6 +11,7 @@ from matstat.errors import BudgetExceededError
 from matstat.exact import IntMatrix, MonicIntPoly, RationalMatrix, _adjugate, inverse_rational
 from matstat.kernels import pair_count_table
 from matstat.multdep import Word, det_relation_lattice
+from matstat.numtheory import totients_up_to
 
 
 def det_oracle(rows):
@@ -319,3 +320,16 @@ def fingerprint_survivors_full_product(mats, dets, candidates):
             prod %= p
         keep[lo : lo + step] = (prod == eye).all(axis=(1, 2))
     return [tuple(k) for k in ks[keep].tolist()]
+
+
+def square_sum_dp(limit):
+    """w(n) for 0 <= n <= limit as a tuple, by the dynamic program over n:
+    w[n] is the max over totients a <= n of a^2 + w[n - a], read from the
+    sieve table.  A Python loop over n, about 8 s at limit = 2^17."""
+    vals = np.array(totients_up_to(limit).values, dtype=np.int64)
+    squares = vals * vals
+    w = np.zeros(limit + 1, dtype=np.int64)
+    for n in range(1, limit + 1):
+        usable = vals[vals <= n]  # never empty: 1 is a totient, so w[m] >= m
+        w[n] = int(np.max(w[n - usable] + squares[: usable.size]))
+    return tuple(int(x) for x in w)

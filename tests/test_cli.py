@@ -423,28 +423,11 @@ def test_torsion_block_within_budget(capsys):
     assert "dimension = 6" in err
 
 
-def test_totient_beyond_int32_sieve_is_one_error_line(capsys):
-    # v(10^9) needs a witness bound of 2^33, refused before any allocation
-    rc, out, err = run(capsys, "totient", "v", "--n", "1000000000")
-    assert rc != 0 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
-    assert "int32" in err
-
-
-def test_totient_beyond_sieve_ceiling_is_one_error_line(capsys):
-    # v(2^27) needs a witness bound of 2^30, past the 2^28 sieve ceiling
-    rc, out, err = run(capsys, "totient", "v", "--n", "134217728")
-    assert rc != 0 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
-    assert "ceiling 2^28" in err
-
-
-def test_totient_w_past_two_to_17_is_one_error_line(capsys):
-    # refused by its bound, before the square-sum DP starts
-    rc, out, err = run(capsys, "totient", "w", "--n", "131073")
-    assert rc != 0 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
-    assert "2^17" in err
+def test_totient_v_answers_past_the_sieve_ceiling(capsys):
+    # no phi table: 10^9 = phi(2^8 5^10) and 2^27 = phi(2^28) answer at once
+    for n in (1000000000, 134217728):
+        rc, out, _ = run(capsys, "totient", "v", "--n", str(n))
+        assert rc == 0 and out == f"v({n}) = {n}\n"
 
 
 def test_census_budget_binds_the_kernel_path(capsys):
@@ -455,13 +438,15 @@ def test_census_budget_binds_the_kernel_path(capsys):
     assert "census kernel" in err
 
 
-def test_totient_v_answers_two_to_25_and_refuses_one_more(capsys):
-    rc, out, _ = run(capsys, "totient", "v", "--n", "33554432")
-    assert rc == 0 and out == "v(33554432) = 33554432\n"
-    rc, out, err = run(capsys, "totient", "v", "--n", "33554433")
-    assert rc != 0 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
-    assert "ceiling 2^28" in err
+def test_totient_answers_two_to_40_and_refuses_one_more(capsys):
+    # 2^40 = phi(2^41), a totient: w(2^40) is its square
+    for what, value in (("v", 2**40), ("w", 2**80)):
+        rc, out, _ = run(capsys, "totient", what, "--n", "1099511627776")
+        assert rc == 0 and out == f"{what}(1099511627776) = {value}\n"
+        rc, out, err = run(capsys, "totient", what, "--n", "1099511627777")
+        assert rc != 0 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert "take n <= 2^40" in err
 
 
 def test_count_manifest_records_inputs(capsys):

@@ -967,6 +967,7 @@ def test_clear_caches_empties_every_memo():
     exempt = {id(cli.build_parser)}
     numtheory.largest_totient_below(100)
     numtheory.max_totient_square_sum(12)
+    numtheory.totients_up_to(64)
     numtheory.cyclotomic(12)
     numtheory.factorize(10**7 + 19)
     kernels.orbit_blocks(2, lines=True)
@@ -981,18 +982,19 @@ def test_clear_caches_empties_every_memo():
                     and not isinstance(obj, type) and id(obj) not in exempt):
                 memos[id(obj)] = (f"{info.name}.{name}", obj)
     filled = {name for name, obj in memos.values() if obj.cache_info().currsize}
-    assert {"kernels._tables", "numtheory.totients_up_to", "numtheory._square_sum_dp",
+    assert {"kernels._tables", "numtheory.totients_up_to",
             "numtheory.cyclotomic", "numtheory._small_primes"} <= filled
     matstat.clear_caches()
     assert [name for name, obj in memos.values() if obj.cache_info().currsize] == []
 
 
 def test_largest_totient_below_warms_no_memo():
-    # v(n) builds no table: a gain from it cannot come from a memo that a
-    # per-pass totients_up_to.cache_clear() would miss
+    # v(n) and w(n) build no table: a gain from them cannot come from a
+    # memo that a per-pass totients_up_to.cache_clear() would miss
     # (the scan of test_clear_caches_empties_every_memo, cli.build_parser exempt)
     matstat.clear_caches()
     assert numtheory.largest_totient_below(50000) == 50000
+    assert numtheory.max_totient_square_sum(50000) == 50000**2
     filled = []
     for info in pkgutil.iter_modules(matstat.__path__):
         if info.name == "__main__":

@@ -343,10 +343,10 @@ def test_fingerprint_false_positives_do_not_change_answers(monkeypatch):
     false_survivors = 0
     for mats, bound in _tiny_prime_pairs():
         cands = [k for k in product(range(-bound, bound + 1), repeat=2) if any(k)]
-        dets = [det(m) for m in mats]
-        survivors = multdep._fingerprint_survivors(mats, dets, cands)
+        adjs, dets = multdep._adjugates(mats)
+        survivors = multdep._fingerprint_survivors(mats, adjs, dets, cands)
         # find_dependence passes the box listing as an int64 array
-        assert multdep._fingerprint_survivors(mats, dets, np.array(cands)) == survivors
+        assert multdep._fingerprint_survivors(mats, adjs, dets, np.array(cands)) == survivors
         false_survivors += sum(1 for k in survivors if not check_relation(mats, k))
         assert find_dependence(mats, bound) == brute_force_dependence(mats, bound)
     assert false_survivors > 100
@@ -377,10 +377,10 @@ def test_fingerprint_without_a_prime_keeps_every_candidate(monkeypatch):
     b = IntMatrix([[5, 1], [0, 7]])
     c = IntMatrix([[7, 0], [0, 5]])
     for mats in ([b, b], [b, c], [c, b, b]):
-        dets = [det(m) for m in mats]
+        adjs, dets = multdep._adjugates(mats)
         assert multdep._fingerprint_prime(2, dets) is None
         cands = [k for k in product(range(-2, 3), repeat=len(mats)) if any(k)]
-        assert multdep._fingerprint_survivors(mats, dets, cands) == cands
+        assert multdep._fingerprint_survivors(mats, adjs, dets, cands) == cands
         assert find_dependence(mats, 2) == brute_force_dependence(mats, 2)
 
 
@@ -430,10 +430,10 @@ def test_fingerprint_survivors_match_the_full_product(monkeypatch):
         for mats, box in cases:
             n = mats[0].n
             monkeypatch.setattr(multdep, "_BLOCK_ENTRIES", 5 * n * n)
-            dets = [det(m) for m in mats]
+            adjs, dets = multdep._adjugates(mats)
             want = fingerprint_survivors_full_product(mats, dets, box)
-            assert multdep._fingerprint_survivors(mats, dets, box) == want
-            assert multdep._fingerprint_survivors(mats, dets, np.array(box)) == want
+            assert multdep._fingerprint_survivors(mats, adjs, dets, box) == want
+            assert multdep._fingerprint_survivors(mats, adjs, dets, np.array(box)) == want
             exact = [k for k in want if check_relation(mats, k)]
             true_relations += len(exact) - 1  # less the origin
             false_survivors += len(want) - len(exact)
@@ -482,3 +482,22 @@ def test_find_dependence_eliminates_each_matrix_once(monkeypatch):
     assert checks and len(eliminations) <= len(mats), eliminations
     monkeypatch.undo()
     assert k == brute_force_dependence(mats, 2)
+
+
+def test_find_kernel_word_eliminates_each_matrix_once(monkeypatch):
+    # one _adjugate per matrix gives both the inverse letter and the
+    # determinant that the relation lattice reads
+    rng = random.Random(0x4F)
+    mats = construct_even([random_nonsingular(rng, 2, 3) for _ in range(4)])
+    calls = []
+    for name in ("_adjugate", "det", "_int_pow"):
+
+        def spy(*args, _f=getattr(multdep, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+
+        monkeypatch.setattr(multdep, name, spy)
+    word = find_kernel_word(mats, 4)
+    assert calls == ["_adjugate"] * len(mats)
+    monkeypatch.undo()
+    assert word == kernel_word_oracle(mats, 4, 10**6)

@@ -6,7 +6,10 @@ import random
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import square_sum_dp
 from matstat import numtheory
 from matstat.errors import ZeroArgumentError
 from matstat.exact import MonicIntPoly
@@ -14,8 +17,6 @@ from matstat.numtheory import (
     FactoredInt,
     _phi_sieve,
     _small_primes,
-    _table_size,
-    _totient_witness_bound,
     count_smooth_wrt,
     cyclotomic,
     euler_phi,
@@ -136,15 +137,33 @@ def test_square_sum_examples():
     assert max_totient_square_sum(10) == 100
 
 
-def test_square_sum_refuses_n_past_two_to_17():
-    # the DP is a Python loop over n, so w(n) stops where it takes seconds;
-    # its table size, a power of two, never passes the cap
-    numtheory._square_sum_dp.cache_clear()
-    for n in (2**17 + 1, 10**6, 2**25):
-        with pytest.raises(ValueError, match=r"^w\(n\) takes n <= 2\^17, got "):
-            max_totient_square_sum(n)
-    assert numtheory._square_sum_dp.cache_info().currsize == 0
-    assert _table_size(2**17) == 2**17
+# --- w(n) by the walk, against the dynamic program over n ----------------
+
+
+@pytest.fixture(scope="module")
+def square_sums():
+    return square_sum_dp(2**17)
+
+
+def test_square_sum_matches_dp_to_two_to_14(square_sums):
+    ns = range(2**14 + 1)
+    assert [max_totient_square_sum(n) for n in ns] == [square_sums[n] for n in ns]
+
+
+def test_square_sum_matches_dp_on_seeded_sample(square_sums):
+    rng = random.Random(0x7775)
+    for n in [rng.randint(2**14, 2**17) for _ in range(2000)]:
+        assert max_totient_square_sum(n) == square_sums[n], n
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 2**12))
+def test_square_sum_is_the_best_first_part(n):
+    # w(n) = max over totients a <= n of a^2 + w(n - a)
+    w = max_totient_square_sum(n)
+    sums = [a * a + max_totient_square_sum(n - a)
+            for a in totients_up_to(2**12).values if a <= n]
+    assert max(sums) == w
 
 
 def test_count_smooth_examples():
@@ -305,29 +324,27 @@ def test_phi_sieve_ceiling_is_two_to_28(monkeypatch):
         _phi_sieve(2**28 + 1)
 
 
-def test_totient_v_answers_up_to_two_to_25():
-    # largest n whose table fits under the ceiling; checked on bounds only
-    assert _totient_witness_bound(_table_size(2**25)) == 2**28
-    assert _totient_witness_bound(_table_size(2**25 + 1)) > 2**28
-
-
 def test_largest_totient_below_answers_two_to_25():
     # the walk's first m is a totient: 2^25 = phi(2^26)
     assert largest_totient_below(2**25) == 2**25 == euler_phi(2**26)
 
 
-def test_largest_totient_below_refuses_past_two_to_25():
-    # refused through the table route's ceiling check, with its message
-    with pytest.raises(ValueError, match="ceiling 2\\^28"):
-        largest_totient_below(2**25 + 1)
+def test_totient_walks_refuse_past_two_to_40(monkeypatch):
+    # refused before the walk's prime list is sieved
+    monkeypatch.setattr(numtheory, "_prime_mask", None)
+    for fn in (largest_totient_below, max_totient_square_sum):
+        with pytest.raises(ValueError, match=r"^v\(n\) and w\(n\) take n <= 2\^40, got 1099511627777$"):
+            fn(2**40 + 1)
 
 
 @pytest.mark.parametrize("n", [10.5, "10", 1.0])
 def test_largest_totient_below_refuses_non_integer(n):
-    # a float n never reaches an even m, so its walk would not end; 1.0
-    # would otherwise be answered before any integer-only call
-    with pytest.raises(TypeError):
-        largest_totient_below(n)
+    # a float n never reaches an even m, so v's walk would not end; 1.0
+    # would otherwise be answered before any integer-only call.  w reads
+    # n the same way
+    for fn in (largest_totient_below, max_totient_square_sum):
+        with pytest.raises(TypeError):
+            fn(n)
 
 
 # --- v(n) by the inverse-totient walk, against the sieve table -------------

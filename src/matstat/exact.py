@@ -472,8 +472,11 @@ def integer_roots(f: MonicIntPoly) -> Optional[list]:
     """All roots (with multiplicity) when f splits over Z, else None.
 
     A monic integer polynomial has only integer rational roots, so this
-    decides whether every eigenvalue is rational.
+    decides whether every eigenvalue is rational.  Each root divides the
+    constant term, whose divisors come from its factorization.
     """
+    from .numtheory import _divisors  # numtheory imports this module
+
     coeffs = list(f.all_coeffs())
     roots = []
     while len(coeffs) > 1:
@@ -483,7 +486,7 @@ def integer_roots(f: MonicIntPoly) -> Optional[list]:
             coeffs = coeffs[1:]
             continue
         found = None
-        for cand in _divisor_candidates(abs(c0)):
+        for cand in _divisors(abs(c0)):
             for r in (cand, -cand):
                 acc = 0
                 for c in reversed(coeffs):
@@ -505,17 +508,3 @@ def integer_roots(f: MonicIntPoly) -> Optional[list]:
         coeffs = list(reversed(new))
         roots.append(found)
     return sorted(roots)
-
-
-def _divisor_candidates(m: int):
-    """Positive divisors of m > 0 in increasing order (trial division)."""
-    small = []
-    large = []
-    i = 1
-    while i * i <= m:
-        if m % i == 0:
-            small.append(i)
-            if i != m // i:
-                large.append(m // i)
-        i += 1
-    return small + large[::-1]

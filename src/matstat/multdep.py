@@ -154,7 +154,7 @@ def find_dependence(
     """
     adjs, dets = _adjugates(mats)
     if bound is None:
-        bound = max(64, 2 * max(m.max_abs_entry() for m in mats))
+        bound = _default_bound(mats)
     if bound < 1:
         raise ValueError("bound must be >= 1")
     lat = _relation_lattice(dets)
@@ -167,6 +167,12 @@ def find_dependence(
         if check_relation(mats, k):
             return tuple(int(x) for x in k)
     return None
+
+
+def _default_bound(mats: Sequence[IntMatrix]) -> int:
+    """find_dependence's box radius when none is given, max(64, 2 max|entry|);
+    64 for an empty tuple, which find_dependence then refuses."""
+    return max(64, 2 * max((m.max_abs_entry() for m in mats), default=0))
 
 
 def _fingerprint_prime(n: int, dets: Sequence[int]) -> Optional[int]:
@@ -252,13 +258,17 @@ def _fingerprint_survivors(
     return [tuple(k) for k in ks[keep].tolist()]
 
 
-def tuple_rank(mats: Sequence[IntMatrix], bound: int) -> int:
+def tuple_rank(mats: Sequence[IntMatrix], bound: Optional[int]) -> int:
     """Largest r such that some r-subtuple has no relation within bound.
 
     Rank 0 means every single matrix is torsion within the bound; rank s
-    means the whole tuple is independent at this search radius.
+    means the whole tuple is independent at this search radius.  A bound
+    of None takes find_dependence's default for the whole tuple, and every
+    subtuple is searched in that one box.
     """
     _check_dims(mats)
+    if bound is None:
+        bound = _default_bound(mats)
     s = len(mats)
     for r in range(s, 0, -1):
         for idx in combinations(range(s), r):
@@ -268,12 +278,16 @@ def tuple_rank(mats: Sequence[IntMatrix], bound: int) -> int:
     return 0
 
 
-def is_maximal_rank_dependent(mats: Sequence[IntMatrix], bound: int) -> bool:
+def is_maximal_rank_dependent(mats: Sequence[IntMatrix], bound: Optional[int]) -> bool:
     """Dependent within bound, with every proper subtuple independent.
 
     Checking the s subtuples of size s-1 suffices: a relation on a smaller
-    subtuple extends by zero exponents without leaving the box.
+    subtuple extends by zero exponents without leaving the box.  A bound of
+    None takes find_dependence's default for the whole tuple, so every
+    subtuple is searched in the same box.
     """
+    if bound is None:
+        bound = _default_bound(mats)
     s = len(mats)
     if find_dependence(mats, bound) is None:
         return False

@@ -2,8 +2,9 @@
 
 Factoring is exact for arbitrary Python ints: trial division over a sieved
 prime table below 10^6, then Brent-cycle Pollard rho with Miller-Rabin.
-Primality is deterministic below the 13-witness threshold and uses a fixed
-documented witness set above it (error heuristically < 2^-80).
+Primality below 10^6 is a lookup in that table; above it, Miller-Rabin is
+deterministic below the 13-witness threshold and uses a fixed documented
+witness set beyond it (error heuristically < 2^-80).
 
 Totient tables come from a strided numpy sieve (`_phi_sieve`): each prime
 p <= sqrt(N) scales phi by (1 - 1/p) on the slice phi[p::p] and is divided
@@ -17,9 +18,10 @@ the int32 range.  The sieve serves only the public `totients_up_to` /
 
 v(n) (`largest_totient_below`) and w(n) (`max_totient_square_sum`) build
 no table: they walk down over even m <= n and decide each m = phi(k) by a
-depth-first search over the primes p with p - 1 | m (`_is_totient`), with
-trial division over the primes <= sqrt(n + 1).  Both take n <= 2^40,
-where that trial division keeps a call under about 0.1 s (`_WALK_CAP`).
+depth-first search over the primes p with p - 1 | m (`_is_totient`).  The
+divisors of m come from `factorize` and each p from `is_probable_prime`,
+which is exact for every m + 1 <= 2^40 + 1.  Both take n <= 2^40
+(`_WALK_CAP`).
 """
 
 from __future__ import annotations
@@ -80,22 +82,22 @@ def _small_primes() -> tuple:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin; deterministic for n below ~3.3e24."""
-    if n < 2:
-        return False
+    """Miller-Rabin; deterministic for n below ~3.3e24.  n below 10^6 is
+    looked up in the sieved table instead."""
+    if n < _TRIAL_LIMIT:
+        primes = _small_primes()
+        i = bisect.bisect_left(primes, n)
+        return i < len(primes) and primes[i] == n
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
-            return n == p
+            return False
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
     bases = _MR_BASES_SMALL if n < _MR_DETERMINISTIC_BOUND else _MR_BASES_LARGE
-    for a in bases:
-        a %= n
-        if a <= 1:  # base collides with n (only happens for prime n <= 173)
-            continue
+    for a in bases:  # every base is below n
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -298,20 +300,18 @@ def totients_up_to(limit: int) -> TotientTable:
     return TotientTable(limit, tuple(np.flatnonzero(seen).tolist()), bound)
 
 
-# v(n) and w(n) take n <= 2^40.  Their walks test each candidate by trial
-# division over the primes <= sqrt(n + 1), so a call costs about sqrt(n):
-# 4x per 4 bits.  On a 2-vCPU Xeon, 200 seeded n in [2^39, 2^40] took
-# 15 ms mean (46 ms worst) for v and 25 ms mean (112 ms worst) for w; in
-# [2^47, 2^48], 20 n took 0.24 s mean for v and 0.40 s (1.06 s worst) for w.
+# v(n) and w(n) take n <= 2^40.  Their walks factor each candidate with
+# factorize, whose trial division grows as sqrt(n) up to the primes below
+# 10^6 (n ~ 10^12), and test each candidate prime with Miller-Rabin.  On a
+# 2-vCPU Xeon, 200 seeded n in [2^39, 2^40] took 2.2-2.3 ms mean (11-12 ms
+# worst) for v and 3.3-3.9 ms mean (17-21 ms worst) for w.
 _WALK_CAP = 2**40
 
 
-def _walk_primes(n: int) -> list:
-    """The primes <= sqrt(n + 1) for the walks of v(n) and w(n), which
-    refuse n past _WALK_CAP before anything is allocated."""
+def _check_walk(n: int) -> None:
+    """Refuse n past _WALK_CAP, before anything is factored."""
     if n > _WALK_CAP:
         raise ValueError(f"v(n) and w(n) take n <= 2^40, got {n}")
-    return np.flatnonzero(_prime_mask(math.isqrt(n + 1))).tolist()
 
 
 def largest_totient_below(n: int) -> int:
@@ -324,58 +324,33 @@ def largest_totient_below(n: int) -> int:
     n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    primes = _walk_primes(n)
+    _check_walk(n)
     if n == 1:
         return 1
     m = n - n % 2
-    while not _is_totient(m, primes):
+    while not _is_totient(m):
         m -= 2
     return m
 
 
-def _trial_prime(p: int, primes: list) -> bool:
-    """Primality of p >= 2 by trial division; `primes` reaches sqrt(p)."""
-    for q in primes:
-        if q * q > p:
-            return True
-        if p % q == 0:
-            return False
-    return True
-
-
-def _is_totient(m: int, primes: list) -> bool:
+def _is_totient(m: int) -> bool:
     """Whether m = phi(k) for some k, from the divisors of m alone.
 
-    `primes` holds every prime <= sqrt(m + 1) in increasing order, so trial
-    division over it factors m and decides the primality of each d + 1 <= m + 1
-    exactly.  phi(k) = prod (p - 1) p^(a-1) over the prime powers p^a || k,
-    so every such p - 1 divides m: the candidates are p = d + 1 for the
+    phi(k) = prod (p - 1) p^(a-1) over the prime powers p^a || k, so every
+    such p - 1 divides m: the candidates are the primes p = d + 1 for the
     divisors d of m that are 1 or even.  A depth-first search over them in
     increasing order divides the rest by (p - 1) p^(a-1), memoised on
-    (rest, index) for this call.
+    (rest, index) for this call.  is_probable_prime is exact here, as
+    m + 1 <= 2^40 + 1 lies far below its deterministic bound.
     """
     if m == 1:
         return True
     if m % 2:
         return False
-    if _trial_prime(m + 1, primes):  # m = phi(m + 1)
+    if is_probable_prime(m + 1):  # m = phi(m + 1)
         return True
-    divisors = [1]
-    cofactor = m
-    for q in primes:
-        if q * q > cofactor:
-            break
-        e = 0
-        while cofactor % q == 0:
-            cofactor //= q
-            e += 1
-        if e:
-            divisors = [d * q**i for d in divisors for i in range(e + 1)]
-    if cofactor > 1:
-        divisors += [d * cofactor for d in divisors]
-
-    cands = sorted(d + 1 for d in divisors
-                   if (d == 1 or d % 2 == 0) and _trial_prime(d + 1, primes))
+    cands = [d + 1 for d in _divisors(m)
+             if (d == 1 or d % 2 == 0) and is_probable_prime(d + 1)]
     memo: Dict[Tuple[int, int], bool] = {}
 
     def search(rest: int, i: int) -> bool:
@@ -420,7 +395,7 @@ def max_totient_square_sum(n: int) -> int:
     n = operator.index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
-    primes = _walk_primes(n)
+    _check_walk(n)
     memo: Dict[int, int] = {}
 
     def w(m: int) -> int:
@@ -428,7 +403,7 @@ def max_totient_square_sum(n: int) -> int:
             best = m
             a = m - m % 2
             while a * m > best:
-                if _is_totient(a, primes):
+                if _is_totient(a):
                     best = max(best, a * a + w(m - a))
                 a -= 2
             memo[m] = best

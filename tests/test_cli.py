@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from matstat import experiments, multdep
 from matstat.cli import build_parser, main
+from matstat.exact import companion
+from matstat.numtheory import cyclotomic
 
 
 def run(capsys, *argv):
@@ -106,6 +108,20 @@ def test_multdep_check_and_rank(tmp_path, capsys):
     assert rc == 1 and "relation holds = False" in out
     rc, out, _ = run(capsys, "multdep", "rank", "--tuple", str(tfile), "--bound", "4")
     assert rc == 0 and "rank = 1" in out
+
+
+def test_multdep_rank_default_bound_covers_every_subtuple(tmp_path, capsys):
+    # S = I_20 + 40 E_12 and T = companion(Phi_66), of order 66: without
+    # --bound the pair's box is 80, which holds T^66 = I, so the pair is not
+    # of maximal rank
+    s = [[int(i == j) for j in range(20)] for i in range(20)]
+    s[0][1] = 40
+    t = [list(row) for row in companion(cyclotomic(66)).rows]
+    tfile = tmp_path / "pair.json"
+    tfile.write_text(json.dumps({"matrices": [s, t]}))
+    rc, out, _ = run(capsys, "multdep", "rank", "--tuple", str(tfile))
+    assert rc == 0
+    assert "rank = 1" in out and "maximal-rank dependent = False" in out
 
 
 def test_multdep_word(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Exact integer/rational linear algebra against cofactor oracles."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -363,6 +364,39 @@ def test_integer_roots():
             acc = new
         f = MonicIntPoly(tuple(acc[:-1]))
         assert integer_roots(f) == roots
+
+
+def _monic_from_roots(roots):
+    acc = [1]  # coefficients high to low
+    for r in roots:  # multiply by (X - r)
+        acc = [a - r * b for a, b in zip(acc + [0], [0] + acc)]
+    return MonicIntPoly(tuple(reversed(acc[1:])))
+
+
+def test_integer_roots_with_a_large_constant_term():
+    # the divisors of c0 = 999999937 * 1000000007 come from its two prime
+    # factors; a divisor scan would run to sqrt(c0) = 10^9
+    f = _monic_from_roots([999999937, 1000000007])
+    t0 = time.perf_counter()
+    assert integer_roots(f) == [999999937, 1000000007]
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_integer_roots_match_sympy_up_to_constant_terms_of_10_12():
+    x = sympy.Symbol("x")
+    rng = random.Random(0x5EED)
+    for _ in range(60):
+        deg = rng.randint(1, 3)
+        top = int(10 ** (12 / deg))
+        f = _monic_from_roots([rng.randint(-top, top) for _ in range(deg)])
+        if rng.random() < 0.5:  # move c0 off the product, usually off Z-splitting
+            f = MonicIntPoly((f.all_coeffs()[0] + rng.choice((-1, 1)),) + f.all_coeffs()[1:-1])
+        _, factors = sympy.Poly(list(reversed(f.all_coeffs())), x).factor_list()
+        if all(g.degree() == 1 for g, _ in factors):
+            expected = sorted(int(-g.TC() / g.LC()) for g, e in factors for _ in range(e))
+        else:
+            expected = None
+        assert integer_roots(f) == expected, f.all_coeffs()
 
 
 def test_charpoly_invariant_under_conjugation():

@@ -38,6 +38,7 @@ from matstat.multdep import (
     tuple_rank,
     unipotent_shear_pair,
 )
+from matstat.numtheory import cyclotomic
 
 
 ROT4 = IntMatrix([[0, -1], [1, 0]])  # order 4
@@ -188,6 +189,23 @@ def test_is_maximal_rank_dependent():
     assert not is_maximal_rank_dependent(pair, 3)  # not dependent at all
     assert not is_maximal_rank_dependent([ROT4, ROT6], 6)  # subtuples torsion
     assert is_maximal_rank_dependent([ROT4], 6)  # s = 1: dependent suffices
+
+
+def test_subtuples_are_searched_in_the_whole_tuples_default_box():
+    # S = I_20 + 40 E_12 (infinite order) and T = companion(Phi_66), of
+    # order 66: the pair's default box is 80, T's own only 64
+    rows = [[int(i == j) for j in range(20)] for i in range(20)]
+    rows[0][1] = 40
+    s, t = IntMatrix(rows), companion(cyclotomic(66))
+    assert find_dependence([t]) is None and find_dependence([t], 80) == (-66,)
+    # T^66 = I lies in the pair's box, so the subtuple (T) is dependent
+    assert is_maximal_rank_dependent([s, t], None) is False
+    assert is_maximal_rank_dependent([s, t], 80) is False
+    # an order-2 matrix with an entry 40 in place of S: every singleton is
+    # torsion within the pair's box
+    flip = [[int(i == j) for j in range(20)] for i in range(20)]
+    flip[0][1], flip[1][1] = 40, -1
+    assert tuple_rank([IntMatrix(flip), t], None) == tuple_rank([IntMatrix(flip), t], 80) == 0
 
 
 def test_find_kernel_word_fixture():

@@ -38,6 +38,15 @@ def test_primality_against_sympy():
         assert is_probable_prime(n) == sympy.isprime(n)
 
 
+def test_primality_where_the_table_hands_over_to_miller_rabin():
+    # below _TRIAL_LIMIT = 10^6 the answer is a lookup in the sieved table
+    for n in range(10**6 - 200, 10**6 + 201):
+        assert is_probable_prime(n) == sympy.isprime(n), n
+    below = list(sympy.primerange(10**6 - 1000, 10**6))
+    assert below[-1] == 999983 == _small_primes()[-1]
+    assert all(is_probable_prime(p) for p in below)
+
+
 def test_factorize_recomposes():
     rng = random.Random(0xF00D)
     for _ in range(150):
@@ -330,8 +339,12 @@ def test_largest_totient_below_answers_two_to_25():
 
 
 def test_totient_walks_refuse_past_two_to_40(monkeypatch):
-    # refused before the walk's prime list is sieved
-    monkeypatch.setattr(numtheory, "_prime_mask", None)
+    # refused before anything is factored or tested for primality
+    def refuse(*args):
+        raise AssertionError("factored before the cap was checked")
+
+    monkeypatch.setattr(numtheory, "factorize", refuse)
+    monkeypatch.setattr(numtheory, "is_probable_prime", refuse)
     for fn in (largest_totient_below, max_totient_square_sum):
         with pytest.raises(ValueError, match=r"^v\(n\) and w\(n\) take n <= 2\^40, got 1099511627777$"):
             fn(2**40 + 1)
@@ -380,8 +393,7 @@ def test_largest_totient_below_at_record_gaps():
 
 def test_is_totient_matches_table_membership():
     table = totients_up_to(2**14)
-    primes = np.flatnonzero(numtheory._prime_mask(math.isqrt(2**14 + 1))).tolist()
-    found = [m for m in range(1, 2**14 + 1) if numtheory._is_totient(m, primes)]
+    found = [m for m in range(1, 2**14 + 1) if numtheory._is_totient(m)]
     assert found == list(table.values)
 
 

@@ -16,12 +16,14 @@ layers run vectorised in numpy (``_box_blocks``), each coefficient's exact
 interval cut by the box as well as by the covering ball, in int64 when a
 range guard allows and in Python ints otherwise.  The order of a listing
 is unspecified.  The scalar ``_enumerate_ball`` serves only the ball
-searches (``successive_minima`` and the census).
+searches (``_minima``, behind ``successive_minima``, ``reduced_basis`` and
+``is_k_good``, and the census); it yields one vector of each pair +-v.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import time
 from collections import Counter
@@ -315,8 +317,14 @@ def _enumerate_ball(basis, d, lam, bound_sq: int, budget: _NodeBudget):
     to |v|^2; times m = lcm_i d[i] d[i + 1] that is (x D - C)^2 w_i with
     w_i = m / (d[i] D), against the integer remainder.  One isqrt gives the
     exact interval of x, so every node visited fits and is charged once to
-    the budget.  Yields (coeffs, vector, normsq) for every solution, sign
-    pairs included, x ascending at each level from the last basis vector.
+    the budget.  At a level whose higher coefficients are all 0 the centre
+    C is 0 and the interval symmetric, and x starts there at 0, so of each
+    pair +-v only the one whose last nonzero coefficient is positive is
+    yielded, as (coeffs, vector, normsq), x ascending at each level from
+    the last basis vector.  The search of the full ball, sign pairs
+    included, would charge exactly 2 n - s nodes where this one charges n:
+    its +- subtrees mirror each other, and each of the s levels on the
+    axis charges its x = 0 node once.
     """
     s = len(basis)
     m = reduce(math.lcm, (d[i] * d[i + 1] for i in range(s)), 1)
@@ -332,7 +340,10 @@ def _enumerate_ball(basis, d, lam, bound_sq: int, budget: _NodeBudget):
         if descend:
             c = -sum(coeffs[j] * lam[j][i] for j in range(i + 1, s))
             r = math.isqrt(rem[i + 1] // w[i])
-            lo = (c - r + d[i + 1] - 1) // d[i + 1]
+            if c == 0 and not any(coeffs):  # on the axis: keep x >= 0
+                lo = 0
+            else:
+                lo = (c - r + d[i + 1] - 1) // d[i + 1]
             top[i] = (c + r) // d[i + 1]
             centre[i] = c
             if top[i] >= lo:
@@ -359,28 +370,51 @@ def _enumerate_ball(basis, d, lam, bound_sq: int, budget: _NodeBudget):
                 yield tuple(coeffs), tuple(vec), bound_sq - rem[0] // m
 
 
+def _minima(lat: Lattice, node_cap: int):
+    """(minima_sq, vectors, spans, red) for successive_minima,
+    reduced_basis and is_k_good.
+
+    red is the LLL basis; the ball search over it, of squared radius
+    max |b|^2, yields one of each pair +-v, and of the two the
+    lexicographically smaller is kept, its coefficients negated with it.
+    Sorted by (|v|^2, v), the candidates are then those of the full ball
+    in the same order, less the later member of each pair, which never is
+    independent of the vectors before it.  The pivot columns of the matrix
+    whose columns are the candidates' coefficient vectors in red are the
+    greedy choice of independent vectors, and elimination stops at rank
+    pivots.  The chosen vectors are C red for their coefficient matrix C,
+    so they generate the lattice exactly when |det C| = 1, and the last
+    pivot of that same elimination is +-det C: spans says so.
+    """
+    if lat.rank == 0:
+        return (), (), True, []
+    red, d, lam = _lll(lat.basis)
+    bound = max(norm_sq(v) for v in red)
+    zero = (0,) * lat.ambient_dim  # -v < v exactly when v > zero
+    candidates = []
+    for coeffs, vec, nsq in _enumerate_ball(red, d, lam, bound, _NodeBudget(node_cap)):
+        if vec > zero:
+            vec, coeffs = tuple(map(operator.neg, vec)), tuple(map(operator.neg, coeffs))
+        candidates.append((nsq, vec, coeffs))
+    candidates.sort()
+    _, pivots, denom, _ = _echelon(list(zip(*(c for _, _, c in candidates))), full=False)
+    chosen = [candidates[j] for j in pivots]
+    minima = tuple(nsq for nsq, _, _ in chosen)
+    return minima, tuple(vec for _, vec, _ in chosen), abs(denom) == 1, red
+
+
+def _by_length(basis: Sequence[IntVector]) -> Tuple[IntVector, ...]:
+    return tuple(sorted(basis, key=lambda v: (norm_sq(v), v)))
+
+
 def successive_minima(lat: Lattice, node_cap: int = DEFAULT_NODE_CAP):
     """Exact successive minima (squared) of the lattice, with witnesses.
 
     Returns (minima_sq, vectors), both of length rank.  Uses LLL to get a
-    search radius, then full enumeration; intended for rank <= 6.
+    search radius, then enumeration of half the ball (see _minima);
+    intended for rank <= 6.
     """
-    if lat.rank == 0:
-        return (), ()
-    red, d, lam = _lll(lat.basis)
-    bound = max(norm_sq(v) for v in red)
-    candidates = sorted(
-        _enumerate_ball(red, d, lam, bound, _NodeBudget(node_cap)),
-        key=lambda item: (item[2], item[1]),
-    )
-    # The pivot columns of the matrix whose columns are the candidates,
-    # shortest first, are the greedy choice of independent vectors.  Their
-    # coefficient vectors in the basis `red` stand in for them: the same
-    # independence, and only rank rows, so elimination stops at rank pivots.
-    coeff_rows = list(zip(*(coeffs for coeffs, _, _ in candidates)))
-    pivots = _echelon(coeff_rows, full=False)[1]
-    chosen = [candidates[j] for j in pivots]
-    return tuple(nsq for _, _, nsq in chosen), tuple(vec for _, vec, _ in chosen)
+    return _minima(lat, node_cap)[:2]
 
 
 def reduced_basis(lat: Lattice, node_cap: int = DEFAULT_NODE_CAP) -> Tuple[IntVector, ...]:
@@ -388,24 +422,16 @@ def reduced_basis(lat: Lattice, node_cap: int = DEFAULT_NODE_CAP) -> Tuple[IntVe
 
     LLL (delta = 0.99) first; for rank <= 6 the result is upgraded to
     the vectors attaining the successive minima that successive_minima
-    returns, whenever those generate the lattice, which a comparison of
-    Gram determinants decides.  For rank <= 3 they always do, but not
-    beyond: in 2Z^4 + Z(1, 1, 1, 1) the vectors 2e_1, ..., 2e_4 attain
-    every minimum and span a sublattice of index 2.
+    returns, whenever those generate the lattice, which the determinant of
+    their coefficients in the LLL basis decides (see _minima).  For rank
+    <= 3 they always do, but not beyond: in 2Z^4 + Z(1, 1, 1, 1) the
+    vectors 2e_1, ..., 2e_4 attain every minimum and span a sublattice of
+    index 2.
     """
-    minimal = successive_minima(lat, node_cap)[1] if lat.rank <= 6 else ()
-    return _reduced_basis(lat, minimal)
-
-
-def _reduced_basis(lat: Lattice, minimal: Sequence[IntVector]) -> Tuple[IntVector, ...]:
-    """reduced_basis given the witnesses of successive_minima (or none)."""
-    if lat.rank == 0:
-        return ()
-    if lat.rank <= 6 and len(minimal) == lat.rank:
-        g = [[dot(v, w) for w in minimal] for v in minimal]
-        if det(IntMatrix(g)) == lat.gram_det():
-            return tuple(minimal)
-    return tuple(sorted(_lll(lat.basis)[0], key=lambda v: (norm_sq(v), v)))
+    if lat.rank > 6:
+        return _by_length(_lll(lat.basis)[0])
+    _, vectors, spans, red = _minima(lat, node_cap)
+    return vectors if spans else _by_length(red)
 
 
 @dataclass(frozen=True)
@@ -467,8 +493,8 @@ def is_k_good(u: Sequence[int], k_bound, node_cap: int = DEFAULT_NODE_CAP) -> Go
     k = _exact("K", k_bound)
     _floor_bound("K", k, 1)
     dual = orthogonal_lattice([u])
-    minima, vectors = successive_minima(dual, node_cap)
-    basis = _reduced_basis(dual, vectors)
+    minima, vectors, spans, red = _minima(dual, node_cap)
+    basis = vectors if spans and dual.rank <= 6 else _by_length(red)
     ksq = math.floor(k ** 2)
     good = all(m <= ksq for m in minima)
     return GoodnessVerdict(u, float(k), good, minima, basis)
@@ -519,10 +545,12 @@ def _box_blocks(basis: Sequence[IntVector], hf: int, budget: _NodeBudget):
     (b_i[c] != 0 = b_j[c] for j < i): |V[c] + x_i b_i[c]| <= hf.  Every
     coordinate is cut so at the last layer, whose rows are then exactly
     the box points.  Every interval lies inside the one Fincke-Pohst
-    gives the same prefix, so no listing charges more nodes than the ball
-    search would.  Each layer's row count is charged to the budget before
-    the layer is built.  Layers expand depth-first in blocks of at most
-    _BOX_BLOCK_ROWS rows, so a caller that counts holds O(rank) blocks.
+    gives the same prefix, so no listing charges more nodes than a search
+    of the full ball, sign pairs included, would: 2 n - rank, for the n
+    nodes _enumerate_ball charges on its half.  Each layer's row count is
+    charged to the budget before the layer is built.  Layers expand
+    depth-first in blocks of at most _BOX_BLOCK_ROWS rows, so a caller
+    that counts holds O(rank) blocks.
 
     The arithmetic is int64 when conservative bounds on every |x_i|, every
     partial sum, every coordinate and every block's row count stay below

@@ -15,11 +15,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BudgetExceededError, SingularMatrixError
+from .errors import BudgetExceededError, NegativePowerOfSingularError, SingularMatrixError
 from .exact import (
     IntMatrix,
     _adjugate,
-    _int_pow,
+    _int_pow_nonneg,
     block_diag,
     companion,
     det,
@@ -112,13 +112,34 @@ def check_relation(mats: Sequence[IntMatrix], k: Sequence[int]) -> bool:
     if len(k) != len(mats):
         raise ValueError("exponent vector length mismatch")
     _check_dims(mats)
+    adjs, dets = [None] * len(mats), [None] * len(mats)
+    for i, e in enumerate(k):
+        if e < 0:
+            adjs[i], dets[i] = _adjugate(mats[i])
+            if adjs[i] is None:
+                raise NegativePowerOfSingularError(f"negative power {int(e)} of a singular matrix")
+    return _relation_holds(mats, adjs, dets, k)
+
+
+def _relation_holds(
+    mats: Sequence[IntMatrix],
+    adjs: Sequence[Optional[IntMatrix]],
+    dets: Sequence[Optional[int]],
+    k: Sequence[int],
+) -> bool:
+    """check_relation given adj A_i and det A_i for every i with k_i < 0
+    (the others are not read), so no matrix is eliminated again."""
     prod, scale = None, 1
-    for a, e in zip(mats, k):
-        if e == 0:
+    for a, adj, dv, e in zip(mats, adjs, dets, k):
+        e = int(e)
+        if e > 0:
+            num = _int_pow_nonneg(a, e)
+        elif e < 0:
+            num = _int_pow_nonneg(adj, -e)
+            scale *= dv ** -e
+        else:
             continue
-        num, den = _int_pow(a, int(e))
         prod = num if prod is None else prod @ num
-        scale *= den
     return prod is None or all(
         x == (scale if i == j else 0)
         for i, row in enumerate(prod.rows)
@@ -144,8 +165,8 @@ def find_dependence(
     det A_i and keeps n (p-1)^2 < 2^63, so no int64 product overflows;
     without one the filter keeps every candidate.  The nonzero survivors,
     ordered by (|k|_inf, |k|_2^2, lexicographic), are verified by exact
-    integer evaluation (check_relation), and the first that passes is
-    returned.
+    integer evaluation (check_relation, on the adjugates already at hand),
+    and the first that passes is returned.
 
     The answer is exact: a true relation is the identity mod p whenever p
     divides no det A_i, so the filter never drops one, and a false
@@ -164,7 +185,7 @@ def find_dependence(
     survivors = [k for k in _fingerprint_survivors(mats, adjs, dets, ks) if any(k)]
     survivors.sort(key=lambda k: (linf(k), norm_sq(k), k))
     for k in survivors:
-        if check_relation(mats, k):
+        if _relation_holds(mats, adjs, dets, k):
             return tuple(int(x) for x in k)
     return None
 

@@ -234,20 +234,42 @@ def test_coordinates_and_contains_on_and_off_span(case):
         assert not lat.contains(w)
 
 
-def _greedy_minima(u, bound_sq):
-    """Brute force: all nonzero w with w.u = 0 and |w|^2 <= bound_sq, sorted
-    by (|w|^2, w), then the greedy independent choice by sympy rank."""
+def _members(basis):
+    """Membership in the lattice spanned by the rows of `basis`, as a
+    boolean mask over the rows of an int64 array: w = x B has x = w_J M^-1
+    for the columns J of a nonsingular minor M of B, by sympy."""
+    b = sympy.Matrix(basis)
+    cols = list(b.rref()[1])
+    minor = b[:, cols]
+    adj = np.array(minor.adjugate().tolist(), dtype=np.int64)
+    det = int(minor.det())
+    barr = np.array(basis, dtype=np.int64)
+
+    def member(grid):
+        y = grid[:, cols] @ adj
+        ok = (y % det == 0).all(axis=1)
+        return ok & ((y // det) @ barr == grid).all(axis=1)
+
+    return member
+
+
+def _ball_scan(t, bound_sq, member):
+    """The nonzero w in Z^t with |w|^2 <= bound_sq that `member` accepts,
+    by a scan of the box |w|_inf <= isqrt(bound_sq)."""
     r = math.isqrt(bound_sq)
-    cands = sorted(
-        (norm_sq(w), w)
-        for w in product(range(-r, r + 1), repeat=len(u))
-        if any(w) and sum(x * y for x, y in zip(w, u)) == 0 and norm_sq(w) <= bound_sq
-    )
+    grid = np.array(list(product(range(-r, r + 1), repeat=t)), dtype=np.int64)
+    grid = grid[((grid * grid).sum(axis=1) <= bound_sq) & member(grid)]
+    return {w for w in map(tuple, grid.tolist()) if any(w)}
+
+
+def _greedy_minima(t, rank, bound_sq, member):
+    """Brute force: the lattice vectors of _ball_scan sorted by (|w|^2, w),
+    then the greedy independent choice by sympy rank."""
     chosen = []
-    for nsq, w in cands:
+    for nsq, w in sorted((norm_sq(w), w) for w in _ball_scan(t, bound_sq, member)):
         if sympy.Matrix(chosen + [w]).rank() == len(chosen) + 1:
             chosen.append(w)
-        if len(chosen) == len(u) - 1:
+        if len(chosen) == rank:
             break
     return tuple(norm_sq(w) for w in chosen), tuple(chosen)
 
@@ -320,29 +342,107 @@ def test_lll_rounds_ties_to_even():
 def test_enumeration_budget_on_rank_three():
     lat = orthogonal_lattice([(1, 2, 3, 4)])
     # every node of the integer Fincke-Pohst interval fits the bound, so the
-    # caps below are exact node counts: 15 for the minima (29 when the
-    # intervals had a +-1 slack).  The box count charges every row of each
-    # layer: 2549 with the box cutting the intervals (6551 when only the
-    # covering ball of squared radius 4 * 10^2 did)
-    for count, nodes in ((lambda cap: successive_minima(lat, cap), 15),
+    # caps below are exact node counts: 9 for the minima, on half the ball
+    # (15 = 2 * 9 - 3 on the full ball, 29 when its intervals had a +-1
+    # slack).  The box count charges every row of each layer: 2549 with the
+    # box cutting the intervals (6551 when only the covering ball of squared
+    # radius 4 * 10^2 did)
+    for count, nodes in ((lambda cap: successive_minima(lat, cap), 9),
                          (lambda cap: points_in_box(lat, 10, cap), 2549)):
-        for cap in (10, nodes - 1):
+        for cap in (5, nodes - 1):
             with pytest.raises(BudgetExceededError) as err:
                 count(cap)
             assert err.value.budget == cap and err.value.needed > cap
         count(nodes)
-    assert successive_minima(lat, 15) == successive_minima(lat)
+    assert successive_minima(lat, 9) == successive_minima(lat)
     assert points_in_box(lat, 10, 2549) == points_in_box(lat, 10)
 
 
 def test_successive_minima_picks_greedy_vectors():
+    # the last minimum bounds every vector a correct greedy scan picks
     rng = random.Random(0x5EED)
     for _ in range(40):
-        t = rng.randint(2, 4)
+        t = rng.randint(2, 5)
         u = _random_primitive(rng, t, 4)
         minima, vecs = successive_minima(orthogonal_lattice([u]))
-        # the last minimum bounds every vector a correct greedy scan picks
-        assert (minima, vecs) == _greedy_minima(u, minima[-1])
+        orthogonal = lambda grid, u=u: grid @ np.array(u) == 0
+        assert (minima, vecs) == _greedy_minima(t, t - 1, minima[-1], orthogonal)
+    # non-primitive bases, every rank; only boxes of up to 10^5 points
+    checked = 0
+    while checked < 30:
+        t = rng.randint(2, 5)
+        basis = _random_basis(rng, t, rng.randint(1, t), "non-primitive")
+        lat = Lattice(t, basis)
+        minima, vecs = successive_minima(lat)
+        if (2 * math.isqrt(minima[-1]) + 1) ** t > 10 ** 5:
+            continue
+        assert (minima, vecs) == _greedy_minima(t, lat.rank, minima[-1], _members(basis))
+        checked += 1
+
+
+def test_ball_search_yields_one_of_each_sign_pair():
+    # the last nonzero coefficient is positive, no v comes with -v, and the
+    # vectors with their negatives are the whole ball
+    rng = random.Random("half-ball")
+    for _ in range(60):
+        t = rng.randint(1, 4)
+        basis = _random_basis(rng, t, rng.randint(1, t), rng.choice(("small", "skewed")))
+        red, d, lam = _lll(basis)
+        bound = rng.choice((1, 2, 5, 10, 20, 40))
+        out = list(_enumerate_ball(red, d, lam, bound, _NodeBudget(DEFAULT_NODE_CAP)))
+        vecs = {v for _, v, _ in out}
+        assert len(vecs) == len(out)
+        for coeffs, v, nsq in out:
+            assert [x for x in coeffs if x][-1] > 0
+            assert tuple(-x for x in v) not in vecs
+            assert v == tuple(sum(c * b[k] for c, b in zip(coeffs, red)) for k in range(t))
+            assert nsq == norm_sq(v) <= bound
+        negatives = {tuple(-x for x in v) for v in vecs}
+        assert vecs | negatives == _ball_scan(t, bound, _members(basis))
+
+
+def _gram_spans(lat, vectors):
+    """The check the minima once went through: their Gram determinant
+    equals the lattice's."""
+    gram = [[sum(x * y for x, y in zip(v, w)) for w in vectors] for v in vectors]
+    return sympy.Matrix(gram).det() == lat.gram_det()
+
+
+def test_spanning_decided_by_the_coefficient_determinant():
+    # |det C| = 1 for the coefficients C of the minima in the LLL basis
+    # exactly when their Gram determinant is the lattice's
+    # (lattices whose ball search needs more than 2 10^4 nodes are passed over)
+    rng = random.Random("spans")
+    cases = [Lattice(n, tuple(tuple(2 * (i == j) for j in range(n)) for i in range(n - 1))
+                     + ((1,) * n,)) for n in (4, 5, 6)]
+    for _ in range(200):
+        t = rng.randint(1, 6)
+        kind = rng.choice(("small", "skewed", "non-primitive", "scaled"))
+        cases.append(Lattice(t, _random_basis(rng, t, rng.randint(1, t), kind)))
+    # 2Z^n + Zv for v in {0, +-1}^n of weight w: from w = 5 on only the
+    # 2e_i attain the minima; each basis skewed by one unimodular step
+    for _ in range(40):
+        n = rng.randint(4, 6)
+        support = rng.sample(range(n), rng.randint(1, n))
+        v = [rng.choice((1, -1)) * (i in support) for i in range(n)]
+        basis = [[2 * (i == j) for j in range(n)] for i in range(n) if i != support[0]] + [v]
+        a, b = rng.sample(range(n), 2)
+        basis[a] = [x + rng.randint(-5, 5) * y for x, y in zip(basis[a], basis[b])]
+        cases.append(Lattice(n, basis))
+    checked = refused = 0
+    for lat in cases:
+        try:
+            minima, vectors, spans, red = lattices._minima(lat, 2 * 10 ** 4)
+        except BudgetExceededError:
+            continue
+        assert spans == _gram_spans(lat, vectors)
+        assert reduced_basis(lat) == (vectors if spans else
+                                      tuple(sorted(red, key=lambda v: (norm_sq(v), v))))
+        checked += 1
+        refused += not spans
+    # n = 4: (1, 1, 1, 1) has length 2 too, and the greedy choice spans
+    assert [lattices._minima(lat, DEFAULT_NODE_CAP)[2] for lat in cases[:3]] == [True, False, False]
+    assert checked >= 200 and refused >= 5, (checked, refused)
 
 
 def test_successive_minima_against_oracle():
@@ -386,14 +486,18 @@ def test_reduced_basis_falls_back_to_lll_when_minima_do_not_span():
 
 def test_rank_four_minimal_vectors_need_not_span():
     # in L = 2Z^4 + Z(1,1,1,1) the 2e_i attain every minimum but span
-    # index 2: the Gram check refuses them, where some other choice spans
+    # index 2: their coefficients in the LLL basis have determinant +-2, so
+    # the check refuses them, where some other choice spans
     lat = Lattice(4, ((1, 1, 1, 1), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)))
     doubled = tuple(tuple(2 * (i == j) for j in range(4)) for i in range(4))
     assert successive_minima(lat)[0] == (4, 4, 4, 4) == tuple(map(norm_sq, doubled))
     assert Lattice(4, doubled).gram_det() == 4 * lat.gram_det()
-    basis = lattices._reduced_basis(lat, doubled)
+    red = Lattice(4, _lll(lat.basis)[0])
+    coeffs = sympy.Matrix([red.coordinates_of(v) for v in doubled])
+    assert all(x.is_integer for x in coeffs) and abs(coeffs.det()) == 2
+    basis = reduced_basis(lat)
     assert basis != doubled and Lattice(4, basis).gram_det() == lat.gram_det()
-    assert [norm_sq(v) for v in reduced_basis(lat)] == [4, 4, 4, 4]
+    assert [norm_sq(v) for v in basis] == [4, 4, 4, 4]
 
 
 def test_reduced_basis_achieves_minima():
@@ -463,13 +567,16 @@ def _grid_reference(lat, hf):
 
 def _ball_reference(lat, hf):
     """Box points by the route successive_minima keeps: Fincke-Pohst over
-    the covering ball of squared radius t hf^2, filtered on the sup norm."""
+    the covering ball of squared radius t hf^2, each v it yields with -v,
+    filtered on the sup norm."""
     out = {(0,) * lat.ambient_dim}
     if lat.rank:
         ball = _enumerate_ball(
             *_lll(lat.basis), lat.ambient_dim * hf * hf, _NodeBudget(DEFAULT_NODE_CAP)
         )
-        out |= {v for _, v, _ in ball if max(map(abs, v)) <= hf}
+        for _, v, _ in ball:
+            if max(map(abs, v)) <= hf:
+                out |= {v, tuple(-x for x in v)}
     return out
 
 
@@ -515,7 +622,8 @@ def test_box_listing_against_ball_property(rows, skew, bound):
 
 def test_box_listing_charges_no_more_nodes_than_the_ball():
     # every interval of a layer lies inside the one Fincke-Pohst gives the
-    # same prefix, so the box listing never needs a larger node cap
+    # same prefix, so the box listing never needs a larger node cap than
+    # the full ball, which charges 2 n - rank nodes for the n of its half
     rng = random.Random("box-nodes")
     cases = list(_box_cases("box-nodes", 80))
     cases += [(Lattice(t, _random_basis(rng, t, t, "scaled")), 12) for t in (3, 4, 5) for _ in range(4)]
@@ -523,16 +631,17 @@ def test_box_listing_charges_no_more_nodes_than_the_ball():
         hf = math.floor(bound)
         box, ball = _NodeBudget(DEFAULT_NODE_CAP), _NodeBudget(DEFAULT_NODE_CAP)
         listed = {tuple(w) for blk in lattices._box_blocks(lat.basis, hf, box) for w in blk.tolist()}
-        inside = {v for _, v, _ in _enumerate_ball(*_lll(lat.basis), lat.ambient_dim * hf * hf, ball)
-                  if max(map(abs, v)) <= hf}
+        half = {v for _, v, _ in _enumerate_ball(*_lll(lat.basis), lat.ambient_dim * hf * hf, ball)
+                if max(map(abs, v)) <= hf}
+        inside = half | {tuple(-x for x in v) for v in half}
         assert listed == inside | {(0,) * lat.ambient_dim}
-        assert box.cap - box.left <= ball.cap - ball.left
+        assert box.cap - box.left <= 2 * (ball.cap - ball.left) - lat.rank
 
 
 def test_box_count_of_a_sparse_full_rank_lattice():
     # determinant ~1.6e16 in Z^5: the covering ball search needs 2227 nodes
-    # at box 60, a listing by coordinate prefixes (x_0 in [-60, 60], then
-    # x_1, ...) more than 2e7
+    # at box 60 (1116 on the half that _enumerate_ball visits), a listing by
+    # coordinate prefixes (x_0 in [-60, 60], then x_1, ...) more than 2e7
     sparse = Lattice(5, [[2, 50, -2, -14, 100], [-7, 1, 100, 50, -1], [1, 0, 50, 0, 2],
                          [-50, 1, 1, -50, 7], [2, -2, -2, 100, 0]])
     assert points_in_box(sparse, 30, 87) == 5

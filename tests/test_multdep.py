@@ -13,8 +13,8 @@ from helpers import (
     random_nonsingular,
     random_unimodular,
 )
-from matstat import multdep
-from matstat.errors import BudgetExceededError, SingularMatrixError
+from matstat import exact, multdep
+from matstat.errors import BudgetExceededError, NegativePowerOfSingularError, SingularMatrixError
 from matstat.exact import (
     IntMatrix,
     MonicIntPoly,
@@ -77,6 +77,26 @@ def test_check_relation_negative_exponents():
     a = IntMatrix([[1, 1], [0, 1]])
     assert check_relation([a, a], (3, -3))
     assert check_relation([a, a @ a], (2, -1))
+
+
+def test_check_relation_reads_a_singular_matrix_only_at_negative_exponents(monkeypatch):
+    # only the matrices with k_i < 0 are eliminated, so a singular one with
+    # k_i >= 0 is multiplied as it is
+    proj = IntMatrix([[1, 0], [0, 0]])
+    assert check_relation([proj, ROT4], (0, 4))
+    assert not check_relation([proj, ROT4], (2, 4))
+    with pytest.raises(NegativePowerOfSingularError, match="negative power -1"):
+        check_relation([ROT4, proj], (4, -1))
+    eliminated = []
+    adjugate = exact._adjugate
+
+    def spy(m):
+        eliminated.append(m)
+        return adjugate(m)
+
+    monkeypatch.setattr(multdep, "_adjugate", spy)
+    assert check_relation([proj, ROT4, ROT6], (0, -4, 6))
+    assert eliminated == [ROT4]
 
 
 def test_det_relation_lattice_examples():
@@ -406,13 +426,13 @@ def test_find_dependence_checks_few_candidates_exactly(monkeypatch):
     # the fingerprint leaves the exact products to the survivors; without
     # it every one of the 2390 lattice points in the box is checked
     calls = []
-    check = multdep.check_relation
+    check = multdep._relation_holds
 
-    def counted(mats, k):
+    def counted(mats, adjs, dets, k):
         calls.append(k)
-        return check(mats, k)
+        return check(mats, adjs, dets, k)
 
-    monkeypatch.setattr(multdep, "check_relation", counted)
+    monkeypatch.setattr(multdep, "_relation_holds", counted)
     assert find_dependence(unipotent_shear_pair(24), 24) == (-24, 23)
     assert 1 <= len(calls) <= 200
 
@@ -475,47 +495,48 @@ def test_power_tables_by_doubling_match_the_loop():
 
 
 def test_find_dependence_eliminates_each_matrix_once(monkeypatch):
-    # one _adjugate, which gives the determinant too, per matrix before the
-    # exact checks: the tuple check, the relation lattice and the power
-    # tables share it
+    # one _adjugate, which gives the determinant too, per matrix in the
+    # whole search: the tuple check, the relation lattice, the power tables
+    # and the exact checks of negative exponents share it
     rng = random.Random(0x4E)
     mats = construct_even([random_nonsingular(rng, 2, 3) for _ in range(4)])
     eliminations, checks = [], []
-    for name in ("_adjugate", "det"):
+    for module, name in ((multdep, "_adjugate"), (multdep, "det"), (exact, "_adjugate")):
 
-        def spy(a, _f=getattr(multdep, name), _name=name):
-            if not checks:
-                eliminations.append(_name)
+        def spy(a, _f=getattr(module, name), _name=name):
+            eliminations.append(_name)
             return _f(a)
 
-        monkeypatch.setattr(multdep, name, spy)
-    check = multdep.check_relation
+        monkeypatch.setattr(module, name, spy)
+    check = multdep._relation_holds
 
-    def counted(mats, k):
+    def counted(mats, adjs, dets, k):
         checks.append(k)
-        return check(mats, k)
+        return check(mats, adjs, dets, k)
 
-    monkeypatch.setattr(multdep, "check_relation", counted)
+    monkeypatch.setattr(multdep, "_relation_holds", counted)
     k = find_dependence(mats, 2)
-    assert checks and len(eliminations) <= len(mats), eliminations
+    assert any(min(c) < 0 for c in checks), checks
+    assert len(eliminations) <= len(mats), eliminations
     monkeypatch.undo()
     assert k == brute_force_dependence(mats, 2)
 
 
 def test_find_kernel_word_eliminates_each_matrix_once(monkeypatch):
     # one _adjugate per matrix gives both the inverse letter and the
-    # determinant that the relation lattice reads
+    # determinant that the relation lattice reads (exact._adjugate is the
+    # one a negative power through exact would call)
     rng = random.Random(0x4F)
     mats = construct_even([random_nonsingular(rng, 2, 3) for _ in range(4)])
     calls = []
-    for name in ("_adjugate", "det", "_int_pow"):
+    for module, name in ((multdep, "_adjugate"), (multdep, "det"), (exact, "_adjugate")):
 
-        def spy(*args, _f=getattr(multdep, name), _name=name):
+        def spy(*args, _f=getattr(module, name), _name=f"{module.__name__}.{name}"):
             calls.append(_name)
             return _f(*args)
 
-        monkeypatch.setattr(multdep, name, spy)
+        monkeypatch.setattr(module, name, spy)
     word = find_kernel_word(mats, 4)
-    assert calls == ["_adjugate"] * len(mats)
+    assert calls == ["matstat.multdep._adjugate"] * len(mats)
     monkeypatch.undo()
     assert word == kernel_word_oracle(mats, 4, 10**6)

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import threading
 from dataclasses import dataclass
 from typing import Iterator, Tuple
@@ -46,7 +45,7 @@ import numpy as np
 
 from . import kernels, lattices
 from .errors import BudgetExceededError
-from .exact import IntMatrix, MonicIntPoly, charpoly, det, trace
+from .exact import IntMatrix, MonicIntPoly, _int_arg, charpoly, det, trace
 
 __all__ = [
     "CountRecord",
@@ -144,17 +143,6 @@ def _scan_size(base: int, exponent: int, budget: int, what: str, share: int = 1)
 def _check_method(method: str):
     if method not in ("auto", "naive"):
         raise ValueError("method must be auto|naive")
-
-
-def _int_arg(name: str, value) -> int:
-    """value as a Python int (numpy integers included), else ValueError;
-    a bool is refused, though Python counts it as an int."""
-    try:
-        if not isinstance(value, bool):
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _scan_count(n: int, hf: int, keep, budget: int) -> int:

@@ -8,6 +8,13 @@ rational result leaves the module: the reduced rows of ``_rref``, inverses
 and negative powers (adj(A) / det(A)), and ``RationalMatrix``.
 No floating point enters this module.
 
+Entries are checked where they enter: the public constructors
+``IntMatrix(rows)`` and ``RationalMatrix(rows)`` check every entry, and
+exponents are read by ``_int_arg``.  Results of the module's own
+arithmetic (products, adjugates, powers, inverses) are built from entries
+already checked, so they are stored unchecked through the private ``_of``
+constructors, one int or one Fraction per entry.
+
 Characteristic polynomials follow the convention f(X) = det(X*I - A), so f
 is monic of degree n and the constant term is (-1)^n det(A).
 """
@@ -15,6 +22,7 @@ is monic of degree n and the constant term is (-1)^n det(A).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index, mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import NegativePowerOfSingularError, SingularMatrixError
@@ -37,8 +45,25 @@ __all__ = [
 ]
 
 
+def _int_arg(name: str, value) -> int:
+    """value as a Python int (numpy integers included), else ValueError;
+    a bool is refused, though Python counts it as an int."""
+    try:
+        if not isinstance(value, bool):
+            return index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class IntMatrix:
-    """Immutable square matrix with arbitrary-precision integer entries."""
+    """Immutable square matrix with arbitrary-precision integer entries.
+
+    The constructor checks every entry (an int, not a bool) and the shape,
+    and stores each entry as an exact int, so every stored entry is one.
+    Results of exact arithmetic on such matrices are built by ``_of``,
+    which skips those checks.
+    """
 
     __slots__ = ("n", "rows")
 
@@ -52,11 +77,21 @@ class IntMatrix:
         self.n = n
         self.rows = rows
 
+    @classmethod
+    def _of(cls, rows: Tuple[Tuple[int, ...], ...]) -> "IntMatrix":
+        """The matrix on `rows`, a non-empty square tuple of tuples of
+        exact ints, stored without a check: for results built from
+        matrices whose entries were checked already."""
+        m = object.__new__(cls)
+        m.n = len(rows)
+        m.rows = rows
+        return m
+
     @staticmethod
     def _as_int(x) -> int:
         if isinstance(x, bool) or not isinstance(x, int):
             raise TypeError(f"integer entry required, got {x!r}")
-        return x
+        return index(x)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -79,7 +114,7 @@ class IntMatrix:
         return all(abs(x) <= bound for row in self.rows for x in row)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.rows)))
+        return IntMatrix._of(tuple(zip(*self.rows)))
 
     def is_identity(self) -> bool:
         return all(
@@ -92,10 +127,12 @@ class IntMatrix:
         return mat_mul(self, other)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in row] for row in self.rows])
+        return IntMatrix._of(tuple(tuple([-x for x in row]) for row in self.rows))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and self.rows == other.rows
+        if not isinstance(other, IntMatrix):
+            return NotImplemented  # a RationalMatrix compares itself
+        return self.rows == other.rows
 
     def __hash__(self) -> int:
         return hash(self.rows)
@@ -118,6 +155,15 @@ class RationalMatrix:
         self.rows = rows
 
     @classmethod
+    def _of(cls, rows: Tuple[Tuple[Fraction, ...], ...]) -> "RationalMatrix":
+        """The matrix on `rows`, a non-empty square tuple of tuples of
+        Fractions, stored without a check (see IntMatrix._of)."""
+        m = object.__new__(cls)
+        m.n = len(rows)
+        m.rows = rows
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -126,14 +172,13 @@ class RationalMatrix:
         return cls(a.rows)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
+        if not isinstance(other, (RationalMatrix, IntMatrix)):
+            return NotImplemented
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        br = other.rows
-        return RationalMatrix(
-            [
-                [sum(self.rows[i][k] * br[k][j] for k in range(self.n)) for j in range(self.n)]
-                for i in range(self.n)
-            ]
+        cols = tuple(zip(*other.rows))
+        return RationalMatrix._of(
+            tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in self.rows)
         )
 
     def is_identity(self) -> bool:
@@ -219,13 +264,13 @@ class MonicIntPoly:
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Exact product of two integer matrices of equal dimension."""
+    if not (isinstance(a, IntMatrix) and isinstance(b, IntMatrix)):
+        raise TypeError("mat_mul multiplies two IntMatrix values")
     if a.n != b.n:
         raise ValueError("dimension mismatch")
-    n = a.n
-    ar, br = a.rows, b.rows
-    bcols = list(zip(*br))
-    return IntMatrix(
-        [[sum(ar[i][k] * bcols[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+    cols = tuple(zip(*b.rows))
+    return IntMatrix._of(
+        tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in a.rows)
     )
 
 
@@ -256,6 +301,7 @@ def _int_pow_nonneg(a: IntMatrix, k: int) -> IntMatrix:
 
 def trace_power(a: IntMatrix, j: int) -> int:
     """Tr(A^j) for j >= 0, computed exactly."""
+    j = _int_arg("j", j)
     if j < 0:
         raise ValueError("power must be non-negative")
     return trace(_int_pow_nonneg(a, j))
@@ -266,6 +312,7 @@ def _int_pow(a: IntMatrix, k: int) -> Tuple[IntMatrix, int]:
 
     For k < 0, A^k = adj(A)^|k| / det(A)^|k|, because adj(A) = det(A) A^-1
     and scalars commute; a singular A raises NegativePowerOfSingularError.
+    k must be an int (see _int_arg).
     """
     if k >= 0:
         return _int_pow_nonneg(a, k), 1
@@ -284,10 +331,18 @@ def mat_pow(a: IntMatrix, k: int) -> RationalMatrix:
     NegativePowerOfSingularError otherwise.  They are computed as
     adj(A)^|k| / det(A)^|k|: the integer adjugate, from the fraction-free
     elimination of [A | I], is raised in integers, and each entry is
-    divided once.
+    divided once.  k is an integer (numpy integers included); anything
+    else, a bool too, raises ValueError.
     """
-    num, den = _int_pow(a, k)
-    return RationalMatrix([[Fraction(x, den) for x in row] for row in num.rows])
+    num, den = _int_pow(a, _int_arg("k", k))
+    return _over(num, den)
+
+
+def _over(num: IntMatrix, den: int) -> RationalMatrix:
+    """N / q as a RationalMatrix, one Fraction per entry (q != 0)."""
+    return RationalMatrix._of(
+        tuple(tuple([Fraction(x, den) for x in row]) for row in num.rows)
+    )
 
 
 def _echelon(
@@ -371,7 +426,9 @@ def _adjugate(a: IntMatrix) -> Tuple[Optional[IntMatrix], int]:
     )
     if pivots[n - 1] != n - 1:
         return None, 0
-    return IntMatrix([[sign * x for x in row[n:]] for row in reduced]), sign * d
+    if sign == 1:
+        return IntMatrix._of(tuple(tuple(row[n:]) for row in reduced)), d
+    return IntMatrix._of(tuple(tuple([-x for x in row[n:]]) for row in reduced)), -d
 
 
 def inverse_rational(a: IntMatrix) -> RationalMatrix:
@@ -379,7 +436,7 @@ def inverse_rational(a: IntMatrix) -> RationalMatrix:
     adj, d = _adjugate(a)
     if adj is None:
         raise SingularMatrixError("matrix is singular over Q")
-    return RationalMatrix([[Fraction(x, d) for x in row] for row in adj.rows])
+    return _over(adj, d)
 
 
 def charpoly(a: IntMatrix) -> MonicIntPoly:

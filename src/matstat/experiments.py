@@ -26,7 +26,7 @@ import numpy as np
 
 from . import counting, kernels, lattices, multdep, numtheory
 from .counting import CountRecord
-from .exact import IntMatrix, MonicIntPoly
+from .exact import IntMatrix, MonicIntPoly, _int_arg
 
 __all__ = [
     "ExperimentSpec",
@@ -166,17 +166,17 @@ def _charpoly_max(n, h, params, method, parts, threads, budget):
 
 
 def _det(n, h, params, method, parts, threads, budget):
-    d = counting._int_arg("d", params.get("d", 0))
+    d = _int_arg("d", params.get("d", 0))
     return counting.count_with_det(n, h, d, method, budget, parts, threads), [("d", d)]
 
 
 def _det_trace(n, h, params, method, parts, threads, budget):
-    d = counting._int_arg("d", params.get("d", 0))
-    t = counting._int_arg("t", params.get("t", 0))
+    d = _int_arg("d", params.get("d", 0))
+    t = _int_arg("t", params.get("t", 0))
     pairs = [("d", d), ("t", t)]
     t2 = params.get("t2")
     if t2 is not None:
-        t2 = counting._int_arg("t2", t2)
+        t2 = _int_arg("t2", t2)
         pairs.append(("t2", t2))
     return counting._count_det_trace(n, h, d, t, t2, method, budget, parts, threads), pairs
 
@@ -186,7 +186,7 @@ def _grid_int(h) -> int:
     pass, since `matstat fit --grid` parses every point with float()."""
     if isinstance(h, float) and h.is_integer():
         return int(h)
-    return counting._int_arg("grid point", h)
+    return _int_arg("grid point", h)
 
 
 def _singular_bordered(n, h, params, method, parts, threads, budget):
@@ -195,7 +195,7 @@ def _singular_bordered(n, h, params, method, parts, threads, budget):
 
 
 def _kbad_census(n, h, params, method, parts, threads, budget):
-    t = counting._int_arg("t", params.get("t", 3))
+    t = _int_arg("t", params.get("t", 3))
     kb = census_k(params.get("K", "sqrt"), h)
     res = lattices.kbad_census(t, h, kb, node_cap=budget, parts=parts, threads=threads)
     return res.count, [("t", t), ("K", _num(kb)), ("inv_norm_sum", repr(res.inv_norm_sum))]
@@ -204,7 +204,7 @@ def _kbad_census(n, h, params, method, parts, threads, budget):
 def _multdep_shear(n, h, params, method, parts, threads, budget):
     hval = _grid_int(h)
     pair = multdep.unipotent_shear_pair(hval)
-    bound = counting._int_arg("bound", params.get("bound", hval))
+    bound = _int_arg("bound", params.get("bound", hval))
     k = multdep.find_dependence(pair, bound=bound)
     count = 0 if k is None else max(abs(x) for x in k)
     return count, [("witness", "none" if k is None else ",".join(map(str, k)))]

@@ -71,7 +71,7 @@ IntVector = Tuple[int, ...]
 
 
 def norm_sq(v: Sequence[int]) -> int:
-    return sum(x * x for x in v)
+    return sum(map(operator.mul, v, v))
 
 
 def linf(v: Sequence[int]) -> int:
@@ -79,7 +79,7 @@ def linf(v: Sequence[int]) -> int:
 
 
 def dot(v: Sequence[int], w: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(v, w))
+    return sum(map(operator.mul, v, w))
 
 
 def is_primitive(v: Sequence[int]) -> bool:

@@ -9,8 +9,9 @@ such k to an explicit relation lattice, which drives the search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd
+from operator import add, mul
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import BudgetExceededError, NegativePowerOfSingularError, SingularM
 from .exact import (
     IntMatrix,
     _adjugate,
+    _int_arg,
     _int_pow_nonneg,
     block_diag,
     companion,
@@ -107,17 +109,20 @@ def check_relation(mats: Sequence[IntMatrix], k: Sequence[int]) -> bool:
     k_i >= 0 and N_i = adj(A_i)^|k_i|, q_i = det(A_i)^|k_i| for k_i < 0.
     Scalars commute, so the product is I exactly when N_1 ... N_s equals
     (q_1 ... q_s) I.  Negative exponents require the corresponding matrix
-    to be nonsingular (NegativePowerOfSingularError otherwise).
+    to be nonsingular (NegativePowerOfSingularError otherwise).  Each
+    exponent is an integer (numpy integers included); anything else, a
+    bool too, raises ValueError.
     """
     if len(k) != len(mats):
         raise ValueError("exponent vector length mismatch")
     _check_dims(mats)
+    k = [_int_arg(f"exponent k[{i}]", e) for i, e in enumerate(k)]
     adjs, dets = [None] * len(mats), [None] * len(mats)
     for i, e in enumerate(k):
         if e < 0:
             adjs[i], dets[i] = _adjugate(mats[i])
             if adjs[i] is None:
-                raise NegativePowerOfSingularError(f"negative power {int(e)} of a singular matrix")
+                raise NegativePowerOfSingularError(f"negative power {e} of a singular matrix")
     return _relation_holds(mats, adjs, dets, k)
 
 
@@ -128,10 +133,10 @@ def _relation_holds(
     k: Sequence[int],
 ) -> bool:
     """check_relation given adj A_i and det A_i for every i with k_i < 0
-    (the others are not read), so no matrix is eliminated again."""
+    (the others are not read) and int exponents k, so no matrix is
+    eliminated again."""
     prod, scale = None, 1
     for a, adj, dv, e in zip(mats, adjs, dets, k):
-        e = int(e)
         if e > 0:
             num = _int_pow_nonneg(a, e)
         elif e < 0:
@@ -335,14 +340,6 @@ class Word:
         return len(self.letters)
 
 
-def _reduced(num: IntMatrix, den: int) -> Tuple[IntMatrix, int]:
-    """N / q rescaled to the unique form with q > 0, gcd(N, q) = 1."""
-    g = gcd(den, *(x for row in num.rows for x in row)) * (1 if den > 0 else -1)
-    if g == 1:
-        return num, den
-    return IntMatrix([[x // g for x in row] for row in num.rows]), den // g
-
-
 def find_kernel_word(
     mats: Sequence[IntMatrix],
     max_len: int,
@@ -356,36 +353,54 @@ def find_kernel_word(
     step multiplies by A_i / 1 or adj(A_i) / det(A_i) and divides by the
     gcd, and the product is I exactly when q = 1 and N = I.  States are
     deduplicated on (N, q, exponent sums), which preserves completeness
-    because extensions depend only on that triple.
+    because extensions depend only on that triple.  N is kept as a tuple
+    of row tuples and each letter as the columns of its numerator, so a
+    step is one product of rows by columns.
     """
     adjs, dets = _adjugates(mats)
+    max_len = _int_arg("max_len", max_len)
     if max_len < 1:
         raise ValueError("word length must be >= 1")
     if _relation_lattice(dets).rank == 0:
         return None  # determinant obstruction kills every kernel word
-    letters = [letter for i, (m, adj, dv) in enumerate(zip(mats, adjs, dets))
-               for letter in ((i, 1, m, 1), (i, -1, adj, dv))]
-    start, zero = IntMatrix.identity(mats[0].n), (0,) * len(mats)
+    s = len(mats)
+    letters = [
+        (i, sgn, tuple(zip(*step.rows)), step_den, tuple(sgn * (j == i) for j in range(s)))
+        for i, (m, adj, dv) in enumerate(zip(mats, adjs, dets))
+        for sgn, step, step_den in ((1, m, 1), (-1, adj, dv))
+    ]
+    n = mats[0].n
+    start, zero = tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), (0,) * s
     frontier = [(start, 1, zero, ())]
-    seen = {(start.rows, 1, zero)}
+    seen = {(start, 1, zero)}
     for _ in range(max_len):
         nxt = []
-        for num, den, sums, word in frontier:
-            for i, sgn, step, step_den in letters:
+        for rows, den, sums, word in frontier:
+            for i, sgn, cols, step_den, step_sums in letters:
                 if word and word[-1] == (i, -sgn):
                     continue  # not reduced
-                new_num, new_den = _reduced(num @ step, den * step_den)
-                new_sums = tuple(x + sgn * (j == i) for j, x in enumerate(sums))
+                new_rows = tuple(
+                    tuple([sum(map(mul, row, col)) for col in cols]) for row in rows
+                )
+                new_den = den * step_den
+                if new_den != 1:  # rescale to q > 0, gcd(N, q) = 1
+                    g = gcd(new_den, *chain.from_iterable(new_rows))
+                    if new_den < 0:
+                        g = -g
+                    if g != 1:
+                        new_rows = tuple(tuple([x // g for x in row]) for row in new_rows)
+                        new_den //= g
+                new_sums = tuple(map(add, sums, step_sums))
                 new_word = word + ((i, sgn),)
-                if new_den == 1 and new_num.is_identity() and any(new_sums):
+                if new_den == 1 and new_rows == start and any(new_sums):
                     return Word(new_word, new_sums)
-                key = (new_num.rows, new_den, new_sums)
+                key = (new_rows, new_den, new_sums)
                 if key in seen:
                     continue
                 seen.add(key)
                 if len(seen) > state_cap:
                     raise BudgetExceededError(len(seen), state_cap, "word search")
-                nxt.append((new_num, new_den, new_sums, new_word))
+                nxt.append((new_rows, new_den, new_sums, new_word))
         frontier = nxt
     return None
 

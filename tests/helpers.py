@@ -177,6 +177,53 @@ def kernel_word_oracle(mats, max_len, state_cap):
     return None
 
 
+def kernel_word_matrix_oracle(mats, max_len, state_cap):
+    """find_kernel_word's search with IntMatrix states N / q.
+
+    The same breadth-first order, deduplication on (N, q, exponent sums)
+    and state count as the search on row tuples, but each step is an
+    IntMatrix product rescaled by a separate gcd pass, so both give the
+    same Word, None or BudgetExceededError.
+    """
+    s = len(mats)
+    if det_relation_lattice(mats).rank == 0:
+        return None
+    letters = []
+    for i, m in enumerate(mats):
+        adj, d = _adjugate(m)
+        letters += [(i, 1, m, 1), (i, -1, adj, d)]
+
+    def reduced(num, den):
+        g = math.gcd(den, *(x for row in num.rows for x in row)) * (1 if den > 0 else -1)
+        if g == 1:
+            return num, den
+        return IntMatrix([[x // g for x in row] for row in num.rows]), den // g
+
+    start, zero = IntMatrix.identity(mats[0].n), (0,) * s
+    frontier = [(start, 1, zero, ())]
+    seen = {(start.rows, 1, zero)}
+    for _ in range(max_len):
+        nxt = []
+        for num, den, sums, word in frontier:
+            for i, sgn, step, step_den in letters:
+                if word and word[-1] == (i, -sgn):
+                    continue
+                new_num, new_den = reduced(num @ step, den * step_den)
+                new_sums = tuple(x + sgn * (j == i) for j, x in enumerate(sums))
+                new_word = word + ((i, sgn),)
+                if new_den == 1 and new_num.is_identity() and any(new_sums):
+                    return Word(new_word, new_sums)
+                key = (new_num.rows, new_den, new_sums)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if len(seen) > state_cap:
+                    raise BudgetExceededError(len(seen), state_cap, "word search")
+                nxt.append((new_num, new_den, new_sums, new_word))
+        frontier = nxt
+    return None
+
+
 def charpoly2_scan_int64(h, lo_t=None, hi_t=None):
     """kernels.charpoly2_scan by its former int64 route: one full-width
     slice of a reversed, padded pair table per product, over every d in

@@ -1,9 +1,12 @@
 """Exact integer/rational linear algebra against cofactor oracles."""
 
+import enum
+import math
 import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -26,6 +29,7 @@ from matstat.exact import (
     MonicIntPoly,
     RationalMatrix,
     block_diag,
+    mat_mul,
     charpoly,
     companion,
     det,
@@ -61,6 +65,27 @@ def test_int_matrix_validation():
         IntMatrix([[True, 0], [0, 1]])
 
 
+def test_int_matrix_stores_exact_ints():
+    # an int subclass is accepted and stored as a plain int, so products
+    # built unchecked from the rows hold plain ints too
+    class Two(enum.IntEnum):
+        TWO = 2
+
+    a = IntMatrix([[Two.TWO, 0], [0, 1]])
+    assert all(type(x) is int for row in a.rows for x in row)
+    assert a.rows == ((2, 0), (0, 1))
+
+
+def test_equality_is_symmetric_across_int_and_rational():
+    a, q = IntMatrix([[1, 2], [3, 4]]), RationalMatrix([[1, 2], [3, 4]])
+    assert a == q and q == a
+    assert not (a != q) and not (q != a)
+    assert hash(a) == hash(q)
+    half = RationalMatrix([[Fraction(1, 2), 2], [3, 4]])
+    assert a != half and half != a
+    assert a != ((1, 2), (3, 4))
+
+
 def test_matmul_and_hash():
     a = IntMatrix([[1, 1], [0, 1]])
     b = IntMatrix([[1, 0], [1, 1]])
@@ -68,6 +93,12 @@ def test_matmul_and_hash():
     assert hash(a) == hash(IntMatrix([[1, 1], [0, 1]]))
     with pytest.raises(ValueError):
         a @ IntMatrix([[1]])
+    # products are stored unchecked, so only exact matrices go in
+    q, rows = RationalMatrix([[1, 0], [0, 1]]), ((1, 0), (0, 1))
+    for bad in (lambda: a @ q, lambda: mat_mul(a, q), lambda: a @ rows, lambda: q @ rows):
+        with pytest.raises(TypeError):
+            bad()
+    assert RationalMatrix.from_int(a) @ b == a @ b
 
 
 def test_det_frozen():
@@ -158,6 +189,19 @@ def test_mat_pow_identity_and_inverse():
         assert (inv @ RationalMatrix.from_int(a)).is_identity()
 
 
+def test_exponents_are_read_as_integers():
+    # a numpy exponent is an int: d ** -k must not run (and wrap) in int64
+    a = IntMatrix([[10**7, 1], [0, 10**7]])
+    assert mat_pow(a, np.int64(-3)) == mat_pow(a, -3)
+    assert mat_pow(a, np.int64(-3)).rows[0][0] == Fraction(1, 10**21)
+    assert trace_power(a, np.int32(2)) == trace_power(a, 2) == 2 * 10**14
+    for bad in (2.0, True, Fraction(2), "2"):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            mat_pow(a, bad)
+        with pytest.raises(ValueError, match="j must be an integer"):
+            trace_power(a, bad)
+
+
 def test_mat_pow_singular_negative_raises():
     s = IntMatrix([[1, 2], [2, 4]])
     with pytest.raises(NegativePowerOfSingularError):
@@ -165,19 +209,40 @@ def test_mat_pow_singular_negative_raises():
     assert mat_pow(s, 0).is_identity()  # nonnegative powers still fine
 
 
+def _exact_entries(m) -> bool:
+    """Every entry a plain int, or a Fraction in lowest terms with a
+    positive denominator: what the unchecked constructors must be given."""
+    return all(
+        type(x) is int
+        or type(x) is Fraction and x.denominator > 0
+        and math.gcd(x.numerator, x.denominator) == 1
+        for row in m.rows
+        for x in row
+    )
+
+
 def test_mat_pow_matches_sympy():
-    # negative powers go through the integer adjugate; sympy inverts
+    # negative powers go through the integer adjugate; sympy inverts.  The
+    # results are built unchecked, so their entries are checked here.
     rng = random.Random(0x90E)
     for n in range(2, 6):
         for _ in range(3):
             a = random_nonsingular(rng, n, 3)
             ref = sympy.Matrix([list(r) for r in a.rows])
+            adj, d = _adjugate(a)
+            assert _exact_entries(adj) and adj.rows == tuple(
+                tuple(int(x) for x in ref.adjugate().row(i)) for i in range(n)
+            ) and d == int(ref.det())
+            assert _exact_entries(mat_mul(a, adj)) and _exact_entries(inverse_rational(a))
             for k in range(-4, 5):
                 want = ref.inv() ** -k if k < 0 else ref ** k
                 got = mat_pow(a, k)
                 assert got.rows == tuple(
                     tuple(Fraction(int(x.p), int(x.q)) for x in want.row(i))
                     for i in range(n)
+                ), (a.rows, k)
+                assert _exact_entries(got) and all(
+                    type(x) is Fraction for row in got.rows for x in row
                 ), (a.rows, k)
     with pytest.raises(NegativePowerOfSingularError):
         mat_pow(IntMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]]), -2)

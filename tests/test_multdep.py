@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     fingerprint_survivors_full_product,
+    kernel_word_matrix_oracle,
     kernel_word_oracle,
     power_table_loop,
     random_nonsingular,
@@ -71,6 +72,16 @@ def test_check_relation_fixture():
     assert not check_relation([ROT4], (2,))
     with pytest.raises(ValueError):
         check_relation([ROT4], (1, 2))
+
+
+def test_check_relation_reads_exponents_as_integers():
+    # numpy integers are integers; a float is refused, not truncated
+    pair = unipotent_shear_pair(4)
+    assert check_relation(pair, (np.int64(4), np.int32(-3)))
+    assert check_relation(pair, np.array([4, -3]))
+    for bad in ((4.5, -3), (4.9, -3.2), (4, -3.0), (True, 0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            check_relation(pair, bad)
 
 
 def test_check_relation_negative_exponents():
@@ -282,6 +293,42 @@ def test_find_kernel_word_matches_fraction_route():
         kind = "none" if got is None else "word" if isinstance(got, Word) else "budget"
         seen[kind] += 1
     assert min(seen.values()) >= 10
+
+
+def test_find_kernel_word_matches_matrix_search():
+    # the search on row tuples against the IntMatrix search it replaced,
+    # on structured tuples: the same Word or None, and a refusal at the
+    # same state count
+    def outcome(search, mats, max_len, cap):
+        try:
+            return search(mats, max_len, cap)
+        except BudgetExceededError as exc:
+            return ("budget", exc.needed)
+
+    rng = random.Random(0x5EA)
+    cases = [(unipotent_shear_pair(h), 2 * h) for h in (2, 3, 4, 5)]
+    cases += [
+        (construct_even([make(rng, 2) for _ in range(4)]), 4)
+        for make in (random_unimodular, lambda r, n: random_nonsingular(r, n, 3))
+        for _ in range(3)
+    ]
+    cases += [
+        ((construct_torsion_block((3, 4))[0], construct_torsion_block((4, 6))[0]), 6),
+        ((IntMatrix([[-2, -1], [0, -1]]), IntMatrix([[-1, 1], [1, 1]])), 6),  # dets 2, -2
+        ((IntMatrix([[3, 1], [1, 2]]), IntMatrix([[-1, 2], [1, 3]])), 4),  # dets 5, -5
+    ]
+    kinds = set()
+    for mats, max_len in cases:
+        for cap in (10**6, 40, 5, 1):
+            got = outcome(find_kernel_word, mats, max_len, cap)
+            assert got == outcome(kernel_word_matrix_oracle, mats, max_len, cap), (mats, cap)
+            kinds.add("none" if got is None else "word" if isinstance(got, Word) else "budget")
+    assert kinds == {"none", "word", "budget"}
+    with pytest.raises(ValueError, match="max_len must be an integer"):
+        find_kernel_word(unipotent_shear_pair(4), 7.5)
+    assert find_kernel_word(unipotent_shear_pair(4), np.int64(7)) == find_kernel_word(
+        unipotent_shear_pair(4), 7
+    )
 
 
 def test_find_kernel_word_mixed():

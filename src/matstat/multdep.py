@@ -369,8 +369,7 @@ def find_kernel_word(
         for i, (m, adj, dv) in enumerate(zip(mats, adjs, dets))
         for sgn, step, step_den in ((1, m, 1), (-1, adj, dv))
     ]
-    n = mats[0].n
-    start, zero = tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), (0,) * s
+    start, zero = IntMatrix.identity(mats[0].n).rows, (0,) * s
     frontier = [(start, 1, zero, ())]
     seen = {(start, 1, zero)}
     for _ in range(max_len):

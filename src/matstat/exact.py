@@ -10,10 +10,12 @@ No floating point enters this module.
 
 Entries are checked where they enter: the public constructors
 ``IntMatrix(rows)`` and ``RationalMatrix(rows)`` check every entry, and
-exponents are read by ``_int_arg``.  Results of the module's own
-arithmetic (products, adjugates, powers, inverses) are built from entries
-already checked, so they are stored unchecked through the private ``_of``
-constructors, one int or one Fraction per entry.
+exponents are read by ``_int_arg``.  ``det``, ``charpoly``,
+``inverse_rational`` and ``mat_pow`` take an ``IntMatrix`` only, and raise
+TypeError for anything else, a ``RationalMatrix`` too.  Results of the
+module's own arithmetic (products, adjugates, powers, inverses) are built
+from entries already checked, so they are stored unchecked through the
+private ``_of`` constructors, one int or one Fraction per entry.
 
 Characteristic polynomials follow the convention f(X) = det(X*I - A), so f
 is monic of degree n and the constant term is (-1)^n det(A).
@@ -142,12 +144,15 @@ class IntMatrix:
 
 
 class RationalMatrix:
-    """Immutable square matrix with Fraction entries (exact rationals)."""
+    """Immutable square matrix with Fraction entries (exact rationals).
+
+    The constructor takes Fractions and integers (numpy integers too) and
+    refuses a float, a bool or text, which Fraction() would read."""
 
     __slots__ = ("n", "rows")
 
     def __init__(self, rows: Iterable[Iterable[Fraction]]):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        rows = tuple(tuple(self._as_fraction(x) for x in row) for row in rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square and non-empty")
@@ -162,6 +167,17 @@ class RationalMatrix:
         m.n = len(rows)
         m.rows = rows
         return m
+
+    @staticmethod
+    def _as_fraction(x) -> Fraction:
+        if isinstance(x, Fraction):
+            return x
+        if not isinstance(x, bool):
+            try:
+                return Fraction(index(x))
+            except TypeError:
+                pass
+        raise TypeError(f"integer or Fraction entry required, got {type(x).__name__} {x!r}")
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -274,8 +290,16 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
+def _check_int_matrix(name: str, a) -> None:
+    """Refuse anything but an IntMatrix: the exact integer routines would
+    floor a RationalMatrix's Fractions and answer wrongly."""
+    if not isinstance(a, IntMatrix):
+        raise TypeError(f"{name} takes an IntMatrix, got {type(a).__name__}")
+
+
 def det(a: IntMatrix) -> int:
     """Determinant: the signed last pivot of forward Bareiss elimination."""
+    _check_int_matrix("det", a)
     _, pivots, last, sign = _echelon(a.rows, full=False)
     return sign * last if len(pivots) == a.n else 0
 
@@ -332,8 +356,10 @@ def mat_pow(a: IntMatrix, k: int) -> RationalMatrix:
     adj(A)^|k| / det(A)^|k|: the integer adjugate, from the fraction-free
     elimination of [A | I], is raised in integers, and each entry is
     divided once.  k is an integer (numpy integers included); anything
-    else, a bool too, raises ValueError.
+    else, a bool too, raises ValueError, and an `a` that is not an
+    IntMatrix raises TypeError.
     """
+    _check_int_matrix("mat_pow", a)
     num, den = _int_pow(a, _int_arg("k", k))
     return _over(num, den)
 
@@ -433,6 +459,7 @@ def _adjugate(a: IntMatrix) -> Tuple[Optional[IntMatrix], int]:
 
 def inverse_rational(a: IntMatrix) -> RationalMatrix:
     """Exact inverse over Q: adj(A) / det(A)."""
+    _check_int_matrix("inverse_rational", a)
     adj, d = _adjugate(a)
     if adj is None:
         raise SingularMatrixError("matrix is singular over Q")
@@ -444,6 +471,7 @@ def charpoly(a: IntMatrix) -> MonicIntPoly:
 
     Division-free: all intermediate values are integers.
     """
+    _check_int_matrix("charpoly", a)
     n = a.n
     rows = a.rows
     # p holds the coefficients of det(X*I - A_r) for the leading principal

@@ -1,29 +1,38 @@
 """Hot counting loops in numpy, vectorised over bounded batches of ranks.
 
-All kernels work on int64, except that the n = 2 kernels read one int32
+All kernels count in int64, except that the n = 2 kernels read one int32
 pair table per h (_pair_table): charpoly2_scan adds int32 slices of it
 along a recurrence over the discriminant t^2 - 4d, one slice per trace,
 so one of its counts sums at most 2h+1 pair counts of at most 4h+1 each,
 and (2h+1)(4h+1) < 2^31 for h <= 2048; det2_count multiplies int32
 entries (each product at most (4h+1)^2 < 2^31); their totals are int64.
-Each kernel checks at entry that its inputs lie in the range where its
-intermediates provably fit and its scratch stays bounded, raising
-ValueError otherwise: h <= 2048 for the pair table (checked once, in
-_pair_table), h <= 63 for n3_stats (ranks below (2h+1)^9 < 2^63), h <= 4
-for charpoly3_tally (a dense tally of (6h+1)(12h^2+1)(12h^3+1) keys,
-30 MB at h = 4), h <= 20 for det_trace3/det_trace3_t2 (a line table of
-(2h^2+1)^2 entries, 26 MB at h = 20), h <= 49 for the orbit
-representative list of det_trace3, det_trace3_t2, bordered3 and
-charpoly3_tally (so k <= 49 for bordered3: (2h+1)(h+1)^3 representatives
-of 5 bytes each, 62 MB at h = 49 against a 64 MB bound) and U <= 10^4
-for census3 (norms in the rank-2 reduction stay below 2^55).  Infeasible
-targets count 0.  Shard ranges must lie inside the kernel's shard axis,
-and any split of an axis sums to the whole.  Most kernels shard their
-outermost enumeration digit; charpoly2_scan shards the traces t <= 0
-(A -> -A gives the rest), each shard starting its recurrence afresh, so its
-caller runs it whole; census3 scans one representative 0 <= a <= b <= c
-of each signed-permutation orbit, weighted by the orbit size, and shards
-the smallest coordinate a.  det_trace3, det_trace3_t2, bordered3 and
+Integer quotients are float64: every floor division of the bordered 3x3
+and census kernels goes through _floor_div, floor(a / b) on float64
+values that hold integers, which is exact for |a|, |b| < 2^53 (its
+docstring has the proof), and each call states its operands' bound: at
+most 6 * 10^7 in the line counts of det_trace3 and det_trace3_t2 (h <=
+20), 22h^4 in the point test of det_trace3_t2, 2k^3 in bordered3, 4U^3 +
+U^2 in the census reduction (U <= 10^4) and max(|a|, |b|) in the
+extended gcd.  The line table is float64 too; every count goes back to
+int64 before it is weighted or summed.  Each kernel checks at entry that
+its inputs lie in the range where its intermediates provably fit and its
+scratch stays bounded, raising ValueError otherwise: h <= 2048 for the
+pair table (checked once, in _pair_table), h <= 63 for n3_stats (ranks
+below (2h+1)^9 < 2^63), h <= 4 for charpoly3_tally (a dense tally of
+(6h+1)(12h^2+1)(12h^3+1) keys, 30 MB at h = 4), h <= 20 for
+det_trace3/det_trace3_t2 (a line table of (2h^2+1)^2 entries of 48
+bytes, 31 MB at h = 20), h <= 49 for the orbit representative list of
+det_trace3, det_trace3_t2, bordered3 and charpoly3_tally (so k <= 49 for
+bordered3: (2h+1)(h+1)^3 representatives of 5 bytes each, 62 MB at h =
+49 against a 64 MB bound) and U <= 10^4 for census3 (norms in the rank-2
+reduction stay below 2^55).  Infeasible targets count 0.  Shard ranges
+must lie inside the kernel's shard axis, and any split of an axis sums
+to the whole.  Most kernels shard their outermost enumeration digit;
+charpoly2_scan shards the traces t <= 0 (A -> -A gives the rest), each
+shard starting its recurrence afresh, so its caller runs it whole;
+census3 scans one representative 0 <= a <= b <= c of each
+signed-permutation orbit, weighted by the orbit size, and shards the
+smallest coordinate a.  det_trace3, det_trace3_t2, bordered3 and
 charpoly3_tally likewise visit only the top-left 2x2 blocks that are the
 smallest-rank member of their orbit under a group of order 8, weighted
 by the orbit size.  They take the list of these representatives from
@@ -214,6 +223,25 @@ def _pair_table(h: int) -> np.ndarray:
 
 
 _BATCH = 1 << 15  # items per vectorised step
+
+
+def _floor_div(a, b, out=None):
+    """floor(a / b) elementwise, as float64 holding an integer: the one
+    integer quotient of the fast kernels, since numpy's int64 floor
+    division costs about ten times a float64 division.
+
+    Exact whenever a and b hold integers with |a|, |b| < 2^53 and b != 0,
+    as int64 or as float64 arrays: both then convert to float64 exactly,
+    and the correctly rounded quotient r of a / b floors to floor(a / b).
+    If a / b is an integer n, then |n| <= |a| < 2^53 is a float64 and r = n.
+    Otherwise a / b lies strictly between n = floor(a / b) and n + 1, at
+    distance at least 1/|b| from each (a = n b + s with 0 < |s| < |b|),
+    while |r - a / b| <= 2^-53 |a / b| < 1/|b|; so n < r < n + 1.  A
+    caller states its operands' bound beside its call.  `out` may be a
+    float64 array, a or b among them, that receives the quotient.
+    """
+    q = np.true_divide(a, b, out=out)
+    return np.floor(q, out=q)
 
 
 def _check_range(name: str, value: int, top: int) -> None:
@@ -564,7 +592,7 @@ def charpoly3_tally(blocks: Blocks, lo: int = 0, hi: int | None = None,
 # pairs with a != 0 is the count of all pairs less the (2k+1)^2 with a = 0,
 # so the swap keeps it too.
 
-_LINE_H_MAX = 20  # the line table has (2h^2+1)^2 entries: 26 MB at h = 20
+_LINE_H_MAX = 20  # the line table has (2h^2+1)^2 entries of six float64: 31 MB at h = 20
 
 
 def _half_border(h):
@@ -577,46 +605,74 @@ def _half_border(h):
     return b1, b2, np.where((b1 == 0) & (b2 == 0), 1, 2)
 
 
+_FAR = 2**52  # a step of the line table that no bound of _line_counts reaches
+
+
 def _line_table(h):
-    """Extended gcd of every (A, B) in [0, 2h^2]^2, keyed A*(2h^2+1) + B:
-    (g, x, y, A/g, B/g) with A*x + B*y = g, built by orbit_blocks."""
+    """The lines A a1 + B a2 = g0 for every (A, B) in [0, 2h^2]^2, keyed
+    A (2h^2+1) + B, as six float64 arrays (g, x, y, sa, sb, f), built by
+    orbit_blocks and read by _line_counts.
+
+    With A and B nonzero, (g, x, y) is their extended gcd (A x + B y = g)
+    and (sa, sb) = (A, B)/g: when g | g0 the solutions are
+    (x q + m sb, y q - m sa) over the integers m, q = g0/g, and f = 1.
+    Every other key is folded into that form, so every key reads alike:
+    - a free line (A or B zero, not both) fixes one coordinate at q and
+      leaves the other free.  The fixed coordinate's step is _FAR, which
+      admits only m = 0 when |q| <= h and no m otherwise, the free one's
+      step is 1 with offset 0, which admits m = 0, and f = 2h+1 counts the
+      free coordinate's values;
+    - A = B = 0 has g = _FAR, so g | g0 only for g0 = 0 (every caller has
+      |g0| < _FAR), then q = 0; both steps are _FAR, x = y = 0, so only
+      m = 0 is admitted, and f = (2h+1)^2.
+    """
     width = 2 * h * h + 1
+    side = 2 * h + 1
     a = np.repeat(np.arange(width, dtype=np.int64), width)
     b = np.tile(np.arange(width, dtype=np.int64), width)
     parts = [_xgcd_vec(a[i : i + _BATCH], b[i : i + _BATCH])
              for i in range(0, a.size, _BATCH)]
     g, x, y = (np.concatenate(p) for p in zip(*parts))
-    gs = g + (g == 0)
-    return g, x, y, a // gs, b // gs, width
+    zero = g == 0
+    sa, sb = a // (g + zero), b // (g + zero)
+    f = np.where(sa == 0, side, 1) * np.where(sb == 0, side, 1)
+    g[zero], x[zero] = _FAR, 0
+    sa[sa == 0] = _FAR
+    sb[sb == 0] = _FAR
+    return tuple(v.astype(np.float64) for v in (g, x, y, sa, sb, f))
 
 
 def _line_counts(alpha, beta, g0, h, table):
-    """#{(x, y) in [-h, h]^2 : alpha*x + beta*y = g0}, elementwise, in
-    closed form from the extended gcd in `table` (see _line_table).  The
-    box is symmetric in each coordinate, so the count depends on |alpha|,
-    |beta| only."""
-    g_t, x_t, y_t, sa_t, sb_t, width = table
-    key = np.abs(alpha) * width + np.abs(beta)
-    g = g_t[key]
-    zero = g == 0
-    q, r = np.divmod(g0, g + zero)
-    # solutions (x q + m sb, y q - m sa) for integer m
-    xq = x_t[key] * q
-    yq = y_t[key] * q
-    sa = sa_t[key]
-    sb = sb_t[key]
-    free = (sa == 0) | (sb == 0)  # one coordinate does not move with m
-    sa = sa + (sa == 0)
-    sb = sb + (sb == 0)
-    lo = np.maximum(-((h + xq) // sb), -((h - yq) // sa))
-    hi = np.minimum((h - xq) // sb, (h + yq) // sa)
-    side = 2 * h + 1
-    cnt = np.where(
-        free,
-        np.where(zero, side * side * (q == 0), side * (np.abs(q) <= h)),
-        np.maximum(hi - lo + 1, 0),
-    )
-    return cnt * (r == 0)
+    """#{(x, y) in [-h, h]^2 : alpha*x + beta*y = g0}, elementwise, as
+    int64, in closed form from `table` (see _line_table).  The box is
+    symmetric in each coordinate, so the count depends on |alpha|, |beta|
+    only: it is f times the number of integers m with |x q + m sb| <= h and
+    |y q - m sa| <= h when g | g0, and 0 otherwise.
+
+    Every quotient is _floor_div's, exact here: |alpha|, |beta| <= 2h^2 and
+    |g0| <= 8h^3 + 7h^2 (the callers' bound) keep |q| <= |g0|, the Bezout
+    coefficients at most 2h^2 and so |h +- x q|, |h +- y q| <= 16h^5 + 14h^4
+    + h, below 6 * 10^7 at h = _LINE_H_MAX, while g, sa, sb <= _FAR."""
+    g_t, x_t, y_t, sa_t, sb_t, f_t = table
+    key = np.abs(alpha) * (2 * h * h + 1) + np.abs(beta)
+    g = g_t.take(key)
+    q = _floor_div(g0, g)
+    spare = np.multiply(q, g)
+    ok = spare == g0  # g | g0, exactly: |q g| <= |g0| + g
+    xq = x_t.take(key) * q
+    yq = np.multiply(q, y_t.take(key), out=q)
+    sa, sb = sa_t.take(key), sb_t.take(key)
+    # the admitted m run from lo to hi
+    hi = _floor_div(np.subtract(h, xq, out=spare), sb, out=spare)
+    minus_lo = _floor_div(np.add(xq, h, out=xq), sb, out=xq)
+    np.minimum(hi, _floor_div(h + yq, sa), out=hi)
+    np.minimum(minus_lo, _floor_div(np.subtract(h, yq, out=yq), sa, out=yq), out=minus_lo)
+    cnt = np.add(hi, minus_lo, out=hi)
+    cnt += 1
+    np.maximum(cnt, 0, out=cnt)
+    cnt *= ok
+    cnt *= f_t.take(key)
+    return cnt.astype(np.int64)
 
 
 def _check_det_trace_args(blocks, d, t):
@@ -650,8 +706,9 @@ def det_trace3(blocks: Blocks, d: int, t: int | None,
             keep = np.abs(c) <= h
             size, r11, r12, r21, r22 = size[keep], r11[keep], r12[keep], r21[keep], r22[keep]
             c = c[keep, None]
-        # (block, a33, border): the line table is read once per (block, border)
-        g0 = (d - c * (r11 * r22 - r12 * r21)[:, None])[:, :, None]
+        # (block, a33, border): the line table is read once per (block, border);
+        # |g0| <= |d| + h * 2h^2 <= 8h^3
+        g0 = (d - c * (r11 * r22 - r12 * r21)[:, None]).astype(np.float64)[:, :, None]
         alpha = (r21[:, None] * b2 - r22[:, None] * b1)[:, None, :]
         beta = (r12[:, None] * b1 - r11[:, None] * b2)[:, None, :]
         cnt = _line_counts(alpha, beta, g0, h, blocks.lines)
@@ -675,16 +732,22 @@ def det_trace3_t2(blocks: Blocks, d: int, t1: int, t2: int,
         keep = (np.abs(c) <= h) & (h2 % 2 == 0)
         size, r11, r12, r21, r22, c = (size[keep], r11[keep], r12[keep], r21[keep],
                                        r22[keep], c[keep])
-        g0 = (d - c * (r11 * r22 - r12 * r21))[:, None]
-        hdot = (h2[keep] // 2)[:, None]
+        g0 = (d - c * (r11 * r22 - r12 * r21))[:, None]  # |g0| <= 8h^3
+        hdot = (h2[keep] // 2)[:, None]  # |hdot| <= (9h^2 + 4h^2 + h^2) / 2 = 7h^2
         alpha = r21[:, None] * b2 - r22[:, None] * b1
         beta = r12[:, None] * b1 - r11[:, None] * b2
-        # a solves alpha.a = g0 and b.a = hdot: one point when det2 != 0
+        # a solves alpha.a = g0 and b.a = hdot: one point when det2 != 0,
+        # a = (n1, n2) / det2 with |n1|, |n2| <= 22h^4 and |det2| <= 4h^3
         det2 = alpha * b2 - beta * b1
         flat = det2 == 0
-        q1, m1 = np.divmod(g0 * b2 - beta * hdot, det2 + flat)
-        q2, m2 = np.divmod(alpha * hdot - g0 * b1, det2 + flat)
-        one = ~flat & (m1 == 0) & (m2 == 0) & (np.abs(q1) <= h) & (np.abs(q2) <= h)
+        den = (det2 + flat).astype(np.float64)
+        n1 = (g0 * b2 - beta * hdot).astype(np.float64)
+        n2 = (alpha * hdot - g0 * b1).astype(np.float64)
+        q1 = _floor_div(n1, den)
+        q2 = _floor_div(n2, den)
+        one = ~flat & (np.abs(q1) <= h) & (np.abs(q2) <= h)
+        one &= np.multiply(q1, den, out=q1) == n1
+        one &= np.multiply(q2, den, out=q2) == n2
         total += int(size @ (one @ w))
         # det2 == 0: the two equations share one line, or are inconsistent
         ri, bi = np.nonzero(flat)
@@ -709,8 +772,12 @@ def _nonzero_on_line(p, q, k):
     p = np.abs(p)
     q = np.abs(q)
     top = np.maximum(p, q)
-    return np.where(top == 0, (2 * k + 1) ** 2 - 1,
-                    2 * ((k * np.gcd(p, q)) // (top + (top == 0))))
+    zero = top == 0
+    # bordered3 has |p|, |q| <= 2k^2, so k gcd(p, q) <= 2k^3 (_floor_div)
+    run = _floor_div(k * np.gcd(p, q), top + zero)
+    run *= 2
+    run += ((2 * k + 1) ** 2 - 1) * zero  # p = q = 0: every a != 0
+    return run.astype(np.int64)
 
 
 def bordered3(blocks: Blocks, lo: int = 0, hi: int | None = None):
@@ -758,15 +825,18 @@ def _dual_gram(u1, u2, g1, x, y):
 
 
 def _xgcd_vec(a, b):
-    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0, elementwise."""
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0, elementwise, for
+    |a|, |b| < 2^53 and |a x| < 2^63; the line table has 0 <= a, b <= 2h^2,
+    the census rows 0 <= a, b <= U."""
     old_r = a.astype(np.int64).copy()
     r = b.astype(np.int64).copy()
     old_s = np.ones_like(old_r)
     s = np.zeros_like(old_r)
     active = r != 0
     while np.any(active):
-        q = np.zeros_like(old_r)
-        np.floor_divide(old_r, r, out=q, where=active)
+        # |old_r|, |r| <= max(|a|, |b|) < 2^53 (_floor_div); where r = 0 the
+        # step is masked, so it divides by 1 there
+        q = _floor_div(old_r, r + ~active).astype(np.int64)
         new_r = old_r - q * r
         old_r = np.where(active, r, old_r)
         r = np.where(active, new_r, r)
@@ -863,8 +933,10 @@ def _census3_block(u1, u2, u3, ksq):
     g = g1[row]
     n1, n2, d12 = n1[row], xy[row] * u3 * u3 + g * g, cross[row] * u3
     for _ in range(128):
-        n1, n2 = np.minimum(n1, n2), np.maximum(n1, n2)
-        q = (2 * d12 + n1) // (2 * n1)
+        n1, n2 = np.minimum(n1, n2), np.maximum(n1, n2, out=n2)
+        # |2 d12 + n1| <= 4U^3 + U^2 < 2^53 (_floor_div); n2 may reach 2^55,
+        # so the update below stays in int64
+        q = _floor_div(2 * d12 + n1, 2 * n1).astype(np.int64)
         if not np.any(q):
             break
         n2 -= q * (2 * d12 - q * n1)

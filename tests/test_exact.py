@@ -76,6 +76,27 @@ def test_int_matrix_stores_exact_ints():
     assert a.rows == ((2, 0), (0, 1))
 
 
+def test_integer_routines_refuse_anything_but_an_int_matrix():
+    # they read the rows as integers: on diag(1/2, 3) det answered 1 (not
+    # 3/2), inverse_rational and mat_pow(., -1) diag(2, 0), charpoly X^2 - 3X + 1
+    q = RationalMatrix([[Fraction(1, 2), 0], [0, 3]])
+    calls = [det, charpoly, inverse_rational] + [
+        lambda a, k=k: mat_pow(a, k) for k in (-2, -1, 0, 1, 2)]
+    for call in calls:
+        for bad in (q, ((1, 0), (0, 3))):
+            with pytest.raises(TypeError, match="IntMatrix"):
+                call(bad)
+
+
+def test_rational_matrix_takes_integers_and_fractions_only():
+    for bad in (0.1, True, "1/3", np.float64(1.0), np.True_):
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            RationalMatrix([[1, 0], [bad, 1]])
+    r = RationalMatrix([[np.int64(3), Fraction(1, 3)], [2, np.int8(-1)]])
+    assert r.rows == ((3, Fraction(1, 3)), (2, -1))
+    assert all(type(x) is Fraction for row in r.rows for x in row)
+
+
 def test_equality_is_symmetric_across_int_and_rational():
     a, q = IntMatrix([[1, 2], [3, 4]]), RationalMatrix([[1, 2], [3, 4]])
     assert a == q and q == a

@@ -51,36 +51,83 @@ def test_full_pair_count_array():
 
 
 def test_count_line_against_scan():
-    # _line_counts on seeded arrays, coefficients over the whole table
-    # [-2h^2, 2h^2] with zeros and small values drawn more often
+    # _line_counts on seeded arrays over the whole proven range, h up to
+    # _LINE_H_MAX: coefficients over the table [-2h^2, 2h^2] with zeros
+    # (free lines, and alpha = beta = 0) and small values drawn more often;
+    # g0 over |g0| <= 8h^3, its ends included, and through a box point
     rng = np.random.default_rng(0x5EED)
-    for h in (1, 2, 3, 5):
+    for h in (0, 1, 2, 3, 5, 8, 13, kernels._LINE_H_MAX):
         table = kernels._line_table(h)
         top = 2 * h * h
-        coef = np.concatenate([rng.integers(-top, top + 1, 200), rng.integers(-2, 3, 200)])
+        small = min(2, top)
+        coef = np.concatenate([rng.integers(-top, top + 1, 300),
+                               rng.integers(-small, small + 1, 200),
+                               np.zeros(100, dtype=np.int64)])
         alpha, beta = rng.permutation(coef), rng.permutation(coef)
-        g0 = rng.integers(-3 * h, 3 * h + 1, coef.size)
-        g0[::7] = 0
-        got = kernels._line_counts(alpha, beta, g0, h, table)
-        x, y = np.meshgrid(np.arange(-h, h + 1), np.arange(-h, h + 1))
-        want = [int(np.count_nonzero(a * x + b * y == g))
-                for a, b, g in zip(alpha.tolist(), beta.tolist(), g0.tolist())]
-        assert got.tolist() == want, h
+        far = 8 * h**3
+        g0 = rng.integers(-far, far + 1, coef.size)
+        g0[::5] = alpha[::5] * rng.integers(-h, h + 1, g0[::5].size) + beta[::5] * rng.integers(
+            -h, h + 1, g0[::5].size)
+        g0[1::7] = 0
+        g0[2::11] = far
+        g0[3::11] = -far
+        x, y = (v.ravel() for v in np.meshgrid(np.arange(-h, h + 1), np.arange(-h, h + 1)))
+        want = np.count_nonzero(alpha[:, None] * x + beta[:, None] * y == g0[:, None], axis=1)
+        for g in (g0, g0.astype(np.float64)):  # det_trace3 hands over float64
+            got = kernels._line_counts(alpha, beta, g, h, table)
+            assert got.dtype == np.int64 and got.tolist() == want.tolist(), h
+
+
+def test_floor_div_matches_python_floor_division():
+    # the exact float64 quotient against Python's //: operands at
+    # +-(2^53 - 1), quotients just below and at an integer, negative divisors
+    top = 2**53 - 1
+    pairs = [(a, b) for a in (top, -top, top - 1, 1 - top, 2**52 + 1, 0, 1, -1)
+             for b in (1, -1, 2, -2, 3, -3, 7, top, -top, top - 1, 2**26 + 1, -(2**26 + 1))]
+    for b in (3, 7, 1000003, 2**26 + 3, 2**40 - 1, top - 2):
+        n = top // b
+        for a in (n * b - 1, n * b, n * b - b + 1):
+            pairs += [(a, b), (-a, b), (a, -b), (-a, -b)]
+    rng = random.Random(0xF10)
+    for _ in range(2000):
+        scale = 2 ** rng.randint(1, 53)
+        a, b = rng.randrange(-scale + 1, scale), rng.randrange(1, 2 ** rng.randint(1, 53))
+        pairs.append((a, b if rng.random() < 0.5 else -b))
+    a, b = (np.array(v, dtype=np.int64) for v in zip(*pairs))
+    want = [p // q for p, q in pairs]
+    for args in ((a, b), (a.astype(np.float64), b.astype(np.float64))):
+        got = kernels._floor_div(*args)
+        assert got.dtype == np.float64 and got.astype(np.int64).tolist() == want
 
 
 def test_line_table_is_an_extended_gcd():
+    # keys with A, B > 0 hold the extended gcd; the free lines and A = B = 0
+    # are folded into the same form (see _line_table)
     for h in (1, 3):
-        g, x, y, sa, sb, width = kernels._line_table(h)
+        table = kernels._line_table(h)
+        assert all(v.dtype == np.float64 for v in table)
+        g, x, y, sa, sb, f = (v.astype(np.int64) for v in table)
+        width, side, far = 2 * h * h + 1, 2 * h + 1, kernels._FAR
         a, b = np.divmod(np.arange(width * width), width)
-        assert g.tolist() == [math.gcd(p, q) for p, q in zip(a.tolist(), b.tolist())]
-        assert np.array_equal(a * x + b * y, g)
-        nz = g > 0
-        assert np.array_equal(sa[nz] * g[nz], a[nz]) and np.array_equal(sb[nz] * g[nz], b[nz])
+        on = (a > 0) & (b > 0)
+        assert g[on].tolist() == [math.gcd(p, q)
+                                  for p, q in zip(a[on].tolist(), b[on].tolist())]
+        assert np.array_equal((a * x + b * y)[on], g[on])
+        assert np.array_equal((sa * g)[on], a[on]) and np.array_equal((sb * g)[on], b[on])
+        assert (f[on] == 1).all()
+        folded = {"a1 free": (a == 0) & (b > 0), "a2 free": (a > 0) & (b == 0),
+                  "both free": (a == 0) & (b == 0)}
+        want = {"a1 free": (b, 0, 1, far, 1, side), "a2 free": (a, 1, 0, 1, far, side),
+                "both free": (far, 0, 0, far, far, side * side)}
+        for name, pick in folded.items():
+            for got, value in zip((g, x, y, sa, sb, f), want[name]):
+                value = value[pick] if isinstance(value, np.ndarray) else value
+                assert np.array_equal(got[pick], np.broadcast_to(value, got[pick].shape)), name
 
 
 def test_nonzero_on_line_against_scan():
     rng = np.random.default_rng(0x0DD)
-    for k in (1, 2, 4):
+    for k in (1, 2, 4, 13, kernels._BLOCKS_H_MAX):
         p = np.concatenate([rng.integers(-4 * k * k, 4 * k * k + 1, 150), rng.integers(-2, 3, 50)])
         q = rng.permutation(p)
         got = kernels._nonzero_on_line(p, q, k)
@@ -796,6 +843,29 @@ def test_dual_second_minimum_matches_lattice_minima():
         block = [np.array([x], dtype=np.int64) for x in u]
         assert kernels._census3_block(*block, m2 - 1)[0] == kernels._orbit_size(*u), u
         assert kernels._census3_block(*block, m2)[0] == 0, u
+
+
+def test_census3_at_the_top_of_its_range_matches_exact_verdicts():
+    # the last three planes at U = _CENSUS_U_MAX, where the reduction's
+    # operands are largest, against the exact Python-int verdict of each
+    # primitive point weighted by its orbit size; the K^2 values split the
+    # 24 points' second minima squared (1.6 * 10^6 to 5.0 * 10^7), one of
+    # them equal to a minimum, which is then not bad
+    from matstat.lattices import DEFAULT_NODE_CAP, _census_bad
+
+    uf = kernels._CENSUS_U_MAX
+    usq = uf * uf
+    hi = kernels.census_planes(usq)
+    points = [(a, b, c) for a in range(hi - 3, hi)
+              for b in range(a, math.isqrt((usq - a * a) // 2) + 1)
+              for c in range(b, math.isqrt(usq - a * a - b * b) + 1)
+              if math.gcd(a, b, c) == 1]
+    assert len(points) == 24
+    for ksq in (0, 2380541, 3845041, 16657993, 49979750, 10**8):
+        want = sum(kernels._orbit_size(*u) for u in points
+                   if _census_bad(u, ksq, DEFAULT_NODE_CAP))
+        assert kernels.census3(uf, usq, ksq, hi - 3, hi)[0] == want, ksq
+        assert 0 < want < 840 or ksq in (0, 10**8)
 
 
 @pytest.mark.parametrize("uf, usq", [(1, 1), (1, 3), (4, 16), (7, 56), (10, 106), (13, 169)])

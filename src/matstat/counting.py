@@ -94,29 +94,14 @@ def _decode(n: int, hf: int, rank: int) -> IntMatrix:
     return IntMatrix.from_flat(n, flat)
 
 
-def enumerate_matrices(
-    n: int,
-    h,
-    shard: Tuple[int, int] = (1, 1),
-    budget: int = DEFAULT_BUDGET,
-) -> Iterator[IntMatrix]:
-    """Stream M_n(Z; H) in row-major odometer order (a11 most significant).
-
-    `shard = (index, total)` with 1 <= index <= total yields the index-th of
-    `total` contiguous rank ranges; the shards partition the universe.
-    """
-    index, total = shard
-    if not (1 <= index <= total):
-        raise ValueError("shard index out of range")
+def enumerate_matrices(n: int, h, budget: int = DEFAULT_BUDGET) -> Iterator[IntMatrix]:
+    """Stream M_n(Z; H) in row-major odometer order (a11 most significant)."""
     hf = lattices._floor_bound("H", h, 1)
     if n < 1:
         raise ValueError("n must be >= 1")
-    size = _scan_size(2 * hf + 1, n * n, budget, "matrix enumeration", total)
-    lo = (index - 1) * size // total
-    hi = index * size // total
-    if hi - lo > budget:
-        raise BudgetExceededError(hi - lo, budget, "matrix enumeration")
-    for rank in range(lo, hi):
+    size = _scan_size(2 * hf + 1, n * n, budget, "matrix enumeration")
+    _check_budget(size, budget, "matrix enumeration")
+    for rank in range(size):
         yield _decode(n, hf, rank)
 
 
@@ -128,15 +113,13 @@ def _check_budget(cost: int, budget: int, what: str):
 _SHOWN_BITS = 64  # a scan size past 2^64 and past the budget is never computed
 
 
-def _scan_size(base: int, exponent: int, budget: int, what: str, share: int = 1) -> int:
-    """base^exponent, the size of a scan, once a 1/share part of it may fit
-    the budget: exponent log2(base) - log2(share) is compared with the
-    budget's bit length first, so a size far past the budget is never
-    computed, and the refusal names it as a power."""
-    bits = exponent * math.log2(base) - math.log2(share)
-    if bits > max(budget.bit_length() + 1, _SHOWN_BITS):
-        shown = f"{base}^{exponent}" + (f"/{share}" if share > 1 else "")
-        raise BudgetExceededError(shown, budget, what)
+def _scan_size(base: int, exponent: int, budget: int, what: str) -> int:
+    """base^exponent, the size of a scan, once it may fit the budget:
+    exponent log2(base) is compared with the budget's bit length first, so
+    a size far past the budget is never computed, and the refusal names it
+    as a power."""
+    if exponent * math.log2(base) > max(budget.bit_length() + 1, _SHOWN_BITS):
+        raise BudgetExceededError(f"{base}^{exponent}", budget, what)
     return base**exponent
 
 

@@ -10,12 +10,13 @@ No floating point enters this module.
 
 Entries are checked where they enter: the public constructors
 ``IntMatrix(rows)`` and ``RationalMatrix(rows)`` check every entry, and
-exponents are read by ``_int_arg``.  ``det``, ``charpoly``,
-``inverse_rational`` and ``mat_pow`` take an ``IntMatrix`` only, and raise
-TypeError for anything else, a ``RationalMatrix`` too.  Results of the
-module's own arithmetic (products, adjugates, powers, inverses) are built
-from entries already checked, so they are stored unchecked through the
-private ``_of`` constructors, one int or one Fraction per entry.
+exponents and polynomial coefficients are read by ``_int_arg``.  ``det``,
+``charpoly``, ``inverse_rational`` and ``mat_pow`` take an ``IntMatrix``
+only, and raise TypeError for anything else, a ``RationalMatrix`` too.
+Results of the module's own arithmetic (products, adjugates, powers,
+inverses) are built from entries already checked, so they are stored
+unchecked through the private ``_of`` constructors, one int or one
+Fraction per entry.
 
 Characteristic polynomials follow the convention f(X) = det(X*I - A), so f
 is monic of degree n and the constant term is (-1)^n det(A).
@@ -37,13 +38,10 @@ __all__ = [
     "mat_pow",
     "det",
     "trace",
-    "trace_power",
     "charpoly",
-    "newton_check",
     "companion",
     "block_diag",
     "inverse_rational",
-    "integer_roots",
 ]
 
 
@@ -204,14 +202,6 @@ class RationalMatrix:
             for j, x in enumerate(row)
         )
 
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.rows for x in row)
-
-    def to_int_matrix(self) -> IntMatrix:
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return IntMatrix([[int(x) for x in row] for row in self.rows])
-
     def __eq__(self, other) -> bool:
         if isinstance(other, IntMatrix):
             other = RationalMatrix.from_int(other)
@@ -229,12 +219,14 @@ class MonicIntPoly:
 
     `coeffs` stores (c_0, ..., c_{d-1}) from the constant term up; the
     leading coefficient 1 is implicit.  Degree 0 is the constant poly 1.
+    Each coefficient is read by _int_arg: an integer (numpy integers too);
+    a float, a bool or text raises ValueError rather than being truncated.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        self.coeffs = tuple(int(c) for c in coeffs)
+        self.coeffs = tuple([_int_arg("coefficient", c) for c in coeffs])
 
     @property
     def degree(self) -> int:
@@ -321,14 +313,6 @@ def _int_pow_nonneg(a: IntMatrix, k: int) -> IntMatrix:
         if not k:
             return result
         base = mat_mul(base, base)
-
-
-def trace_power(a: IntMatrix, j: int) -> int:
-    """Tr(A^j) for j >= 0, computed exactly."""
-    j = _int_arg("j", j)
-    if j < 0:
-        raise ValueError("power must be non-negative")
-    return trace(_int_pow_nonneg(a, j))
 
 
 def _int_pow(a: IntMatrix, k: int) -> Tuple[IntMatrix, int]:
@@ -502,29 +486,6 @@ def charpoly(a: IntMatrix) -> MonicIntPoly:
     return MonicIntPoly(tuple(reversed(p))[:-1])
 
 
-def newton_check(f: MonicIntPoly, a: IntMatrix) -> bool:
-    """Verify charpoly(A) = f through Newton's identities on power traces.
-
-    Compares Tr(A^j) for j = 1..n against the power sums forced by the
-    coefficients of f.  Independent of the Berkowitz route.
-    """
-    n = a.n
-    if f.degree != n:
-        return False
-    # Elementary symmetric functions from f: c_{n-j} = (-1)^j e_j.
-    full = f.all_coeffs()
-    e = [1] + [0] * n
-    for j in range(1, n + 1):
-        e[j] = (-1) ** j * full[n - j]
-    p = [0] * (n + 1)
-    for k in range(1, n + 1):
-        acc = 0
-        for i in range(1, k):
-            acc += (-1) ** (i - 1) * e[i] * p[k - i]
-        p[k] = acc + (-1) ** (k - 1) * k * e[k]
-    return all(trace_power(a, k) == p[k] for k in range(1, n + 1))
-
-
 def companion(f: MonicIntPoly) -> IntMatrix:
     """Companion matrix of a monic polynomial; charpoly(companion(f)) = f."""
     d = f.degree
@@ -552,44 +513,3 @@ def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
         off += b.n
     return IntMatrix(rows)
 
-
-def integer_roots(f: MonicIntPoly) -> Optional[list]:
-    """All roots (with multiplicity) when f splits over Z, else None.
-
-    A monic integer polynomial has only integer rational roots, so this
-    decides whether every eigenvalue is rational.  Each root divides the
-    constant term, whose divisors come from its factorization.
-    """
-    from .numtheory import _divisors  # numtheory imports this module
-
-    coeffs = list(f.all_coeffs())
-    roots = []
-    while len(coeffs) > 1:
-        c0 = coeffs[0]
-        if c0 == 0:
-            roots.append(0)
-            coeffs = coeffs[1:]
-            continue
-        found = None
-        for cand in _divisors(abs(c0)):
-            for r in (cand, -cand):
-                acc = 0
-                for c in reversed(coeffs):
-                    acc = acc * r + c
-                if acc == 0:
-                    found = r
-                    break
-            if found is not None:
-                break
-        if found is None:
-            return None
-        # synthetic division by (X - found)
-        new = []
-        carry = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            new.append(carry)
-            carry = c + found * carry
-        # carry is the remainder, must be 0 here
-        coeffs = list(reversed(new))
-        roots.append(found)
-    return sorted(roots)

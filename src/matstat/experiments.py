@@ -122,7 +122,7 @@ def _required(params, name: str):
 def charpoly_target(n: int, coeffs: Sequence[int]) -> MonicIntPoly:
     """The monic degree-n polynomial with coefficients c0, c1, ..., 1
     (constant first), or ValueError."""
-    coeffs = tuple(int(c) for c in coeffs)
+    coeffs = tuple([_int_arg("coefficient", c) for c in coeffs])
     if len(coeffs) < 2:
         raise ValueError("polynomial needs degree >= 1 (c0,...,1)")
     if coeffs[-1] != 1:

@@ -10,6 +10,9 @@ go through the one fraction-free elimination routine, ``exact._echelon``;
 only coordinates come back as Fractions (through ``exact._rref``).  Square
 roots are never compared in floating point; every comparison happens on
 squared lengths, and LLL and the enumeration run on integers only.
+Vector and basis entries are read by ``exact._int_arg``: integers, numpy
+integers included; a float, a bool or text raises ValueError rather than
+being truncated.
 
 Box counts and listings (|v|_inf <= B) come from the same Fincke-Pohst
 layers run vectorised in numpy (``_box_blocks``), each coefficient's exact
@@ -38,7 +41,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BudgetExceededError
-from .exact import IntMatrix, _echelon, _rref, det
+from .exact import IntMatrix, _echelon, _int_arg, _rref, det
 from .kernels import _isqrt
 
 __all__ = [
@@ -51,17 +54,13 @@ __all__ = [
     "hnf_with_transform",
     "integer_kernel",
     "orthogonal_lattice",
-    "lattice_det",
     "dual_volume_check",
     "reduced_basis",
     "successive_minima",
     "is_k_good",
     "points_in_box",
     "lattice_points_in_box",
-    "slab_contains",
-    "slab_count_in_box",
     "kbad_census",
-    "classify_perfect_mediocre",
 ]
 
 DEFAULT_NODE_CAP = 20_000_000
@@ -96,7 +95,7 @@ class Lattice:
     __slots__ = ("ambient_dim", "basis", "_gram_det")
 
     def __init__(self, ambient_dim: int, basis: Iterable[Sequence[int]]):
-        basis = tuple(tuple(int(x) for x in v) for v in basis)
+        basis = tuple(tuple([_int_arg("basis entry", x) for x in v]) for v in basis)
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be >= 1")
         if any(len(v) != ambient_dim for v in basis):
@@ -125,7 +124,7 @@ class Lattice:
 
     def coordinates_of(self, v: Sequence[int]) -> Optional[tuple]:
         """Rational coordinates of v in this basis, or None if outside span."""
-        v = tuple(int(x) for x in v)
+        v = tuple([_int_arg("vector entry", x) for x in v])
         if len(v) != self.ambient_dim:
             raise ValueError("vector has wrong length")
         # solve B^T c = v; v lies off the span exactly when its column pivots
@@ -150,7 +149,7 @@ def hnf_with_transform(rows: Sequence[Sequence[int]]):
     Returns (H, U) as lists of lists.  Zero rows of H sink to the bottom;
     pivots are positive and entries above a pivot are reduced mod it.
     """
-    a = [list(map(int, r)) for r in rows]
+    a = [[_int_arg("matrix entry", x) for x in r] for r in rows]
     m = len(a)
     ncols = len(a[0]) if m else 0
     u = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -206,7 +205,7 @@ def integer_kernel(rows: Sequence[Sequence[int]], ambient_dim: int) -> List[IntV
 
 def orthogonal_lattice(vectors: Sequence[Sequence[int]]) -> Lattice:
     """The lattice of integer vectors orthogonal to all the given vectors."""
-    vectors = [tuple(int(x) for x in v) for v in vectors]
+    vectors = [tuple([_int_arg("vector entry", x) for x in v]) for v in vectors]
     if not vectors:
         raise ValueError("at least one vector required")
     t = len(vectors[0])
@@ -217,16 +216,9 @@ def orthogonal_lattice(vectors: Sequence[Sequence[int]]) -> Lattice:
     return Lattice(t, integer_kernel(vectors, t))
 
 
-def lattice_det(lat: Lattice) -> Tuple[int, Optional[int]]:
-    """(Gram determinant, exact integer sqrt when it exists, else None)."""
-    g = lat.gram_det()
-    r = math.isqrt(g)
-    return g, (r if r * r == g else None)
-
-
 def dual_volume_check(v: Sequence[int]) -> bool:
     """Exact check that det(v^perp)^2 equals |v|^2 for primitive v."""
-    v = tuple(int(x) for x in v)
+    v = tuple([_int_arg("vector entry", x) for x in v])
     if not is_primitive(v):
         raise ValueError("vector must be primitive")
     return orthogonal_lattice([v]).gram_det() == norm_sq(v)
@@ -485,7 +477,7 @@ def is_k_good(u: Sequence[int], k_bound, node_cap: int = DEFAULT_NODE_CAP) -> Go
     Judged on the exact successive minima of the dual, so the verdict does
     not depend on a basis choice.  Requires primitive u and K >= 1.
     """
-    u = tuple(int(x) for x in u)
+    u = tuple([_int_arg("vector entry", x) for x in u])
     if not is_primitive(u):
         raise ValueError("vector must be primitive")
     if len(u) < 2:
@@ -662,36 +654,6 @@ def lattice_points_in_box(
     return [tuple(v) for v in _box_rows(lat, box_bound, node_cap).tolist()]
 
 
-def slab_contains(v: Sequence[int], w: Sequence[int]) -> bool:
-    """Membership in the slab of width |v| around the hyperplane normal
-    to v: |<w, v>| <= |v|^2, checked on integers only."""
-    v = tuple(int(x) for x in v)
-    w = tuple(int(x) for x in w)
-    if len(v) != len(w):
-        raise ValueError("dimension mismatch")
-    if all(x == 0 for x in v):
-        raise ValueError("v must be nonzero")
-    return abs(dot(v, w)) <= norm_sq(v)
-
-
-def slab_count_in_box(v: Sequence[int], box_bound, node_cap: int = DEFAULT_NODE_CAP) -> int:
-    """#{w integer, |w|_inf <= T, w in slab(v)} by exact scan."""
-    v = tuple(int(x) for x in v)
-    if all(x == 0 for x in v):
-        raise ValueError("v must be nonzero")
-    tf = _floor_bound("box bound", box_bound, 0)
-    t = len(v)
-    size = (2 * tf + 1) ** t
-    if size > node_cap:
-        raise BudgetExceededError(size, node_cap, "slab box scan")
-    nsq = norm_sq(v)
-    cnt = 0
-    for w in iter_product(range(-tf, tf + 1), repeat=t):
-        if abs(dot(v, w)) <= nsq:
-            cnt += 1
-    return cnt
-
-
 # ---------------------------------------------------------------------------
 # census of K-bad vectors
 
@@ -831,30 +793,3 @@ def kbad_census(
         t, float(u_exact), float(k_exact), count, inv_sum, err, bad, method_used, elapsed
     )
 
-
-# ---------------------------------------------------------------------------
-# perfect / mediocre classification
-
-
-def classify_perfect_mediocre(lam: Sequence[int], h_bound, k_bound) -> str:
-    """Classify a primitive vector by the goodness of itself and of the
-    reduced leading block lambda* (last coordinate dropped, gcd removed).
-
-    Verdicts: 'perfect', 'mediocre', 'not-H-good', or 'degenerate' when
-    lambda* = 0 (the classification needs a nonzero leading block).
-    """
-    lam = tuple(int(x) for x in lam)
-    if len(lam) < 3:
-        raise ValueError("need dimension >= 3")
-    if not is_primitive(lam):
-        raise ValueError("vector must be primitive")
-    if lam == tuple([0] * (len(lam) - 1)) + (1,):
-        raise ValueError("the reserved unit vector is excluded")
-    star = lam[:-1]
-    if all(x == 0 for x in star):
-        return "degenerate"
-    if not is_k_good(lam, h_bound).good:
-        return "not-H-good"
-    ell = reduce(math.gcd, (abs(x) for x in star))
-    mu = tuple(x // ell for x in star)
-    return "perfect" if is_k_good(mu, k_bound).good else "mediocre"

@@ -461,14 +461,15 @@ def construct_torsion_block(orders: Sequence[int]) -> Tuple[IntMatrix, int]:
     phi(k_i)); m is the product of the orders.  The exact multiplicative
     order of A is lcm(k_i), which divides m.
     """
+    orders = [_int_arg("order", k) for k in orders]
     if not orders:
         raise ValueError("at least one order required")
     if any(k < 1 for k in orders):
         raise ValueError("orders must be >= 1")
-    blocks = [companion(cyclotomic(int(k))) for k in orders]
+    blocks = [companion(cyclotomic(k)) for k in orders]
     m = 1
     for k in orders:
-        m *= int(k)
+        m *= k
     return block_diag(blocks), m
 
 

@@ -16,6 +16,10 @@ ValueError before anything is allocated; that ceiling also keeps N inside
 the int32 range.  The sieve serves only the public `totients_up_to` /
 `TotientTable` API.
 
+`factorize`, `euler_phi`, `cyclotomic`, v, w and the q of
+`count_smooth_wrt` read their integer with ``operator.index``: a numpy
+integer passes, and a float or text raises TypeError.
+
 v(n) (`largest_totient_below`) and w(n) (`max_totient_square_sum`) build
 no table: they walk down over even m <= n and decide each m = phi(k) by a
 depth-first search over the primes p with p - 1 | m (`_is_totient`).  The
@@ -44,7 +48,6 @@ __all__ = [
     "factorize",
     "is_probable_prime",
     "euler_phi",
-    "tau",
     "totients_up_to",
     "largest_totient_below",
     "max_totient_square_sum",
@@ -171,6 +174,7 @@ class FactoredInt:
 
 def factorize(m: int) -> FactoredInt:
     """Exact prime factorization of a nonzero integer."""
+    m = operator.index(m)
     if m == 0:
         raise ZeroArgumentError("cannot factor 0")
     sign = 1 if m > 0 else -1
@@ -198,22 +202,13 @@ def factorize(m: int) -> FactoredInt:
 
 def euler_phi(k: int) -> int:
     """Euler's totient of k >= 1."""
+    k = operator.index(k)
     if k < 1:
         raise ValueError("totient needs k >= 1")
     phi = 1
     for p, e in factorize(k).factors:
         phi *= (p - 1) * p ** (e - 1)
     return phi
-
-
-def tau(k: int) -> int:
-    """Number of positive divisors of |k|, k != 0."""
-    if k == 0:
-        raise ZeroArgumentError("tau(0) undefined")
-    t = 1
-    for _, e in factorize(k).factors:
-        t *= e + 1
-    return t
 
 
 def _check_sieve_bound(limit: int) -> None:
@@ -417,6 +412,7 @@ def count_smooth_wrt(q: int, u) -> int:
 
     Exact DFS over prime powers of rad(q); m = 1 always counts.
     """
+    q = operator.index(q)
     if q == 0:
         raise ZeroArgumentError("q must be nonzero")
     uf = math.floor(u)
@@ -462,6 +458,7 @@ def cyclotomic(k: int) -> MonicIntPoly:
     Computed by the recursive division X^k - 1 = prod_{d | k} Phi_d(X);
     degree is phi(k).
     """
+    k = operator.index(k)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:

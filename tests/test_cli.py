@@ -1,14 +1,20 @@
 """End-to-end CLI invocations through main()."""
 
 import argparse
+import ast
 import contextlib
+import importlib
 import io
 import json
+import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matstat
 from matstat import experiments, multdep
 from matstat.cli import build_parser, main
 from matstat.exact import companion
@@ -698,6 +704,45 @@ def test_every_option_an_action_offers_is_read(tmp_path, capsys):
         unread[words] = offered - args._reads
     capsys.readouterr()
     assert unread == {words: set() for words in parsers}
+
+
+# Public names without a caller in src/matstat or a line in the README,
+# each kept for the reason given.
+KEPT = {
+    "count_charpoly_fast2": "acceptance criterion 03 and perfbench call it",
+    "count_det_trace2": "perfbench's det_trace2_3_3 operation calls it",
+    "lattice_points_in_box": "perfbench's tracer wraps it by name",
+    "successive_minima": "perfbench's tracer wraps it by name",
+    "det_relation_lattice": "perfbench's tracer wraps it by name",
+}
+
+
+def test_every_public_name_has_a_caller():
+    # a use is a name or attribute read anywhere in src/matstat outside the
+    # top-level def or class of that name; an __all__ entry is a string
+    src = Path(matstat.__file__).parent
+    used = set()
+    for path in src.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            own = getattr(node, "name", None)
+            for sub in ast.walk(node):
+                name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+                if isinstance(sub, (ast.Name, ast.Attribute)) and name != own:
+                    used.add(name)
+    readme = (src.parents[1] / "README.md").read_text()
+    modules = [matstat] + [
+        importlib.import_module(f"matstat.{m.name}")
+        for m in pkgutil.iter_modules([str(src)])
+        if m.name != "__main__"  # importing it runs the CLI
+    ]
+    uncalled = {
+        name
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if name not in used and not re.search(rf"\b{name}\b", readme)
+    }
+    assert sorted(uncalled - KEPT.keys()) == []  # each needs a caller, or goes
+    assert sorted(KEPT.keys() - uncalled) == []  # a kept name that has one leaves KEPT
 
 
 # ---------------------------------------------------------------------------

@@ -77,14 +77,6 @@ def test_enumerate_matrices_stream():
     assert all(m.in_box(1) for m in mats2)
 
 
-def test_enumerate_sharding_partitions():
-    whole = [m.rows for m in enumerate_matrices(2, 1)]
-    pieces = []
-    for i in range(1, 5):
-        pieces += [m.rows for m in enumerate_matrices(2, 1, shard=(i, 4))]
-    assert pieces == whole
-
-
 def test_enumerate_budget():
     with pytest.raises(BudgetExceededError):
         list(enumerate_matrices(3, 2, budget=100))
@@ -548,10 +540,10 @@ def test_scan_far_past_the_budget_is_refused_as_a_power():
         count_with_det(300, 1, 0, budget=100_000)
     assert exc.value.needed == "3^90000"
     with pytest.raises(BudgetExceededError) as exc:
-        next(enumerate_matrices(300, 1, shard=(1, 4), budget=100_000))
-    assert exc.value.needed == "3^90000/4"
+        next(enumerate_matrices(300, 1, budget=100_000))
+    assert exc.value.needed == "3^90000"
     # near the budget the exact size is compared, as before
-    assert sum(1 for _ in enumerate_matrices(2, 1, shard=(2, 3), budget=27)) == 27
+    assert sum(1 for _ in enumerate_matrices(2, 1, budget=81)) == 81
     with pytest.raises(BudgetExceededError) as exc:
         next(enumerate_matrices(2, 1, budget=80))
     assert exc.value.needed == 81

@@ -3,7 +3,6 @@
 import enum
 import math
 import random
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +18,7 @@ from helpers import (
     random_nonsingular,
     random_unimodular,
 )
+from matstat import experiments, lattices, multdep, numtheory
 from matstat.errors import NegativePowerOfSingularError, SingularMatrixError
 from matstat.lattices import Lattice
 from matstat.exact import (
@@ -33,12 +33,9 @@ from matstat.exact import (
     charpoly,
     companion,
     det,
-    integer_roots,
     inverse_rational,
     mat_pow,
-    newton_check,
     trace,
-    trace_power,
 )
 
 
@@ -174,30 +171,6 @@ def test_charpoly_constant_term_is_det():
         assert f.coeffs[n - 1] == -trace(a)
 
 
-def test_newton_identities_hold():
-    rng = random.Random(17)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        a = random_matrix(rng, n, 5)
-        f = charpoly(a)
-        assert newton_check(f, a)
-        # perturbing the trace coefficient must break the identities
-        bad = list(f.coeffs)
-        bad[-1] += 1
-        assert not newton_check(MonicIntPoly(tuple(bad)), a)
-
-
-def test_trace_power():
-    rng = random.Random(23)
-    for _ in range(40):
-        n = rng.randint(1, 3)
-        a = random_matrix(rng, n, 4)
-        for k in range(0, 4):
-            expect = mat_pow(a, k)
-            tp = sum(expect.rows[i][i] for i in range(n))
-            assert trace_power(a, k) == tp
-
-
 def test_mat_pow_identity_and_inverse():
     rng = random.Random(31)
     for _ in range(40):
@@ -215,12 +188,47 @@ def test_exponents_are_read_as_integers():
     a = IntMatrix([[10**7, 1], [0, 10**7]])
     assert mat_pow(a, np.int64(-3)) == mat_pow(a, -3)
     assert mat_pow(a, np.int64(-3)).rows[0][0] == Fraction(1, 10**21)
-    assert trace_power(a, np.int32(2)) == trace_power(a, 2) == 2 * 10**14
     for bad in (2.0, True, Fraction(2), "2"):
         with pytest.raises(ValueError, match="k must be an integer"):
             mat_pow(a, bad)
-        with pytest.raises(ValueError, match="j must be an integer"):
-            trace_power(a, bad)
+
+
+# Entry points that read integers, each called with x in one slot.  The
+# polynomial and lattice entries read through exact._int_arg, which also
+# refuses a bool; numtheory reads through operator.index, which takes one.
+_INT_READ_BY_INT_ARG = {
+    "MonicIntPoly": lambda x: MonicIntPoly((x, 0)),
+    "charpoly_target": lambda x: experiments.charpoly_target(2, (x, 0, 1)),
+    "Lattice": lambda x: Lattice(2, [(x, 0)]),
+    "coordinates_of": lambda x: Lattice(2, [(1, 0)]).coordinates_of((x, 0)),
+    "hnf_with_transform": lambda x: lattices.hnf_with_transform([[x, 0]]),
+    "orthogonal_lattice": lambda x: lattices.orthogonal_lattice([(x, 1, 0)]),
+    "dual_volume_check": lambda x: lattices.dual_volume_check((x, 1, 0)),
+    "is_k_good": lambda x: lattices.is_k_good((1, x, 3), 3),
+    "construct_torsion_block": lambda x: multdep.construct_torsion_block([x]),
+}
+_INT_READ_BY_INDEX = {
+    "factorize": numtheory.factorize,
+    "euler_phi": numtheory.euler_phi,
+    "count_smooth_wrt": lambda x: numtheory.count_smooth_wrt(x, 10),
+    "cyclotomic": numtheory.cyclotomic,
+}
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [*_INT_READ_BY_INT_ARG.items(), *_INT_READ_BY_INDEX.items()],
+    ids=[*_INT_READ_BY_INT_ARG, *_INT_READ_BY_INDEX],
+)
+def test_integer_arguments_are_never_truncated(name, call):
+    # int() would read 1.5 as 1, 2.0 as 2 and "2" as 2, and answer for them;
+    # call(2) comes first, so a cache keyed by value alone would answer 2.0
+    expected = repr(call(2))
+    bad = (1.5, 2.0, "2") + ((True,) if name in _INT_READ_BY_INT_ARG else ())
+    for x in bad:
+        with pytest.raises((TypeError, ValueError)):
+            call(x)
+    assert repr(call(np.int64(2))) == expected
 
 
 def test_mat_pow_singular_negative_raises():
@@ -399,11 +407,9 @@ def test_lattice_refuses_dependent_bases(rows, coeffs):
 
 def test_rational_matrix_integrality():
     r = RationalMatrix([[Fraction(2), Fraction(1)], [Fraction(0), Fraction(1)]])
-    assert r.is_integral()
-    assert r.to_int_matrix() == IntMatrix([[2, 1], [0, 1]])
     assert r == IntMatrix([[2, 1], [0, 1]])
     half = RationalMatrix([[Fraction(1, 2)]])
-    assert not half.is_integral()
+    assert half != IntMatrix([[0]]) and half != IntMatrix([[1]])
 
 
 def test_companion_and_block_diag():
@@ -430,61 +436,6 @@ def test_monic_poly_interface():
     assert one.degree == 0 and one(12345) == 1
 
 
-def test_integer_roots():
-    assert integer_roots(MonicIntPoly((6, -5))) == [2, 3]
-    assert integer_roots(MonicIntPoly((0, 0))) == [0, 0]  # X^2
-    assert integer_roots(MonicIntPoly((1, 0))) is None  # X^2 + 1
-    assert integer_roots(MonicIntPoly((-1, 0))) == [-1, 1]
-    # (X-1)(X-2)(X+3) = X^3 - 7X + 6
-    assert integer_roots(MonicIntPoly((6, -7, 0))) == [-3, 1, 2]
-    rng = random.Random(59)
-    for _ in range(60):
-        deg = rng.randint(1, 4)
-        roots = sorted(rng.randint(-6, 6) for _ in range(deg))
-        acc = [1]
-        for r in roots:  # multiply by (X - r)
-            new = [0] * (len(acc) + 1)
-            for i, c in enumerate(acc):
-                new[i + 1] += c
-                new[i] -= r * c
-            acc = new
-        f = MonicIntPoly(tuple(acc[:-1]))
-        assert integer_roots(f) == roots
-
-
-def _monic_from_roots(roots):
-    acc = [1]  # coefficients high to low
-    for r in roots:  # multiply by (X - r)
-        acc = [a - r * b for a, b in zip(acc + [0], [0] + acc)]
-    return MonicIntPoly(tuple(reversed(acc[1:])))
-
-
-def test_integer_roots_with_a_large_constant_term():
-    # the divisors of c0 = 999999937 * 1000000007 come from its two prime
-    # factors; a divisor scan would run to sqrt(c0) = 10^9
-    f = _monic_from_roots([999999937, 1000000007])
-    t0 = time.perf_counter()
-    assert integer_roots(f) == [999999937, 1000000007]
-    assert time.perf_counter() - t0 < 2.0
-
-
-def test_integer_roots_match_sympy_up_to_constant_terms_of_10_12():
-    x = sympy.Symbol("x")
-    rng = random.Random(0x5EED)
-    for _ in range(60):
-        deg = rng.randint(1, 3)
-        top = int(10 ** (12 / deg))
-        f = _monic_from_roots([rng.randint(-top, top) for _ in range(deg)])
-        if rng.random() < 0.5:  # move c0 off the product, usually off Z-splitting
-            f = MonicIntPoly((f.all_coeffs()[0] + rng.choice((-1, 1)),) + f.all_coeffs()[1:-1])
-        _, factors = sympy.Poly(list(reversed(f.all_coeffs())), x).factor_list()
-        if all(g.degree() == 1 for g, _ in factors):
-            expected = sorted(int(-g.TC() / g.LC()) for g, e in factors for _ in range(e))
-        else:
-            expected = None
-        assert integer_roots(f) == expected, f.all_coeffs()
-
-
 def test_charpoly_invariant_under_conjugation():
     rng = random.Random(67)
     for _ in range(40):
@@ -493,5 +444,5 @@ def test_charpoly_invariant_under_conjugation():
         u = random_unimodular(rng, n)
         ui = inverse_rational(u)
         conj = ui @ RationalMatrix.from_int(a) @ RationalMatrix.from_int(u)
-        assert conj.is_integral()
-        assert charpoly(conj.to_int_matrix()) == charpoly(a)
+        assert all(x.denominator == 1 for row in conj.rows for x in row)
+        assert charpoly(IntMatrix([[x.numerator for x in row] for row in conj.rows])) == charpoly(a)

@@ -21,21 +21,17 @@ from matstat.lattices import (
     _enumerate_ball,
     _lll,
     _NodeBudget,
-    classify_perfect_mediocre,
     dual_volume_check,
     hnf_with_transform,
     integer_kernel,
     is_k_good,
     is_primitive,
     kbad_census,
-    lattice_det,
     lattice_points_in_box,
     norm_sq,
     orthogonal_lattice,
     points_in_box,
     reduced_basis,
-    slab_contains,
-    slab_count_in_box,
     successive_minima,
 )
 
@@ -181,8 +177,6 @@ def test_orthogonal_lattice_and_volume():
     minima, vecs = successive_minima(lat)
     assert minima == (1, 26)
     assert all(sum(a * b for a, b in zip(v, (1, 0, 5))) == 0 for v in vecs)
-    g, root = lattice_det(lat)
-    assert g == 26 and root is None  # 26 is not a perfect square
     assert dual_volume_check((1, 0, 5))
 
 
@@ -553,7 +547,6 @@ def test_points_in_box_fractional_bound():
     for box in (np.float32(4.5), np.float64(4.5), Fraction(9, 2), np.int64(4), 4):
         assert points_in_box(lat, box) == 5
         assert sorted(lattice_points_in_box(lat, box)) == [(-4,), (-2,), (0,), (2,), (4,)]
-        assert slab_count_in_box((1, 2), box) == slab_count_in_box((1, 2), 4)
     assert is_k_good((1, 2), np.float32(2.25)).good  # floor(2.25^2) = 5
     assert not is_k_good((1, 2), np.float32(2.125)).good  # floor(4.515625) = 4
     with pytest.raises(ValueError, match="box bound must be >= 0"):
@@ -753,32 +746,6 @@ def test_is_k_good_boundary_square():
     assert is_k_good(v, np.int64(2**32)).good  # K^2 = 2^64 in Python ints, not wrapped to 0
 
 
-def test_slab_frozen_and_scan():
-    assert slab_contains((1, 0), (1, 0))
-    assert slab_contains((2, 1), (1, 3))  # <(2,1),(1,3)> = 5 = |v|^2
-    assert not slab_contains((2, 1), (2, 3))
-    assert slab_count_in_box((1, 0), 2) == 15
-    rng = random.Random(0xAAA)
-    for _ in range(30):
-        t = rng.randint(2, 3)
-        v = _random_primitive(rng, t, 4)
-        box = rng.randint(1, 5)
-        truth = sum(
-            1
-            for w in product(range(-box, box + 1), repeat=t)
-            if abs(sum(a * b for a, b in zip(v, w))) <= norm_sq(v)
-        )
-        assert slab_count_in_box(v, box) == truth
-
-
-def test_slab_count_refuses_negative_box_bound():
-    # as for the box counts: no w has sup norm <= -1/2, not even 0
-    for box in (-1, Fraction(-1, 2)):
-        with pytest.raises(ValueError, match="box bound must be >= 0"):
-            slab_count_in_box((1, 2), box)
-    assert slab_count_in_box((1, 2), 0) == 1
-
-
 def test_census_generic_vs_kernel():
     gen = kbad_census(3, 6, 2, method="generic")
     ker = kbad_census(3, 6, 2, method="auto")
@@ -935,19 +902,6 @@ def test_census_kernel_charges_its_triples_to_node_cap():
     assert kbad_census(3, 60.5, 8, node_cap=need).count == kbad_census(3, 60.5, 8).count
     with pytest.raises(ValueError, match="U must be in"):
         kbad_census(3, 20_000, 3, node_cap=1)
-
-
-def test_classify_frozen():
-    assert classify_perfect_mediocre((1, 0, 5), 30, 2) == "perfect"
-    assert classify_perfect_mediocre((1, 1, 1), 30, 2) == "perfect"
-    assert classify_perfect_mediocre((2, 3, 6), 30, 2) == "mediocre"
-    assert classify_perfect_mediocre((0, 0, 1, 1), 30, 2) == "perfect"
-    assert classify_perfect_mediocre((1, 0, 5), 4, 2) == "not-H-good"
-    assert classify_perfect_mediocre((0, 0, -1), 5, 2) == "degenerate"
-    with pytest.raises(ValueError):
-        classify_perfect_mediocre((0, 0, 0, 1), 5, 2)  # reserved unit vector
-    with pytest.raises(ValueError):
-        classify_perfect_mediocre((2, 2, 2), 5, 2)  # not primitive
 
 
 def test_budget_errors_carry_context():
